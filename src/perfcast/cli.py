@@ -50,10 +50,9 @@ from .records import (
     proxy_roster,
 )
 from .regressors import (
+    KINDS,
+    AnyParams,
     GbtModel,
-    GbtParams,
-    MfParams,
-    PolyParams,
     fit_model,
     gbt_importance,
     get_preset,
@@ -64,8 +63,6 @@ from .regressors import (
     with_seed,
 )
 from .report import ScatterSeries, emit_report, scatter_from_predictions
-
-_PARAM_TYPES = {"gbt": GbtParams, "poly": PolyParams, "mf": MfParams}
 
 
 def _sha256(path: str) -> str:
@@ -142,19 +139,16 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) 
 # Config materialization
 # ---------------------------------------------------------------------------
 
-def _parse_params(kind: str, obj: dict) -> GbtParams | PolyParams | MfParams:
-    cls = _PARAM_TYPES.get(kind)
-    if cls is None:
-        raise ConfigError(f"unknown regressor kind {kind!r}")
+def _parse_params(kind: str, obj: dict) -> AnyParams:
     try:
-        return cls(**obj)
+        return KINDS[kind][0](**obj)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {kind} params {obj}: {exc}") from exc
 
 
 def _resolve_grid(cfg: dict, preset_override: str | None):
     kind = cfg.get("regressor", "gbt")
-    if kind not in _PARAM_TYPES:
+    if kind not in KINDS:
         raise ConfigError(f"unknown regressor kind {kind!r}")
     if preset_override is not None:
         grid = [get_preset(preset_override)]
@@ -165,7 +159,7 @@ def _resolve_grid(cfg: dict, preset_override: str | None):
     elif "preset" in cfg:
         grid = [get_preset(cfg["preset"])]
     else:
-        grid = [_PARAM_TYPES[kind]()]
+        grid = [KINDS[kind][0]()]
     for params in grid:
         if params_kind(params) != kind:
             raise ConfigError(
@@ -188,27 +182,21 @@ def _load_record_sources(run: _Run, value) -> list[PerformanceRecord]:
     return records
 
 
-def _materialize_experiment(run: _Run, cfg: dict, seed_override: int | None, preset_override: str | None):
+def _feature_sources(run: _Run, cfg: dict):
+    """Records, feature groups, dataset feature blocks and language table named by a config.
+
+    Dataset features come from a precomputed `dataset_features` CSV or are
+    computed inline from `corpora` + `pairs`.
+    """
     if "records" not in cfg:
         raise ConfigError("config is missing 'records'")
     records = _load_record_sources(run, cfg["records"])
     groups = tuple(cfg.get("feature_groups", ["language", "dataset", "proxy"]))
-    split_cfg = cfg.get("split", {"kind": "random", "ratio": 0.7})
-    try:
-        split = SplitSpec(
-            kind=split_cfg.get("kind", "random"),
-            ratio=split_cfg.get("ratio"),
-            held_out_language=split_cfg.get("held_out_language"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
     dataset_blocks = None
     if "dataset" in groups:
         if "dataset_features" in cfg:
             dataset_blocks = load_feature_csv(run.track(run.resolve(cfg["dataset_features"])))
         elif "corpora" in cfg:
-            # full pipeline: compute the dataset features from raw corpora inline
             dataset_blocks = {(tr, te): block for tr, te, block in _compute_feature_blocks(run, cfg)}
         else:
             raise ConfigError(
@@ -219,6 +207,20 @@ def _materialize_experiment(run: _Run, cfg: dict, seed_override: int | None, pre
         if "language_distances" not in cfg:
             raise ConfigError("language feature group enabled but no 'language_distances' path given")
         language_table = load_distance_table(run.track(run.resolve(cfg["language_distances"])))
+    return records, groups, dataset_blocks, language_table
+
+
+def _materialize_experiment(run: _Run, cfg: dict, seed_override: int | None, preset_override: str | None):
+    records, groups, dataset_blocks, language_table = _feature_sources(run, cfg)
+    split_cfg = cfg.get("split", {"kind": "random", "ratio": 0.7})
+    try:
+        split = SplitSpec(
+            kind=split_cfg.get("kind", "random"),
+            ratio=split_cfg.get("ratio"),
+            held_out_language=split_cfg.get("held_out_language"),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     test_records = None
     if "test_records" in cfg:
@@ -343,39 +345,23 @@ def _cmd_features(run: _Run, cfg: dict) -> None:
     write_feature_csv(os.path.join(run.out_dir, "features.csv"), blocks)
 
 
-def _matrix_inputs(run: _Run, cfg: dict):
-    """Records plus the design matrix built from the config's feature sources."""
-    if "records" not in cfg:
-        raise ConfigError("config is missing 'records'")
-    records = _load_record_sources(run, cfg["records"])
-    groups = tuple(cfg.get("feature_groups", ["language", "dataset", "proxy"]))
-    dataset_blocks = None
-    if "dataset" in groups:
-        if "dataset_features" not in cfg:
-            raise ConfigError("dataset feature group enabled but no 'dataset_features' path given")
-        dataset_blocks = load_feature_csv(run.track(run.resolve(cfg["dataset_features"])))
-    language_table = None
-    if "language" in groups:
-        if "language_distances" not in cfg:
-            raise ConfigError("language feature group enabled but no 'language_distances' path given")
-        language_table = load_distance_table(run.track(run.resolve(cfg["language_distances"])))
+def _design_matrix(run: _Run, cfg: dict):
+    """The design matrix built from the config's records and feature sources."""
+    records, groups, dataset_blocks, language_table = _feature_sources(run, cfg)
     proxies = cfg.get("proxies")
     roster = sorted(proxies) if proxies is not None else proxy_roster(records)
-    schema = build_schema(groups, roster)
-    matrix = build_design_matrix(records, schema, dataset_blocks, language_table)
-    return records, matrix
+    return build_design_matrix(records, build_schema(groups, roster), dataset_blocks, language_table)
 
 
 def _cmd_train(run: _Run, cfg: dict, seed_override: int | None, preset_override: str | None) -> None:
-    records, matrix = _matrix_inputs(run, cfg)
+    matrix = _design_matrix(run, cfg)
     grid = _resolve_grid(cfg, preset_override)
     if len(grid) != 1:
         raise ConfigError("train expects exactly one hyperparameter set (preset or params)")
     params = grid[0]
     if seed_override is not None:
         params = with_seed(params, seed_override)
-    languages = ([r.src_lang for r in records], [r.tgt_lang for r in records])
-    model = fit_model(params, matrix, languages if params_kind(params) == "mf" else None)
+    model = fit_model(params, matrix)
     save_model(model, os.path.join(run.out_dir, "model.json"))
 
 
@@ -383,18 +369,11 @@ def _cmd_predict(run: _Run, cfg: dict) -> None:
     if "model" not in cfg:
         raise ConfigError("predict config needs 'model'")
     model = load_model(run.track(run.resolve(cfg["model"])))
-    records, matrix = _matrix_inputs(run, cfg)
-    languages = ([r.src_lang for r in records], [r.tgt_lang for r in records])
-    preds = predict_model(model, matrix, languages if _model_kind(model) == "mf" else None)
+    matrix = _design_matrix(run, cfg)
+    preds = predict_model(model, matrix)
     rows = [(rid, repr(float(t)), repr(float(p)))
             for rid, t, p in zip(matrix.row_ids, matrix.targets, preds)]
     _write_csv(os.path.join(run.out_dir, "predictions.csv"), ("record_id", "true", "pred"), rows)
-
-
-def _model_kind(model) -> str:
-    from .regressors import GbtModel as G, PolyModel as P
-
-    return "gbt" if isinstance(model, G) else ("poly" if isinstance(model, P) else "mf")
 
 
 def _cmd_experiment(run: _Run, cfg: dict, seed_override: int | None, preset_override: str | None) -> None:

@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
 Every error raised by perfcast derives from :class:`PerfcastError`, so callers
-(and the CLI) can catch one base class. `IoError` aliases the builtin OSError
-family so file problems surface under the same umbrella name used in docs.
+(and the CLI) can catch one base class.
 """
 
 from __future__ import annotations
@@ -123,5 +122,3 @@ class ZeroVariance(PerfcastError):
 class ConfigError(PerfcastError):
     pass
 
-
-IoError = OSError

@@ -11,7 +11,7 @@ own randomness, so reruns with identical config are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -179,7 +179,6 @@ def kfold_cv(
     k: int,
     grid: Sequence[AnyParams],
     seed: int,
-    languages: tuple[Sequence[str], Sequence[str]] | None = None,
 ) -> CvResult:
     """Seeded k-fold grid search; ties break to the earlier grid point."""
     n = matrix.n
@@ -193,21 +192,13 @@ def kfold_cv(
         for i in range(k):
             train_idx = np.concatenate([folds[j] for j in range(k) if j != i])
             val_idx = folds[i]
-            sub_langs = _subset_languages(languages, train_idx)
-            model = fit_model(with_seed(params, seed), matrix.subset(train_idx), sub_langs)
-            pred = predict_model(model, matrix.subset(val_idx), _subset_languages(languages, val_idx))
+            model = fit_model(with_seed(params, seed), matrix.subset(train_idx))
+            pred = predict_model(model, matrix.subset(val_idx))
             fold_rmse.append(rmse(pred, matrix.targets[val_idx]))
         scores.append(float(np.mean(fold_rmse)))
 
     best = min(range(len(grid)), key=lambda i: (scores[i], i))
     return CvResult(best_index=best, best_params=grid[best], scores=scores)
-
-
-def _subset_languages(languages, idx):
-    if languages is None:
-        return None
-    sources, targets = languages
-    return ([sources[i] for i in idx], [targets[i] for i in idx])
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +298,6 @@ def _split_units(config: ExperimentConfig, records, seed: int):
     return [(None, train, test)]
 
 
-def _record_languages(records: Sequence[PerformanceRecord]):
-    return ([r.src_lang for r in records], [r.tgt_lang for r in records])
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Repeat the full select-fit-evaluate protocol and aggregate test RMSE.
 
@@ -325,7 +312,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         records + (config.test_records or [])
     )
     schema = build_schema(config.feature_groups, roster)
-    needs_languages = params_kind(config.grid[0]) == "mf"
 
     per_repeat: list[float] = []
     final_predictions: list[tuple[str, float, float]] = []
@@ -348,17 +334,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for label, train_recs, test_recs in units:
             m_train = build_design_matrix(train_recs, schema, config.dataset_features, config.language_table)
             m_test = build_design_matrix(test_recs, schema, config.dataset_features, config.language_table)
-            langs_train = _record_languages(train_recs) if needs_languages else None
-            langs_test = _record_languages(test_recs) if needs_languages else None
 
             if len(config.grid) == 1:
                 best = config.grid[0]
             else:
-                cv = kfold_cv(m_train, config.cv_folds, config.grid, seed_r, langs_train)
+                cv = kfold_cv(m_train, config.cv_folds, config.grid, seed_r)
                 best = cv.best_params
                 cv_scores[label or "all"] = cv.scores
-            model = fit_model(with_seed(best, seed_r), m_train, langs_train)
-            pred = predict_model(model, m_test, langs_test)
+            model = fit_model(with_seed(best, seed_r), m_train)
+            pred = predict_model(model, m_test)
 
             all_pred.append(pred)
             all_true.append(m_test.targets)
@@ -401,8 +385,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _params_dict(params: AnyParams) -> dict:
-    from dataclasses import asdict
-
     out = asdict(params)
     out["kind"] = params_kind(params)
     return out

@@ -120,6 +120,15 @@ def _parse_bool(raw: str, context: str) -> bool:
     raise ParseError(f"{context}: bad boolean {raw!r}")
 
 
+def _json_bool(value, context: str) -> bool:
+    """A JSON bool as is; a string by the CSV loader's rules; anything else is an error."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        return _parse_bool(value, context)
+    raise ParseError(f"{context}: bad boolean {value!r}")
+
+
 def load_records(path: str) -> list[PerformanceRecord]:
     """Load records from CSV (proxy:<id> columns) or JSONL (proxy_scores object)."""
     records = _load_records_jsonl(path) if path.endswith((".jsonl", ".json")) else _load_records_csv(path)
@@ -197,9 +206,15 @@ def _load_records_jsonl(path: str) -> list[PerformanceRecord]:
             line = line.strip()
             if not line:
                 continue
+            context = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
-                proxies = {str(k): (None if v is None else float(v)) for k, v in obj.get("proxy_scores", {}).items()}
+                if not isinstance(obj, dict):
+                    raise ParseError(f"{context}: a record must be a JSON object")
+                proxy_obj = obj.get("proxy_scores", {})
+                if not isinstance(proxy_obj, dict):
+                    raise ParseError(f"{context}: proxy_scores must be a JSON object")
+                proxies = {str(k): (None if v is None else float(v)) for k, v in proxy_obj.items()}
                 rec = PerformanceRecord(
                     record_id=str(obj["record_id"]),
                     task=str(obj["task"]),
@@ -211,12 +226,12 @@ def _load_records_jsonl(path: str) -> list[PerformanceRecord]:
                     metric_name=str(obj["metric_name"]),
                     score=float(obj["score"]),
                     proxy_scores=proxies,
-                    seen_by_estimated_model=bool(obj.get("seen_by_estimated_model", True)),
+                    seen_by_estimated_model=_json_bool(obj.get("seen_by_estimated_model", True), context),
                     corpus_group=str(obj.get("corpus_group", "other")),
                     joshi_class=None if obj.get("joshi_class") is None else int(obj["joshi_class"]),
                 )
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad record: {exc}") from exc
+                raise ParseError(f"{context}: bad record: {exc}") from exc
             records.append(validate_record(rec))
     return records
 
@@ -300,9 +315,6 @@ class FeatureSchema:
         payload = ";".join(f"{c}|{g}" for c, g in zip(self.columns, self.groups))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
-    def columns_in_group(self, group: str) -> list[str]:
-        return [c for c, g in zip(self.columns, self.groups) if g == group]
-
 
 def build_schema(feature_groups: Sequence[str], proxies: Sequence[str] = ()) -> FeatureSchema:
     """Columns in fixed order: language block, dataset block, one per proxy."""
@@ -337,6 +349,7 @@ class DesignMatrix:
     missing_mask: np.ndarray
     targets: np.ndarray
     row_ids: list[str]
+    languages: list[tuple[str, str]] | None = None  # (src_lang, tgt_lang) per row, for MF
 
     @property
     def n(self) -> int:
@@ -350,6 +363,7 @@ class DesignMatrix:
             missing_mask=self.missing_mask[idx].copy(),
             targets=self.targets[idx].copy(),
             row_ids=[self.row_ids[i] for i in idx],
+            languages=None if self.languages is None else [self.languages[i] for i in idx],
         )
 
 
@@ -412,4 +426,5 @@ def build_design_matrix(
         missing_mask=mask,
         targets=targets,
         row_ids=[rec.record_id for rec in records],
+        languages=[(rec.src_lang, rec.tgt_lang) for rec in records],
     )

@@ -1,9 +1,11 @@
-"""Regressor zoo: boosted trees, polynomial elastic net, matrix factorization."""
+"""Regressor zoo: boosted trees, polynomial elastic net, matrix factorization.
+
+Every decision that depends on the regressor kind is made in this package.
+"""
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence
 
 import numpy as np
 
@@ -17,44 +19,48 @@ from .serialize import load_model, model_from_dict, model_to_dict, save_model
 AnyParams = GbtParams | PolyParams | MfParams
 AnyModel = GbtModel | PolyModel | MfModel
 
-KIND_BY_PARAMS = {GbtParams: "gbt", PolyParams: "poly", MfParams: "mf"}
+# kind name -> (params class, model class)
+KINDS: dict[str, tuple[type, type]] = {
+    "gbt": (GbtParams, GbtModel),
+    "poly": (PolyParams, PolyModel),
+    "mf": (MfParams, MfModel),
+}
+
+_KIND_OF = {cls: kind for kind, classes in KINDS.items() for cls in classes}
 
 
-def params_kind(params: AnyParams) -> str:
-    return KIND_BY_PARAMS[type(params)]
+def params_kind(obj: AnyParams | AnyModel) -> str:
+    """Kind name of a params object or a fitted model."""
+    return _KIND_OF[type(obj)]
 
 
 def with_seed(params: AnyParams, seed: int) -> AnyParams:
     return replace(params, seed=seed)
 
 
-def fit_model(
-    params: AnyParams,
-    matrix: DesignMatrix,
-    languages: tuple[Sequence[str], Sequence[str]] | None = None,
-) -> AnyModel:
-    """Uniform fit entry point; `languages` = (sources, targets) is MF-only."""
+def _language_pairs(matrix: DesignMatrix) -> tuple[list[str], list[str]]:
+    if matrix.languages is None:
+        raise ValueError("matrix factorization requires per-record language pairs")
+    return [s for s, _ in matrix.languages], [t for _, t in matrix.languages]
+
+
+# The solvers are looked up in this module's namespace at call time, so a
+# caller that rebinds e.g. `perfcast.regressors.gbt_fit` sees every fit.
+def fit_model(params: AnyParams, matrix: DesignMatrix) -> AnyModel:
+    """Uniform fit entry point; MF reads the language pairs carried by the matrix."""
     if isinstance(params, GbtParams):
         return gbt_fit(matrix, params)
     if isinstance(params, PolyParams):
         return poly_fit(matrix, params)
-    if languages is None:
-        raise ValueError("matrix factorization requires per-record language pairs")
-    return mf_fit(matrix, languages[0], languages[1], params)
+    return mf_fit(matrix, *_language_pairs(matrix), params)
 
 
-def predict_model(
-    model: AnyModel,
-    matrix: DesignMatrix,
-    languages: tuple[Sequence[str], Sequence[str]] | None = None,
-) -> np.ndarray:
+def predict_model(model: AnyModel, matrix: DesignMatrix) -> np.ndarray:
     if isinstance(model, GbtModel):
         return gbt_predict(model, matrix)
     if isinstance(model, PolyModel):
         return poly_predict(model, matrix)
-    if languages is None:
-        raise ValueError("matrix factorization requires per-record language pairs")
-    return mf_predict(model, matrix, languages[0], languages[1])
+    return mf_predict(model, matrix, *_language_pairs(matrix))
 
 
 __all__ = [
@@ -62,5 +68,5 @@ __all__ = [
     "MfModel", "MfParams", "mf_fit", "mf_predict", "mf_predict_one",
     "PolyModel", "PolyParams", "poly_fit", "poly_predict",
     "PRESETS", "get_preset", "load_model", "save_model", "model_to_dict", "model_from_dict",
-    "fit_model", "predict_model", "params_kind", "with_seed",
+    "KINDS", "fit_model", "predict_model", "params_kind", "with_seed",
 ]

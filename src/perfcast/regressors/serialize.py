@@ -68,14 +68,40 @@ def model_to_dict(model: GbtModel | PolyModel | MfModel) -> dict[str, Any]:
     raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
+def _check_tree(nodes: list[GbtNode], n_features: int) -> None:
+    """Reject a tree with an internal node whose feature does not exist or whose
+    child index does not lie between its own index and the end of the tree.
+
+    The grower appends both children after their parent, so in every tree it
+    writes each child index exceeds its parent's, which rules out cycles.
+    """
+    if not nodes:
+        raise ParseError("empty tree")
+    for i, node in enumerate(nodes):
+        if node.is_leaf:
+            continue
+        if node.feature >= n_features:
+            raise ParseError(f"node {i}: feature {node.feature} outside [0, {n_features})")
+        for child in (node.left, node.right):
+            if not i < child < len(nodes):
+                raise ParseError(f"node {i}: child {child} outside ({i}, {len(nodes)})")
+
+
 def model_from_dict(obj: dict[str, Any]) -> GbtModel | PolyModel | MfModel:
+    version = obj.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ParseError(f"unsupported format_version {version!r} (expected {FORMAT_VERSION})")
     kind = obj.get("kind")
     if kind == "gbt":
+        feature_names = tuple(obj["feature_names"])
+        trees = [[GbtNode(**node) for node in nodes] for nodes in obj["trees"]]
+        for nodes in trees:
+            _check_tree(nodes, len(feature_names))
         return GbtModel(
             base_score=float(obj["base_score"]),
             eta=float(obj["eta"]),
-            trees=[[GbtNode(**node) for node in nodes] for nodes in obj["trees"]],
-            feature_names=tuple(obj["feature_names"]),
+            trees=trees,
+            feature_names=feature_names,
             fingerprint=obj["fingerprint"],
             params=GbtParams(**obj["params"]),
             gain_totals=dict(obj["gain_totals"]),
@@ -123,4 +149,7 @@ def load_model(path: str) -> GbtModel | PolyModel | MfModel:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: not a valid model file: {exc}") from exc
-    return model_from_dict(obj)
+    try:
+        return model_from_dict(obj)
+    except (ParseError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: not a valid model file: {type(exc).__name__}: {exc}") from exc

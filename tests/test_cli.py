@@ -7,7 +7,7 @@ import pytest
 from perfcast.cli import main
 from perfcast.corpus import load_feature_csv, profile, tokenize, write_feature_csv
 from perfcast.langdist import save_distance_table
-from perfcast.records import save_records
+from perfcast.records import build_schema, proxy_roster, save_records
 
 from conftest import synthetic_setup
 
@@ -172,6 +172,43 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "results.json").exists()
 
+    def test_train_predict_with_inline_corpora(self, tmp_path):
+        # train and predict take corpora + pairs in place of a dataset_features CSV
+        (tmp_path / "a.txt").write_text("the quick brown fox\njumps over the dog\n" * 3)
+        (tmp_path / "b.txt").write_text("a different corpus entirely\nwith other words\n" * 2)
+        records, _, _ = synthetic_setup(14, seed=3)
+        records = [
+            r.__class__(**{**r.__dict__, "train_dataset": "corpus-a", "test_dataset": "corpus-b"})
+            for r in records
+        ]
+        save_records(records, str(tmp_path / "records.csv"))
+        cfg = {
+            "records": "records.csv",
+            "corpora": [
+                {"dataset_id": "corpus-a", "path": "a.txt"},
+                {"dataset_id": "corpus-b", "path": "b.txt"},
+            ],
+            "pairs": [{"train": "corpus-a", "test": "corpus-b"}],
+            "feature_groups": ["dataset", "proxy"],
+            "regressor": "poly",
+            "params": {"degree": 1, "alpha": 0.1},
+        }
+        train_out = tmp_path / "train_out"
+        assert main(["train", "--config", write_json(tmp_path / "train.json", cfg),
+                     "--out", str(train_out)]) == 0
+        model = json.loads((train_out / "model.json").read_text())
+        schema = build_schema(("dataset", "proxy"), proxy_roster(records))
+        assert model["fingerprint"] == schema.fingerprint()
+        manifest = json.loads((train_out / "manifest.json").read_text())
+        assert str(tmp_path / "a.txt") in manifest["inputs"]
+
+        cfg["model"] = str(train_out / "model.json")
+        pred_out = tmp_path / "pred_out"
+        assert main(["predict", "--config", write_json(tmp_path / "predict.json", cfg),
+                     "--out", str(pred_out)]) == 0
+        lines = (pred_out / "predictions.csv").read_text().splitlines()
+        assert len(lines) == 1 + 14
+
     def test_multiple_record_files(self, tmp_path):
         r1, _, _ = synthetic_setup(6, seed=4)
         r2, _, _ = synthetic_setup(6, seed=5)
@@ -245,43 +282,71 @@ class TestTrainPredictImportance:
         assert "poly" in json.loads(capsys.readouterr().err)["message"]
 
 
+def write_many_to_many_fixture(tmp_path):
+    from perfcast.records import PerformanceRecord
+
+    rng = np.random.default_rng(0)
+    langs = ("aar", "bel", "ces", "dan")
+    records = []
+    i = 0
+    for src in langs:
+        for tgt in langs:
+            if src == tgt:
+                continue
+            for _ in range(2):
+                records.append(PerformanceRecord(
+                    record_id=f"m{i}", task="mt", estimated_model="m", train_dataset="tr",
+                    test_dataset="te", src_lang=src, tgt_lang=tgt, metric_name="synthetic",
+                    score=float(10 + rng.normal()), proxy_scores={"p0": float(rng.uniform())},
+                    corpus_group="many_to_many",
+                ))
+                i += 1
+    save_records(records, str(tmp_path / "records.csv"))
+    return write_json(tmp_path / "mf.json", {
+        "records": "records.csv",
+        "feature_groups": ["proxy"],
+        "regressor": "mf",
+        "params": {"latent_dim": 2, "alpha": 0.02, "beta_w": 0.01, "beta_h": 0.01,
+                   "beta_z": 0.01, "beta_s": 0.01, "beta_t": 0.01, "iterations": 100},
+        "split": {"kind": "random", "ratio": 0.7},
+        "repeats": 1,
+        "seed": 5,
+    })
+
+
 class TestMfCommand:
     def test_mf_experiment(self, tmp_path):
-        import numpy as _np
-        from perfcast.records import PerformanceRecord
-
-        rng = _np.random.default_rng(0)
-        langs = ("aar", "bel", "ces", "dan")
-        records = []
-        i = 0
-        for src in langs:
-            for tgt in langs:
-                if src == tgt:
-                    continue
-                for _ in range(2):
-                    records.append(PerformanceRecord(
-                        record_id=f"m{i}", task="mt", estimated_model="m", train_dataset="tr",
-                        test_dataset="te", src_lang=src, tgt_lang=tgt, metric_name="synthetic",
-                        score=float(10 + rng.normal()), proxy_scores={"p0": float(rng.uniform())},
-                        corpus_group="many_to_many",
-                    ))
-                    i += 1
-        save_records(records, str(tmp_path / "records.csv"))
-        cfg = write_json(tmp_path / "mf.json", {
-            "records": "records.csv",
-            "feature_groups": ["proxy"],
-            "regressor": "mf",
-            "params": {"latent_dim": 2, "alpha": 0.02, "beta_w": 0.01, "beta_h": 0.01,
-                       "beta_z": 0.01, "beta_s": 0.01, "beta_t": 0.01, "iterations": 100},
-            "split": {"kind": "random", "ratio": 0.7},
-            "repeats": 1,
-            "seed": 5,
-        })
+        cfg = write_many_to_many_fixture(tmp_path)
         out = tmp_path / "out"
         assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
         results = json.loads((out / "results.json").read_text())
         assert results["chosen_params"]["all"]["kind"] == "mf"
         assert results["mean_rmse"] < 5.0
+
+    def test_mf_train_predict_round_trip(self, tmp_path):
+        from perfcast.records import load_records
+        from perfcast.regressors import MfParams, load_model, mf_predict
+
+        cfg_path = write_many_to_many_fixture(tmp_path)
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "train_out")]) == 0
+        model_path = tmp_path / "train_out" / "model.json"
+        assert isinstance(load_model(str(model_path)).params, MfParams)
+
+        cfg = json.loads((tmp_path / "mf.json").read_text())
+        cfg["model"] = str(model_path)
+        pred_out = tmp_path / "pred_out"
+        assert main(["predict", "--config", write_json(tmp_path / "predict.json", cfg),
+                     "--out", str(pred_out)]) == 0
+        lines = (pred_out / "predictions.csv").read_text().splitlines()
+        records = load_records(str(tmp_path / "records.csv"))
+        assert [line.split(",")[0] for line in lines[1:]] == [r.record_id for r in records]
+        # each prediction is the model equation evaluated for that row's own language pair
+        from perfcast.records import build_design_matrix
+
+        matrix = build_design_matrix(records, build_schema(("proxy",), ["p0"]))
+        expected = mf_predict(load_model(str(model_path)), matrix,
+                              [r.src_lang for r in records], [r.tgt_lang for r in records])
+        assert [float(line.split(",")[2]) for line in lines[1:]] == expected.tolist()
 
 
 class TestAblateCommand:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from perfcast.errors import EmptyTrainingSet, NoSplits, SchemaMismatch
+from perfcast.errors import EmptyTrainingSet, NoSplits, ParseError, SchemaMismatch
 from perfcast.records import DesignMatrix, build_schema
 from perfcast.regressors import (
     GbtModel,
@@ -310,3 +310,55 @@ class TestSerialization:
             obj = json.load(fh)
         assert obj["kind"] == "gbt"
         assert obj["params"]["n_estimators"] == 8
+
+
+class TestModelFileValidation:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        rng = np.random.default_rng(7)
+        m = matrix_from(rng.normal(size=(30, 2)), rng.normal(size=30))
+        path = tmp_path / "model.json"
+        save_model(gbt_fit(m, GbtParams(n_estimators=2, max_depth=2)), str(path))
+        return path, json.loads(path.read_text())
+
+    def rejects(self, path, obj, match):
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match=match) as exc:
+            load_model(str(path))
+        assert str(path) in str(exc.value)
+
+    def test_unknown_format_version(self, saved):
+        path, obj = saved
+        obj["format_version"] = 99
+        self.rejects(path, obj, "format_version 99")
+
+    def test_missing_key(self, saved):
+        path, obj = saved
+        del obj["eta"]
+        self.rejects(path, obj, "eta")
+
+    def test_non_object_model(self, saved):
+        path, _ = saved
+        self.rejects(path, [1, 2], "not a valid model file")
+
+    def test_child_pointing_back_at_its_node(self, saved):
+        path, obj = saved
+        root = obj["trees"][0][0]
+        assert root["feature"] >= 0
+        root["left"] = 0
+        self.rejects(path, obj, "node 0: child 0")
+
+    def test_child_past_the_tree(self, saved):
+        path, obj = saved
+        obj["trees"][1][0]["right"] = len(obj["trees"][1])
+        self.rejects(path, obj, "node 0: child")
+
+    def test_feature_out_of_range(self, saved):
+        path, obj = saved
+        obj["trees"][0][0]["feature"] = len(obj["feature_names"])
+        self.rejects(path, obj, "feature 2 outside")
+
+    def test_empty_tree(self, saved):
+        path, obj = saved
+        obj["trees"][0] = []
+        self.rejects(path, obj, "empty tree")

@@ -5,6 +5,7 @@ from perfcast.errors import NotManyToMany, SchemaMismatch, UnknownLanguage
 from perfcast.records import DesignMatrix, build_schema
 from perfcast.regressors import (
     MfParams,
+    fit_model,
     get_preset,
     load_model,
     mf_fit,
@@ -104,6 +105,18 @@ class TestFit:
         for s, t in zip(sources, targets):
             manual = model.mu + model.b_s[s] + model.b_t[t]
             assert mf_predict_one(model, s, t, np.zeros(1)) == manual
+
+    def test_fit_model_needs_language_pairs(self):
+        sources, targets, y = rank1_grid(np.array([1.0, 2.0]), np.array([1.0, 3.0]))
+        m = context_matrix(y)
+        with pytest.raises(ValueError, match="language pairs"):
+            fit_model(MfParams(iterations=5), m)
+        m.languages = list(zip(sources, targets))
+        params = MfParams(iterations=5)
+        np.testing.assert_array_equal(
+            mf_predict(fit_model(params, m), m, sources, targets),
+            mf_predict(mf_fit(m, sources, targets, params), m, sources, targets),
+        )
 
     def test_deterministic(self):
         u = np.array([1.0, 2.0, 3.0])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,13 @@ def rec(record_id="r1", **kw):
     )
     base.update(kw)
     return PerformanceRecord(**base)
+
+
+def jsonl_record(**kw):
+    base = dict(record_id="j1", task="mt", estimated_model="m", train_dataset="tr", test_dataset="te",
+                src_lang="eng", tgt_lang="deu", metric_name="spbleu", score=30.0, proxy_scores={"p0": 10.0})
+    base.update(kw)
+    return base
 
 
 class TestLoadSave:
@@ -77,6 +86,31 @@ class TestLoadSave:
         assert loaded.task == "intent"
         assert loaded.proxy_scores == {"p0": 0.8, "p1": None}
         assert loaded.seen_by_estimated_model is False
+
+    @pytest.mark.parametrize("raw, expected", [("false", False), ("true", True), ("0", False)])
+    def test_jsonl_string_boolean_parsed(self, tmp_path, raw, expected):
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(jsonl_record(seen_by_estimated_model=raw)) + "\n")
+        (loaded,) = load_records(str(path))
+        assert loaded.seen_by_estimated_model is expected
+
+    @pytest.mark.parametrize("bad", ["maybe", None, 2])
+    def test_jsonl_bad_boolean_rejected(self, tmp_path, bad):
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(jsonl_record(seen_by_estimated_model=bad)) + "\n")
+        with pytest.raises(ParseError, match="records.jsonl:1"):
+            load_records(str(path))
+
+    @pytest.mark.parametrize("line", [
+        json.dumps(["not", "an", "object"]),
+        json.dumps(jsonl_record(proxy_scores=[0.5])),
+        json.dumps(jsonl_record(proxy_scores="p0=0.5")),
+    ], ids=["record_list", "proxy_list", "proxy_string"])
+    def test_jsonl_non_object_rejected(self, tmp_path, line):
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(jsonl_record()) + "\n" + line + "\n")
+        with pytest.raises(ParseError, match="records.jsonl:2"):
+            load_records(str(path))
 
     def test_bad_task(self, tmp_path):
         path = str(tmp_path / "records.csv")
@@ -203,6 +237,20 @@ class TestDesignMatrix:
         m2 = build_design_matrix(records, schema, blocks, table)
         np.testing.assert_array_equal(m1.rows, m2.rows)
         np.testing.assert_array_equal(m1.missing_mask, m2.missing_mask)
+
+    def test_language_pairs_follow_rows(self):
+        records, blocks, table = synthetic_setup(6, seed=7)
+        schema = build_schema(("proxy",), ["p0"])
+        m = build_design_matrix(records, schema)
+        assert m.languages == [(r.src_lang, r.tgt_lang) for r in records]
+        sub = m.subset([4, 0, 2])
+        assert sub.languages == [m.languages[i] for i in (4, 0, 2)]
+        assert sub.row_ids == [m.row_ids[i] for i in (4, 0, 2)]
+
+    def test_subset_without_language_pairs(self):
+        m = build_design_matrix(synthetic_setup(3, seed=8)[0], build_schema(("proxy",), ["p0"]))
+        m.languages = None
+        assert m.subset([1]).languages is None
 
     def test_permutation_permutes_rows(self):
         records, blocks, table = synthetic_setup(6, seed=6)
