@@ -213,37 +213,34 @@ def _feature_sources(run: _Run, cfg: dict):
 def _materialize_experiment(run: _Run, cfg: dict, seed_override: int | None, preset_override: str | None):
     records, groups, dataset_blocks, language_table = _feature_sources(run, cfg)
     split_cfg = cfg.get("split", {"kind": "random", "ratio": 0.7})
-    try:
-        split = SplitSpec(
-            kind=split_cfg.get("kind", "random"),
-            ratio=split_cfg.get("ratio"),
-            held_out_language=split_cfg.get("held_out_language"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    if not isinstance(split_cfg, dict):
+        raise ConfigError(f"'split' must be an object, not {split_cfg!r}")
     test_records = None
     if "test_records" in cfg:
         test_records = _load_record_sources(run, cfg["test_records"])
-
-    config = ExperimentConfig(
-        records=records,
-        grid=_resolve_grid(cfg, preset_override),
-        split=split,
-        feature_groups=groups,
-        proxies=cfg.get("proxies"),
-        repeats=int(cfg.get("repeats", 5)),
-        cv_folds=int(cfg.get("cv_folds", 10)),
-        seed=int(seed_override if seed_override is not None else cfg.get("seed", 0)),
-        estimated_model=cfg.get("estimated_model"),
-        dataset_features=dataset_blocks,
-        language_table=language_table,
-        test_records=test_records,
-    )
     try:
+        config = ExperimentConfig(
+            records=records,
+            grid=_resolve_grid(cfg, preset_override),
+            split=SplitSpec(
+                kind=split_cfg.get("kind", "random"),
+                ratio=split_cfg.get("ratio"),
+                held_out_language=split_cfg.get("held_out_language"),
+            ),
+            feature_groups=groups,
+            proxies=cfg.get("proxies"),
+            repeats=int(cfg.get("repeats", 5)),
+            cv_folds=int(cfg.get("cv_folds", 10)),
+            seed=int(seed_override if seed_override is not None else cfg.get("seed", 0)),
+            estimated_model=cfg.get("estimated_model"),
+            dataset_features=dataset_blocks,
+            language_table=language_table,
+            test_records=test_records,
+        )
         config.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        # a value of the wrong JSON type, such as "ratio": "0.7" or "repeats": [1]
+        raise ConfigError(f"invalid experiment config: {exc}") from exc
     return config
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, EmptyCorpus, InvalidTTR, ParseError, ZeroVector
+from .errors import DimMismatch, EmptyCorpus, InvalidTTR, ParseError, RangeError, ZeroVector
 
 TokenizeMode = Literal["unicode_words", "pretokenized_whitespace"]
 
@@ -283,10 +283,25 @@ def write_feature_csv(path: str, blocks: Iterable[tuple[str, str, DatasetFeature
             writer.writerow(row)
 
 
+# The documented ranges of the bounded columns. jsd() can land 1e-15 past an
+# end by rounding, so its check allows 1e-12.
+_FEATURE_RANGES = {
+    "word_overlap": ("[0, 0.5]", lambda v: 0.0 <= v <= 0.5),
+    "ttr_train": ("(0, 1]", lambda v: 0.0 < v <= 1.0),
+    "ttr_test": ("(0, 1]", lambda v: 0.0 < v <= 1.0),
+    "jsd": ("[0, 1]", lambda v: -1e-12 <= v <= 1.0 + 1e-12),
+}
+
+
 def load_feature_csv(path: str) -> dict[tuple[str, str], DatasetFeatureBlock]:
-    """Inverse of write_feature_csv, keyed by (train_dataset, test_dataset)."""
+    """Inverse of write_feature_csv, keyed by (train_dataset, test_dataset).
+
+    Rejects a non-finite cell, a value outside its column's documented range
+    and a repeated (train_dataset, test_dataset) key, naming file:line.
+    """
     expected = ("train_dataset", "test_dataset") + DATASET_FEATURE_COLUMNS
     out: dict[tuple[str, str], DatasetFeatureBlock] = {}
+    first_line: dict[tuple[str, str], int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -310,5 +325,15 @@ def load_feature_csv(path: str) -> dict[tuple[str, str], DatasetFeatureBlock]:
                 )
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            out[(row[0], row[1])] = block
+            for name, value in zip(DATASET_FEATURE_COLUMNS, block.as_row()):
+                if value is not None and not math.isfinite(value):
+                    raise RangeError(f"{path}:{lineno}: non-finite {name} {value}")
+            for name, (interval, inside) in _FEATURE_RANGES.items():
+                if not inside(getattr(block, name)):
+                    raise RangeError(f"{path}:{lineno}: {name} {getattr(block, name)} outside {interval}")
+            key = (row[0], row[1])
+            if key in first_line:
+                raise ParseError(f"{path}:{lineno}: duplicate pair {key}, first given on line {first_line[key]}")
+            first_line[key] = lineno
+            out[key] = block
     return out

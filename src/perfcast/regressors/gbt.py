@@ -62,26 +62,26 @@ class GbtParams:
             raise ValueError("max_bin must be >= 2 when set")
 
 
-@dataclass
-class GbtNode:
-    feature: int = -1  # -1 marks a leaf
-    threshold: float = 0.0
-    default_left: bool = True
-    left: int = -1
-    right: int = -1
-    weight: float = 0.0
-    gain: float = 0.0
+# A tree is one array of these, one row per node in left-first id order, with
+# feature -1 marking a leaf. Aligned, so predict's per-field gathers read
+# naturally aligned values.
+NODE_DTYPE = np.dtype(
+    [("feature", np.int64), ("threshold", np.float64), ("default_left", np.bool_), ("left", np.int64),
+     ("right", np.int64), ("weight", np.float64), ("gain", np.float64)],
+    align=True,
+)
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+
+def make_tree(nodes: Sequence[tuple]) -> np.recarray:
+    """A tree from node tuples ordered as the fields of NODE_DTYPE."""
+    return np.array(nodes, dtype=NODE_DTYPE).view(np.recarray)
 
 
 @dataclass
 class GbtModel:
     base_score: float
     eta: float
-    trees: list[list[GbtNode]]
+    trees: list[np.recarray]
     feature_names: tuple[str, ...]
     fingerprint: str
     params: GbtParams
@@ -154,17 +154,12 @@ def _best_split(
             qs = np.quantile(vs, np.arange(1, params.max_bin) / params.max_bin)
             left_counts = np.searchsorted(sv, qs, side="left")
             keep = (left_counts > 0) & (left_counts < sv.size)
-            positions, cand = [], []
-            last = -1
-            for c, t in zip(left_counts[keep], qs[keep]):
-                if c != last:
-                    positions.append(c - 1)
-                    cand.append(t)
-                    last = c
-            if not positions:
+            # left_counts is nondecreasing, so this keeps the first quantile per position
+            counts, first = np.unique(left_counts[keep], return_index=True)
+            if counts.size == 0:
                 continue
-            boundary = np.asarray(positions, dtype=np.intp)
-            thresholds = np.asarray(cand, dtype=np.float64)
+            boundary = counts - 1
+            thresholds = qs[keep][first]
 
         gl = cum_g[boundary]
         hl = cum_h[boundary]
@@ -222,25 +217,20 @@ def _grow_tree(
     cols: Sequence[int],
     params: GbtParams,
     gain_out: dict[int, float],
-) -> list[GbtNode]:
-    nodes: list[GbtNode] = [GbtNode()]
+) -> np.recarray:
+    # node tuples in NODE_DTYPE field order; a split reserves its children's ids
+    nodes: list[tuple | None] = [None]
 
     def make_leaf(node_id: int, node_rows: np.ndarray) -> None:
-        nodes[node_id].feature = -1
-        nodes[node_id].weight = _leaf_weight(float(g[node_rows].sum()), float(h[node_rows].sum()), params)
+        weight = _leaf_weight(float(g[node_rows].sum()), float(h[node_rows].sum()), params)
+        nodes[node_id] = (-1, 0.0, True, -1, -1, weight, 0.0)
 
     def apply_split(node_id: int, split: _Split) -> tuple[int, int]:
-        node = nodes[node_id]
-        node.feature = split.feature
-        node.threshold = split.threshold
-        node.default_left = split.default_left
-        node.gain = split.gain
-        node.left = len(nodes)
-        nodes.append(GbtNode())
-        node.right = len(nodes)
-        nodes.append(GbtNode())
+        left, right = len(nodes), len(nodes) + 1
+        nodes[node_id] = (split.feature, split.threshold, split.default_left, left, right, 0.0, split.gain)
+        nodes.extend((None, None))
         gain_out[split.feature] = gain_out.get(split.feature, 0.0) + split.gain
-        return node.left, node.right
+        return left, right
 
     if params.growth == "depth_wise":
         stack: list[tuple[int, np.ndarray, int]] = [(0, rows, 0)]
@@ -280,28 +270,29 @@ def _grow_tree(
         for node_id, node_rows, _, _ in frontier:
             make_leaf(node_id, node_rows)
 
-    return nodes
+    return make_tree(nodes)
 
 
-def _tree_predict(nodes: list[GbtNode], X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    out = np.zeros(X.shape[0], dtype=np.float64)
-
-    def assign(node_id: int, idx: np.ndarray) -> None:
-        if idx.size == 0:
-            return
-        node = nodes[node_id]
-        if node.is_leaf:
-            out[idx] = node.weight
-            return
-        v = X[idx, node.feature]
-        miss = M[idx, node.feature]
-        with np.errstate(invalid="ignore"):
-            go_left = np.where(miss, node.default_left, v < node.threshold)
-        assign(node.left, idx[go_left])
-        assign(node.right, idx[~go_left])
-
-    assign(0, np.arange(X.shape[0], dtype=np.intp))
-    return out
+def _tree_predict(tree: np.recarray, X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Route all rows to their leaves, moving every still-internal row one level per pass."""
+    nodes = tree.view(np.ndarray)  # a recarray attribute lookup costs microseconds
+    feature, threshold, default_left = nodes["feature"], nodes["threshold"], nodes["default_left"]
+    # child[2 * node + go_left]; a leaf is its own child, so rows that reached one stay
+    ids = np.arange(len(nodes))
+    leaf = feature < 0
+    child = np.stack((np.where(leaf, ids, nodes["right"]), np.where(leaf, ids, nodes["left"])), axis=1).ravel()
+    n, d = X.shape
+    x, m = X.ravel(), M.ravel()
+    row_start = np.arange(n, dtype=np.intp) * d
+    at = np.zeros(n, dtype=np.intp)
+    with np.errstate(invalid="ignore"):
+        while True:
+            f = feature.take(at)
+            if not (f >= 0).any():
+                return nodes["weight"].take(at)
+            cell = row_start + f
+            go_left = np.where(m.take(cell), default_left.take(at), x.take(cell) < threshold.take(at))
+            at = child.take(2 * at + go_left)
 
 
 def gbt_fit(matrix: DesignMatrix, params: GbtParams) -> GbtModel:
@@ -316,7 +307,7 @@ def gbt_fit(matrix: DesignMatrix, params: GbtParams) -> GbtModel:
     base = float(np.mean(y))
     pred = np.full(n, base, dtype=np.float64)
     rng = np.random.default_rng(params.seed)
-    trees: list[list[GbtNode]] = []
+    trees: list[np.recarray] = []
     gain_totals: dict[int, float] = {}
     train_rmse: list[float] = []
 
@@ -328,9 +319,9 @@ def gbt_fit(matrix: DesignMatrix, params: GbtParams) -> GbtModel:
         cols = list(range(d)) if n_cols >= d else sorted(rng.permutation(d)[:n_cols].tolist())
         g = pred - y
         h = np.ones(n, dtype=np.float64)
-        nodes = _grow_tree(X, M, g, h, rows, cols, params, gain_totals)
-        trees.append(nodes)
-        pred += params.eta * _tree_predict(nodes, X, M)
+        tree = _grow_tree(X, M, g, h, rows, cols, params, gain_totals)
+        trees.append(tree)
+        pred += params.eta * _tree_predict(tree, X, M)
         train_rmse.append(float(np.sqrt(np.mean((pred - y) ** 2))))
 
     names = matrix.schema.columns
@@ -357,11 +348,13 @@ def predict_rows(model: GbtModel, rows: np.ndarray, mask: np.ndarray | None = No
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1:
         rows = rows.reshape(1, -1)
+    if rows.shape[1] != len(model.feature_names):
+        raise SchemaMismatch(f"rows have {rows.shape[1]} columns, the model {len(model.feature_names)}")
     if mask is None:
         mask = np.isnan(rows)
     out = np.full(rows.shape[0], model.base_score, dtype=np.float64)
-    for nodes in model.trees:
-        out += model.eta * _tree_predict(nodes, rows, mask)
+    for tree in model.trees:
+        out += model.eta * _tree_predict(tree, rows, mask)
     return out
 
 

@@ -7,13 +7,14 @@ loaded model predicts bit-identically to the one that was saved.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import asdict
 from typing import Any
 
 import numpy as np
 
 from ..errors import ParseError
-from .gbt import GbtModel, GbtNode, GbtParams
+from .gbt import NODE_DTYPE, GbtModel, GbtParams, make_tree
 from .mf import MfModel, MfParams
 from .poly import PolyModel, PolyParams
 
@@ -30,7 +31,7 @@ def model_to_dict(model: GbtModel | PolyModel | MfModel) -> dict[str, Any]:
             "base_score": model.base_score,
             "eta": model.eta,
             "feature_names": list(model.feature_names),
-            "trees": [[asdict(node) for node in nodes] for nodes in model.trees],
+            "trees": [[dict(zip(NODE_DTYPE.names, row)) for row in tree.tolist()] for tree in model.trees],
             "gain_totals": model.gain_totals,
             "train_rmse": model.train_rmse,
         }
@@ -68,23 +69,51 @@ def model_to_dict(model: GbtModel | PolyModel | MfModel) -> dict[str, Any]:
     raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
-def _check_tree(nodes: list[GbtNode], n_features: int) -> None:
-    """Reject a tree with an internal node whose feature does not exist or whose
-    child index does not lie between its own index and the end of the tree.
+# Each node field's JSON types, in NODE_DTYPE order: the array itself would
+# truncate a fractional index and read the string "false" as True.
+_NODE_JSON_TYPES = [{"i": (int,), "f": (int, float), "b": (bool,)}[NODE_DTYPE[f].kind] for f in NODE_DTYPE.names]
 
-    The grower appends both children after their parent, so in every tree it
-    writes each child index exceeds its parent's, which rules out cycles.
+
+def _load_tree(nodes: list[dict], n_features: int) -> np.recarray:
+    """The tree of one node list in a model file.
+
+    Rejects a node whose keys are not exactly the NODE_DTYPE fields or whose
+    values have the wrong JSON type, and an internal node whose feature does
+    not exist or whose child index does not lie between its own index and the
+    end of the tree. The grower appends both children after their parent, so
+    in every tree it writes each child index exceeds its parent's. That rules
+    out cycles and bounds the passes of the level-by-level predict.
     """
-    if not nodes:
-        raise ParseError("empty tree")
+    fields, values = set(NODE_DTYPE.names), operator.itemgetter(*NODE_DTYPE.names)
+    rows = []
     for i, node in enumerate(nodes):
-        if node.is_leaf:
-            continue
-        if node.feature >= n_features:
-            raise ParseError(f"node {i}: feature {node.feature} outside [0, {n_features})")
-        for child in (node.left, node.right):
-            if not i < child < len(nodes):
-                raise ParseError(f"node {i}: child {child} outside ({i}, {len(nodes)})")
+        if node.keys() != fields:
+            raise ParseError(f"node {i}: keys {sorted(node)} are not {sorted(fields)}")
+        rows.append(values(node))
+        for name, value, types in zip(NODE_DTYPE.names, rows[-1], _NODE_JSON_TYPES):
+            if type(value) not in types:
+                raise ParseError(f"node {i}: {name} {value!r} is not of type {NODE_DTYPE[name]}")
+    tree = make_tree(rows)
+    n = len(tree)
+    if n == 0:
+        raise ParseError("empty tree")
+    feature, left, right = tree["feature"], tree["left"], tree["right"]
+    ids = np.arange(n)
+    bad_left = (left <= ids) | (left >= n)
+    bad_right = (right <= ids) | (right >= n)
+    bad = np.flatnonzero((feature >= 0) & ((feature >= n_features) | bad_left | bad_right))
+    if bad.size:
+        i = int(bad[0])
+        if feature[i] >= n_features:
+            raise ParseError(f"node {i}: feature {feature[i]} outside [0, {n_features})")
+        raise ParseError(f"node {i}: child {left[i] if bad_left[i] else right[i]} outside ({i}, {n})")
+    return tree
+
+
+def _same_lengths(**fields) -> None:
+    lengths = {name: len(value) for name, value in fields.items()}
+    if len(set(lengths.values())) > 1:
+        raise ParseError(f"lengths differ: {lengths}")
 
 
 def model_from_dict(obj: dict[str, Any]) -> GbtModel | PolyModel | MfModel:
@@ -94,13 +123,10 @@ def model_from_dict(obj: dict[str, Any]) -> GbtModel | PolyModel | MfModel:
     kind = obj.get("kind")
     if kind == "gbt":
         feature_names = tuple(obj["feature_names"])
-        trees = [[GbtNode(**node) for node in nodes] for nodes in obj["trees"]]
-        for nodes in trees:
-            _check_tree(nodes, len(feature_names))
         return GbtModel(
             base_score=float(obj["base_score"]),
             eta=float(obj["eta"]),
-            trees=trees,
+            trees=[_load_tree(nodes, len(feature_names)) for nodes in obj["trees"]],
             feature_names=feature_names,
             fingerprint=obj["fingerprint"],
             params=GbtParams(**obj["params"]),
@@ -108,7 +134,7 @@ def model_from_dict(obj: dict[str, Any]) -> GbtModel | PolyModel | MfModel:
             train_rmse=list(obj["train_rmse"]),
         )
     if kind == "poly":
-        return PolyModel(
+        model = PolyModel(
             params=PolyParams(**obj["params"]),
             terms=[tuple(t) for t in obj["terms"]],
             intercept=float(obj["intercept"]),
@@ -120,8 +146,14 @@ def model_from_dict(obj: dict[str, Any]) -> GbtModel | PolyModel | MfModel:
             converged=bool(obj["converged"]),
             n_sweeps=int(obj["n_sweeps"]),
         )
+        _same_lengths(impute=model.impute, mean=model.mean, std=model.std)
+        _same_lengths(coef=model.coef, terms=model.terms)
+        for term in model.terms:
+            if not all(isinstance(i, int) and 0 <= i < len(model.mean) for i in term):
+                raise ParseError(f"term {list(term)} indexes a column outside [0, {len(model.mean)})")
+        return model
     if kind == "mf":
-        return MfModel(
+        model = MfModel(
             params=MfParams(**obj["params"]),
             mu=float(obj["mu"]),
             w={k: np.asarray(v, dtype=np.float64) for k, v in obj["w"].items()},
@@ -134,6 +166,15 @@ def model_from_dict(obj: dict[str, Any]) -> GbtModel | PolyModel | MfModel:
             std=np.asarray(obj["std"], dtype=np.float64),
             fingerprint=obj["fingerprint"],
         )
+        k = model.params.latent_dim
+        for name, factors in (("w", model.w), ("h", model.h)):
+            for lang, vector in factors.items():
+                if vector.shape != (k,):
+                    raise ParseError(f"{name}[{lang!r}] has shape {vector.shape}, latent_dim is {k}")
+        if model.b_s.keys() != model.w.keys() or model.b_t.keys() != model.h.keys():
+            raise ParseError("the languages of b_s/b_t do not match those of w/h")
+        _same_lengths(theta=model.theta, impute=model.impute, mean=model.mean, std=model.std)
+        return model
     raise ParseError(f"unknown model kind {kind!r}")
 
 

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from perfcast.corpus import DatasetFeatureBlock
+from perfcast.errors import ParseError
 from perfcast.langdist import DISTANCE_KINDS, LanguageDistanceTable
 from perfcast.records import PerformanceRecord
+from perfcast.regressors import load_model
 
 LANGS = ("aar", "bel", "ces", "dan", "ewe", "fij", "gla", "hau")
 
@@ -96,3 +100,11 @@ def synthetic_setup(
             )
         )
     return records, blocks, table
+
+
+def rejects_model_file(path: Path, obj, match: str) -> None:
+    """Write obj as the model file at path and check that loading it names the file."""
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match=match) as exc:
+        load_model(str(path))
+    assert str(path) in str(exc.value)

@@ -105,6 +105,22 @@ def oracle_best_depth1_split(X: np.ndarray, y: np.ndarray):
     return best
 
 
+def oracle_forest_predict(model, rows: np.ndarray, missing: np.ndarray) -> np.ndarray:
+    """base_score plus eta times each tree's leaf weight, walking every row's path node by node."""
+
+    def walk(tree, row, miss):
+        node = tree[0]
+        while node.feature >= 0:
+            go_left = node.default_left if miss[node.feature] else row[node.feature] < node.threshold
+            node = tree[node.left if go_left else node.right]
+        return node.weight
+
+    expected = np.full(len(rows), model.base_score)
+    for tree in model.trees:
+        expected += model.eta * np.array([walk(tree, rows[i], missing[i]) for i in range(len(rows))])
+    return expected
+
+
 def oracle_ols(X: np.ndarray, y: np.ndarray):
     """Least squares with intercept via normal equations; returns (intercept, coefs)."""
     A = np.column_stack([np.ones(len(X)), X])

@@ -144,6 +144,19 @@ class TestExperimentCommand:
         err = json.loads(capsys.readouterr().err)
         assert "nope.csv" in err["message"]
 
+    @pytest.mark.parametrize("extra, match", [
+        ({"split": "lolo"}, "'split' must be an object"),
+        ({"split": {"kind": "random", "ratio": "0.7"}}, "invalid experiment config"),
+        ({"repeats": [1]}, "invalid experiment config"),
+    ], ids=["split_string", "ratio_string", "repeats_list"])
+    def test_config_value_of_wrong_type_is_a_config_error(self, tmp_path, capsys, extra, match):
+        cfg = write_experiment_fixture(tmp_path, config_extra=extra)
+        rc = main(["experiment", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert match in err["message"]
+
     def test_inline_corpora_full_pipeline(self, tmp_path):
         # dataset features computed from raw text inside the experiment run
         (tmp_path / "a.txt").write_text("the quick brown fox\njumps over the dog\n" * 3)

@@ -20,7 +20,7 @@ from perfcast.corpus import (
     word_overlap,
     write_feature_csv,
 )
-from perfcast.errors import DimMismatch, EmptyCorpus, InvalidTTR, ParseError, ZeroVector
+from perfcast.errors import DimMismatch, EmptyCorpus, InvalidTTR, ParseError, PerfcastError, ZeroVector
 
 from oracles import (
     oracle_jsd,
@@ -300,6 +300,48 @@ class TestFileIo:
         path.write_text("nope\n1\n")
         with pytest.raises(ParseError):
             load_feature_csv(str(path))
+
+    def write_edited_feature_csv(self, tmp_path, edits, copies=1):
+        """A feature CSV holding copies of one row whose named cells are replaced."""
+        rng = np.random.default_rng(23)
+        block = dataset_features(profile("d1", random_corpus(rng)), profile("d2", random_corpus(rng)))
+        path = tmp_path / "features.csv"
+        write_feature_csv(str(path), [("d1", "d2", block)])
+        header, row = [line.split(",") for line in path.read_text().splitlines()]
+        for name, value in edits.items():
+            row[header.index(name)] = value
+        path.write_text("\n".join(",".join(r) for r in [header] + [row] * copies) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("column, value", [
+        ("tfidf_cosine", "nan"), ("avg_sentence_length_train", "inf"), ("embedding_cosine", "-inf"),
+    ])
+    def test_feature_csv_non_finite_cell(self, tmp_path, column, value):
+        path = self.write_edited_feature_csv(tmp_path, {column: value})
+        with pytest.raises(PerfcastError, match=f"features.csv:2: non-finite {column}"):
+            load_feature_csv(path)
+
+    @pytest.mark.parametrize("column, value, interval", [
+        ("word_overlap", "0.9", r"\[0, 0.5\]"),
+        ("ttr_train", "-3", r"\(0, 1\]"),
+        ("ttr_test", "0.0", r"\(0, 1\]"),
+        ("jsd", "2.0", r"\[0, 1\]"),
+    ])
+    def test_feature_csv_value_out_of_range(self, tmp_path, column, value, interval):
+        path = self.write_edited_feature_csv(tmp_path, {column: value})
+        with pytest.raises(PerfcastError, match=f"features.csv:2: {column} .* outside {interval}"):
+            load_feature_csv(path)
+
+    def test_feature_csv_range_ends_accepted(self, tmp_path):
+        # jsd of disjoint vocabularies can round to just above 1
+        edits = {"word_overlap": "0.5", "ttr_train": "1.0", "ttr_test": "1.0", "jsd": repr(1.0 + 1e-15)}
+        block = load_feature_csv(self.write_edited_feature_csv(tmp_path, edits))[("d1", "d2")]
+        assert (block.word_overlap, block.ttr_train, block.jsd) == (0.5, 1.0, 1.0 + 1e-15)
+
+    def test_feature_csv_duplicate_pair(self, tmp_path):
+        path = self.write_edited_feature_csv(tmp_path, {}, copies=2)
+        with pytest.raises(PerfcastError, match=r"features.csv:3: duplicate pair \('d1', 'd2'\), first given on line 2"):
+            load_feature_csv(path)
 
     def test_embedding_jsonl(self, tmp_path):
         path = tmp_path / "emb.jsonl"

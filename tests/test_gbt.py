@@ -1,9 +1,14 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from perfcast.errors import EmptyTrainingSet, NoSplits, ParseError, SchemaMismatch
+from perfcast.errors import EmptyTrainingSet, NoSplits, SchemaMismatch
 from perfcast.records import DesignMatrix, build_schema
 from perfcast.regressors import (
     GbtModel,
@@ -14,9 +19,10 @@ from perfcast.regressors import (
     load_model,
     save_model,
 )
-from perfcast.regressors.gbt import GbtNode, predict_rows
+from perfcast.regressors.gbt import make_tree, predict_rows
 
-from oracles import oracle_best_depth1_split
+from conftest import rejects_model_file
+from oracles import oracle_best_depth1_split, oracle_forest_predict
 
 
 def matrix_from(X, y, mask=None):
@@ -118,17 +124,17 @@ class TestFitBasics:
         # each side would carry hessian 1 < 2, so no split is admissible
         m = matrix_from([[1.0], [2.0]], [0.0, 10.0])
         model = gbt_fit(m, plain_params(min_child_weight=2.0))
-        assert model.trees[0][0].is_leaf
+        assert model.trees[0][0].feature < 0
 
     def test_min_child_samples(self):
         m = matrix_from([[1.0], [2.0], [3.0], [4.0]], [1.0, 1.0, 3.0, 3.0])
         model = gbt_fit(m, plain_params(min_child_samples=3))
-        assert model.trees[0][0].is_leaf
+        assert model.trees[0][0].feature < 0
 
     def test_gamma_blocks_low_gain_splits(self):
         m = matrix_from([[1.0], [2.0], [3.0], [4.0]], [1.0, 1.0, 3.0, 3.0])
         model = gbt_fit(m, plain_params(gamma=3.0))  # best gain is 2.0
-        assert model.trees[0][0].is_leaf
+        assert model.trees[0][0].feature < 0
 
     def test_depth_wise_respects_max_depth(self):
         rng = np.random.default_rng(59)
@@ -138,7 +144,7 @@ class TestFitBasics:
 
         def depth_of(tree, node_id=0, depth=0):
             node = tree[node_id]
-            if node.is_leaf:
+            if node.feature < 0:
                 return depth
             return max(depth_of(tree, node.left, depth + 1), depth_of(tree, node.right, depth + 1))
 
@@ -175,7 +181,7 @@ class TestLeafWise:
         params = GbtParams(n_estimators=3, growth="leaf_wise", num_leaves=5, max_depth=10, eta=0.5, seed=0)
         model = gbt_fit(matrix_from(X, y), params)
         for tree in model.trees:
-            leaves = sum(1 for n in tree if n.is_leaf)
+            leaves = sum(1 for n in tree if n.feature < 0)
             assert 1 <= leaves <= 5
 
     def test_requires_num_leaves(self):
@@ -191,7 +197,7 @@ class TestLeafWise:
 
         def depth_of(tree, node_id=0, depth=0):
             node = tree[node_id]
-            if node.is_leaf:
+            if node.feature < 0:
                 return depth
             return max(depth_of(tree, node.left, depth + 1), depth_of(tree, node.right, depth + 1))
 
@@ -203,7 +209,7 @@ class TestLeafWise:
         y = (X[:, 0] > 0).astype(float)
         model = gbt_fit(matrix_from(X, y), plain_params(max_bin=4))
         root = model.trees[0][0]
-        assert not root.is_leaf
+        assert root.feature >= 0
         # candidates are the 3 interior quartiles of the feature values
         quartiles = np.quantile(X[:, 0], [0.25, 0.5, 0.75])
         assert any(abs(root.threshold - q) < 1e-12 for q in quartiles)
@@ -222,7 +228,7 @@ class TestPredict:
     def test_single_leaf_weight_scaled_by_eta(self):
         schema = build_schema(("proxy",), ["f0"])
         model = GbtModel(
-            base_score=1.0, eta=0.1, trees=[[GbtNode(feature=-1, weight=5.0)]],
+            base_score=1.0, eta=0.1, trees=[make_tree([(-1, 0.0, True, -1, -1, 5.0, 0.0)])],
             feature_names=schema.columns, fingerprint=schema.fingerprint(), params=GbtParams(),
         )
         np.testing.assert_allclose(predict_rows(model, np.array([[0.0]])), [1.5])
@@ -234,17 +240,7 @@ class TestPredict:
         mask = rng.uniform(size=X.shape) < 0.15
         m = matrix_from(X, y, mask)
         model = gbt_fit(m, GbtParams(n_estimators=6, max_depth=3, eta=0.4, seed=2))
-
-        def walk(tree, row, miss):
-            node = tree[0]
-            while not node.is_leaf:
-                go_left = node.default_left if miss[node.feature] else row[node.feature] < node.threshold
-                node = tree[node.left if go_left else node.right]
-            return node.weight
-
-        expected = np.full(60, model.base_score)
-        for tree in model.trees:
-            expected += model.eta * np.array([walk(tree, m.rows[i], m.missing_mask[i]) for i in range(60)])
+        expected = oracle_forest_predict(model, m.rows, m.missing_mask)
         np.testing.assert_allclose(gbt_predict(model, m), expected, rtol=0, atol=0)
 
     def test_schema_mismatch(self):
@@ -253,6 +249,8 @@ class TestPredict:
         other = matrix_from([[1.0, 2.0], [2.0, 3.0]], [1.0, 2.0])
         with pytest.raises(SchemaMismatch):
             gbt_predict(model, other)
+        with pytest.raises(SchemaMismatch):
+            predict_rows(model, other.rows)
 
 
 class TestImportance:
@@ -277,7 +275,7 @@ class TestImportance:
         totals = {}
         for tree in model.trees:
             for node in tree:
-                if not node.is_leaf:
+                if node.feature >= 0:
                     name = model.feature_names[node.feature]
                     totals[name] = totals.get(name, 0.0) + node.gain
         total = sum(totals.values())
@@ -321,44 +319,102 @@ class TestModelFileValidation:
         save_model(gbt_fit(m, GbtParams(n_estimators=2, max_depth=2)), str(path))
         return path, json.loads(path.read_text())
 
-    def rejects(self, path, obj, match):
-        path.write_text(json.dumps(obj))
-        with pytest.raises(ParseError, match=match) as exc:
-            load_model(str(path))
-        assert str(path) in str(exc.value)
-
     def test_unknown_format_version(self, saved):
         path, obj = saved
         obj["format_version"] = 99
-        self.rejects(path, obj, "format_version 99")
+        rejects_model_file(path, obj, "format_version 99")
 
     def test_missing_key(self, saved):
         path, obj = saved
         del obj["eta"]
-        self.rejects(path, obj, "eta")
+        rejects_model_file(path, obj, "eta")
 
     def test_non_object_model(self, saved):
         path, _ = saved
-        self.rejects(path, [1, 2], "not a valid model file")
+        rejects_model_file(path, [1, 2], "not a valid model file")
 
     def test_child_pointing_back_at_its_node(self, saved):
         path, obj = saved
         root = obj["trees"][0][0]
         assert root["feature"] >= 0
         root["left"] = 0
-        self.rejects(path, obj, "node 0: child 0")
+        rejects_model_file(path, obj, "node 0: child 0")
 
     def test_child_past_the_tree(self, saved):
         path, obj = saved
         obj["trees"][1][0]["right"] = len(obj["trees"][1])
-        self.rejects(path, obj, "node 0: child")
+        rejects_model_file(path, obj, "node 0: child")
 
     def test_feature_out_of_range(self, saved):
         path, obj = saved
         obj["trees"][0][0]["feature"] = len(obj["feature_names"])
-        self.rejects(path, obj, "feature 2 outside")
+        rejects_model_file(path, obj, "feature 2 outside")
+
+    def test_node_missing_a_field(self, saved):
+        path, obj = saved
+        del obj["trees"][0][1]["gain"]
+        rejects_model_file(path, obj, "node 1: keys")
+
+    def test_node_with_an_unknown_field(self, saved):
+        path, obj = saved
+        obj["trees"][1][0]["depth"] = 0
+        rejects_model_file(path, obj, "node 0: keys")
+
+    def test_fractional_node_index(self, saved):
+        path, obj = saved
+        obj["trees"][0][0]["feature"] = 0.5
+        rejects_model_file(path, obj, "node 0: feature 0.5 is not of type int64")
+
+    def test_string_default_direction(self, saved):
+        path, obj = saved
+        obj["trees"][0][2]["default_left"] = "false"
+        rejects_model_file(path, obj, "node 2: default_left 'false' is not of type bool")
 
     def test_empty_tree(self, saved):
         path, obj = saved
         obj["trees"][0] = []
-        self.rejects(path, obj, "empty tree")
+        rejects_model_file(path, obj, "empty tree")
+
+
+@st.composite
+def forests(draw):
+    """A random matrix with a random missing mask, and random GbtParams for it."""
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 4))
+    # a few repeated values make ties between rows and between thresholds likely
+    values = st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0]) | st.floats(-5.0, 5.0)
+    X = draw(arrays(np.float64, (n, d), elements=values))
+    mask = draw(arrays(np.bool_, (n, d), elements=st.sampled_from([False, False, False, True])))
+    y = draw(arrays(np.float64, n, elements=st.floats(-10.0, 10.0)))
+    growth = draw(st.sampled_from(["depth_wise", "leaf_wise"]))
+    params = GbtParams(
+        n_estimators=draw(st.integers(1, 4)),
+        eta=draw(st.sampled_from([0.3, 1.0])),
+        max_depth=draw(st.integers(1, 5)),
+        min_child_weight=draw(st.sampled_from([0.0, 1.0, 2.0])),
+        subsample=draw(st.sampled_from([0.6, 1.0])),
+        colsample_bytree=draw(st.sampled_from([0.5, 1.0])),
+        reg_alpha=draw(st.sampled_from([0.0, 0.2])),
+        growth=growth,
+        num_leaves=draw(st.integers(2, 8)) if growth == "leaf_wise" else None,
+        max_bin=draw(st.none() | st.integers(2, 6)),
+        seed=draw(st.integers(0, 3)),
+    )
+    return matrix_from(X, y, mask), params
+
+
+class TestTreeFormatProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(forests())
+    def test_predict_walks_paths_and_model_file_round_trips(self, case):
+        m, params = case
+        model = gbt_fit(m, params)
+        expected = oracle_forest_predict(model, m.rows, m.missing_mask)
+        np.testing.assert_array_equal(predict_rows(model, m.rows, m.missing_mask), expected)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
+            save_model(model, first)
+            loaded = load_model(first)
+            save_model(loaded, second)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
+        np.testing.assert_array_equal(gbt_predict(loaded, m), gbt_predict(model, m))

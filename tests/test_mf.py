@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from perfcast.regressors import (
     save_model,
 )
 from perfcast.regressors.mf import MfModel
+
+from conftest import rejects_model_file
 
 
 def context_matrix(y, n_context=1):
@@ -199,3 +203,32 @@ class TestSerialization:
             mf_predict(loaded, m, sources, targets),
             mf_predict(model, m, sources, targets),
         )
+
+
+class TestModelFileValidation:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        sources, targets, y = rank1_grid(np.array([1.0, 2.0]), np.array([0.5, 1.5]))
+        path = tmp_path / "model.json"
+        save_model(mf_fit(context_matrix(y), sources, targets, no_reg_params(iterations=10)), str(path))
+        return path, json.loads(path.read_text())
+
+    def test_source_factor_cut_short(self, saved):
+        path, obj = saved
+        obj["w"]["s0"] = obj["w"]["s0"][:1]
+        rejects_model_file(path, obj, r"w\['s0'\] has shape \(1,\), latent_dim is 2")
+
+    def test_target_factor_too_long(self, saved):
+        path, obj = saved
+        obj["h"]["t1"].append(0.0)
+        rejects_model_file(path, obj, r"h\['t1'\] has shape \(3,\)")
+
+    def test_bias_languages_differ_from_factors(self, saved):
+        path, obj = saved
+        obj["b_t"]["t9"] = obj["b_t"].pop("t1")
+        rejects_model_file(path, obj, "b_s/b_t do not match")
+
+    def test_theta_and_column_statistics_lengths_differ(self, saved):
+        path, obj = saved
+        obj["theta"].append(0.0)
+        rejects_model_file(path, obj, "lengths differ.*theta")

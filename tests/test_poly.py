@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from perfcast.records import build_schema
 from perfcast.regressors import PolyParams, load_model, poly_fit, poly_predict, save_model
 from perfcast.regressors.poly import PolyModel, expansion_terms
 
+from conftest import rejects_model_file
 from oracles import oracle_ols
 from test_gbt import matrix_from
 
@@ -146,3 +149,33 @@ class TestSerialization:
         save_model(model, path)
         loaded = load_model(path)
         np.testing.assert_array_equal(poly_predict(loaded, m), poly_predict(model, m))
+
+
+class TestModelFileValidation:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        rng = np.random.default_rng(8)
+        m = matrix_from(rng.normal(size=(30, 3)), rng.normal(size=30))
+        path = tmp_path / "model.json"
+        save_model(poly_fit(m, PolyParams(degree=2, alpha=0.02)), str(path))
+        return path, json.loads(path.read_text())
+
+    def test_term_index_outside_the_columns(self, saved):
+        path, obj = saved
+        obj["terms"][0] = [999]
+        rejects_model_file(path, obj, r"term \[999\] indexes a column outside \[0, 3\)")
+
+    def test_negative_term_index(self, saved):
+        path, obj = saved
+        obj["terms"][0] = [-1]
+        rejects_model_file(path, obj, r"term \[-1\]")
+
+    def test_coef_and_terms_lengths_differ(self, saved):
+        path, obj = saved
+        obj["coef"].pop()
+        rejects_model_file(path, obj, "lengths differ.*coef")
+
+    def test_column_statistics_lengths_differ(self, saved):
+        path, obj = saved
+        obj["std"].pop()
+        rejects_model_file(path, obj, "lengths differ.*std")
