@@ -164,7 +164,8 @@ def jsd(p: TokenDistribution, q: TokenDistribution) -> float:
 
     Tokens absent from one distribution have probability 0 there and contribute
     0 to that side's KL term; the mixture M is strictly positive wherever
-    either distribution is.
+    either distribution is. The sum is clamped to [0, 1], since rounding can
+    carry disjoint vocabularies to 1 + 2.2e-16.
     """
     # sorted union keeps the summation order symmetric in (p, q) and
     # independent of dict insertion order
@@ -179,7 +180,7 @@ def jsd(p: TokenDistribution, q: TokenDistribution) -> float:
             kl_p += pv * math.log2(pv / m)
         if qv > 0.0:
             kl_q += qv * math.log2(qv / m)
-    return 0.5 * (kl_p + kl_q)
+    return min(1.0, max(0.0, 0.5 * (kl_p + kl_q)))
 
 
 def tfidf_cosine(p1: DatasetProfile, p2: DatasetProfile) -> float:

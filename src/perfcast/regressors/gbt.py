@@ -3,10 +3,13 @@
 One boosting engine, two growth policies: depth_wise splits every node
 level by level up to max_depth; leaf_wise repeatedly splits the highest-gain
 leaf until num_leaves. Split search is exact greedy over sorted unique
-values (optionally capped by quantile binning via max_bin). Missing values
-are routed to whichever side maximizes gain and that default direction is
-stored per node, so masked cells are handled natively at fit and predict
-time.
+values (optionally capped by quantile binning via max_bin). It scans a
+node's feature columns together as one (column, row) block, in the spirit of
+XGBoost's column blocks (Chen & Guestrin, KDD 2016, section 4.1): one sort,
+one prefix sum and one gain array for all columns, with the block sorted
+afresh at every node. Missing values are routed to whichever side maximizes
+gain and that default direction is stored per node, so masked cells are
+handled natively at fit and predict time.
 
 Squared-error objective: g_i = pred_i - y_i, h_i = 1; split gain
 0.5 * [GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)] - gamma, with
@@ -73,8 +76,14 @@ NODE_DTYPE = np.dtype(
 
 
 def make_tree(nodes: Sequence[tuple]) -> np.recarray:
-    """A tree from node tuples ordered as the fields of NODE_DTYPE."""
-    return np.array(nodes, dtype=NODE_DTYPE).view(np.recarray)
+    """A tree from node tuples ordered as the fields of NODE_DTYPE, with zeroed padding bytes.
+
+    np.array would leave the aligned dtype's padding uninitialized, so equal
+    trees could differ under tobytes().
+    """
+    tree = np.zeros(len(nodes), dtype=NODE_DTYPE)
+    tree[:] = nodes
+    return tree.view(np.recarray)
 
 
 @dataclass
@@ -119,89 +128,90 @@ def _best_split(
 ) -> _Split | None:
     """Exhaustive best split over the given rows and feature columns.
 
-    Ties break to the lowest feature index, then the lowest threshold, then
-    missing-to-left; achieved by scanning features in ascending order with a
-    strict improvement test and taking the first argmax over ascending
-    thresholds.
+    All columns are scanned at once as a (column, row) block: each column is
+    sorted with its missing cells last, the gains of every boundary between
+    distinct values are computed for both default directions in one
+    (column, direction, position) array, and one flat argmax picks the
+    winner. Ties therefore break to the lowest feature index, then
+    missing-to-left, then the lowest threshold. Returns None when no split
+    has a positive gain.
     """
-    best: _Split | None = None
+    n, k = rows.size, len(cols)
+    if n < 2:
+        return None
     alpha, lam = params.reg_alpha, params.reg_lambda
-    g_rows = g[rows]
-    h_rows = h[rows]
-    for f in cols:
-        v = X[rows, f]
-        miss = M[rows, f]
-        nm = ~miss
-        vs = v[nm]
-        if vs.size < 2:
-            continue
-        order = np.argsort(vs, kind="stable")
-        sv = vs[order]
-        sg = g_rows[nm][order]
-        sh = h_rows[nm][order]
-        cum_g = np.cumsum(sg)
-        cum_h = np.cumsum(sh)
-        g_nm, h_nm = cum_g[-1], cum_h[-1]
-        g_miss = float(g_rows[miss].sum())
-        h_miss = float(h_rows[miss].sum())
-        n_miss = int(miss.sum())
+    gh = np.stack((g[rows], h[rows]))
+    miss = M[rows[:, None], cols].T
+    # NaN sorts after every value, so each column's missing cells come last, in row order
+    values = np.where(miss, np.nan, X[rows[:, None], cols].T)
+    order = np.argsort(values, axis=1, kind="stable")
+    ids = np.arange(k)
+    sv = values[ids[:, None], order]
+    # (g or h, column, sorted position); cumsum is sequential, so each column's
+    # prefix sums have the bits of a 1-D cumsum over its sorted cells
+    cum = np.cumsum(gh[:, order], axis=2)
+    n_miss = miss.sum(axis=1)
+    n_nm = n - n_miss
+    total = cum[:, ids, n_nm - 1]
+    miss_sum = np.zeros((2, k))
+    for c in np.flatnonzero(n_miss):
+        # 1-D sums, as a 2-D reduction may add in another order
+        miss_sum[0, c] = gh[0, miss[c]].sum()
+        miss_sum[1, c] = gh[1, miss[c]].sum()
 
-        boundary = np.nonzero(sv[:-1] < sv[1:])[0]
-        if boundary.size == 0:
-            continue
-        thresholds = 0.5 * (sv[boundary] + sv[boundary + 1])
-        if params.max_bin is not None and boundary.size + 1 > params.max_bin:
+    # candidate i puts the first i + 1 sorted non-missing cells on the left
+    cl = np.arange(1, n)
+    boundary = (sv[:, :-1] < sv[:, 1:]) & (cl < n_nm[:, None])
+    thresholds = 0.5 * (sv[:, :-1] + sv[:, 1:])
+    if params.max_bin is not None:
+        for c in np.flatnonzero(boundary.sum(axis=1) + 1 > params.max_bin):
+            vs = sv[c, : n_nm[c]]
             qs = np.quantile(vs, np.arange(1, params.max_bin) / params.max_bin)
-            left_counts = np.searchsorted(sv, qs, side="left")
-            keep = (left_counts > 0) & (left_counts < sv.size)
+            left_counts = np.searchsorted(vs, qs, side="left")
+            keep = (left_counts > 0) & (left_counts < vs.size)
             # left_counts is nondecreasing, so this keeps the first quantile per position
             counts, first = np.unique(left_counts[keep], return_index=True)
-            if counts.size == 0:
-                continue
-            boundary = counts - 1
-            thresholds = qs[keep][first]
+            boundary[c] = False
+            boundary[c, counts - 1] = True
+            thresholds[c, counts - 1] = qs[keep][first]
 
-        gl = cum_g[boundary]
-        hl = cum_h[boundary]
-        cl = boundary + 1
-        gr = g_nm - gl
-        hr = h_nm - hl
-        cr = vs.size - cl
-        parent = _score(g_nm + g_miss, h_nm + h_miss, alpha, lam)
-
-        for missing_left in (True, False):
-            if missing_left:
-                gl_d, hl_d, cl_d = gl + g_miss, hl + h_miss, cl + n_miss
-                gr_d, hr_d, cr_d = gr, hr, cr
-            else:
-                gl_d, hl_d, cl_d = gl, hl, cl
-                gr_d, hr_d, cr_d = gr + g_miss, hr + h_miss, cr + n_miss
-            gains = 0.5 * (_score(gl_d, hl_d, alpha, lam) + _score(gr_d, hr_d, alpha, lam) - parent) - params.gamma
-            valid = (
-                (hl_d >= params.min_child_weight)
-                & (hr_d >= params.min_child_weight)
-                & (cl_d >= params.min_child_samples)
-                & (cr_d >= params.min_child_samples)
-            )
-            if not valid.any():
-                continue
-            gains = np.where(valid, gains, -np.inf)
-            j = int(np.argmax(gains))
-            gain = float(gains[j])
-            if gain <= 0.0:
-                continue
-            if best is None or gain > best.gain:
-                thr = float(thresholds[j])
-                go_left = np.where(miss, missing_left, v < thr)
-                best = _Split(
-                    gain=gain,
-                    feature=f,
-                    threshold=thr,
-                    default_left=missing_left,
-                    left_rows=rows[go_left],
-                    right_rows=rows[~go_left],
-                )
-    return best
+    # Both sides gain a direction axis, (column, direction, position):
+    # direction 0 sends the missing cells left, 1 sends them right. Adding
+    # 0.0 on the side they skip changes at most the sign of a zero, which
+    # neither the score nor the min_child_weight test sees.
+    to_left = np.array([[1], [0]])
+    to_right = to_left[::-1]
+    left = cum[:, :, None, :-1] + miss_sum[:, :, None, None] * to_left
+    right = (total[:, :, None] - cum[:, :, :-1])[:, :, None, :] + miss_sum[:, :, None, None] * to_right
+    count_l = cl + n_miss[:, None, None] * to_left
+    count_r = (n_nm[:, None] - cl)[:, None, :] + n_miss[:, None, None] * to_right
+    parent = _score(total[0] + miss_sum[0], total[1] + miss_sum[1], alpha, lam)[:, None, None]
+    # positions past a column's last non-missing cell hold 0/0 when reg_lambda is 0; they are masked below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = 0.5 * (_score(*left, alpha, lam) + _score(*right, alpha, lam) - parent) - params.gamma
+    valid = (
+        boundary[:, None, :]
+        & (left[1] >= params.min_child_weight)
+        & (right[1] >= params.min_child_weight)
+        & (count_l >= params.min_child_samples)
+        & (count_r >= params.min_child_samples)
+    )
+    gains = np.where(valid, gains, -np.inf)
+    c, direction, i = np.unravel_index(np.argmax(gains), gains.shape)
+    gain = float(gains[c, direction, i])
+    if gain <= 0.0:
+        return None
+    threshold = float(thresholds[c, i])
+    default_left = bool(direction == 0)
+    go_left = np.where(miss[c], default_left, values[c] < threshold)
+    return _Split(
+        gain=gain,
+        feature=cols[c],
+        threshold=threshold,
+        default_left=default_left,
+        left_rows=rows[go_left],
+        right_rows=rows[~go_left],
+    )
 
 
 def _leaf_weight(g_sum: float, h_sum: float, params: GbtParams) -> float:

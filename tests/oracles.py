@@ -105,6 +105,101 @@ def oracle_best_depth1_split(X: np.ndarray, y: np.ndarray):
     return best
 
 
+def oracle_best_split(X, M, g, h, rows, cols, params):
+    """GBT split search one feature column at a time; None when no split has a positive gain.
+
+    Each column's non-missing cells are argsorted on their own and every
+    boundary is scored for missing-left, then missing-right. Ties break to
+    the lowest feature index, then missing-to-left, then the lowest
+    threshold: features and directions are scanned in that order with a
+    strict improvement test, taking the first argmax over ascending
+    thresholds.
+    """
+
+    def score(g, h):
+        s = np.sign(g) * np.maximum(np.abs(g) - alpha, 0.0)
+        return s * s / (h + lam)
+
+    best = None
+    alpha, lam = params.reg_alpha, params.reg_lambda
+    g_rows = g[rows]
+    h_rows = h[rows]
+    for f in cols:
+        v = X[rows, f]
+        miss = M[rows, f]
+        nm = ~miss
+        vs = v[nm]
+        if vs.size < 2:
+            continue
+        order = np.argsort(vs, kind="stable")
+        sv = vs[order]
+        sg = g_rows[nm][order]
+        sh = h_rows[nm][order]
+        cum_g = np.cumsum(sg)
+        cum_h = np.cumsum(sh)
+        g_nm, h_nm = cum_g[-1], cum_h[-1]
+        g_miss = float(g_rows[miss].sum())
+        h_miss = float(h_rows[miss].sum())
+        n_miss = int(miss.sum())
+
+        boundary = np.nonzero(sv[:-1] < sv[1:])[0]
+        if boundary.size == 0:
+            continue
+        thresholds = 0.5 * (sv[boundary] + sv[boundary + 1])
+        if params.max_bin is not None and boundary.size + 1 > params.max_bin:
+            qs = np.quantile(vs, np.arange(1, params.max_bin) / params.max_bin)
+            left_counts = np.searchsorted(sv, qs, side="left")
+            keep = (left_counts > 0) & (left_counts < sv.size)
+            # left_counts is nondecreasing, so this keeps the first quantile per position
+            counts, first = np.unique(left_counts[keep], return_index=True)
+            if counts.size == 0:
+                continue
+            boundary = counts - 1
+            thresholds = qs[keep][first]
+
+        gl = cum_g[boundary]
+        hl = cum_h[boundary]
+        cl = boundary + 1
+        gr = g_nm - gl
+        hr = h_nm - hl
+        cr = vs.size - cl
+        parent = score(g_nm + g_miss, h_nm + h_miss)
+
+        for missing_left in (True, False):
+            if missing_left:
+                gl_d, hl_d, cl_d = gl + g_miss, hl + h_miss, cl + n_miss
+                gr_d, hr_d, cr_d = gr, hr, cr
+            else:
+                gl_d, hl_d, cl_d = gl, hl, cl
+                gr_d, hr_d, cr_d = gr + g_miss, hr + h_miss, cr + n_miss
+            gains = 0.5 * (score(gl_d, hl_d) + score(gr_d, hr_d) - parent) - params.gamma
+            valid = (
+                (hl_d >= params.min_child_weight)
+                & (hr_d >= params.min_child_weight)
+                & (cl_d >= params.min_child_samples)
+                & (cr_d >= params.min_child_samples)
+            )
+            if not valid.any():
+                continue
+            gains = np.where(valid, gains, -np.inf)
+            j = int(np.argmax(gains))
+            gain = float(gains[j])
+            if gain <= 0.0:
+                continue
+            if best is None or gain > best["gain"]:
+                thr = float(thresholds[j])
+                go_left = np.where(miss, missing_left, v < thr)
+                best = dict(
+                    gain=gain,
+                    feature=f,
+                    threshold=thr,
+                    default_left=missing_left,
+                    left_rows=rows[go_left],
+                    right_rows=rows[~go_left],
+                )
+    return best
+
+
 def oracle_forest_predict(model, rows: np.ndarray, missing: np.ndarray) -> np.ndarray:
     """base_score plus eta times each tree's leaf weight, walking every row's path node by node."""
 

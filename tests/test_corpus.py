@@ -168,6 +168,17 @@ class TestJsd:
         q = TokenDistribution({"c": 0.5, "d": 0.5})
         assert abs(jsd(p, q) - 1.0) < 1e-12
 
+    def test_disjoint_never_exceeds_one(self):
+        # unclamped, these disjoint distributions sum to 1.0000000000000002
+        p = TokenDistribution({"a0": 0.12013046230989173, "a1": 0.6520607201434465, "a2": 0.22780881754666185})
+        q = TokenDistribution({
+            "b0": 0.2030687646362296, "b1": 0.11234180615501056, "b2": 0.2583441887464679,
+            "b3": 0.3982466569873878, "b4": 0.02799858347490424,
+        })
+        assert jsd(p, q) <= 1.0
+        assert jsd(q, p) <= 1.0
+        assert abs(jsd(p, q) - 1.0) < 1e-12
+
     def test_half_point_mass(self):
         p = TokenDistribution({"x": 0.5, "y": 0.5})
         q = TokenDistribution({"x": 1.0})

@@ -19,10 +19,10 @@ from perfcast.regressors import (
     load_model,
     save_model,
 )
-from perfcast.regressors.gbt import make_tree, predict_rows
+from perfcast.regressors.gbt import NODE_DTYPE, _best_split, make_tree, predict_rows
 
 from conftest import rejects_model_file
-from oracles import oracle_best_depth1_split, oracle_forest_predict
+from oracles import oracle_best_depth1_split, oracle_best_split, oracle_forest_predict
 
 
 def matrix_from(X, y, mask=None):
@@ -304,10 +304,26 @@ class TestSerialization:
         save_model(model, path)
         loaded = load_model(path)
         np.testing.assert_array_equal(gbt_predict(loaded, m), gbt_predict(model, m))
+        assert [t.tobytes() for t in loaded.trees] == [t.tobytes() for t in model.trees]
         with open(path) as fh:
             obj = json.load(fh)
         assert obj["kind"] == "gbt"
         assert obj["params"]["n_estimators"] == 8
+
+    def test_equal_trees_are_byte_equal(self):
+        nodes = [(0, 0.5, True, 1, 2, 0.0, 1.5), (-1, 0.0, True, -1, -1, 0.25, 0.0), (-1, 0.0, False, -1, -1, -0.5, 0.0)]
+        nodes = nodes * 20
+        first = make_tree(nodes).tobytes()
+        junk = np.full(len(first), 0xAB, dtype=np.uint8)  # freed nonzero memory for the next tree to land in
+        del junk
+        second = make_tree(nodes).tobytes()
+        assert first == second
+        fields = set()
+        for dtype, offset in (NODE_DTYPE.fields[name][:2] for name in NODE_DTYPE.names):
+            fields.update(range(offset, offset + dtype.itemsize))
+        padding = [b for b in range(NODE_DTYPE.itemsize) if b not in fields]
+        assert padding  # the aligned dtype has padding after default_left
+        assert not np.frombuffer(second, np.uint8).reshape(len(nodes), -1)[:, padding].any()
 
 
 class TestModelFileValidation:
@@ -418,3 +434,59 @@ class TestTreeFormatProperties:
             with open(first, "rb") as a, open(second, "rb") as b:
                 assert a.read() == b.read()
         np.testing.assert_array_equal(gbt_predict(loaded, m), gbt_predict(model, m))
+
+
+@st.composite
+def split_nodes(draw):
+    """One node's split search inputs: a block with tied, duplicated and missing columns, and blocking params.
+
+    The draws come from a numpy generator seeded by hypothesis, so that every
+    case has the weights below rather than hypothesis's bias to its simplest
+    values (one row, every column alike).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 4)) if rng.random() < 0.2 else int(rng.integers(4, 31))
+    d = int(rng.integers(1, 6))
+    X = np.empty((n, d))
+    mask = np.zeros((n, d), dtype=bool)
+    for j in range(d):
+        kind = rng.choice(["tied", "distinct", "part", "full", "duplicate"], p=[0.3, 0.2, 0.3, 0.1, 0.1])
+        if kind == "duplicate" and j > 0:  # equal to an earlier column, mask included, so it ties on every split
+            source = int(rng.integers(j))
+            X[:, j], mask[:, j] = X[:, source], mask[:, source]
+            continue
+        X[:, j] = rng.choice([-1.0, 0.0, 0.5, 2.0], n) if kind == "tied" else rng.normal(size=n)
+        mask[:, j] = kind == "full" or (kind == "part" and rng.random(n) < 0.3)
+    X[mask] = np.nan
+    g = rng.choice([-1.0, 1.0], n) if rng.random() < 0.3 else rng.normal(scale=3.0, size=n)
+    h = rng.choice([0.5, 1.0, 1.5], n)
+    rows = np.flatnonzero((rng.random(n) < 0.8) | (np.arange(n) == 0))
+    cols = sorted(rng.choice(d, int(rng.integers(1, d + 1)), replace=False).tolist())
+    # each of these values, when drawn, blocks every split on its own
+    block = rng.choice([None, "min_child_weight", "min_child_samples", "gamma"], p=[0.7, 0.1, 0.1, 0.1])
+    params = GbtParams(
+        min_child_weight=1e3 if block == "min_child_weight" else float(rng.choice([0.0, 1.0, 2.0])),
+        min_child_samples=1000 if block == "min_child_samples" else int(rng.choice([1, 2])),
+        gamma=1e6 if block == "gamma" else float(rng.choice([0.0, 0.5])),
+        reg_lambda=float(rng.choice([1.0, 0.0])),
+        reg_alpha=float(rng.choice([0.0, 0.2])),
+        max_bin=None if rng.random() < 0.5 else int(rng.integers(2, 5)),
+    )
+    return X, mask, g, h, rows, cols, params
+
+
+class TestSplitSearchProperties:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(split_nodes())
+    def test_block_scan_matches_per_feature_oracle(self, case):
+        expected = oracle_best_split(*case)
+        got = _best_split(*case)
+        if expected is None:
+            assert got is None
+            return
+        assert got is not None
+        assert (got.gain, got.feature, got.threshold, got.default_left) == (
+            expected["gain"], expected["feature"], expected["threshold"], expected["default_left"]
+        )
+        np.testing.assert_array_equal(got.left_rows, expected["left_rows"])
+        np.testing.assert_array_equal(got.right_rows, expected["right_rows"])
