@@ -102,6 +102,8 @@ class _Run:
         return path
 
     def resolve(self, rel: str) -> str:
+        if not isinstance(rel, str):
+            raise ConfigError(f"expected a file path, got {rel!r}")
         if os.path.isabs(rel):
             return rel
         return os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(self.config_path)), rel))
@@ -139,6 +141,33 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) 
 # Config materialization
 # ---------------------------------------------------------------------------
 
+def _string_list(cfg: dict, key: str, default: list[str] | None = None) -> list[str] | None:
+    value = cfg.get(key, default)
+    if value is not None and not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ConfigError(f"'{key}' must be a list of strings, not {value!r}")
+    return value
+
+
+def _entries(cfg: dict, key: str) -> list[tuple[str, dict]]:
+    """The objects listed under cfg[key], each with a label naming the key and its index."""
+    value = cfg[key]
+    if not isinstance(value, list):
+        raise ConfigError(f"'{key}' must be a list of objects, not {value!r}")
+    labeled = [(f"'{key}' entry {i}", entry) for i, entry in enumerate(value)]
+    for label, entry in labeled:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{label} must be an object, not {entry!r}")
+    return labeled
+
+
+def _text(entry: dict, name: str, label: str) -> str:
+    if name not in entry:
+        raise ConfigError(f"{label} is missing {name!r}")
+    if not isinstance(entry[name], str):
+        raise ConfigError(f"{label}: {name!r} must be a string, not {entry[name]!r}")
+    return entry[name]
+
+
 def _parse_params(kind: str, obj: dict) -> AnyParams:
     try:
         return KINDS[kind][0](**obj)
@@ -148,11 +177,13 @@ def _parse_params(kind: str, obj: dict) -> AnyParams:
 
 def _resolve_grid(cfg: dict, preset_override: str | None):
     kind = cfg.get("regressor", "gbt")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ConfigError(f"unknown regressor kind {kind!r}")
     if preset_override is not None:
         grid = [get_preset(preset_override)]
     elif "grid" in cfg:
+        if not isinstance(cfg["grid"], list):
+            raise ConfigError(f"'grid' must be a list of params objects, not {cfg['grid']!r}")
         grid = [_parse_params(kind, obj) for obj in cfg["grid"]]
     elif "params" in cfg:
         grid = [_parse_params(kind, cfg["params"])]
@@ -168,8 +199,10 @@ def _resolve_grid(cfg: dict, preset_override: str | None):
     return grid
 
 
-def _load_record_sources(run: _Run, value) -> list[PerformanceRecord]:
-    paths = [value] if isinstance(value, str) else list(value)
+def _load_record_sources(run: _Run, cfg: dict, key: str) -> list[PerformanceRecord]:
+    paths = [cfg[key]] if isinstance(cfg[key], str) else cfg[key]
+    if not isinstance(paths, list):
+        raise ConfigError(f"'{key}' must be a path or a list of paths, not {paths!r}")
     records: list[PerformanceRecord] = []
     seen_ids: set[str] = set()
     for rel in paths:
@@ -190,8 +223,8 @@ def _feature_sources(run: _Run, cfg: dict):
     """
     if "records" not in cfg:
         raise ConfigError("config is missing 'records'")
-    records = _load_record_sources(run, cfg["records"])
-    groups = tuple(cfg.get("feature_groups", ["language", "dataset", "proxy"]))
+    records = _load_record_sources(run, cfg, "records")
+    groups = tuple(_string_list(cfg, "feature_groups", ["language", "dataset", "proxy"]))
     dataset_blocks = None
     if "dataset" in groups:
         if "dataset_features" in cfg:
@@ -217,7 +250,7 @@ def _materialize_experiment(run: _Run, cfg: dict, seed_override: int | None, pre
         raise ConfigError(f"'split' must be an object, not {split_cfg!r}")
     test_records = None
     if "test_records" in cfg:
-        test_records = _load_record_sources(run, cfg["test_records"])
+        test_records = _load_record_sources(run, cfg, "test_records")
     try:
         config = ExperimentConfig(
             records=records,
@@ -228,7 +261,7 @@ def _materialize_experiment(run: _Run, cfg: dict, seed_override: int | None, pre
                 held_out_language=split_cfg.get("held_out_language"),
             ),
             feature_groups=groups,
-            proxies=cfg.get("proxies"),
+            proxies=_string_list(cfg, "proxies"),
             repeats=int(cfg.get("repeats", 5)),
             cv_folds=int(cfg.get("cv_folds", 10)),
             seed=int(seed_override if seed_override is not None else cfg.get("seed", 0)),
@@ -245,6 +278,7 @@ def _materialize_experiment(run: _Run, cfg: dict, seed_override: int | None, pre
 
 
 def _load_families(run: _Run, cfg: dict) -> dict[str, str]:
+    """The lang,family CSV as a map; a short, long or repeated row is a ParseError at file:line."""
     if "language_families" not in cfg:
         return {}
     path = run.track(run.resolve(cfg["language_families"]))
@@ -254,9 +288,17 @@ def _load_families(run: _Run, cfg: dict) -> dict[str, str]:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["lang", "family"]:
             raise ParseError(f"{path}: expected header lang,family")
-        for row in reader:
-            if len(row) == 2:
-                families[row[0].strip()] = row[1].strip()
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise ParseError(f"{path}:{lineno}: expected 2 cells, got {len(row)}")
+            lang, family = (cell.strip() for cell in row)
+            if not lang:
+                raise ParseError(f"{path}:{lineno}: empty language code")
+            if lang in families:
+                raise ParseError(f"{path}:{lineno}: repeated language {lang!r}")
+            families[lang] = family
     return families
 
 
@@ -295,26 +337,24 @@ def _result_json(result: ExperimentResult) -> dict:
 
 def _compute_feature_blocks(run: _Run, cfg: dict) -> list[tuple[str, str, object]]:
     """Profile the configured corpora and compute one feature block per pair."""
-    corpora = cfg.get("corpora")
-    pairs = cfg.get("pairs")
-    if not corpora or not pairs:
+    if not cfg.get("corpora") or not cfg.get("pairs"):
         raise ConfigError("feature computation needs 'corpora' and 'pairs'")
     side = cfg.get("side", "source")
     if side not in ("source", "target", "concat"):
         raise ConfigError(f"unknown side {side!r}")
 
     profiles = {}
-    for entry in corpora:
-        dataset_id = entry["dataset_id"]
+    for label, entry in _entries(cfg, "corpora"):
+        dataset_id = _text(entry, "dataset_id", label)
         mode = entry.get("mode", "unicode_words")
         if "path" in entry:
             sentences = read_corpus(run.track(run.resolve(entry["path"])), mode)
         else:
             sides = []
             if side in ("source", "concat"):
-                sides.append(entry["source_path"])
+                sides.append(_text(entry, "source_path", label))
             if side in ("target", "concat"):
-                sides.append(entry["target_path"])
+                sides.append(_text(entry, "target_path", label))
             sentences = []
             for rel in sides:
                 sentences.extend(read_corpus(run.track(run.resolve(rel)), mode))
@@ -325,8 +365,8 @@ def _compute_feature_blocks(run: _Run, cfg: dict) -> list[tuple[str, str, object
         embeddings = load_embeddings(run.track(run.resolve(cfg["embeddings"])))
 
     blocks = []
-    for pair in pairs:
-        train_id, test_id = pair["train"], pair["test"]
+    for label, pair in _entries(cfg, "pairs"):
+        train_id, test_id = _text(pair, "train", label), _text(pair, "test", label)
         for dataset_id in (train_id, test_id):
             if dataset_id not in profiles:
                 raise ConfigError(f"pair references unknown corpus {dataset_id!r}")
@@ -345,7 +385,7 @@ def _cmd_features(run: _Run, cfg: dict) -> None:
 def _design_matrix(run: _Run, cfg: dict):
     """The design matrix built from the config's records and feature sources."""
     records, groups, dataset_blocks, language_table = _feature_sources(run, cfg)
-    proxies = cfg.get("proxies")
+    proxies = _string_list(cfg, "proxies")
     roster = sorted(proxies) if proxies is not None else proxy_roster(records)
     return build_design_matrix(records, build_schema(groups, roster), dataset_blocks, language_table)
 
@@ -395,6 +435,11 @@ def _cmd_experiment(run: _Run, cfg: dict, seed_override: int | None, preset_over
 def _cmd_ablate(run: _Run, cfg: dict, seed_override: int | None, preset_override: str | None) -> None:
     config = _materialize_experiment(run, cfg, seed_override, preset_override)
     group_sets = cfg.get("group_sets")
+    if group_sets is not None and not (
+        isinstance(group_sets, list)
+        and all(isinstance(s, list) and all(isinstance(g, str) for g in s) for s in group_sets)
+    ):
+        raise ConfigError(f"'group_sets' must be a list of lists of feature groups, not {group_sets!r}")
     results = run_ablation(config, group_sets)
     payload = {"+".join(subset): _result_json(res) for subset, res in results.items()}
     _write_json(os.path.join(run.out_dir, "results.json"), payload)

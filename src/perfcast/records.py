@@ -4,8 +4,8 @@ A PerformanceRecord is one observed (model, train set, test set, language
 pair) -> score outcome plus the proxy scores observed on the same setup.
 Records become rows of a DesignMatrix whose columns follow a FeatureSchema:
 six language distances, ten dataset features, then one column per enabled
-proxy. Missing proxy scores and missing embedding cosines are masked, not
-imputed, at this layer.
+proxy. Missing proxy scores and missing embedding cosines stay NaN, not
+imputed, at this layer: NaN is the one marker of a missing cell.
 """
 
 from __future__ import annotations
@@ -239,6 +239,9 @@ def _load_records_jsonl(path: str) -> list[PerformanceRecord]:
 def save_records(records: Sequence[PerformanceRecord], path: str) -> None:
     """Write records as CSV with one proxy:<id> column per roster entry."""
     roster = proxy_roster(records)
+    for proxy_id in roster:
+        if proxy_id != proxy_id.strip():  # the loader strips header cells
+            raise ValueError(f"proxy id {proxy_id!r} has surrounding whitespace, which a CSV header does not keep")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_BASE_COLUMNS + tuple(PROXY_PREFIX + p for p in roster))
@@ -342,11 +345,10 @@ def build_schema(feature_groups: Sequence[str], proxies: Sequence[str] = ()) -> 
 
 @dataclass
 class DesignMatrix:
-    """Feature rows plus an explicit missing mask; masked cells hold NaN."""
+    """Feature rows in schema order; NaN marks a missing cell and nothing else."""
 
     schema: FeatureSchema
     rows: np.ndarray
-    missing_mask: np.ndarray
     targets: np.ndarray
     row_ids: list[str]
     languages: list[tuple[str, str]] | None = None  # (src_lang, tgt_lang) per row, for MF
@@ -359,9 +361,8 @@ class DesignMatrix:
         idx = np.asarray(indices, dtype=np.intp)
         return DesignMatrix(
             schema=self.schema,
-            rows=self.rows[idx].copy(),
-            missing_mask=self.missing_mask[idx].copy(),
-            targets=self.targets[idx].copy(),
+            rows=self.rows[idx],
+            targets=self.targets[idx],
             row_ids=[self.row_ids[i] for i in idx],
             languages=None if self.languages is None else [self.languages[i] for i in idx],
         )
@@ -375,13 +376,12 @@ def build_design_matrix(
 ) -> DesignMatrix:
     """One row per record, columns in schema order.
 
-    Missing proxy scores and missing embedding cosines are masked; any other
+    Missing proxy scores and missing embedding cosines are left NaN; any other
     unresolvable feature raises MissingFeature naming the record and column.
     """
     n = len(records)
     d = len(schema.columns)
     rows = np.full((n, d), np.nan, dtype=np.float64)
-    mask = np.zeros((n, d), dtype=bool)
     targets = np.empty(n, dtype=np.float64)
     col_index = {c: j for j, c in enumerate(schema.columns)}
 
@@ -407,23 +407,16 @@ def build_design_matrix(
             if block is None:
                 raise MissingFeature(rec.record_id, f"dataset:({rec.train_dataset},{rec.test_dataset})")
             for name, value in zip(DATASET_FEATURE_COLUMNS, block.as_row()):
-                j = col_index[name]
-                if value is None:
-                    mask[i, j] = True
-                else:
-                    rows[i, j] = float(value)
+                if value is not None:
+                    rows[i, col_index[name]] = float(value)
         for column, proxy_id in proxy_cols:
             value = rec.proxy_scores.get(proxy_id)
-            j = col_index[column]
-            if value is None:
-                mask[i, j] = True
-            else:
-                rows[i, j] = value
+            if value is not None:
+                rows[i, col_index[column]] = value
 
     return DesignMatrix(
         schema=schema,
         rows=rows,
-        missing_mask=mask,
         targets=targets,
         row_ids=[rec.record_id for rec in records],
         languages=[(rec.src_lang, rec.tgt_lang) for rec in records],

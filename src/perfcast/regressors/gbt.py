@@ -7,9 +7,9 @@ values (optionally capped by quantile binning via max_bin). It scans a
 node's feature columns together as one (column, row) block, in the spirit of
 XGBoost's column blocks (Chen & Guestrin, KDD 2016, section 4.1): one sort,
 one prefix sum and one gain array for all columns, with the block sorted
-afresh at every node. Missing values are routed to whichever side maximizes
-gain and that default direction is stored per node, so masked cells are
-handled natively at fit and predict time.
+afresh at every node. A NaN cell is a missing value (section 3.4): it is
+routed to whichever side maximizes gain and that default direction is stored
+per node, so missing cells are handled natively at fit and predict time.
 
 Squared-error objective: g_i = pred_i - y_i, h_i = 1; split gain
 0.5 * [GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)] - gamma, with
@@ -119,7 +119,6 @@ class _Split:
 
 def _best_split(
     X: np.ndarray,
-    M: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
     rows: np.ndarray,
@@ -129,7 +128,7 @@ def _best_split(
     """Exhaustive best split over the given rows and feature columns.
 
     All columns are scanned at once as a (column, row) block: each column is
-    sorted with its missing cells last, the gains of every boundary between
+    sorted with its missing (NaN) cells last, the gains of every boundary between
     distinct values are computed for both default directions in one
     (column, direction, position) array, and one flat argmax picks the
     winner. Ties therefore break to the lowest feature index, then
@@ -141,9 +140,9 @@ def _best_split(
         return None
     alpha, lam = params.reg_alpha, params.reg_lambda
     gh = np.stack((g[rows], h[rows]))
-    miss = M[rows[:, None], cols].T
+    values = X[rows[:, None], cols].T
+    miss = np.isnan(values)
     # NaN sorts after every value, so each column's missing cells come last, in row order
-    values = np.where(miss, np.nan, X[rows[:, None], cols].T)
     order = np.argsort(values, axis=1, kind="stable")
     ids = np.arange(k)
     sv = values[ids[:, None], order]
@@ -186,7 +185,7 @@ def _best_split(
     count_l = cl + n_miss[:, None, None] * to_left
     count_r = (n_nm[:, None] - cl)[:, None, :] + n_miss[:, None, None] * to_right
     parent = _score(total[0] + miss_sum[0], total[1] + miss_sum[1], alpha, lam)[:, None, None]
-    # positions past a column's last non-missing cell hold 0/0 when reg_lambda is 0; they are masked below
+    # positions past a column's last non-missing cell hold 0/0 when reg_lambda is 0; they are set to -inf below
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = 0.5 * (_score(*left, alpha, lam) + _score(*right, alpha, lam) - parent) - params.gamma
     valid = (
@@ -220,7 +219,6 @@ def _leaf_weight(g_sum: float, h_sum: float, params: GbtParams) -> float:
 
 def _grow_tree(
     X: np.ndarray,
-    M: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
     rows: np.ndarray,
@@ -246,7 +244,7 @@ def _grow_tree(
         stack: list[tuple[int, np.ndarray, int]] = [(0, rows, 0)]
         while stack:
             node_id, node_rows, depth = stack.pop()
-            split = _best_split(X, M, g, h, node_rows, cols, params) if depth < params.max_depth else None
+            split = _best_split(X, g, h, node_rows, cols, params) if depth < params.max_depth else None
             if split is None:
                 make_leaf(node_id, node_rows)
                 continue
@@ -257,7 +255,7 @@ def _grow_tree(
     else:
         # leaf_wise: repeatedly split the evaluated leaf with the highest gain
         frontier: list[tuple[int, np.ndarray, int, _Split | None]] = [
-            (0, rows, 0, _best_split(X, M, g, h, rows, cols, params))
+            (0, rows, 0, _best_split(X, g, h, rows, cols, params))
         ]
         n_leaves = 1
         while n_leaves < (params.num_leaves or 0):
@@ -273,7 +271,7 @@ def _grow_tree(
             left_id, right_id = apply_split(node_id, split)
             for child_id, child_rows in ((left_id, split.left_rows), (right_id, split.right_rows)):
                 child_split = (
-                    _best_split(X, M, g, h, child_rows, cols, params) if depth + 1 < params.max_depth else None
+                    _best_split(X, g, h, child_rows, cols, params) if depth + 1 < params.max_depth else None
                 )
                 frontier.append((child_id, child_rows, depth + 1, child_split))
             n_leaves += 1
@@ -283,8 +281,8 @@ def _grow_tree(
     return make_tree(nodes)
 
 
-def _tree_predict(tree: np.recarray, X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Route all rows to their leaves, moving every still-internal row one level per pass."""
+def _tree_predict(tree: np.recarray, X: np.ndarray) -> np.ndarray:
+    """Route all rows to their leaves, one level per pass; a NaN cell takes its node's default direction."""
     nodes = tree.view(np.ndarray)  # a recarray attribute lookup costs microseconds
     feature, threshold, default_left = nodes["feature"], nodes["threshold"], nodes["default_left"]
     # child[2 * node + go_left]; a leaf is its own child, so rows that reached one stay
@@ -292,7 +290,7 @@ def _tree_predict(tree: np.recarray, X: np.ndarray, M: np.ndarray) -> np.ndarray
     leaf = feature < 0
     child = np.stack((np.where(leaf, ids, nodes["right"]), np.where(leaf, ids, nodes["left"])), axis=1).ravel()
     n, d = X.shape
-    x, m = X.ravel(), M.ravel()
+    x = X.ravel()
     row_start = np.arange(n, dtype=np.intp) * d
     at = np.zeros(n, dtype=np.intp)
     with np.errstate(invalid="ignore"):
@@ -300,14 +298,14 @@ def _tree_predict(tree: np.recarray, X: np.ndarray, M: np.ndarray) -> np.ndarray
             f = feature.take(at)
             if not (f >= 0).any():
                 return nodes["weight"].take(at)
-            cell = row_start + f
-            go_left = np.where(m.take(cell), default_left.take(at), x.take(cell) < threshold.take(at))
+            cell = x.take(row_start + f)
+            go_left = np.where(np.isnan(cell), default_left.take(at), cell < threshold.take(at))
             at = child.take(2 * at + go_left)
 
 
 def gbt_fit(matrix: DesignMatrix, params: GbtParams) -> GbtModel:
-    """Fit a boosted forest on the design matrix, honoring its missing mask."""
-    X, M, y = matrix.rows, matrix.missing_mask, matrix.targets
+    """Fit a boosted forest on the design matrix, its NaN cells taken as missing."""
+    X, y = matrix.rows, matrix.targets
     n, d = X.shape
     if n == 0:
         raise EmptyTrainingSet("cannot fit on an empty design matrix")
@@ -329,9 +327,9 @@ def gbt_fit(matrix: DesignMatrix, params: GbtParams) -> GbtModel:
         cols = list(range(d)) if n_cols >= d else sorted(rng.permutation(d)[:n_cols].tolist())
         g = pred - y
         h = np.ones(n, dtype=np.float64)
-        tree = _grow_tree(X, M, g, h, rows, cols, params, gain_totals)
+        tree = _grow_tree(X, g, h, rows, cols, params, gain_totals)
         trees.append(tree)
-        pred += params.eta * _tree_predict(tree, X, M)
+        pred += params.eta * _tree_predict(tree, X)
         train_rmse.append(float(np.sqrt(np.mean((pred - y) ** 2))))
 
     names = matrix.schema.columns
@@ -351,20 +349,18 @@ def gbt_predict(model: GbtModel, matrix: DesignMatrix) -> np.ndarray:
     """base_score + eta * sum of routed leaf weights, missing cells following stored defaults."""
     if matrix.schema.fingerprint() != model.fingerprint:
         raise SchemaMismatch("design matrix schema does not match the fitted model")
-    return predict_rows(model, matrix.rows, matrix.missing_mask)
+    return predict_rows(model, matrix.rows)
 
 
-def predict_rows(model: GbtModel, rows: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+def predict_rows(model: GbtModel, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1:
         rows = rows.reshape(1, -1)
     if rows.shape[1] != len(model.feature_names):
         raise SchemaMismatch(f"rows have {rows.shape[1]} columns, the model {len(model.feature_names)}")
-    if mask is None:
-        mask = np.isnan(rows)
     out = np.full(rows.shape[0], model.base_score, dtype=np.float64)
     for tree in model.trees:
-        out += model.eta * _tree_predict(tree, rows, mask)
+        out += model.eta * _tree_predict(tree, rows)
     return out
 
 

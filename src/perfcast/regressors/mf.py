@@ -85,7 +85,7 @@ def mf_fit(
         )
 
     y = matrix.targets
-    Xs, impute, mean, std = impute_and_standardize(matrix.rows, matrix.missing_mask)
+    Xs, impute, mean, std = impute_and_standardize(matrix.rows)
     C = (Xs - mean) / std
     k = params.latent_dim
     c_dim = C.shape[1]
@@ -151,7 +151,7 @@ def mf_predict(
 ) -> np.ndarray:
     if matrix.schema.fingerprint() != model.fingerprint:
         raise SchemaMismatch("design matrix schema does not match the fitted model")
-    C = _apply_stats(matrix.rows, matrix.missing_mask, model.impute, model.mean, model.std)
+    C = _apply_stats(matrix.rows, model.impute, model.mean, model.std)
     return np.array(
         [mf_predict_one(model, s, t, C[i]) for i, (s, t) in enumerate(zip(sources, targets))],
         dtype=np.float64,

@@ -49,7 +49,7 @@ class PolyModel:
     terms: list[tuple[int, ...]]
     intercept: float
     coef: np.ndarray
-    impute: np.ndarray  # per-column training means substituted for masked cells
+    impute: np.ndarray  # per-column training means substituted for missing (NaN) cells
     mean: np.ndarray
     std: np.ndarray
     fingerprint: str
@@ -66,30 +66,29 @@ def expansion_terms(n_features: int, degree: int) -> list[tuple[int, ...]]:
     return terms
 
 
-def impute_and_standardize(rows: np.ndarray, mask: np.ndarray):
+def impute_and_standardize(rows: np.ndarray):
     """Training-split imputation and standardization statistics.
 
-    Masked cells take the column mean of observed cells (0 when a column is
-    entirely masked); standardization then uses the imputed column's mean and
-    population std (constant columns get std 1 so they standardize to 0).
+    Missing (NaN) cells take the column mean of observed cells (0 when a
+    column is entirely missing); standardization then uses the imputed
+    column's mean and population std (constant columns get std 1 so they
+    standardize to 0).
     """
-    X = np.array(rows, dtype=np.float64, copy=True)
-    impute = np.zeros(X.shape[1], dtype=np.float64)
-    for j in range(X.shape[1]):
-        observed = ~mask[:, j]
-        impute[j] = float(np.mean(X[observed, j])) if observed.any() else 0.0
-        X[mask[:, j], j] = impute[j]
+    missing = np.isnan(rows)
+    impute = np.zeros(rows.shape[1], dtype=np.float64)
+    # one 1-D mean per column, as a 2-D nanmean may add in another order
+    for j in range(rows.shape[1]):
+        observed = rows[~missing[:, j], j]
+        impute[j] = float(np.mean(observed)) if observed.size else 0.0
+    X = np.where(missing, impute, rows)
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std[std == 0.0] = 1.0
     return X, impute, mean, std
 
 
-def _apply_stats(rows: np.ndarray, mask: np.ndarray, impute: np.ndarray, mean: np.ndarray, std: np.ndarray):
-    X = np.array(rows, dtype=np.float64, copy=True)
-    for j in range(X.shape[1]):
-        X[mask[:, j], j] = impute[j]
-    return (X - mean) / std
+def _apply_stats(rows: np.ndarray, impute: np.ndarray, mean: np.ndarray, std: np.ndarray):
+    return (np.where(np.isnan(rows), impute, rows) - mean) / std
 
 
 def _expand(Z: np.ndarray, terms: list[tuple[int, ...]]) -> np.ndarray:
@@ -115,7 +114,7 @@ def poly_fit(matrix: DesignMatrix, params: PolyParams) -> PolyModel:
     if matrix.n == 0:
         raise EmptyTrainingSet("cannot fit on an empty design matrix")
     y = matrix.targets
-    Xs, impute, mean, std = impute_and_standardize(matrix.rows, matrix.missing_mask)
+    Xs, impute, mean, std = impute_and_standardize(matrix.rows)
     Z = (Xs - mean) / std
     terms = expansion_terms(Xs.shape[1], params.degree)
     P = _expand(Z, terms)
@@ -173,5 +172,5 @@ def poly_fit(matrix: DesignMatrix, params: PolyParams) -> PolyModel:
 def poly_predict(model: PolyModel, matrix: DesignMatrix) -> np.ndarray:
     if matrix.schema.fingerprint() != model.fingerprint:
         raise SchemaMismatch("design matrix schema does not match the fitted model")
-    Z = _apply_stats(matrix.rows, matrix.missing_mask, model.impute, model.mean, model.std)
+    Z = _apply_stats(matrix.rows, model.impute, model.mean, model.std)
     return _expand(Z, model.terms) @ model.coef + model.intercept

@@ -62,5 +62,5 @@ PRESETS: dict[str, GbtParams | PolyParams | MfParams] = {
 def get_preset(name: str) -> GbtParams | PolyParams | MfParams:
     try:
         return PRESETS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that is not hashable
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}") from None

@@ -96,6 +96,72 @@ class TestFeaturesCommand:
         assert block.vocab_size_train == 3  # target side tokens
 
 
+FEATURE_SOURCES = {"corpora": [{"dataset_id": "a", "path": "a.txt"}, {"dataset_id": "b", "path": "a.txt"}],
+                   "pairs": [{"train": "a", "test": "b"}]}
+
+
+class TestConfigShape:
+    """A config value of the wrong JSON shape is a typed error naming the key, never a traceback."""
+
+    @pytest.mark.parametrize("extra, match", [
+        ({"corpora": ["a.txt"]}, "'corpora' entry 0 must be an object"),
+        ({"pairs": [["a", "b"]]}, "'pairs' entry 0 must be an object"),
+        ({"corpora": [{"dataset_id": "a", "path": "a.txt"}, {"path": "a.txt"}]},
+         "'corpora' entry 1 is missing 'dataset_id'"),
+        ({"pairs": [{"train": "a", "test": "b"}, {"train": "a"}]}, "'pairs' entry 1 is missing 'test'"),
+        ({"corpora": [{"dataset_id": "a", "path": 5}]}, "expected a file path, got 5"),
+    ], ids=["corpus_string", "pair_list", "corpus_without_id", "pair_without_test", "path_number"])
+    def test_features(self, tmp_path, capsys, extra, match):
+        (tmp_path / "a.txt").write_text("hello world\n")
+        cfg = write_json(tmp_path / "f.json", {**FEATURE_SOURCES, **extra})
+        assert main(["features", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], match in err["message"]) == ("ConfigError", True), err
+
+    @pytest.mark.parametrize("extra, error, match", [
+        ({"records": 5}, "ConfigError", "'records' must be a path or a list of paths"),
+        ({"records": ["records.csv", 5]}, "ConfigError", "expected a file path, got 5"),
+        ({"feature_groups": 5}, "ConfigError", "'feature_groups' must be a list of strings"),
+        ({"proxies": 5}, "ConfigError", "'proxies' must be a list of strings"),
+        ({"regressor": ["gbt"]}, "ConfigError", "unknown regressor kind"),
+        ({"grid": 5}, "ConfigError", "'grid' must be a list"),
+        ({"params": None, "preset": ["lgbm_default"]}, "KeyError", "unknown preset"),
+    ], ids=["records_number", "records_list_number", "groups_number", "proxies_number", "regressor_list",
+            "grid_number", "preset_list"])
+    def test_train(self, tmp_path, capsys, extra, error, match):
+        obj = {**json.loads(open(write_experiment_fixture(tmp_path)).read()), **extra}
+        cfg = write_json(tmp_path / "train.json", {k: v for k, v in obj.items() if v is not None})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], match in err["message"]) == (error, True), err
+
+
+class TestLanguageFamilies:
+    @pytest.mark.parametrize("body, match", [
+        ("aar,family-0\nbel\n", ":3: expected 2 cells, got 1"),
+        ("aar,family-0,extra\n", ":2: expected 2 cells, got 3"),
+        ("aar,family-0\nbel,family-1\naar,family-1\n", ":4: repeated language 'aar'"),
+        (",family-0\n", ":2: empty language code"),
+    ], ids=["short_row", "long_row", "repeated_language", "empty_language"])
+    def test_bad_row_is_a_parse_error_at_its_line(self, tmp_path, capsys, body, match):
+        cfg = write_experiment_fixture(tmp_path)
+        (tmp_path / "families.csv").write_text("lang,family\n" + body)
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert str(tmp_path / "families.csv") + match in err["message"]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        cfg = write_experiment_fixture(tmp_path, config_extra={"repeats": 1})
+        (tmp_path / "families.csv").write_text(
+            "lang,family\n\naar,x\nbel,x\n\nces,y\ndan,y\newe,y\n\n"
+        )
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "groups_family.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["x", "y"]
+
+
 class TestExperimentCommand:
     def test_outputs_present(self, tmp_path):
         cfg = write_experiment_fixture(tmp_path)
@@ -374,6 +440,14 @@ class TestAblateCommand:
         assert set(results) == {"proxy", "language+dataset"}
         summary = (out / "summary.csv").read_text().splitlines()
         assert len(summary) == 3
+
+    @pytest.mark.parametrize("group_sets", [5, ["proxy"]], ids=["number", "flat_list"])
+    def test_group_sets_of_wrong_shape(self, tmp_path, capsys, group_sets):
+        cfg = write_experiment_fixture(tmp_path, config_extra={"group_sets": group_sets})
+        assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "'group_sets' must be a list of lists" in err["message"]
 
 
 class TestManifest:

@@ -26,14 +26,13 @@ from oracles import oracle_best_depth1_split, oracle_best_split, oracle_forest_p
 
 
 def matrix_from(X, y, mask=None):
-    X = np.asarray(X, dtype=np.float64)
+    """A design matrix over X whose cells under mask are missing (NaN)."""
+    rows = np.array(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    schema = build_schema(("proxy",), [f"f{i}" for i in range(X.shape[1])])
-    if mask is None:
-        mask = np.zeros_like(X, dtype=bool)
-    rows = X.copy()
-    rows[mask] = np.nan
-    return DesignMatrix(schema, rows, np.asarray(mask, dtype=bool), y, [f"r{i}" for i in range(len(y))])
+    schema = build_schema(("proxy",), [f"f{i}" for i in range(rows.shape[1])])
+    if mask is not None:
+        rows[mask] = np.nan
+    return DesignMatrix(schema, rows, y, [f"r{i}" for i in range(len(y))])
 
 
 def plain_params(**kw):
@@ -240,7 +239,7 @@ class TestPredict:
         mask = rng.uniform(size=X.shape) < 0.15
         m = matrix_from(X, y, mask)
         model = gbt_fit(m, GbtParams(n_estimators=6, max_depth=3, eta=0.4, seed=2))
-        expected = oracle_forest_predict(model, m.rows, m.missing_mask)
+        expected = oracle_forest_predict(model, m.rows, np.isnan(m.rows))
         np.testing.assert_allclose(gbt_predict(model, m), expected, rtol=0, atol=0)
 
     def test_schema_mismatch(self):
@@ -424,8 +423,8 @@ class TestTreeFormatProperties:
     def test_predict_walks_paths_and_model_file_round_trips(self, case):
         m, params = case
         model = gbt_fit(m, params)
-        expected = oracle_forest_predict(model, m.rows, m.missing_mask)
-        np.testing.assert_array_equal(predict_rows(model, m.rows, m.missing_mask), expected)
+        expected = oracle_forest_predict(model, m.rows, np.isnan(m.rows))
+        np.testing.assert_array_equal(predict_rows(model, m.rows), expected)
         with tempfile.TemporaryDirectory() as tmp:
             first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
             save_model(model, first)
@@ -472,14 +471,15 @@ def split_nodes(draw):
         reg_alpha=float(rng.choice([0.0, 0.2])),
         max_bin=None if rng.random() < 0.5 else int(rng.integers(2, 5)),
     )
-    return X, mask, g, h, rows, cols, params
+    return X, g, h, rows, cols, params
 
 
 class TestSplitSearchProperties:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(split_nodes())
     def test_block_scan_matches_per_feature_oracle(self, case):
-        expected = oracle_best_split(*case)
+        X, *rest = case
+        expected = oracle_best_split(X, np.isnan(X), *rest)
         got = _best_split(*case)
         if expected is None:
             assert got is None

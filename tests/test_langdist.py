@@ -1,4 +1,10 @@
+import itertools
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfcast.errors import AsymmetryError, MissingPair, ParseError, RangeError, SelfDistanceNonzero
 from perfcast.langdist import (
@@ -106,3 +112,45 @@ class TestRoundTrip:
         assert loaded.entries == table.entries
         save_distance_table(loaded, p2)
         assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+
+
+POOL = ("aaa", "bbb", "ccc", "ddd")
+
+
+@st.composite
+def distance_csvs(draw):
+    """Distances keyed by (unordered pair, kind), and CSV rows giving each as a->b, b->a or both, in any order.
+
+    Zero self-distance rows are mixed in; they add no entry.
+    """
+    pairs = list(itertools.combinations(POOL, 2))
+    values = draw(st.dictionaries(st.tuples(st.sampled_from(pairs), st.sampled_from(DISTANCE_KINDS)),
+                                  st.floats(0.0, 1.0), max_size=20))
+    rows = []
+    for ((a, b), kind), value in values.items():
+        for x, y in draw(st.sampled_from([[(a, b)], [(b, a)], [(a, b), (b, a)]])):
+            rows.append(f"{x},{y},{kind},{value!r}")
+    for lang, kind in draw(st.lists(st.tuples(st.sampled_from(POOL), st.sampled_from(DISTANCE_KINDS)), max_size=3)):
+        rows.append(f"{lang},{lang},{kind},0.0")
+    return values, draw(st.permutations(rows))
+
+
+class TestTableProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(distance_csvs())
+    def test_symmetric_closure_and_byte_stable_round_trip(self, case):
+        values, rows = case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, name) for name in ("in.csv", "first.csv", "second.csv")]
+            with open(paths[0], "w", encoding="utf-8") as fh:
+                fh.write("\n".join(["lang_a,lang_b,kind,distance", *rows]) + "\n")
+            table = load_distance_table(paths[0])
+            for a, b, kind in itertools.product(POOL, POOL, DISTANCE_KINDS):
+                expected = 0.0 if a == b else values.get(((min(a, b), max(a, b)), kind))
+                assert table.lookup(a, b, kind) == table.lookup(b, a, kind) == expected
+            save_distance_table(table, paths[1])
+            reloaded = load_distance_table(paths[1])
+            assert reloaded.entries == table.entries
+            save_distance_table(reloaded, paths[2])
+            with open(paths[1], "rb") as first, open(paths[2], "rb") as second:
+                assert first.read() == second.read()

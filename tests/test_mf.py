@@ -25,8 +25,7 @@ def context_matrix(y, n_context=1):
     schema = build_schema(("proxy",), [f"c{i}" for i in range(n_context)])
     n = len(y)
     rows = np.zeros((n, n_context))
-    mask = np.zeros((n, n_context), dtype=bool)
-    return DesignMatrix(schema, rows, mask, np.asarray(y, dtype=np.float64), [f"r{i}" for i in range(n)])
+    return DesignMatrix(schema, rows, np.asarray(y, dtype=np.float64), [f"r{i}" for i in range(n)])
 
 
 def rank1_grid(u, v, const=5.0):
@@ -95,7 +94,7 @@ class TestFit:
         c = rng.uniform(-1, 1, size=(n, 1))
         y = 3.0 * c[:, 0] + 2.0
         schema = build_schema(("proxy",), ["c0"])
-        m = DesignMatrix(schema, c.copy(), np.zeros_like(c, dtype=bool), y, [f"r{i}" for i in range(n)])
+        m = DesignMatrix(schema, c.copy(), y, [f"r{i}" for i in range(n)])
         model = mf_fit(m, sources, targets, no_reg_params(latent_dim=0, iterations=1500))
         pred = mf_predict(model, m, sources, targets)
         assert float(np.sqrt(np.mean((pred - y) ** 2))) < 1e-2

@@ -1,10 +1,20 @@
 import json
+import os
+import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from perfcast.corpus import DATASET_FEATURE_COLUMNS
 from perfcast.errors import DuplicateId, KeyMismatch, MissingFeature, ParseError, RangeError
 from perfcast.records import (
+    CORPUS_GROUPS,
+    FEATURE_GROUPS,
+    PROXY_PREFIX,
+    TASKS,
     PerformanceRecord,
     average_proxy_scores,
     build_design_matrix,
@@ -15,7 +25,7 @@ from perfcast.records import (
 )
 from perfcast.langdist import DISTANCE_KINDS, language_features
 
-from conftest import synthetic_setup
+from conftest import LANGS, make_feature_block, make_language_table, synthetic_setup
 
 
 def rec(record_id="r1", **kw):
@@ -190,7 +200,7 @@ class TestDesignMatrix:
         schema = build_schema(("language", "dataset", "proxy"), proxy_roster(records))
         m = build_design_matrix(records, schema, blocks, table)
         assert m.rows.shape == (5, 20)
-        assert m.missing_mask.shape == (5, 20)
+        assert np.flatnonzero(np.isnan(m.rows).any(axis=0)).tolist() == [15]  # only embedding_cosine is absent
         assert m.row_ids == [r.record_id for r in records]
 
     def test_cell_values_match_sources(self):
@@ -202,7 +212,7 @@ class TestDesignMatrix:
             np.testing.assert_array_equal(m.rows[i, :6], lang_block.as_row())
             feature_block = blocks[(r.train_dataset, r.test_dataset)]
             np.testing.assert_array_equal(m.rows[i, 6:15], np.asarray(feature_block.as_row()[:9], dtype=float))
-            assert m.missing_mask[i, 15]  # embedding_cosine absent in fixtures
+            assert np.isnan(m.rows[i, 15])  # embedding_cosine absent in fixtures
             assert m.rows[i, 16] == r.proxy_scores["p0"]
             assert m.targets[i] == r.score
 
@@ -211,9 +221,8 @@ class TestDesignMatrix:
         records[0].proxy_scores["p0"] = None
         schema = build_schema(("proxy",), ["p0"])
         m = build_design_matrix(records, schema)
-        assert m.missing_mask[0, 0]
-        assert not m.missing_mask[1, 0]
         assert np.isnan(m.rows[0, 0])
+        assert not np.isnan(m.rows[1, 0])
 
     def test_unresolvable_dataset_raises(self):
         records, blocks, table = synthetic_setup(2, seed=3)
@@ -236,7 +245,7 @@ class TestDesignMatrix:
         m1 = build_design_matrix(records, schema, blocks, table)
         m2 = build_design_matrix(records, schema, blocks, table)
         np.testing.assert_array_equal(m1.rows, m2.rows)
-        np.testing.assert_array_equal(m1.missing_mask, m2.missing_mask)
+        np.testing.assert_array_equal(np.isnan(m1.rows), np.isnan(m2.rows))
 
     def test_language_pairs_follow_rows(self):
         records, blocks, table = synthetic_setup(6, seed=7)
@@ -261,3 +270,86 @@ class TestDesignMatrix:
         nan_safe = lambda a: np.where(np.isnan(a), -1e308, a)
         np.testing.assert_array_equal(nan_safe(mp.rows), nan_safe(m.rows[perm]))
         assert mp.row_ids == [m.row_ids[i] for i in perm]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def design_inputs(draw):
+    """Records whose proxy scores and embedding cosines may be absent, with their feature sources and a schema."""
+    proxy_ids = ["p0", "p1", "p2"]
+    records, blocks = [], {}
+    for i in range(draw(st.integers(0, 10))):
+        present = draw(st.sets(st.sampled_from(proxy_ids)))  # a proxy id left out is absent too
+        pair = (f"tr{i}", f"te{i}")
+        embedding = draw(st.none() | st.floats(-1.0, 1.0))
+        blocks[pair] = make_feature_block(np.random.default_rng(i), embedding=embedding)
+        records.append(rec(f"r{i}", train_dataset=pair[0], test_dataset=pair[1], tgt_lang=draw(st.sampled_from(LANGS[:3])),
+                           proxy_scores={p: draw(st.none() | FINITE) for p in sorted(present)}))
+    groups = draw(st.lists(st.sampled_from(FEATURE_GROUPS), min_size=1, max_size=3, unique=True))
+    return records, build_schema(groups, proxy_ids), blocks, make_language_table(LANGS[:3])
+
+
+def absent_cells(records, schema, blocks):
+    """Where a record has no value for a column: a missing proxy score or embedding cosine."""
+    def absent(r, column):
+        if column.startswith(PROXY_PREFIX):
+            return r.proxy_scores.get(column[len(PROXY_PREFIX):]) is None
+        if column in DATASET_FEATURE_COLUMNS:
+            return getattr(blocks[(r.train_dataset, r.test_dataset)], column) is None
+        return False  # language distances are never missing
+    return np.array([[absent(r, c) for c in schema.columns] for r in records], dtype=bool).reshape(-1, len(schema.columns))
+
+
+class TestDesignMatrixProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(design_inputs(), st.data())
+    def test_nan_marks_exactly_the_absent_values(self, inputs, data):
+        records, schema, blocks, table = inputs
+        m = build_design_matrix(records, schema, blocks, table)
+        expected = absent_cells(records, schema, blocks)
+        np.testing.assert_array_equal(np.isnan(m.rows), expected)
+        idx = data.draw(st.lists(st.integers(0, len(records) - 1)) if records else st.just([]))
+        sub = m.subset(idx)
+        np.testing.assert_array_equal(np.isnan(sub.rows), expected[idx])
+        assert not np.shares_memory(sub.rows, m.rows)
+        assert not np.shares_memory(sub.targets, m.targets)
+
+
+@st.composite
+def record_lists(draw):
+    """Records with arbitrary text fields, each with a score inside its metric's range."""
+    text = st.text(max_size=6)
+    proxy_ids = draw(st.lists(st.text(min_size=1, max_size=4), max_size=3, unique=True))
+    records = []
+    for record_id in draw(st.lists(text, max_size=6, unique=True)):
+        metric = draw(st.sampled_from(["spbleu", "accuracy", "synthetic"]))
+        score = {"spbleu": st.floats(0.0, 100.0), "accuracy": st.floats(0.0, 1.0), "synthetic": FINITE}[metric]
+        present = draw(st.sets(st.sampled_from(proxy_ids))) if proxy_ids else set()
+        records.append(PerformanceRecord(
+            record_id=record_id, task=draw(st.sampled_from(TASKS)), estimated_model=draw(text),
+            train_dataset=draw(text), test_dataset=draw(text), src_lang=draw(text), tgt_lang=draw(text),
+            metric_name=metric, score=draw(score), proxy_scores={p: draw(st.none() | FINITE) for p in sorted(present)},
+            seen_by_estimated_model=draw(st.booleans()), corpus_group=draw(st.sampled_from(CORPUS_GROUPS)),
+            joshi_class=draw(st.none() | st.integers(0, 5)),
+        ))
+    return records
+
+
+class TestLoadSaveProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(record_lists())
+    @example([rec("r0", proxy_scores={"p0 ": 1.0})])
+    def test_csv_round_trip(self, records):
+        roster = proxy_roster(records)
+        if any(p != p.strip() for p in roster):
+            with pytest.raises(ValueError, match="surrounding whitespace"):
+                save_records(records, os.devnull)
+            return
+        # the CSV has one column per roster id, so a proxy a record lacks loads as None
+        expected = [replace(r, proxy_scores={p: r.proxy_scores.get(p) for p in roster}) for r in records]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "records.csv")
+            save_records(records, path)
+            assert load_records(path) == expected
