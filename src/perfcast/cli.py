@@ -22,10 +22,11 @@ import hashlib
 import json
 import os
 import sys
-from typing import Any, Sequence
+from typing import Any, Sequence, get_args
 
 from . import __version__
 from .corpus import (
+    TokenizeMode,
     dataset_features,
     load_embeddings,
     load_feature_csv,
@@ -347,6 +348,8 @@ def _compute_feature_blocks(run: _Run, cfg: dict) -> list[tuple[str, str, object
     for label, entry in _entries(cfg, "corpora"):
         dataset_id = _text(entry, "dataset_id", label)
         mode = entry.get("mode", "unicode_words")
+        if mode not in get_args(TokenizeMode):
+            raise ConfigError(f"{label}: unknown tokenize mode {mode!r}")
         if "path" in entry:
             sentences = read_corpus(run.track(run.resolve(entry["path"])), mode)
         else:
@@ -413,8 +416,23 @@ def _cmd_predict(run: _Run, cfg: dict) -> None:
     _write_csv(os.path.join(run.out_dir, "predictions.csv"), ("record_id", "true", "pred"), rows)
 
 
+def _report_format(cfg: dict) -> str:
+    """The configured report format, checked before any experiment runs."""
+    fmt = cfg.get("report_format", "markdown")
+    if fmt not in ("markdown", "csv"):
+        raise ConfigError(f"'report_format' must be 'markdown' or 'csv', not {fmt!r}")
+    return fmt
+
+
 def _cmd_experiment(run: _Run, cfg: dict, seed_override: int | None, preset_override: str | None) -> None:
     config = _materialize_experiment(run, cfg, seed_override, preset_override)
+    label = cfg.get("label", f"{cfg.get('regressor', 'gbt')}:{config.split.kind}")
+    if not isinstance(label, str):
+        raise ConfigError(f"'label' must be a string, not {label!r}")
+    lowess_frac = cfg.get("lowess_frac", 0.5)
+    if isinstance(lowess_frac, bool) or not isinstance(lowess_frac, (int, float)) or not 0 < lowess_frac <= 1:
+        raise ConfigError(f"'lowess_frac' must be a number in (0, 1], not {lowess_frac!r}")
+    fmt = _report_format(cfg)
     families = _load_families(run, cfg)
     result = run_experiment(config)
     _write_json(os.path.join(run.out_dir, "results.json"), _result_json(result))
@@ -422,13 +440,12 @@ def _cmd_experiment(run: _Run, cfg: dict, seed_override: int | None, preset_over
     _write_csv(os.path.join(run.out_dir, "predictions.csv"), ("record_id", "true", "pred"), rows)
     all_records = config.records + (config.test_records or [])
     scatter = _scatter_for(all_records, result, families)
-    label = cfg.get("label", f"{cfg.get('regressor', 'gbt')}:{config.split.kind}")
     emit_report(
         [(label, result)],
         run.out_dir,
         scatter=scatter,
-        fmt=cfg.get("report_format", "markdown"),
-        lowess_frac=float(cfg.get("lowess_frac", 0.5)),
+        fmt=fmt,
+        lowess_frac=float(lowess_frac),
     )
 
 
@@ -440,13 +457,14 @@ def _cmd_ablate(run: _Run, cfg: dict, seed_override: int | None, preset_override
         and all(isinstance(s, list) and all(isinstance(g, str) for g in s) for s in group_sets)
     ):
         raise ConfigError(f"'group_sets' must be a list of lists of feature groups, not {group_sets!r}")
+    fmt = _report_format(cfg)
     results = run_ablation(config, group_sets)
     payload = {"+".join(subset): _result_json(res) for subset, res in results.items()}
     _write_json(os.path.join(run.out_dir, "results.json"), payload)
     emit_report(
         [("+".join(subset), res) for subset, res in results.items()],
         run.out_dir,
-        fmt=cfg.get("report_format", "markdown"),
+        fmt=fmt,
     )
 
 

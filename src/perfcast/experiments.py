@@ -185,16 +185,17 @@ def kfold_cv(
     if not grid:
         raise ValueError("empty hyperparameter grid")
     folds = kfold_indices(n, k, seed)
+    splits = [
+        (matrix.subset(np.concatenate([folds[j] for j in range(k) if j != i])), matrix.subset(folds[i]))
+        for i in range(k)
+    ]
 
     scores: list[float] = []
     for params in grid:
-        fold_rmse = []
-        for i in range(k):
-            train_idx = np.concatenate([folds[j] for j in range(k) if j != i])
-            val_idx = folds[i]
-            model = fit_model(with_seed(params, seed), matrix.subset(train_idx))
-            pred = predict_model(model, matrix.subset(val_idx))
-            fold_rmse.append(rmse(pred, matrix.targets[val_idx]))
+        fold_rmse = [
+            rmse(predict_model(fit_model(with_seed(params, seed), train), val), val.targets)
+            for train, val in splits
+        ]
         scores.append(float(np.mean(fold_rmse)))
 
     best = min(range(len(grid)), key=lambda i: (scores[i], i))

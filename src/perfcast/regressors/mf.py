@@ -91,35 +91,41 @@ def mf_fit(
     c_dim = C.shape[1]
 
     rng = np.random.default_rng(params.seed)
-    w = {s: rng.uniform(-0.01, 0.01, size=k) for s in src_set}
-    h = {t: rng.uniform(-0.01, 0.01, size=k) for t in tgt_set}
-    b_s = {s: 0.0 for s in src_set}
-    b_t = {t: 0.0 for t in tgt_set}
+    # row a of W is the factor of src_set[a]; the stream is drawn as one per language would be
+    W = rng.uniform(-0.01, 0.01, size=(len(src_set), k))
+    H = rng.uniform(-0.01, 0.01, size=(len(tgt_set), k))
+    b_s = [0.0] * len(src_set)
+    b_t = [0.0] * len(tgt_set)
     theta = np.zeros(c_dim, dtype=np.float64)
     mu = float(np.mean(y))
+    src_index = {s: a for a, s in enumerate(src_set)}
+    tgt_index = {t: b for b, t in enumerate(tgt_set)}
+    src_of = [src_index[s] for s in sources]
+    tgt_of = [tgt_index[t] for t in targets]
+    y_of = y.tolist()
 
     for epoch in range(params.iterations):
         lr = params.alpha / (1.0 + params.lr_decay * epoch)
-        for i in rng.permutation(n):
-            s, t = sources[i], targets[i]
-            ws, ht = w[s], h[t]
+        for i in rng.permutation(n).tolist():
+            a, b = src_of[i], tgt_of[i]
+            ws, ht = W[a], H[b]
             ci = C[i]
-            err = mu + b_s[s] + b_t[t] + float(ws @ ht) + float(theta @ ci) - y[i]
+            err = mu + b_s[a] + b_t[b] + float(ws @ ht) + float(theta @ ci) - y_of[i]
             ws_old = ws.copy()
             ws -= lr * (err * ht + params.beta_w * ws)
             ht -= lr * (err * ws_old + params.beta_h * ht)
-            b_s[s] -= lr * (err + params.beta_s * b_s[s])
-            b_t[t] -= lr * (err + params.beta_t * b_t[t])
+            b_s[a] -= lr * (err + params.beta_s * b_s[a])
+            b_t[b] -= lr * (err + params.beta_t * b_t[b])
             if c_dim:
                 theta -= lr * (err * ci + params.beta_z * theta)
 
     return MfModel(
         params=params,
         mu=mu,
-        w=w,
-        h=h,
-        b_s=b_s,
-        b_t=b_t,
+        w=dict(zip(src_set, W)),
+        h=dict(zip(tgt_set, H)),
+        b_s=dict(zip(src_set, b_s)),
+        b_t=dict(zip(tgt_set, b_t)),
         theta=theta,
         impute=impute,
         mean=mean,

@@ -10,6 +10,17 @@ lexicographic order of nondecreasing index tuples. The objective is
 
 minimized coordinate by coordinate until the largest coefficient change in a
 sweep drops below tolerance.
+
+A sweep visits the m terms in order with covariance updates (glmnet;
+Friedman, Hastie & Tibshirani, JSS 2010, section 2.2). It starts from
+c = P^T r / n, each term's covariance with the residual r, and keeps c
+current with the Gram matrix G = P^T P / n, formed once per fit: a
+coefficient that moves by delta subtracts delta * G[j] from c, so a visit
+makes no pass over the rows, and a zero coefficient whose |c[j]| is within
+the l1 penalty cannot move and is skipped. G holds m^2 floats, 14 MB for
+the 1329 terms of degree 3 on 18 columns (poly3_default). After the
+coordinates, the intercept takes the residual's mean and the residual is
+recomputed from scratch, so float drift cannot accumulate.
 """
 
 from __future__ import annotations
@@ -121,10 +132,14 @@ def poly_fit(matrix: DesignMatrix, params: PolyParams) -> PolyModel:
     n, m = P.shape
 
     col_sq = (P * P).sum(axis=0) / n
+    gram = P.T @ P / n  # symmetric, so row j is column j
     l1 = params.alpha * params.l1_ratio
     l2 = params.alpha * (1.0 - params.l1_ratio)
+    # a constant term (col_sq 0) never moves
+    coords = [(j, float(col_sq[j]), gram[j]) for j in range(m) if col_sq[j] != 0.0]
 
     beta = np.zeros(m, dtype=np.float64)
+    beta_at = beta.data  # plain-float reads and writes of beta's cells
     intercept = float(np.mean(y))
     r = y - intercept  # residual y - P beta - intercept
     history: list[float] = []
@@ -132,23 +147,30 @@ def poly_fit(matrix: DesignMatrix, params: PolyParams) -> PolyModel:
     sweeps = 0
     for sweeps in range(1, params.max_iterations + 1):
         max_delta = 0.0
-        for j in range(m):
-            if col_sq[j] == 0.0:
-                continue
-            old = beta[j]
-            rho = (P[:, j] @ r) / n + col_sq[j] * old
-            new = float(np.sign(rho) * max(abs(rho) - l1, 0.0)) / (col_sq[j] + l2)
+        c = P.T @ r / n  # c[j] = P[:, j] . r / n, kept current as coordinates move
+        c_at = c.data
+        for j, sq, gram_row in coords:
+            old = beta_at[j]
+            cj = c_at[j]
+            if old == 0.0 and -l1 <= cj <= l1:
+                continue  # the soft-threshold keeps it at zero
+            rho = cj + sq * old
+            if rho > l1:
+                new = (rho - l1) / (sq + l2)
+            elif rho < -l1:
+                new = (rho + l1) / (sq + l2)
+            else:
+                new = 0.0
             if new != old:
-                r -= (new - old) * P[:, j]
-                beta[j] = new
+                c -= (new - old) * gram_row
+                beta_at[j] = new
                 max_delta = max(max_delta, abs(new - old))
-        shift = float(np.mean(r))
+        unshifted = y - P @ beta  # the residual before the intercept
+        shift = float(np.mean(unshifted - intercept))
         if shift != 0.0:
             intercept += shift
-            r -= shift
             max_delta = max(max_delta, abs(shift))
-        # recompute the residual each sweep so float drift cannot accumulate
-        r = y - P @ beta - intercept
+        r = unshifted - intercept
         history.append(_objective(r, beta, params))
         if max_delta < params.tolerance:
             converged = True

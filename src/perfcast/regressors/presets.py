@@ -8,6 +8,7 @@ poly_default and mf_default cover the remaining regressors.
 
 from __future__ import annotations
 
+from ..errors import ConfigError
 from .gbt import GbtParams
 from .mf import MfParams
 from .poly import PolyParams
@@ -63,4 +64,4 @@ def get_preset(name: str) -> GbtParams | PolyParams | MfParams:
     try:
         return PRESETS[name]
     except (KeyError, TypeError):  # TypeError: a name that is not hashable
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}") from None
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}") from None

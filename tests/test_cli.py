@@ -110,7 +110,10 @@ class TestConfigShape:
          "'corpora' entry 1 is missing 'dataset_id'"),
         ({"pairs": [{"train": "a", "test": "b"}, {"train": "a"}]}, "'pairs' entry 1 is missing 'test'"),
         ({"corpora": [{"dataset_id": "a", "path": 5}]}, "expected a file path, got 5"),
-    ], ids=["corpus_string", "pair_list", "corpus_without_id", "pair_without_test", "path_number"])
+        ({"corpora": [{"dataset_id": "a", "path": "a.txt"}, {"dataset_id": "b", "path": "a.txt", "mode": 5}]},
+         "'corpora' entry 1: unknown tokenize mode 5"),
+    ], ids=["corpus_string", "pair_list", "corpus_without_id", "pair_without_test", "path_number",
+            "mode_number"])
     def test_features(self, tmp_path, capsys, extra, match):
         (tmp_path / "a.txt").write_text("hello world\n")
         cfg = write_json(tmp_path / "f.json", {**FEATURE_SOURCES, **extra})
@@ -125,7 +128,7 @@ class TestConfigShape:
         ({"proxies": 5}, "ConfigError", "'proxies' must be a list of strings"),
         ({"regressor": ["gbt"]}, "ConfigError", "unknown regressor kind"),
         ({"grid": 5}, "ConfigError", "'grid' must be a list"),
-        ({"params": None, "preset": ["lgbm_default"]}, "KeyError", "unknown preset"),
+        ({"params": None, "preset": ["lgbm_default"]}, "ConfigError", "unknown preset ['lgbm_default']"),
     ], ids=["records_number", "records_list_number", "groups_number", "proxies_number", "regressor_list",
             "grid_number", "preset_list"])
     def test_train(self, tmp_path, capsys, extra, error, match):
@@ -134,6 +137,31 @@ class TestConfigShape:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], match in err["message"]) == (error, True), err
+
+    @pytest.mark.parametrize("extra, match", [
+        ({"lowess_frac": "x"}, "'lowess_frac' must be a number in (0, 1], not 'x'"),
+        ({"lowess_frac": 2}, "'lowess_frac' must be a number in (0, 1], not 2"),
+        ({"label": 5}, "'label' must be a string, not 5"),
+        ({"report_format": "pdf"}, "'report_format' must be 'markdown' or 'csv', not 'pdf'"),
+    ], ids=["lowess_frac_string", "lowess_frac_range", "label_number", "report_format_unknown"])
+    def test_experiment(self, tmp_path, capsys, extra, match):
+        cfg = write_experiment_fixture(tmp_path, config_extra=extra)
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], match in err["message"]) == ("ConfigError", True), err
+        assert not (tmp_path / "out" / "results.json").exists()  # rejected before the experiment ran
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_unknown_preset_message_is_plain(self, tmp_path, capsys, where):
+        obj = {**json.loads(open(write_experiment_fixture(tmp_path)).read()), "params": None}
+        if where == "config":
+            obj["preset"] = "nope"
+        cfg = write_json(tmp_path / "train.json", {k: v for k, v in obj.items() if v is not None})
+        flag = ["--preset", "nope"] if where == "flag" else []
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out"), *flag]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("unknown preset 'nope'; available: "), err
 
 
 class TestLanguageFamilies:

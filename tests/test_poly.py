@@ -2,14 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfcast.errors import EmptyTrainingSet, SchemaMismatch
 from perfcast.records import build_schema
 from perfcast.regressors import PolyParams, load_model, poly_fit, poly_predict, save_model
-from perfcast.regressors.poly import PolyModel, expansion_terms
+from perfcast.regressors.poly import PolyModel, _expand, expansion_terms, impute_and_standardize
 
 from conftest import rejects_model_file
-from oracles import oracle_ols
+from oracles import oracle_ols, oracle_poly_cd
 from test_gbt import matrix_from
 
 
@@ -89,6 +91,43 @@ class TestFit:
             PolyParams(degree=0)
         with pytest.raises(ValueError):
             PolyParams(degree=4)
+
+
+@st.composite
+def elastic_net_problems(draw):
+    """A design matrix and params; some columns constant or with NaN cells, some caps small."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(3, 30)), draw(st.integers(1, 4))
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+    constant = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    X[:, constant] = rng.integers(-3, 4, size=int(constant.sum()))  # an exact mean, so col_sq is 0
+    y = X @ rng.normal(size=d) + rng.normal(scale=draw(st.sampled_from([0.01, 1.0])), size=n)
+    mask = rng.uniform(size=X.shape) < draw(st.sampled_from([0.0, 0.2, 0.5]))
+    params = PolyParams(
+        degree=draw(st.integers(1, 3)),
+        alpha=draw(st.sampled_from([0.0, 0.01, 0.1, 1.0])),
+        l1_ratio=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+        max_iterations=draw(st.sampled_from([1, 2, 5, 300])),
+    )
+    return matrix_from(X, y, mask), params
+
+
+class TestCoordinateDescentOracle:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(elastic_net_problems())
+    def test_matches_per_column_residual_descent(self, problem):
+        matrix, params = problem
+        model = poly_fit(matrix, params)
+        Xs, _, mean, std = impute_and_standardize(matrix.rows)
+        P = _expand((Xs - mean) / std, expansion_terms(Xs.shape[1], params.degree))
+        intercept, coef, converged, sweeps, history = oracle_poly_cd(P, matrix.targets, params)
+        assert (model.n_sweeps, model.converged) == (sweeps, converged)
+        np.testing.assert_array_equal(np.flatnonzero(model.coef), np.flatnonzero(coef))
+        scale = float(np.abs(coef).max(initial=0.0))
+        np.testing.assert_allclose(model.coef, coef, rtol=1e-9, atol=1e-9 * scale)
+        assert model.intercept == pytest.approx(intercept, rel=1e-9)
+        # an objective at the rounding floor is compared against the first sweep's
+        np.testing.assert_allclose(model.objective_history, history, rtol=1e-9, atol=1e-12 * history[0])
 
 
 class TestPredict:
