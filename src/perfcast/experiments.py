@@ -37,6 +37,7 @@ from .records import (
 from .regressors import (
     AnyParams,
     GbtModel,
+    check_languages,
     fit_model,
     params_kind,
     predict_model,
@@ -299,6 +300,30 @@ def _split_units(config: ExperimentConfig, records, seed: int):
     return [(None, train, test)]
 
 
+def _language_pairs(records) -> list[tuple[str, str]]:
+    return [(rec.src_lang, rec.tgt_lang) for rec in records]
+
+
+def _check_plan_languages(config: ExperimentConfig, plan) -> None:
+    """Refuse, before any fit, a test side or CV fold the regressor could not predict from its training side."""
+    for r, (seed_r, units) in enumerate(plan):
+        for label, train_recs, test_recs in units:
+            unit = f"repeat {r}" if label is None else f"repeat {r}, LOLO unit {label!r}"
+            train_pairs = _language_pairs(train_recs)
+            check_languages(config.grid[0], train_pairs, _language_pairs(test_recs), f"the test side of {unit}")
+            if len(config.grid) == 1:
+                continue
+            folds = kfold_indices(len(train_pairs), config.cv_folds, seed_r)
+            for i, fold in enumerate(folds):
+                held = set(fold.tolist())
+                check_languages(
+                    config.grid[0],
+                    [pair for j, pair in enumerate(train_pairs) if j not in held],
+                    [train_pairs[j] for j in fold.tolist()],
+                    f"CV fold {i} of {unit}",
+                )
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Repeat the full select-fit-evaluate protocol and aggregate test RMSE.
 
@@ -306,6 +331,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     k-fold CV on the training side (skipped when the grid has one candidate),
     refit on the full training side, and score the test side. LOLO pools the
     predictions of all per-language splits before computing the repeat RMSE.
+    Every repeat's split units and CV folds are drawn, and checked for
+    languages the regressor could not predict, before the first fit.
     """
     config.validate()
     records = _filtered_records(config)
@@ -321,9 +348,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     final_gains: dict[str, float] = {}
     final_cv: dict = {}
 
-    for r in range(config.repeats):
-        seed_r = config.seed + r
-        units = _split_units(config, records, seed_r)
+    plan = [(config.seed + r, _split_units(config, records, config.seed + r)) for r in range(config.repeats)]
+    _check_plan_languages(config, plan)
+
+    for r, (seed_r, units) in enumerate(plan):
         all_pred: list[np.ndarray] = []
         all_true: list[np.ndarray] = []
         all_ids: list[str] = []

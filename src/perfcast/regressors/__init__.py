@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ..errors import UnknownLanguage
 from ..records import DesignMatrix
 from .gbt import GbtModel, GbtParams, gbt_fit, gbt_importance, gbt_predict
 from .mf import MfModel, MfParams, mf_fit, mf_predict, mf_predict_one
@@ -44,6 +45,28 @@ def _language_pairs(matrix: DesignMatrix) -> tuple[list[str], list[str]]:
     return [s for s, _ in matrix.languages], [t for _, t in matrix.languages]
 
 
+def check_languages(
+    params: AnyParams,
+    train_pairs: list[tuple[str, str]],
+    eval_pairs: list[tuple[str, str]],
+    where: str,
+) -> None:
+    """Refuse a fit on train_pairs that could not predict eval_pairs.
+
+    Only MF keeps per-language parameters: it has no factor or bias for a
+    source or target language its training side lacks. Other kinds pass.
+    """
+    if not isinstance(params, MfParams):
+        return
+    for side, pos in (("source", 0), ("target", 1)):
+        unseen = sorted({pair[pos] for pair in eval_pairs} - {pair[pos] for pair in train_pairs})
+        if unseen:
+            raise UnknownLanguage(
+                f"{side} language {unseen[0]!r} in {where} is not a {side} language of its"
+                " training side; matrix factorization cannot predict it"
+            )
+
+
 # The solvers are looked up in this module's namespace at call time, so a
 # caller that rebinds e.g. `perfcast.regressors.gbt_fit` sees every fit.
 def fit_model(params: AnyParams, matrix: DesignMatrix) -> AnyModel:
@@ -68,5 +91,5 @@ __all__ = [
     "MfModel", "MfParams", "mf_fit", "mf_predict", "mf_predict_one",
     "PolyModel", "PolyParams", "poly_fit", "poly_predict",
     "PRESETS", "get_preset", "load_model", "save_model", "model_to_dict", "model_from_dict",
-    "KINDS", "fit_model", "predict_model", "params_kind", "with_seed",
+    "KINDS", "check_languages", "fit_model", "predict_model", "params_kind", "with_seed",
 ]

@@ -11,6 +11,17 @@ each parameter block regularized by its own beta. Requires genuinely
 two-dimensional records: at least two distinct sources and two distinct
 targets; English-centric data (one language pinned on a side) is rejected.
 
+The SGD loop runs on Python floats, not numpy: an update touches vectors of
+latent_dim and context length (8 and about 18), where each numpy call would
+cost more than its arithmetic. Every component is updated as
+`p - lr * (err * g + beta * p)` from the pre-update values, and the two dot
+products in `err` sum from 0.0 in index order. That order does not depend
+on the BLAS build, unlike numpy's `@`, so a fit gives the same floats whatever
+BLAS numpy links; against a loop that takes the dots with `@` (kept as
+tests/oracles.oracle_mf_sgd) they differ by rounding only. Factors and
+theta become float64 arrays at the end, so the model and its file format
+are unchanged.
+
 Context features reuse the same mean-imputation and standardization as the
 polynomial regressor, with statistics from the training split.
 """
@@ -92,33 +103,46 @@ def mf_fit(
 
     rng = np.random.default_rng(params.seed)
     # row a of W is the factor of src_set[a]; the stream is drawn as one per language would be
-    W = rng.uniform(-0.01, 0.01, size=(len(src_set), k))
-    H = rng.uniform(-0.01, 0.01, size=(len(tgt_set), k))
+    W = rng.uniform(-0.01, 0.01, size=(len(src_set), k)).tolist()
+    H = rng.uniform(-0.01, 0.01, size=(len(tgt_set), k)).tolist()
     b_s = [0.0] * len(src_set)
     b_t = [0.0] * len(tgt_set)
-    theta = np.zeros(c_dim, dtype=np.float64)
+    theta = [0.0] * c_dim
     mu = float(np.mean(y))
     src_index = {s: a for a, s in enumerate(src_set)}
     tgt_index = {t: b for b, t in enumerate(tgt_set)}
     src_of = [src_index[s] for s in sources]
     tgt_of = [tgt_index[t] for t in targets]
     y_of = y.tolist()
+    C_of = C.tolist()
+    beta_w, beta_h, beta_z = params.beta_w, params.beta_h, params.beta_z
+    beta_s, beta_t = params.beta_s, params.beta_t
+    factor_range, context_range = range(k), range(c_dim)
 
     for epoch in range(params.iterations):
         lr = params.alpha / (1.0 + params.lr_decay * epoch)
         for i in rng.permutation(n).tolist():
             a, b = src_of[i], tgt_of[i]
-            ws, ht = W[a], H[b]
-            ci = C[i]
-            err = mu + b_s[a] + b_t[b] + float(ws @ ht) + float(theta @ ci) - y_of[i]
-            ws_old = ws.copy()
-            ws -= lr * (err * ht + params.beta_w * ws)
-            ht -= lr * (err * ws_old + params.beta_h * ht)
-            b_s[a] -= lr * (err + params.beta_s * b_s[a])
-            b_t[b] -= lr * (err + params.beta_t * b_t[b])
-            if c_dim:
-                theta -= lr * (err * ci + params.beta_z * theta)
+            ws, ht, ci = W[a], H[b], C_of[i]
+            wh = 0.0
+            for f in factor_range:
+                wh += ws[f] * ht[f]
+            tc = 0.0
+            for j in context_range:
+                tc += theta[j] * ci[j]
+            err = mu + b_s[a] + b_t[b] + wh + tc - y_of[i]
+            for f in factor_range:
+                w_old, h_old = ws[f], ht[f]
+                ws[f] = w_old - lr * (err * h_old + beta_w * w_old)
+                ht[f] = h_old - lr * (err * w_old + beta_h * h_old)
+            b_s[a] -= lr * (err + beta_s * b_s[a])
+            b_t[b] -= lr * (err + beta_t * b_t[b])
+            for j in context_range:
+                t_old = theta[j]
+                theta[j] = t_old - lr * (err * ci[j] + beta_z * t_old)
 
+    W = np.array(W, dtype=np.float64)
+    H = np.array(H, dtype=np.float64)
     return MfModel(
         params=params,
         mu=mu,
@@ -126,7 +150,7 @@ def mf_fit(
         h=dict(zip(tgt_set, H)),
         b_s=dict(zip(src_set, b_s)),
         b_t=dict(zip(tgt_set, b_t)),
-        theta=theta,
+        theta=np.array(theta, dtype=np.float64),
         impute=impute,
         mean=mean,
         std=std,

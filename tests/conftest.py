@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from perfcast.corpus import DatasetFeatureBlock
 from perfcast.errors import ParseError
 from perfcast.langdist import DISTANCE_KINDS, LanguageDistanceTable
 from perfcast.records import PerformanceRecord
-from perfcast.regressors import load_model
+from perfcast.regressors import load_model, save_model
 
 LANGS = ("aar", "bel", "ces", "dan", "ewe", "fij", "gla", "hau")
 
@@ -100,6 +101,17 @@ def synthetic_setup(
             )
         )
     return records, blocks, table
+
+
+def assert_round_trip(model, predict) -> None:
+    """save -> load -> predict is bit-identical, and save -> load -> save is byte-identical."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+        save_model(model, str(first))
+        loaded = load_model(str(first))
+        assert predict(loaded).tobytes() == predict(model).tobytes()
+        save_model(loaded, str(second))
+        assert second.read_bytes() == first.read_bytes()
 
 
 def rejects_model_file(path: Path, obj, match: str) -> None:

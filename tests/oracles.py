@@ -295,3 +295,39 @@ def oracle_lowess(x: np.ndarray, y: np.ndarray, frac: float) -> np.ndarray:
         coef = np.polyfit(x[order], y[order], 1, w=np.sqrt(w))
         out[i] = coef[0] * x[i] + coef[1]
     return out
+
+
+def oracle_mf_sgd(C: np.ndarray, y: np.ndarray, src_of, tgt_of, n_src: int, n_tgt: int, params):
+    """MF's seeded SGD with one numpy update per parameter block per record.
+
+    C is the standardized context block and src_of/tgt_of index each record's
+    languages in sorted order, as mf_fit builds them. The dot products go
+    through numpy's `@`. Returns (W, H, b_s, b_t, theta, mu).
+    """
+    n = len(y)
+    k = params.latent_dim
+    c_dim = C.shape[1]
+    rng = np.random.default_rng(params.seed)
+    W = rng.uniform(-0.01, 0.01, size=(n_src, k))
+    H = rng.uniform(-0.01, 0.01, size=(n_tgt, k))
+    b_s = [0.0] * n_src
+    b_t = [0.0] * n_tgt
+    theta = np.zeros(c_dim, dtype=np.float64)
+    mu = float(np.mean(y))
+    y_of = y.tolist()
+
+    for epoch in range(params.iterations):
+        lr = params.alpha / (1.0 + params.lr_decay * epoch)
+        for i in rng.permutation(n).tolist():
+            a, b = src_of[i], tgt_of[i]
+            ws, ht = W[a], H[b]
+            ci = C[i]
+            err = mu + b_s[a] + b_t[b] + float(ws @ ht) + float(theta @ ci) - y_of[i]
+            ws_old = ws.copy()
+            ws -= lr * (err * ht + params.beta_w * ws)
+            ht -= lr * (err * ws_old + params.beta_h * ht)
+            b_s[a] -= lr * (err + params.beta_s * b_s[a])
+            b_t[b] -= lr * (err + params.beta_t * b_t[b])
+            if c_dim:
+                theta -= lr * (err * ci + params.beta_z * theta)
+    return W, H, np.array(b_s), np.array(b_t), theta, mu

@@ -8,6 +8,7 @@ from perfcast.errors import (
     SchemaMismatch,
     TooFewLanguages,
     TooFewRecords,
+    UnknownLanguage,
 )
 from perfcast.experiments import (
     DEFAULT_ABLATION_SETS,
@@ -23,6 +24,7 @@ from perfcast.experiments import (
     split_random,
     split_unseen,
 )
+import perfcast.experiments
 from perfcast.records import PerformanceRecord
 from perfcast.regressors import GbtParams, MfParams, PolyParams
 
@@ -240,6 +242,24 @@ class TestMetrics:
             iqm([])
 
 
+def many_to_many_records(langs, per_pair, seed):
+    """per_pair records for every ordered pair of distinct languages, with one proxy score."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for src in langs:
+        for tgt in langs:
+            if src == tgt:
+                continue
+            for _ in range(per_pair):
+                records.append(PerformanceRecord(
+                    record_id=f"m{len(records)}", task="mt", estimated_model="m", train_dataset="tr",
+                    test_dataset="te", src_lang=src, tgt_lang=tgt, metric_name="synthetic",
+                    score=float(10 + rng.normal()), proxy_scores={"p0": float(rng.uniform())},
+                    corpus_group="many_to_many",
+                ))
+    return records
+
+
 def poly_config(records, split, grid=None, **kw):
     return ExperimentConfig(
         records=records,
@@ -329,22 +349,7 @@ class TestRunExperiment:
         assert result.mean_rmse < 1e-6
 
     def test_mf_many_to_many(self):
-        rng = np.random.default_rng(9)
-        records = []
-        langs = ("aar", "bel", "ces", "dan")
-        i = 0
-        for src in langs:
-            for tgt in langs:
-                if src == tgt:
-                    continue
-                for _ in range(3):
-                    records.append(PerformanceRecord(
-                        record_id=f"m{i}", task="mt", estimated_model="m", train_dataset="tr",
-                        test_dataset="te", src_lang=src, tgt_lang=tgt, metric_name="synthetic",
-                        score=float(10 + rng.normal()), proxy_scores={"p0": float(rng.uniform())},
-                        corpus_group="many_to_many",
-                    ))
-                    i += 1
+        records = many_to_many_records(("aar", "bel", "ces", "dan"), per_pair=3, seed=9)
         grid = [MfParams(latent_dim=2, alpha=0.02, beta_w=0.01, beta_h=0.01, beta_z=0.01,
                          beta_s=0.01, beta_t=0.01, iterations=200)]
         config = ExperimentConfig(records=records, grid=grid,
@@ -352,6 +357,36 @@ class TestRunExperiment:
                                   feature_groups=("proxy",), repeats=1, seed=3)
         result = run_experiment(config)
         assert result.mean_rmse < 5.0
+
+    @staticmethod
+    def lone_source_config(grid, seed, monkeypatch, **kw):
+        """Records in which one only has the source "dan": the split unit or CV fold scoring it trains without it."""
+        records = many_to_many_records(("aar", "bel", "ces", "dan"), per_pair=3, seed=0)
+        lone = next(r for r in records if r.src_lang == "dan")
+        records = [r for r in records if r.src_lang != "dan" or r is lone]
+        monkeypatch.setattr(perfcast.experiments, "fit_model", lambda *a: pytest.fail("a fit started"))
+        return ExperimentConfig(records=records, grid=grid, split=SplitSpec("random", ratio=0.7),
+                                feature_groups=("proxy",), seed=seed, **kw)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mf_unseen_language_in_cv_fold_refused_before_any_fit(self, seed, monkeypatch):
+        grid = [MfParams(latent_dim=1, iterations=2), MfParams(latent_dim=2, iterations=2)]
+        config = self.lone_source_config(grid, seed, monkeypatch, repeats=2, cv_folds=3)
+        with pytest.raises(UnknownLanguage, match=r"source language 'dan' in CV fold \d of repeat 0"):
+            run_experiment(config)
+
+    def test_mf_unseen_language_on_test_side_refused_before_any_fit(self, monkeypatch):
+        # with seed 2 the lone record first lands on the test side in the last repeat
+        config = self.lone_source_config([MfParams(iterations=2)], 2, monkeypatch, repeats=3)
+        with pytest.raises(UnknownLanguage, match="source language 'dan' in the test side of repeat 2"):
+            run_experiment(config)
+
+    def test_mf_under_lolo_refused_naming_the_unit(self):
+        records = many_to_many_records(("aar", "bel", "ces"), per_pair=2, seed=0)
+        config = ExperimentConfig(records=records, grid=[MfParams(iterations=2)], split=SplitSpec("lolo"),
+                                  feature_groups=("proxy",), repeats=1)
+        with pytest.raises(UnknownLanguage, match="language 'aar' in the test side of repeat 0, LOLO unit 'aar'"):
+            run_experiment(config)
 
     def test_unseen_split_protocol(self):
         records, _, _ = synthetic_setup(40, seed=10)

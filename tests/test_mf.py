@@ -1,10 +1,13 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfcast.errors import NotManyToMany, SchemaMismatch, UnknownLanguage
-from perfcast.records import DesignMatrix, build_schema
+from perfcast.records import DesignMatrix, FeatureSchema, build_schema
 from perfcast.regressors import (
     MfParams,
     fit_model,
@@ -16,8 +19,10 @@ from perfcast.regressors import (
     save_model,
 )
 from perfcast.regressors.mf import MfModel
+from perfcast.regressors.poly import impute_and_standardize
 
-from conftest import rejects_model_file
+from conftest import assert_round_trip, rejects_model_file
+from oracles import oracle_mf_sgd
 
 
 def context_matrix(y, n_context=1):
@@ -131,6 +136,66 @@ class TestFit:
         np.testing.assert_array_equal(p1, p2)
 
 
+LANGUAGE_CODES = ("aar", "bel", "ces", "ñan", "ελλ", "рус", "日本")
+
+
+@st.composite
+def mf_problems(draw):
+    """MF inputs: an unbalanced language grid, 0, 1 or 3 context columns with NaN cells, and SGD params.
+
+    The draws come from a numpy generator seeded by hypothesis, so that every
+    case has the weights below rather than hypothesis's bias to its simplest
+    values (one epoch, no context, all-zero betas).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(4, 41))
+    sides = []
+    for _ in ("source", "target"):
+        codes = rng.permutation(LANGUAGE_CODES)[: int(rng.integers(2, 6))].tolist()
+        picks = rng.choice(len(codes), n, p=rng.dirichlet(np.full(len(codes), 0.5)))
+        picks[:2] = [0, 1]  # at least two distinct languages per side
+        sides.append([codes[i] for i in picks])
+    c_dim = int(rng.choice([0, 1, 3]))
+    rows = rng.normal(size=(n, c_dim)) * rng.uniform(0.1, 10.0, size=c_dim)
+    rows[rng.uniform(size=rows.shape) < rng.choice([0.0, 0.3])] = np.nan
+    schema = FeatureSchema(columns=tuple(f"c{j}" for j in range(c_dim)), groups=("proxy",) * c_dim)
+    y = rng.normal(20.0, 5.0, size=n)
+    matrix = DesignMatrix(schema, rows, y, [f"r{i}" for i in range(n)], list(zip(*sides)))
+    betas = rng.choice([0.0, 0.01, 0.1], 5) * (rng.random() < 0.75)
+    params = MfParams(
+        latent_dim=int(rng.choice([0, 1, 8])),
+        alpha=float(rng.choice([0.001, 0.01, 0.05])),
+        **{name: float(b) for name, b in zip(("beta_w", "beta_h", "beta_z", "beta_s", "beta_t"), betas)},
+        lr_decay=float(rng.choice([0.0, 0.001, 0.1])),
+        iterations=int(rng.integers(1, 51)),
+        seed=int(rng.integers(2**16)),
+    )
+    return matrix, sides[0], sides[1], params
+
+
+class TestSgdOracle:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(mf_problems())
+    def test_matches_numpy_per_record_updates(self, problem):
+        matrix, sources, targets, params = problem
+        model = mf_fit(matrix, sources, targets, params)
+        Xs, _, mean, std = impute_and_standardize(matrix.rows)
+        src_set, tgt_set = sorted(set(sources)), sorted(set(targets))
+        W, H, b_s, b_t, theta, mu = oracle_mf_sgd(
+            (Xs - mean) / std, matrix.targets,
+            [src_set.index(s) for s in sources], [tgt_set.index(t) for t in targets],
+            len(src_set), len(tgt_set), params,
+        )
+        assert model.mu == mu
+        # only the two dot products round differently: plain loops here, numpy's `@` in the oracle
+        close = dict(rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(np.array([model.w[s] for s in src_set]), W, **close)
+        np.testing.assert_allclose(np.array([model.h[t] for t in tgt_set]), H, **close)
+        np.testing.assert_allclose([model.b_s[s] for s in src_set], b_s, **close)
+        np.testing.assert_allclose([model.b_t[t] for t in tgt_set], b_t, **close)
+        np.testing.assert_allclose(model.theta, theta, **close)
+
+
 class TestPredict:
     def _toy_model(self, mu=3.0, k=0, c_dim=1):
         schema = build_schema(("proxy",), [f"c{i}" for i in range(c_dim)])
@@ -202,6 +267,13 @@ class TestSerialization:
             mf_predict(loaded, m, sources, targets),
             mf_predict(model, m, sources, targets),
         )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(mf_problems())
+    def test_round_trip_property(self, problem):
+        matrix, sources, targets, params = problem
+        model = mf_fit(matrix, sources, targets, replace(params, iterations=min(params.iterations, 3)))
+        assert_round_trip(model, lambda m: mf_predict(m, matrix, sources, targets))
 
 
 class TestModelFileValidation:

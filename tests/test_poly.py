@@ -10,7 +10,7 @@ from perfcast.records import build_schema
 from perfcast.regressors import PolyParams, load_model, poly_fit, poly_predict, save_model
 from perfcast.regressors.poly import PolyModel, _expand, expansion_terms, impute_and_standardize
 
-from conftest import rejects_model_file
+from conftest import assert_round_trip, rejects_model_file
 from oracles import oracle_ols, oracle_poly_cd
 from test_gbt import matrix_from
 
@@ -188,6 +188,13 @@ class TestSerialization:
         save_model(model, path)
         loaded = load_model(path)
         np.testing.assert_array_equal(poly_predict(loaded, m), poly_predict(model, m))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(elastic_net_problems())
+    def test_round_trip_property(self, problem):
+        matrix, params = problem
+        model = poly_fit(matrix, params)
+        assert_round_trip(model, lambda m: poly_predict(m, matrix))
 
 
 class TestModelFileValidation:
