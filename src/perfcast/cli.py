@@ -244,6 +244,13 @@ def _feature_sources(run: _Run, cfg: dict):
     return records, groups, dataset_blocks, language_table
 
 
+def _config_int(cfg: dict, key: str, default: int) -> int:
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"'{key}' must be an integer, not {value!r}")
+    return value
+
+
 def _materialize_experiment(run: _Run, cfg: dict, seed_override: int | None, preset_override: str | None):
     records, groups, dataset_blocks, language_table = _feature_sources(run, cfg)
     split_cfg = cfg.get("split", {"kind": "random", "ratio": 0.7})
@@ -263,9 +270,9 @@ def _materialize_experiment(run: _Run, cfg: dict, seed_override: int | None, pre
             ),
             feature_groups=groups,
             proxies=_string_list(cfg, "proxies"),
-            repeats=int(cfg.get("repeats", 5)),
-            cv_folds=int(cfg.get("cv_folds", 10)),
-            seed=int(seed_override if seed_override is not None else cfg.get("seed", 0)),
+            repeats=_config_int(cfg, "repeats", 5),
+            cv_folds=_config_int(cfg, "cv_folds", 10),
+            seed=seed_override if seed_override is not None else _config_int(cfg, "seed", 0),
             estimated_model=cfg.get("estimated_model"),
             dataset_features=dataset_blocks,
             language_table=language_table,

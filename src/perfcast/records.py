@@ -14,7 +14,8 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,6 +86,30 @@ class PerformanceRecord:
     seen_by_estimated_model: bool = True
     corpus_group: str = "other"
     joshi_class: int | None = None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# Type checks by annotation string; numpy integer and float scalars register as Integral and Real.
+_FIELD_TYPES = {
+    "int": _is_int,
+    "int | None": lambda value: value is None or _is_int(value),
+    "float": lambda value: isinstance(value, numbers.Real) and not isinstance(value, bool),
+    "str": lambda value: isinstance(value, str),
+}
+
+
+def check_field_types(obj) -> None:
+    """Raise ValueError naming the first field of a dataclass whose value is not of its declared type.
+
+    An int field takes an integer but not a bool; a float field any real number but not a bool.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not _FIELD_TYPES[f.type](value):
+            raise ValueError(f"{f.name} must be of type {f.type}, not {value!r}")
 
 
 def _check_score(record_id: str, metric_name: str, score: float) -> None:

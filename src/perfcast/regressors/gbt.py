@@ -11,10 +11,12 @@ afresh at every node. A NaN cell is a missing value (section 3.4): it is
 routed to whichever side maximizes gain and that default direction is stored
 per node, so missing cells are handled natively at fit and predict time.
 
-Squared-error objective: g_i = pred_i - y_i, h_i = 1; split gain
-0.5 * [GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)] - gamma, with
-the leaf numerator soft-thresholded by reg_alpha; leaf weight
--soft(G, alpha) / (H + lambda).
+Squared-error objective: g_i = pred_i - y_i and h_i = 1, so hessian sums are
+the row counts n. Split gain 0.5 * [GL^2/(n_L+lambda) + GR^2/(n_R+lambda) -
+G^2/(n+lambda)] - gamma, with the leaf numerator soft-thresholded by reg_alpha;
+leaf weight -soft(G, alpha) / (n + lambda). min_child_weight and
+min_child_samples both bound a child's row count: each child keeps at least
+max(min_child_weight, min_child_samples) rows.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import EmptyTrainingSet, NoSplits, SchemaMismatch
-from ..records import DesignMatrix
+from ..records import DesignMatrix, check_field_types
 
 
 @dataclass(frozen=True)
 class GbtParams:
+    """Booster settings; min_child_weight and min_child_samples both bound a child's row count."""
+
     n_estimators: int = 100
     eta: float = 0.1
     min_child_weight: float = 1.0
@@ -47,6 +51,7 @@ class GbtParams:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if self.max_depth < 1:
@@ -102,9 +107,9 @@ def _soft(g: np.ndarray | float, alpha: float):
     return np.sign(g) * np.maximum(np.abs(g) - alpha, 0.0)
 
 
-def _score(g, h, alpha: float, lam: float):
+def _score(g, n, alpha: float, lam: float):
     s = _soft(g, alpha)
-    return s * s / (h + lam)
+    return s * s / (n + lam)
 
 
 @dataclass
@@ -120,7 +125,6 @@ class _Split:
 def _best_split(
     X: np.ndarray,
     g: np.ndarray,
-    h: np.ndarray,
     rows: np.ndarray,
     cols: Sequence[int],
     params: GbtParams,
@@ -139,24 +143,23 @@ def _best_split(
     if n < 2:
         return None
     alpha, lam = params.reg_alpha, params.reg_lambda
-    gh = np.stack((g[rows], h[rows]))
+    g_rows = g[rows]
     values = X[rows[:, None], cols].T
     miss = np.isnan(values)
     # NaN sorts after every value, so each column's missing cells come last, in row order
     order = np.argsort(values, axis=1, kind="stable")
     ids = np.arange(k)
     sv = values[ids[:, None], order]
-    # (g or h, column, sorted position); cumsum is sequential, so each column's
+    # (column, sorted position); cumsum is sequential, so each column's
     # prefix sums have the bits of a 1-D cumsum over its sorted cells
-    cum = np.cumsum(gh[:, order], axis=2)
+    cum = np.cumsum(g_rows[order], axis=1)
     n_miss = miss.sum(axis=1)
     n_nm = n - n_miss
-    total = cum[:, ids, n_nm - 1]
-    miss_sum = np.zeros((2, k))
+    total = cum[ids, n_nm - 1]
+    miss_sum = np.zeros(k)
     for c in np.flatnonzero(n_miss):
-        # 1-D sums, as a 2-D reduction may add in another order
-        miss_sum[0, c] = gh[0, miss[c]].sum()
-        miss_sum[1, c] = gh[1, miss[c]].sum()
+        # a 1-D sum, as a 2-D reduction may add in another order
+        miss_sum[c] = g_rows[miss[c]].sum()
 
     # candidate i puts the first i + 1 sorted non-missing cells on the left
     cl = np.arange(1, n)
@@ -177,24 +180,19 @@ def _best_split(
     # Both sides gain a direction axis, (column, direction, position):
     # direction 0 sends the missing cells left, 1 sends them right. Adding
     # 0.0 on the side they skip changes at most the sign of a zero, which
-    # neither the score nor the min_child_weight test sees.
+    # the score does not see. Each side's hessian sum is its row count.
     to_left = np.array([[1], [0]])
     to_right = to_left[::-1]
-    left = cum[:, :, None, :-1] + miss_sum[:, :, None, None] * to_left
-    right = (total[:, :, None] - cum[:, :, :-1])[:, :, None, :] + miss_sum[:, :, None, None] * to_right
+    left = cum[:, None, :-1] + miss_sum[:, None, None] * to_left
+    right = (total[:, None] - cum[:, :-1])[:, None, :] + miss_sum[:, None, None] * to_right
     count_l = cl + n_miss[:, None, None] * to_left
     count_r = (n_nm[:, None] - cl)[:, None, :] + n_miss[:, None, None] * to_right
-    parent = _score(total[0] + miss_sum[0], total[1] + miss_sum[1], alpha, lam)[:, None, None]
+    parent = _score(total + miss_sum, n, alpha, lam)[:, None, None]
     # positions past a column's last non-missing cell hold 0/0 when reg_lambda is 0; they are set to -inf below
     with np.errstate(divide="ignore", invalid="ignore"):
-        gains = 0.5 * (_score(*left, alpha, lam) + _score(*right, alpha, lam) - parent) - params.gamma
-    valid = (
-        boundary[:, None, :]
-        & (left[1] >= params.min_child_weight)
-        & (right[1] >= params.min_child_weight)
-        & (count_l >= params.min_child_samples)
-        & (count_r >= params.min_child_samples)
-    )
+        gains = 0.5 * (_score(left, count_l, alpha, lam) + _score(right, count_r, alpha, lam) - parent) - params.gamma
+    floor = max(params.min_child_weight, params.min_child_samples)
+    valid = boundary[:, None, :] & (count_l >= floor) & (count_r >= floor)
     gains = np.where(valid, gains, -np.inf)
     c, direction, i = np.unravel_index(np.argmax(gains), gains.shape)
     gain = float(gains[c, direction, i])
@@ -213,14 +211,13 @@ def _best_split(
     )
 
 
-def _leaf_weight(g_sum: float, h_sum: float, params: GbtParams) -> float:
-    return -float(_soft(g_sum, params.reg_alpha)) / (h_sum + params.reg_lambda)
+def _leaf_weight(g_sum: float, n: int, params: GbtParams) -> float:
+    return -float(_soft(g_sum, params.reg_alpha)) / (n + params.reg_lambda)
 
 
 def _grow_tree(
     X: np.ndarray,
     g: np.ndarray,
-    h: np.ndarray,
     rows: np.ndarray,
     cols: Sequence[int],
     params: GbtParams,
@@ -230,7 +227,7 @@ def _grow_tree(
     nodes: list[tuple | None] = [None]
 
     def make_leaf(node_id: int, node_rows: np.ndarray) -> None:
-        weight = _leaf_weight(float(g[node_rows].sum()), float(h[node_rows].sum()), params)
+        weight = _leaf_weight(float(g[node_rows].sum()), node_rows.size, params)
         nodes[node_id] = (-1, 0.0, True, -1, -1, weight, 0.0)
 
     def apply_split(node_id: int, split: _Split) -> tuple[int, int]:
@@ -244,7 +241,7 @@ def _grow_tree(
         stack: list[tuple[int, np.ndarray, int]] = [(0, rows, 0)]
         while stack:
             node_id, node_rows, depth = stack.pop()
-            split = _best_split(X, g, h, node_rows, cols, params) if depth < params.max_depth else None
+            split = _best_split(X, g, node_rows, cols, params) if depth < params.max_depth else None
             if split is None:
                 make_leaf(node_id, node_rows)
                 continue
@@ -255,7 +252,7 @@ def _grow_tree(
     else:
         # leaf_wise: repeatedly split the evaluated leaf with the highest gain
         frontier: list[tuple[int, np.ndarray, int, _Split | None]] = [
-            (0, rows, 0, _best_split(X, g, h, rows, cols, params))
+            (0, rows, 0, _best_split(X, g, rows, cols, params))
         ]
         n_leaves = 1
         while n_leaves < (params.num_leaves or 0):
@@ -271,7 +268,7 @@ def _grow_tree(
             left_id, right_id = apply_split(node_id, split)
             for child_id, child_rows in ((left_id, split.left_rows), (right_id, split.right_rows)):
                 child_split = (
-                    _best_split(X, g, h, child_rows, cols, params) if depth + 1 < params.max_depth else None
+                    _best_split(X, g, child_rows, cols, params) if depth + 1 < params.max_depth else None
                 )
                 frontier.append((child_id, child_rows, depth + 1, child_split))
             n_leaves += 1
@@ -326,8 +323,7 @@ def gbt_fit(matrix: DesignMatrix, params: GbtParams) -> GbtModel:
         rows = np.arange(n, dtype=np.intp) if n_sub >= n else np.sort(rng.permutation(n)[:n_sub])
         cols = list(range(d)) if n_cols >= d else sorted(rng.permutation(d)[:n_cols].tolist())
         g = pred - y
-        h = np.ones(n, dtype=np.float64)
-        tree = _grow_tree(X, g, h, rows, cols, params, gain_totals)
+        tree = _grow_tree(X, g, rows, cols, params, gain_totals)
         trees.append(tree)
         pred += params.eta * _tree_predict(tree, X)
         train_rmse.append(float(np.sqrt(np.mean((pred - y) ** 2))))

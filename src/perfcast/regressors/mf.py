@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import NotManyToMany, SchemaMismatch, UnknownLanguage
-from ..records import DesignMatrix
+from ..records import DesignMatrix, check_field_types
 from .poly import _apply_stats, impute_and_standardize
 
 
@@ -52,6 +52,7 @@ class MfParams:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.latent_dim < 0:
             raise ValueError("latent_dim must be >= 0")
         if self.alpha <= 0:

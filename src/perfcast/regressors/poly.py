@@ -31,7 +31,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from ..errors import EmptyTrainingSet, SchemaMismatch
-from ..records import DesignMatrix
+from ..records import DesignMatrix, check_field_types
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,7 @@ class PolyParams:
     seed: int = 0  # unused by the deterministic solver; kept for interface symmetry
 
     def __post_init__(self):
+        check_field_types(self)
         if self.degree < 1 or self.degree > 3:
             raise ValueError("degree must be 1, 2 or 3")
         if self.alpha < 0:

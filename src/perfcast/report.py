@@ -6,10 +6,11 @@ Outputs are plain CSV/markdown data files with stable ordering and fixed
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -122,6 +123,16 @@ def _write_lines(path: str, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence], comment: str | None = None) -> None:
+    """A header row then data rows, a cell quoted only when it holds a comma, quote or line break."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def emit_report(
     results: Sequence[tuple[str, ExperimentResult]],
     out_dir: str,
@@ -147,8 +158,7 @@ def emit_report(
         for label, res in results
     ]
     path = os.path.join(out_dir, "summary.csv")
-    _write_lines(path, ["configuration,mean_rmse,std_rmse,repeats"]
-                 + [f"{label},{m},{s},{k}" for label, m, s, k in rows])
+    _write_csv(path, ("configuration", "mean_rmse", "std_rmse", "repeats"), rows)
     written.append(path)
     if fmt == "markdown":
         path = os.path.join(out_dir, "summary.md")
@@ -164,14 +174,12 @@ def emit_report(
         pts = scatter.points
         path = os.path.join(out_dir, "groups_joshi.csv")
         joshi_rows = _grouped_rmse(pts, lambda p: "unknown" if p.joshi_class is None else str(p.joshi_class))
-        _write_lines(path, ["joshi_class,count,rmse"]
-                     + [f"{g},{c},{_FMT.format(v)}" for g, c, v in joshi_rows])
+        _write_csv(path, ("joshi_class", "count", "rmse"), [(g, c, _FMT.format(v)) for g, c, v in joshi_rows])
         written.append(path)
 
         path = os.path.join(out_dir, "groups_family.csv")
         family_rows = _grouped_rmse(pts, lambda p: p.language_family or "unknown")
-        _write_lines(path, ["language_family,count,rmse"]
-                     + [f"{g},{c},{_FMT.format(v)}" for g, c, v in family_rows])
+        _write_csv(path, ("language_family", "count", "rmse"), [(g, c, _FMT.format(v)) for g, c, v in family_rows])
         written.append(path)
 
         trues = [p.true for p in pts]
@@ -185,23 +193,23 @@ def emit_report(
         except ZeroVariance:
             r2_text = "nan"
         path = os.path.join(out_dir, "scatter.csv")
-        lines = [f"# r_squared={r2_text} lowess_frac={_FMT.format(lowess_frac)}"]
-        lines.append("record_id,true,pred,lowess,language,joshi_class,language_family")
-        for p, s in zip(pts, smoothed):
-            joshi = "" if p.joshi_class is None else str(p.joshi_class)
-            lines.append(
-                f"{p.record_id},{_FMT.format(p.true)},{_FMT.format(p.pred)},{_FMT.format(s)},"
-                f"{p.language},{joshi},{p.language_family}"
-            )
-        _write_lines(path, lines)
+        _write_csv(
+            path,
+            ("record_id", "true", "pred", "lowess", "language", "joshi_class", "language_family"),
+            (
+                (p.record_id, _FMT.format(p.true), _FMT.format(p.pred), _FMT.format(s), p.language,
+                 p.joshi_class, p.language_family)
+                for p, s in zip(pts, smoothed)
+            ),
+            comment=f"r_squared={r2_text} lowess_frac={_FMT.format(lowess_frac)}",
+        )
         written.append(path)
 
     importance = next((res.importance for _, res in results if res.importance), None)
     if importance:
         path = os.path.join(out_dir, "importance.csv")
         ordered = sorted(importance.items(), key=lambda kv: (-kv[1], kv[0]))
-        _write_lines(path, ["feature,importance"]
-                     + [f"{name},{_FMT.format(value)}" for name, value in ordered])
+        _write_csv(path, ("feature", "importance"), [(name, _FMT.format(value)) for name, value in ordered])
         written.append(path)
 
     return written

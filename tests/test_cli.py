@@ -143,7 +143,25 @@ class TestConfigShape:
         ({"lowess_frac": 2}, "'lowess_frac' must be a number in (0, 1], not 2"),
         ({"label": 5}, "'label' must be a string, not 5"),
         ({"report_format": "pdf"}, "'report_format' must be 'markdown' or 'csv', not 'pdf'"),
-    ], ids=["lowess_frac_string", "lowess_frac_range", "label_number", "report_format_unknown"])
+        ({"repeats": 2.7}, "'repeats' must be an integer, not 2.7"),
+        ({"repeats": True}, "'repeats' must be an integer, not True"),
+        ({"cv_folds": 3.0}, "'cv_folds' must be an integer, not 3.0"),
+        ({"seed": 1.9}, "'seed' must be an integer, not 1.9"),
+        ({"seed": "1"}, "'seed' must be an integer, not '1'"),
+        ({"params": {"n_estimators": 2.5}}, "n_estimators must be of type int, not 2.5"),
+        ({"params": {"eta": "0.1"}}, "eta must be of type float, not '0.1'"),
+        ({"params": {"max_depth": True}}, "max_depth must be of type int, not True"),
+        ({"params": {"reg_lambda": False}}, "reg_lambda must be of type float, not False"),
+        ({"params": {"growth": 1}}, "growth must be of type str, not 1"),
+        ({"params": {"growth": "leaf_wise", "num_leaves": 8.0}}, "num_leaves must be of type int | None, not 8.0"),
+        ({"params": {"max_bin": "32"}}, "max_bin must be of type int | None, not '32'"),
+        ({"regressor": "poly", "params": {"degree": 2.0}}, "degree must be of type int, not 2.0"),
+        ({"regressor": "mf", "params": {"latent_dim": "8"}}, "latent_dim must be of type int, not '8'"),
+        ({"regressor": "mf", "params": {"alpha": [0.1]}}, "alpha must be of type float, not [0.1]"),
+    ], ids=["lowess_frac_string", "lowess_frac_range", "label_number", "report_format_unknown", "repeats_float",
+            "repeats_bool", "cv_folds_float", "seed_float", "seed_string", "n_estimators_float", "eta_string",
+            "max_depth_bool", "reg_lambda_bool", "growth_number", "num_leaves_float", "max_bin_string",
+            "poly_degree_float", "mf_latent_dim_string", "mf_alpha_list"])
     def test_experiment(self, tmp_path, capsys, extra, match):
         cfg = write_experiment_fixture(tmp_path, config_extra=extra)
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "out")]) == 1

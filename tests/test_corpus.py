@@ -1,7 +1,11 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from perfcast.corpus import (
     DatasetFeatureBlock,
@@ -291,6 +295,47 @@ class TestDatasetFeatures:
         assert block.ttr_distance == pytest.approx(oracle_ttr_distance(o1["ttr"], o2["ttr"]), abs=1e-12)
         assert block.jsd == pytest.approx(oracle_jsd(o1["counts"], o2["counts"]), abs=1e-12)
         assert block.tfidf_cosine == pytest.approx(oracle_tfidf_cosine(o1["counts"], o2["counts"]), abs=1e-12)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+TTR = st.sampled_from([5e-324, 1.0]) | st.floats(0.0, 1.0, exclude_min=True)
+
+
+@st.composite
+def feature_rows(draw):
+    """(train_dataset, test_dataset, block) rows with free-text ids, range ends and absent embedding cosines."""
+    keys = draw(st.lists(st.tuples(st.text(max_size=5), st.text(max_size=5)), max_size=5, unique=True))
+    return [
+        (train_id, test_id, DatasetFeatureBlock(
+            train_size=draw(st.integers(0, 10**9)),
+            vocab_size_train=draw(st.integers(0, 10**9)),
+            avg_sentence_length_train=draw(FINITE),
+            word_overlap=draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5)),
+            ttr_train=draw(TTR),
+            ttr_test=draw(TTR),
+            ttr_distance=draw(FINITE),
+            jsd=draw(st.sampled_from([-1e-12, 0.0, 1.0, 1.0 + 1e-12]) | st.floats(0.0, 1.0)),
+            tfidf_cosine=draw(FINITE),
+            embedding_cosine=draw(st.none() | FINITE),
+        ))
+        for train_id, test_id in keys
+    ]
+
+
+class TestFeatureCsvProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(feature_rows())
+    @example([("tr, \"α\"", "te\r\nx",
+               DatasetFeatureBlock(1, 1, 0.0, 0.5, 1.0, 5e-324, 0.0, 1.0 + 1e-12, -0.0, None))])
+    def test_write_load_write(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "first.csv"), os.path.join(tmp, "second.csv")
+            write_feature_csv(first, rows)
+            loaded = load_feature_csv(first)
+            assert loaded == {(train_id, test_id): block for train_id, test_id, block in rows}
+            write_feature_csv(second, [(train_id, test_id, block) for (train_id, test_id), block in loaded.items()])
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
 
 
 class TestFileIo:

@@ -58,6 +58,14 @@ class TestFitBasics:
         assert leaves == {-1.0, 1.0}  # base_score 2.0 shifted to predictions 1 and 3
         np.testing.assert_array_equal(gbt_predict(model, m), [1.0, 1.0, 3.0, 3.0])
 
+    def test_params_take_numpy_scalars_but_not_bools(self):
+        params = GbtParams(n_estimators=np.int64(3), eta=np.float32(0.5), num_leaves=np.int32(4), growth="leaf_wise")
+        assert (params.n_estimators, params.num_leaves) == (3, 4)
+        with pytest.raises(ValueError, match="seed must be of type int, not True"):
+            GbtParams(seed=True)
+        with pytest.raises(ValueError, match="gamma must be of type float, not "):
+            GbtParams(gamma=np.True_)
+
     def test_empty_training_set(self):
         m = matrix_from(np.empty((0, 2)), np.empty(0))
         with pytest.raises(EmptyTrainingSet):
@@ -129,6 +137,23 @@ class TestFitBasics:
         m = matrix_from([[1.0], [2.0], [3.0], [4.0]], [1.0, 1.0, 3.0, 3.0])
         model = gbt_fit(m, plain_params(min_child_samples=3))
         assert model.trees[0][0].feature < 0
+
+    @pytest.mark.parametrize("growth", ["depth_wise", "leaf_wise"])
+    def test_min_child_weight_is_a_row_count_floor(self, growth):
+        # every hessian is 1, so a weight floor of 4.2 admits exactly the children of 5 or more rows
+        rng = np.random.default_rng(61)
+        X = rng.normal(size=(80, 3))
+        m = matrix_from(X, X[:, 0] + rng.normal(size=80), rng.random((80, 3)) < 0.15)
+        base = dict(n_estimators=6, eta=0.5, max_depth=6, subsample=0.9, seed=3, growth=growth,
+                    num_leaves=16 if growth == "leaf_wise" else None)
+
+        def forest(**kw):
+            model = gbt_fit(m, GbtParams(**base, **kw))
+            return [tree.tobytes() for tree in model.trees], model.train_rmse
+
+        by_weight = forest(min_child_weight=4.2)
+        assert by_weight == forest(min_child_weight=0.0, min_child_samples=5)
+        assert by_weight != forest(min_child_weight=0.0, min_child_samples=4)
 
     def test_gamma_blocks_low_gain_splits(self):
         m = matrix_from([[1.0], [2.0], [3.0], [4.0]], [1.0, 1.0, 3.0, 3.0])
@@ -385,6 +410,11 @@ class TestModelFileValidation:
         obj["trees"][0][2]["default_left"] = "false"
         rejects_model_file(path, obj, "node 2: default_left 'false' is not of type bool")
 
+    def test_param_of_wrong_type(self, saved):
+        path, obj = saved
+        obj["params"]["max_depth"] = 2.5
+        rejects_model_file(path, obj, "max_depth must be of type int, not 2.5")
+
     def test_empty_tree(self, saved):
         path, obj = saved
         obj["trees"][0] = []
@@ -458,28 +488,28 @@ def split_nodes(draw):
         mask[:, j] = kind == "full" or (kind == "part" and rng.random(n) < 0.3)
     X[mask] = np.nan
     g = rng.choice([-1.0, 1.0], n) if rng.random() < 0.3 else rng.normal(scale=3.0, size=n)
-    h = rng.choice([0.5, 1.0, 1.5], n)
     rows = np.flatnonzero((rng.random(n) < 0.8) | (np.arange(n) == 0))
     cols = sorted(rng.choice(d, int(rng.integers(1, d + 1)), replace=False).tolist())
     # each of these values, when drawn, blocks every split on its own
     block = rng.choice([None, "min_child_weight", "min_child_samples", "gamma"], p=[0.7, 0.1, 0.1, 0.1])
     params = GbtParams(
-        min_child_weight=1e3 if block == "min_child_weight" else float(rng.choice([0.0, 1.0, 2.0])),
+        min_child_weight=1e3 if block == "min_child_weight" else float(rng.choice([0.0, 1.0, 2.0, 2.5])),
         min_child_samples=1000 if block == "min_child_samples" else int(rng.choice([1, 2])),
         gamma=1e6 if block == "gamma" else float(rng.choice([0.0, 0.5])),
         reg_lambda=float(rng.choice([1.0, 0.0])),
         reg_alpha=float(rng.choice([0.0, 0.2])),
         max_bin=None if rng.random() < 0.5 else int(rng.integers(2, 5)),
     )
-    return X, g, h, rows, cols, params
+    return X, g, rows, cols, params
 
 
 class TestSplitSearchProperties:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(split_nodes())
     def test_block_scan_matches_per_feature_oracle(self, case):
-        X, *rest = case
-        expected = oracle_best_split(X, np.isnan(X), *rest)
+        X, g, rows, cols, params = case
+        # the oracle keeps general hessians; squared loss has every hessian 1
+        expected = oracle_best_split(X, np.isnan(X), g, np.ones(X.shape[0]), rows, cols, params)
         got = _best_split(*case)
         if expected is None:
             assert got is None

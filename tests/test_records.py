@@ -1,7 +1,7 @@
 import json
 import os
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -337,7 +337,26 @@ def record_lists(draw):
     return records
 
 
+def write_jsonl(records, path, ensure_ascii):
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in records:
+            fh.write(json.dumps(asdict(r), ensure_ascii=ensure_ascii) + "\n")
+
+
 class TestLoadSaveProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(record_lists(), st.booleans())
+    @example([rec("récord-ü", proxy_scores={"p0": None, "ß": 2.5}, seen_by_estimated_model=False)], False)
+    def test_jsonl_round_trip(self, records, ensure_ascii):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "first.jsonl"), os.path.join(tmp, "second.jsonl")
+            write_jsonl(records, first, ensure_ascii)
+            loaded = load_records(first)
+            assert loaded == records
+            write_jsonl(loaded, second, ensure_ascii)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(record_lists())
     @example([rec("r0", proxy_scores={"p0 ": 1.0})])

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,36 @@ class TestEmitReport:
         emit_report([("cfg", result())], out, fmt="csv")
         assert (tmp_path / "out" / "summary.csv").exists()
         assert not (tmp_path / "out" / "summary.md").exists()
+
+    def test_cells_with_commas_and_quotes_read_back(self, tmp_path):
+        pts = tuple(
+            ScatterPoint(rid, 10.0 * i, 10.0 * i + 1, lang, joshi, family)
+            for i, (rid, lang, joshi, family) in enumerate([
+                ("r,1", "deu", 5, "Indo-European, Germanic"),
+                ('r"2', "kor", None, "Koreanic"),
+                ("r3", "x,y", 4, "Indo-European, Germanic"),
+            ])
+        )
+        out = tmp_path / "out"
+        emit_report([("gbt, lolo", result(importance={"a,b": 0.75, "c": 0.25}))], str(out),
+                    scatter=ScatterSeries(pts), lowess_frac=1.0)
+
+        def table(name, skip=0):
+            with open(out / name, encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))[skip:]
+            assert {len(row) for row in rows} == {len(rows[0])}, name
+            return rows[1:]
+
+        assert [row[0] for row in table("summary.csv")] == ["gbt, lolo"]
+        assert [row[0] for row in table("groups_family.csv")] == ["Indo-European, Germanic", "Koreanic"]
+        assert [row[0] for row in table("groups_joshi.csv")] == ["4", "5", "unknown"]
+        scatter = table("scatter.csv", skip=1)
+        assert [(row[0], row[4], row[5], row[6]) for row in scatter] == [
+            ("r,1", "deu", "5", "Indo-European, Germanic"),
+            ('r"2', "kor", "", "Koreanic"),
+            ("r3", "x,y", "4", "Indo-European, Germanic"),
+        ]
+        assert [row[0] for row in table("importance.csv")] == ["a,b", "c"]
 
     def test_requires_results(self, tmp_path):
         with pytest.raises(ValueError):
