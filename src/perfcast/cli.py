@@ -406,9 +406,11 @@ def _cmd_train(run: _Run, cfg: dict, seed_override: int | None, preset_override:
     if len(grid) != 1:
         raise ConfigError("train expects exactly one hyperparameter set (preset or params)")
     params = grid[0]
-    if seed_override is not None:
-        params = with_seed(params, seed_override)
-    model = fit_model(params, matrix)
+    try:
+        seed = seed_override if seed_override is not None else _config_int(cfg, "seed", params.seed)
+    except ValueError as exc:
+        raise ConfigError(f"invalid train config: {exc}") from exc
+    model = fit_model(with_seed(params, seed), matrix)
     save_model(model, os.path.join(run.out_dir, "model.json"))
 
 

@@ -10,6 +10,7 @@ only ingested.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import re
@@ -67,6 +68,11 @@ class DatasetProfile:
     vocab_size: int
     avg_sentence_length: float
     ttr: float
+
+    @functools.cached_property
+    def distribution(self) -> TokenDistribution:
+        """The normalized unigram distribution, built on first use and kept with the profile."""
+        return token_distribution(self)
 
 
 @dataclass(frozen=True)
@@ -235,7 +241,7 @@ def dataset_features(
         ttr_train=train.ttr,
         ttr_test=test.ttr,
         ttr_distance=ttr_distance(train.ttr, test.ttr),
-        jsd=jsd(token_distribution(train), token_distribution(test)),
+        jsd=jsd(train.distribution, test.distribution),
         tfidf_cosine=tfidf_cosine(train, test),
         embedding_cosine=embedding_cosine(*embeddings) if embeddings is not None else None,
     )

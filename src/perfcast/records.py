@@ -224,7 +224,22 @@ def _load_records_csv(path: str) -> list[PerformanceRecord]:
     return records
 
 
+def _json_text(obj: dict, name: str, context: str, default: str | None = None) -> str:
+    value = obj[name] if default is None else obj.get(name, default)
+    if not isinstance(value, str):
+        raise ParseError(f"{context}: {name} must be a string, not {value!r}")
+    return value
+
+
+def _json_number(value, name: str, context: str) -> float:
+    """A JSON number as a float; a bool, string or anything else is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{context}: {name} must be a number, not {value!r}")
+    return float(value)
+
+
 def _load_records_jsonl(path: str) -> list[PerformanceRecord]:
+    """One JSON object per line; each value must have its field's JSON type, or the line is a ParseError."""
     records: list[PerformanceRecord] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -239,23 +254,29 @@ def _load_records_jsonl(path: str) -> list[PerformanceRecord]:
                 proxy_obj = obj.get("proxy_scores", {})
                 if not isinstance(proxy_obj, dict):
                     raise ParseError(f"{context}: proxy_scores must be a JSON object")
-                proxies = {str(k): (None if v is None else float(v)) for k, v in proxy_obj.items()}
+                proxies = {
+                    k: None if v is None else _json_number(v, f"proxy score {k!r}", context)
+                    for k, v in proxy_obj.items()
+                }
+                joshi = obj.get("joshi_class")
+                if joshi is not None and not _is_int(joshi):
+                    raise ParseError(f"{context}: joshi_class must be an integer or null, not {joshi!r}")
                 rec = PerformanceRecord(
-                    record_id=str(obj["record_id"]),
-                    task=str(obj["task"]),
-                    estimated_model=str(obj["estimated_model"]),
-                    train_dataset=str(obj["train_dataset"]),
-                    test_dataset=str(obj["test_dataset"]),
-                    src_lang=str(obj["src_lang"]),
-                    tgt_lang=str(obj["tgt_lang"]),
-                    metric_name=str(obj["metric_name"]),
-                    score=float(obj["score"]),
+                    record_id=_json_text(obj, "record_id", context),
+                    task=_json_text(obj, "task", context),
+                    estimated_model=_json_text(obj, "estimated_model", context),
+                    train_dataset=_json_text(obj, "train_dataset", context),
+                    test_dataset=_json_text(obj, "test_dataset", context),
+                    src_lang=_json_text(obj, "src_lang", context),
+                    tgt_lang=_json_text(obj, "tgt_lang", context),
+                    metric_name=_json_text(obj, "metric_name", context),
+                    score=_json_number(obj["score"], "score", context),
                     proxy_scores=proxies,
                     seen_by_estimated_model=_json_bool(obj.get("seen_by_estimated_model", True), context),
-                    corpus_group=str(obj.get("corpus_group", "other")),
-                    joshi_class=None if obj.get("joshi_class") is None else int(obj["joshi_class"]),
+                    corpus_group=_json_text(obj, "corpus_group", context, default="other"),
+                    joshi_class=joshi,
                 )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            except (KeyError, OverflowError, json.JSONDecodeError) as exc:
                 raise ParseError(f"{context}: bad record: {exc}") from exc
             records.append(validate_record(rec))
     return records
@@ -402,47 +423,76 @@ def build_design_matrix(
     """One row per record, columns in schema order.
 
     Missing proxy scores and missing embedding cosines are left NaN; any other
-    unresolvable feature raises MissingFeature naming the record and column.
+    unresolvable feature raises MissingFeature naming the first record, in
+    order, that needs it. The language block is resolved once per distinct
+    (src_lang, tgt_lang) and the dataset block once per distinct
+    (train_dataset, test_dataset); each record's row then copies them from a
+    table with one row per pair.
     """
     n = len(records)
-    d = len(schema.columns)
-    rows = np.full((n, d), np.nan, dtype=np.float64)
-    targets = np.empty(n, dtype=np.float64)
+    rows = np.full((n, len(schema.columns)), np.nan, dtype=np.float64)
     col_index = {c: j for j, c in enumerate(schema.columns)}
-
     lang_enabled = "language" in schema.groups
     data_enabled = "dataset" in schema.groups
-    proxy_cols = [(c, c[len(PROXY_PREFIX):]) for c, g in zip(schema.columns, schema.groups) if g == "proxy"]
 
-    for i, rec in enumerate(records):
-        targets[i] = rec.score
+    # table row per distinct pair, the tables' rows, and each record's table row
+    lang_keys: dict[tuple[str, str], int] = {}
+    data_keys: dict[tuple[str, str], int] = {}
+    lang_table: list[list[float]] = []
+    data_table: list[list[float]] = []
+    lang_of: list[int] = []
+    data_of: list[int] = []
+    for rec in records:
         if lang_enabled:
-            if language_table is None:
-                raise MissingFeature(rec.record_id, "language (no distance table supplied)")
-            try:
-                block = language_features(language_table, rec.src_lang, rec.tgt_lang)
-            except MissingPair as exc:
-                raise MissingFeature(rec.record_id, f"language:{'+'.join(exc.kinds)}") from exc
-            for kind, value in zip(DISTANCE_KINDS, block.as_row()):
-                rows[i, col_index[kind]] = value
+            key = (rec.src_lang, rec.tgt_lang)
+            if key not in lang_keys:
+                lang_keys[key] = len(lang_table)
+                lang_table.append(_language_row(rec, language_table))
+            lang_of.append(lang_keys[key])
         if data_enabled:
-            if dataset_features is None:
-                raise MissingFeature(rec.record_id, "dataset (no feature blocks supplied)")
-            block = dataset_features.get((rec.train_dataset, rec.test_dataset))
-            if block is None:
-                raise MissingFeature(rec.record_id, f"dataset:({rec.train_dataset},{rec.test_dataset})")
-            for name, value in zip(DATASET_FEATURE_COLUMNS, block.as_row()):
-                if value is not None:
-                    rows[i, col_index[name]] = float(value)
-        for column, proxy_id in proxy_cols:
-            value = rec.proxy_scores.get(proxy_id)
-            if value is not None:
-                rows[i, col_index[column]] = value
+            key = (rec.train_dataset, rec.test_dataset)
+            if key not in data_keys:
+                data_keys[key] = len(data_table)
+                data_table.append(_dataset_row(rec, dataset_features))
+            data_of.append(data_keys[key])
+
+    for enabled, names, table, index in (
+        (lang_enabled, DISTANCE_KINDS, lang_table, lang_of),
+        (data_enabled, DATASET_FEATURE_COLUMNS, data_table, data_of),
+    ):
+        if enabled:
+            block = np.array(table, dtype=np.float64).reshape(len(table), len(names))
+            rows[:, [col_index[name] for name in names]] = block[np.array(index, dtype=np.intp)]
+    for column, group in zip(schema.columns, schema.groups):
+        if group == "proxy":
+            proxy_id = column[len(PROXY_PREFIX):]
+            scores = [rec.proxy_scores.get(proxy_id) for rec in records]
+            rows[:, col_index[column]] = [np.nan if v is None else v for v in scores]
 
     return DesignMatrix(
         schema=schema,
         rows=rows,
-        targets=targets,
+        targets=np.array([rec.score for rec in records], dtype=np.float64),
         row_ids=[rec.record_id for rec in records],
         languages=[(rec.src_lang, rec.tgt_lang) for rec in records],
     )
+
+
+def _language_row(rec: PerformanceRecord, table: LanguageDistanceTable | None) -> list[float]:
+    """The six distances of the record's language pair, in DISTANCE_KINDS order."""
+    if table is None:
+        raise MissingFeature(rec.record_id, "language (no distance table supplied)")
+    try:
+        return language_features(table, rec.src_lang, rec.tgt_lang).as_row()
+    except MissingPair as exc:
+        raise MissingFeature(rec.record_id, f"language:{'+'.join(exc.kinds)}") from exc
+
+
+def _dataset_row(rec: PerformanceRecord, blocks: dict[tuple[str, str], DatasetFeatureBlock] | None) -> list[float]:
+    """The record's dataset block in DATASET_FEATURE_COLUMNS order, NaN for an absent value."""
+    if blocks is None:
+        raise MissingFeature(rec.record_id, "dataset (no feature blocks supplied)")
+    block = blocks.get((rec.train_dataset, rec.test_dataset))
+    if block is None:
+        raise MissingFeature(rec.record_id, f"dataset:({rec.train_dataset},{rec.test_dataset})")
+    return [np.nan if value is None else float(value) for value in block.as_row()]

@@ -35,14 +35,29 @@ class ScatterSeries:
     points: tuple[ScatterPoint, ...]
 
 
+# Points per block of the weighted sums, as (points, r) arrays of about this many cells.
+_BLOCK_CELLS = 8192
+
+
 def lowess(points: Sequence[tuple[float, float]], frac: float = 0.5) -> list[float]:
     """Locally weighted linear smoothing, one pass, tricube weights.
 
-    For each x_i the ceil(frac * n) nearest points (by |x - x_i|, ties by
+    For each x_i the r = ceil(frac * n) nearest points (by |x - x_i|, ties by
     index) form the neighborhood; distances are normalized by the largest
-    one and weighted by (1 - d^3)^3 before an ordinary weighted linear fit.
-    Degenerate neighborhoods (zero spread or zero total weight) fall back to
-    the neighborhood mean.
+    one, dmax, and weighted by (1 - d^3)^3 before an ordinary weighted linear
+    fit. Degenerate neighborhoods (zero spread or zero total weight) fall back
+    to the neighborhood mean; when dmax is 0 that is the mean over the first r
+    points with x equal to x_i, by index.
+
+    The r nearest points of x_i are a contiguous window of the points sorted
+    by (x, index) (Cleveland, JASA 1979), and the window moves right as x_i
+    does, so one two-pointer pass over the sorted points finds every window
+    and its dmax. Points at distance dmax weigh exactly 0, so which of them a
+    window holds changes no sum. The weighted sums are taken over blocks of
+    windows as (points, r) arrays, which makes the cost O(n * r) rather than
+    one O(n log n) sort per point. Each window is put in (distance, index)
+    order before it is summed, the order of a full sort per point, so the
+    fitted values are the same to the bit.
     """
     if not (0.0 < frac <= 1.0):
         raise ValueError(f"frac {frac} outside (0, 1]")
@@ -52,33 +67,73 @@ def lowess(points: Sequence[tuple[float, float]], frac: float = 0.5) -> list[flo
     if n < 2 or np.unique(x).size < 2:
         raise TooFewPoints("lowess needs >= 2 points with distinct x")
     r = int(math.ceil(frac * n))
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+
+    # Window p is xs[start[p]:start[p] + r]. It moves right while the point
+    # just past it is strictly nearer than its first point, so it holds every
+    # point nearer than its farthest one, and for a point with r or more ties
+    # at distance 0 it is the first r of them.
+    xl = xs.tolist()
+    start = np.empty(n, dtype=np.intp)
+    dmax = np.empty(n, dtype=np.float64)
+    lo = 0
+    for p, xp in enumerate(xl):
+        while lo + r < n and xl[lo + r] - xp < xp - xl[lo]:
+            lo += 1
+        start[p] = lo
+        dmax[p] = max(xp - xl[lo], xl[lo + r - 1] - xp)
+
     fitted = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        d = np.abs(x - x[i])
-        order = np.lexsort((np.arange(n), d))[:r]
-        dn = d[order]
-        dmax = dn[-1] if dn.size else 0.0
-        if dmax == 0.0:
-            fitted[i] = float(np.mean(y[order]))
-            continue
-        w = (1.0 - (dn / dmax) ** 3) ** 3
-        sw = float(w.sum())
-        if sw == 0.0:
-            fitted[i] = float(np.mean(y[order]))
-            continue
-        xs, ys = x[order], y[order]
-        sx = float((w * xs).sum())
-        sy = float((w * ys).sum())
-        sxx = float((w * xs * xs).sum())
-        sxy = float((w * xs * ys).sum())
+    window = np.arange(r)
+    step = max(1, _BLOCK_CELLS // r)
+    for b in range(0, n, step):
+        block = slice(b, b + step)
+        xp = xs[block]
+        cols, d = _by_distance_then_index(xs, xp, start[block, None], window, order)
+        xw, yw = xs[cols], ys[cols]
+        scale = dmax[block]
+        flat_x = scale == 0.0
+        w = (1.0 - (d / np.where(flat_x, 1.0, scale)[:, None]) ** 3) ** 3
+        sw = w.sum(axis=1)
+        sx = (w * xw).sum(axis=1)
+        sy = (w * yw).sum(axis=1)
+        sxx = (w * xw * xw).sum(axis=1)
+        sxy = (w * xw * yw).sum(axis=1)
         det = sw * sxx - sx * sx
-        if abs(det) <= 1e-12 * max(sw * sxx, sx * sx, 1e-300):
-            fitted[i] = sy / sw
-            continue
-        slope = (sw * sxy - sx * sy) / det
-        intercept = (sy - slope * sx) / sw
-        fitted[i] = intercept + slope * x[i]
-    return fitted.tolist()
+        singular = np.abs(det) <= 1e-12 * np.maximum(np.maximum(sw * sxx, sx * sx), 1e-300)
+        sw_safe = np.where(sw == 0.0, 1.0, sw)
+        slope = (sw * sxy - sx * sy) / np.where(singular, 1.0, det)
+        intercept = (sy - slope * sx) / sw_safe
+        out = np.where(singular, sy / sw_safe, intercept + slope * xp)
+        mean = flat_x | (sw == 0.0)
+        if mean.any():
+            out[mean] = yw[mean].mean(axis=1)
+        fitted[block] = out
+    result = np.empty(n, dtype=np.float64)
+    result[order] = fitted
+    return result.tolist()
+
+
+def _by_distance_then_index(xs: np.ndarray, xp: np.ndarray, first: np.ndarray, window: np.ndarray,
+                            index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The windows xs[first + window] as positions ordered by (|xs - xp|, index of the position), and those distances.
+
+    Distance falls then rises along a window of sorted xs, so a stable sort by
+    it is a cheap merge that leaves equal distances in x order; where a row has
+    equal distances, a second sort by (distance rank, index) puts them in
+    index order.
+    """
+    cols = first + np.argsort(np.abs(xs[first + window] - xp[:, None]), axis=1, kind="stable")
+    d = np.abs(xs[cols] - xp[:, None])
+    if (d[:, 1:] == d[:, :-1]).any():
+        key = np.zeros(d.shape, dtype=np.int64)
+        np.cumsum(d[:, 1:] != d[:, :-1], axis=1, out=key[:, 1:])
+        key *= len(xs)
+        key += index[cols]
+        cols = np.take_along_axis(cols, np.argsort(key, axis=1, kind="stable"), axis=1)
+        d = np.abs(xs[cols] - xp[:, None])
+    return cols, d
 
 
 def r_squared(predictions: Sequence[float], targets: Sequence[float]) -> float:

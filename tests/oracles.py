@@ -12,6 +12,11 @@ from collections import Counter
 
 import numpy as np
 
+from perfcast.corpus import DATASET_FEATURE_COLUMNS
+from perfcast.errors import MissingFeature, MissingPair, TooFewPoints
+from perfcast.langdist import DISTANCE_KINDS, language_features
+from perfcast.records import PROXY_PREFIX, DesignMatrix
+
 
 def oracle_profile(tokens_per_sentence):
     counts = Counter()
@@ -295,6 +300,91 @@ def oracle_lowess(x: np.ndarray, y: np.ndarray, frac: float) -> np.ndarray:
         coef = np.polyfit(x[order], y[order], 1, w=np.sqrt(w))
         out[i] = coef[0] * x[i] + coef[1]
     return out
+
+
+def oracle_lowess_per_point(points, frac: float = 0.5) -> list[float]:
+    """report.lowess with one full (distance, index) sort per point, summing each neighborhood in that order."""
+    if not (0.0 < frac <= 1.0):
+        raise ValueError(f"frac {frac} outside (0, 1]")
+    n = len(points)
+    x = np.asarray([p[0] for p in points], dtype=np.float64)
+    y = np.asarray([p[1] for p in points], dtype=np.float64)
+    if n < 2 or np.unique(x).size < 2:
+        raise TooFewPoints("lowess needs >= 2 points with distinct x")
+    r = int(math.ceil(frac * n))
+    fitted = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        d = np.abs(x - x[i])
+        order = np.lexsort((np.arange(n), d))[:r]
+        dn = d[order]
+        dmax = dn[-1] if dn.size else 0.0
+        if dmax == 0.0:
+            fitted[i] = float(np.mean(y[order]))
+            continue
+        w = (1.0 - (dn / dmax) ** 3) ** 3
+        sw = float(w.sum())
+        if sw == 0.0:
+            fitted[i] = float(np.mean(y[order]))
+            continue
+        xs, ys = x[order], y[order]
+        sx = float((w * xs).sum())
+        sy = float((w * ys).sum())
+        sxx = float((w * xs * xs).sum())
+        sxy = float((w * xs * ys).sum())
+        det = sw * sxx - sx * sx
+        if abs(det) <= 1e-12 * max(sw * sxx, sx * sx, 1e-300):
+            fitted[i] = sy / sw
+            continue
+        slope = (sw * sxy - sx * sy) / det
+        intercept = (sy - slope * sx) / sw
+        fitted[i] = intercept + slope * x[i]
+    return fitted.tolist()
+
+
+def oracle_build_design_matrix(records, schema, dataset_features=None, language_table=None) -> DesignMatrix:
+    """records.build_design_matrix resolving every record's language and dataset block on its own."""
+    n = len(records)
+    d = len(schema.columns)
+    rows = np.full((n, d), np.nan, dtype=np.float64)
+    targets = np.empty(n, dtype=np.float64)
+    col_index = {c: j for j, c in enumerate(schema.columns)}
+
+    lang_enabled = "language" in schema.groups
+    data_enabled = "dataset" in schema.groups
+    proxy_cols = [(c, c[len(PROXY_PREFIX):]) for c, g in zip(schema.columns, schema.groups) if g == "proxy"]
+
+    for i, rec in enumerate(records):
+        targets[i] = rec.score
+        if lang_enabled:
+            if language_table is None:
+                raise MissingFeature(rec.record_id, "language (no distance table supplied)")
+            try:
+                block = language_features(language_table, rec.src_lang, rec.tgt_lang)
+            except MissingPair as exc:
+                raise MissingFeature(rec.record_id, f"language:{'+'.join(exc.kinds)}") from exc
+            for kind, value in zip(DISTANCE_KINDS, block.as_row()):
+                rows[i, col_index[kind]] = value
+        if data_enabled:
+            if dataset_features is None:
+                raise MissingFeature(rec.record_id, "dataset (no feature blocks supplied)")
+            block = dataset_features.get((rec.train_dataset, rec.test_dataset))
+            if block is None:
+                raise MissingFeature(rec.record_id, f"dataset:({rec.train_dataset},{rec.test_dataset})")
+            for name, value in zip(DATASET_FEATURE_COLUMNS, block.as_row()):
+                if value is not None:
+                    rows[i, col_index[name]] = float(value)
+        for column, proxy_id in proxy_cols:
+            value = rec.proxy_scores.get(proxy_id)
+            if value is not None:
+                rows[i, col_index[column]] = value
+
+    return DesignMatrix(
+        schema=schema,
+        rows=rows,
+        targets=targets,
+        row_ids=[rec.record_id for rec in records],
+        languages=[(rec.src_lang, rec.tgt_lang) for rec in records],
+    )
 
 
 def oracle_mf_sgd(C: np.ndarray, y: np.ndarray, src_of, tgt_of, n_src: int, n_tgt: int, params):

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from perfcast import corpus
 from perfcast.cli import main
-from perfcast.corpus import load_feature_csv, profile, tokenize, write_feature_csv
+from perfcast.corpus import jsd, load_feature_csv, profile, token_distribution, tokenize, write_feature_csv
 from perfcast.langdist import save_distance_table
 from perfcast.records import build_schema, proxy_roster, save_records
 
@@ -82,6 +83,22 @@ class TestFeaturesCommand:
         assert block.embedding_cosine == pytest.approx(1 / np.sqrt(2), abs=1e-12)
         assert (out / "manifest.json").exists()
 
+    def test_each_corpus_distribution_built_once(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(corpus, "token_distribution", lambda p: built.append(p.dataset_id) or token_distribution(p))
+        for name in "abc":
+            (tmp_path / f"{name}.txt").write_text(f"{name} shared words\nmore {name} text\n")
+        cfg = write_json(tmp_path / "features.json", {
+            "corpora": [{"dataset_id": name, "path": f"{name}.txt"} for name in "abc"],
+            "pairs": [{"train": tr, "test": te} for tr in "abc" for te in "abc"],
+        })
+        assert main(["features", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert sorted(built) == ["a", "b", "c"]
+        blocks = load_feature_csv(str(tmp_path / "out" / "features.csv"))
+        texts = {name: [tokenize(line) for line in (tmp_path / f"{name}.txt").read_text().splitlines()] for name in "abc"}
+        for (tr, te), block in blocks.items():
+            assert block.jsd == jsd(token_distribution(profile(tr, texts[tr])), token_distribution(profile(te, texts[te])))
+
     def test_side_switch(self, tmp_path):
         (tmp_path / "src.txt").write_text("alpha beta\n")
         (tmp_path / "tgt.txt").write_text("gamma delta epsilon\n")
@@ -129,8 +146,9 @@ class TestConfigShape:
         ({"regressor": ["gbt"]}, "ConfigError", "unknown regressor kind"),
         ({"grid": 5}, "ConfigError", "'grid' must be a list"),
         ({"params": None, "preset": ["lgbm_default"]}, "ConfigError", "unknown preset ['lgbm_default']"),
+        ({"seed": 1.5}, "ConfigError", "'seed' must be an integer, not 1.5"),
     ], ids=["records_number", "records_list_number", "groups_number", "proxies_number", "regressor_list",
-            "grid_number", "preset_list"])
+            "grid_number", "preset_list", "seed_float"])
     def test_train(self, tmp_path, capsys, extra, error, match):
         obj = {**json.loads(open(write_experiment_fixture(tmp_path)).read()), **extra}
         cfg = write_json(tmp_path / "train.json", {k: v for k, v in obj.items() if v is not None})
@@ -390,6 +408,13 @@ class TestTrainPredictImportance:
         assert imp_lines[0] == "feature,importance"
         total = sum(float(l.split(",")[1]) for l in imp_lines[1:])
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("flag, expected", [([], 5), (["--seed", "7"], 7)], ids=["config", "flag"])
+    def test_train_seed(self, tmp_path, flag, expected):
+        cfg = write_experiment_fixture(tmp_path, config_extra={"seed": 5})  # params carry subsample 0.9, seed 0
+        out = tmp_path / "train_out"
+        assert main(["train", "--config", cfg, "--out", str(out), *flag]) == 0
+        assert json.loads((out / "model.json").read_text())["params"]["seed"] == expected
 
     def test_preset_override(self, tmp_path):
         cfg = write_experiment_fixture(tmp_path, config_extra={"repeats": 1})

@@ -26,6 +26,7 @@ from perfcast.records import (
 from perfcast.langdist import DISTANCE_KINDS, language_features
 
 from conftest import LANGS, make_feature_block, make_language_table, synthetic_setup
+from oracles import oracle_build_design_matrix
 
 
 def rec(record_id="r1", **kw):
@@ -120,6 +121,19 @@ class TestLoadSave:
         path = tmp_path / "records.jsonl"
         path.write_text(json.dumps(jsonl_record()) + "\n" + line + "\n")
         with pytest.raises(ParseError, match="records.jsonl:2"):
+            load_records(str(path))
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("joshi_class", 2.5, "joshi_class must be an integer or null, not 2.5"),
+        ("score", True, "score must be a number, not True"),
+        ("proxy_scores", {"p0": True}, "proxy score 'p0' must be a number, not True"),
+        ("record_id", 7, "record_id must be a string, not 7"),
+        ("score", 10 ** 400, "int too large to convert to float"),
+    ], ids=["joshi_float", "score_bool", "proxy_bool", "record_id_number", "score_huge_int"])
+    def test_jsonl_value_of_wrong_type_rejected(self, tmp_path, field, value, match):
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps({**jsonl_record(metric_name="accuracy", score=0.5), field: value}) + "\n")
+        with pytest.raises(ParseError, match="records.jsonl:1: .*" + match):
             load_records(str(path))
 
     def test_bad_task(self, tmp_path):
@@ -315,6 +329,51 @@ class TestDesignMatrixProperties:
         np.testing.assert_array_equal(np.isnan(sub.rows), expected[idx])
         assert not np.shares_memory(sub.rows, m.rows)
         assert not np.shares_memory(sub.targets, m.targets)
+
+
+@st.composite
+def shared_pair_inputs(draw):
+    """Records drawn from a few language and dataset pairs; the feature sources may lack a pair or be absent."""
+    datasets = ["d0", "d1", "d2"]
+    pairs = [(tr, te) for tr in datasets for te in datasets]
+    dropped = draw(st.sets(st.sampled_from(pairs), max_size=2)) if draw(st.booleans()) else set()
+    blocks = {
+        pair: make_feature_block(np.random.default_rng(i), embedding=draw(st.none() | st.floats(-1.0, 1.0)))
+        for i, pair in enumerate(pairs) if pair not in dropped
+    }
+    langs = ["eng", *LANGS[:3]] + (["zzz"] if draw(st.booleans()) else [])  # "zzz" is not in the distance table
+    proxy_ids = ["p0", "p1"]
+    score = st.none() | FINITE | st.just(float("nan"))
+    records = [
+        rec(f"r{i}", src_lang=draw(st.sampled_from(langs)), tgt_lang=draw(st.sampled_from(langs)),
+            train_dataset=draw(st.sampled_from(datasets)), test_dataset=draw(st.sampled_from(datasets)),
+            score=draw(FINITE), proxy_scores={p: draw(score) for p in sorted(draw(st.sets(st.sampled_from(proxy_ids))))})
+        for i in range(draw(st.integers(0, 25)))
+    ]
+    groups = draw(st.lists(st.sampled_from(FEATURE_GROUPS), min_size=1, max_size=3, unique=True))
+    table = make_language_table(LANGS[:3])
+    absent = draw(st.sampled_from([None, "table", "blocks"] + [None] * 7))
+    return (records, build_schema(groups, proxy_ids), None if absent == "blocks" else blocks,
+            None if absent == "table" else table)
+
+
+class TestDesignMatrixPairTables:
+    """build_design_matrix against resolving each record's blocks on its own."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(shared_pair_inputs())
+    def test_matches_per_record_build(self, inputs):
+        try:
+            expected = oracle_build_design_matrix(*inputs)
+        except MissingFeature as exc:
+            with pytest.raises(MissingFeature) as got:
+                build_design_matrix(*inputs)
+            assert (str(got.value), got.value.record_id) == (str(exc), exc.record_id)
+            return
+        m = build_design_matrix(*inputs)
+        assert m.rows.tobytes() == expected.rows.tobytes()
+        assert m.targets.tobytes() == expected.targets.tobytes()
+        assert (m.row_ids, m.languages) == (expected.row_ids, expected.languages)
 
 
 @st.composite

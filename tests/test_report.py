@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from perfcast.errors import TooFewPoints, ZeroVariance
 from perfcast.experiments import ExperimentResult
@@ -14,7 +16,7 @@ from perfcast.report import (
     scatter_from_predictions,
 )
 
-from oracles import oracle_lowess
+from oracles import oracle_lowess, oracle_lowess_per_point
 
 
 def result(mean=1.0, std=0.1, importance=None):
@@ -59,6 +61,39 @@ class TestLowess:
     def test_bad_frac(self):
         with pytest.raises(ValueError):
             lowess([(0.0, 0.0), (1.0, 1.0)], frac=0.0)
+
+
+@st.composite
+def lowess_inputs(draw):
+    """Points with heavily tied, mirrored or spread x and duplicated points, and a frac giving any r from 1 to n."""
+    n = draw(st.integers(2, 60))
+    x = st.one_of(
+        st.integers(0, 4).map(float),
+        st.sampled_from([-1.5, -0.5, 0.0, 0.5, 1.5]),
+        st.floats(-1e3, 1e3),
+    )
+    points = draw(st.lists(st.tuples(x, st.floats(-1e3, 1e3)), min_size=n, max_size=n))
+    points += [points[i] for i in draw(st.lists(st.integers(0, n - 1), max_size=n))]
+    assume(len({px for px, _ in points}) >= 2)
+    frac = draw(st.sampled_from([0.5 / len(points), 1.0]) | st.floats(0.05, 1.0))
+    return points, frac
+
+
+class TestLowessWindows:
+    """The windowed lowess against one full (distance, index) sort per point."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lowess_inputs())
+    def test_matches_per_point_sort_bit_for_bit(self, inputs):
+        points, frac = inputs
+        assert lowess(points, frac) == oracle_lowess_per_point(points, frac)
+
+    @pytest.mark.parametrize("kind, n, frac", [("uniform", 900, 0.5), ("integer", 700, 0.2), ("integer", 300, 0.05)])
+    def test_large_inputs(self, kind, n, frac):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0, 100, n) if kind == "uniform" else rng.integers(0, 30, n).astype(float)
+        points = list(zip(x, x + rng.normal(size=n)))
+        assert lowess(points, frac) == oracle_lowess_per_point(points, frac)
 
 
 class TestRSquared:
