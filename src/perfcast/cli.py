@@ -34,7 +34,7 @@ from .corpus import (
     read_corpus,
     write_feature_csv,
 )
-from .errors import ConfigError, ParseError, PerfcastError
+from .errors import ConfigError, ParseError, PerfcastError, open_text
 from .experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -42,6 +42,7 @@ from .experiments import (
     run_ablation,
     run_experiment,
 )
+from .fields import FIELD_TYPES
 from .langdist import load_distance_table
 from .records import (
     PerformanceRecord,
@@ -76,7 +77,7 @@ def _sha256(path: str) -> str:
 
 def _read_config(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
@@ -246,7 +247,7 @@ def _feature_sources(run: _Run, cfg: dict):
 
 def _config_int(cfg: dict, key: str, default: int) -> int:
     value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not FIELD_TYPES["int"].check(value):
         raise ValueError(f"'{key}' must be an integer, not {value!r}")
     return value
 
@@ -291,7 +292,7 @@ def _load_families(run: _Run, cfg: dict) -> dict[str, str]:
         return {}
     path = run.track(run.resolve(cfg["language_families"]))
     families: dict[str, str] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["lang", "family"]:
@@ -439,7 +440,7 @@ def _cmd_experiment(run: _Run, cfg: dict, seed_override: int | None, preset_over
     if not isinstance(label, str):
         raise ConfigError(f"'label' must be a string, not {label!r}")
     lowess_frac = cfg.get("lowess_frac", 0.5)
-    if isinstance(lowess_frac, bool) or not isinstance(lowess_frac, (int, float)) or not 0 < lowess_frac <= 1:
+    if not FIELD_TYPES["float"].check(lowess_frac) or not 0 < lowess_frac <= 1:
         raise ConfigError(f"'lowess_frac' must be a number in (0, 1], not {lowess_frac!r}")
     fmt = _report_format(cfg)
     families = _load_families(run, cfg)

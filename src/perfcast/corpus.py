@@ -20,7 +20,8 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, EmptyCorpus, InvalidTTR, ParseError, RangeError, ZeroVector
+from .errors import DimMismatch, EmptyCorpus, InvalidTTR, ParseError, RangeError, ZeroVector, open_text
+from .fields import from_json
 
 TokenizeMode = Literal["unicode_words", "pretokenized_whitespace"]
 
@@ -253,28 +254,33 @@ def dataset_features(
 
 def read_corpus(path: str, mode: TokenizeMode = "unicode_words") -> list[list[str]]:
     """Read a UTF-8, one-sentence-per-line corpus file into token sequences."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return [tokenize(line.rstrip("\n"), mode) for line in fh]
 
 
 def load_embeddings(path: str) -> dict[str, EmbeddingSet]:
-    """Load one-JSON-object-per-line embedding records keyed by dataset_id."""
+    """Load one-JSON-object-per-line embedding records, read by from_json, keyed by dataset_id.
+
+    A repeated dataset_id is a ParseError at file:line naming the line that first gave it.
+    """
     out: dict[str, EmbeddingSet] = {}
-    with open(path, encoding="utf-8") as fh:
+    first_line: dict[str, int] = {}
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                emb = EmbeddingSet(
-                    dataset_id=obj["dataset_id"],
-                    dim=int(obj["dim"]),
-                    mean_vector=tuple(float(v) for v in obj["mean_vector"]),
-                )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+                emb = from_json(EmbeddingSet, json.loads(line))
+            except ValueError as exc:  # json.JSONDecodeError is a ValueError
                 raise ParseError(f"{path}:{lineno}: bad embedding record: {exc}") from exc
-            out[emb.dataset_id] = emb
+            key = emb.dataset_id
+            if key in first_line:
+                raise ParseError(
+                    f"{path}:{lineno}: duplicate dataset_id {key!r}, first given on line {first_line[key]}"
+                )
+            first_line[key] = lineno
+            out[key] = emb
     return out
 
 
@@ -290,13 +296,19 @@ def write_feature_csv(path: str, blocks: Iterable[tuple[str, str, DatasetFeature
             writer.writerow(row)
 
 
-# The documented ranges of the bounded columns. jsd() can land 1e-15 past an
-# end by rounding, so its check allows 1e-12.
+# The range of each column, as dataset_features guarantees it. jsd() and the
+# cosines can land 1e-15 past an end by rounding, so their checks allow 1e-12.
 _FEATURE_RANGES = {
+    "train_size": ("[1, inf)", lambda v: v >= 1),
+    "vocab_size_train": ("[1, inf)", lambda v: v >= 1),
+    "avg_sentence_length_train": ("(0, inf)", lambda v: v > 0.0),
     "word_overlap": ("[0, 0.5]", lambda v: 0.0 <= v <= 0.5),
     "ttr_train": ("(0, 1]", lambda v: 0.0 < v <= 1.0),
     "ttr_test": ("(0, 1]", lambda v: 0.0 < v <= 1.0),
+    "ttr_distance": ("[0, inf)", lambda v: v >= 0.0),
     "jsd": ("[0, 1]", lambda v: -1e-12 <= v <= 1.0 + 1e-12),
+    "tfidf_cosine": ("[0, 1]", lambda v: -1e-12 <= v <= 1.0 + 1e-12),
+    "embedding_cosine": ("[-1, 1]", lambda v: v is None or -1.0 - 1e-12 <= v <= 1.0 + 1e-12),
 }
 
 
@@ -309,7 +321,7 @@ def load_feature_csv(path: str) -> dict[tuple[str, str], DatasetFeatureBlock]:
     expected = ("train_dataset", "test_dataset") + DATASET_FEATURE_COLUMNS
     out: dict[tuple[str, str], DatasetFeatureBlock] = {}
     first_line: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != expected:

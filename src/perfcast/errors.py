@@ -1,10 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the text-file opener that raises one.
 
 Every error raised by perfcast derives from :class:`PerfcastError`, so callers
 (and the CLI) can catch one base class.
 """
 
 from __future__ import annotations
+
+import contextlib
+from typing import Iterator, TextIO
 
 
 class PerfcastError(Exception):
@@ -122,3 +125,24 @@ class ZeroVariance(PerfcastError):
 class ConfigError(PerfcastError):
     pass
 
+
+@contextlib.contextmanager
+def open_text(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """Open a UTF-8 text file to read; a byte that is not UTF-8 raises ParseError at file:line."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> ParseError:
+    # the reader decodes in chunks, so exc.start counts from a chunk's start: decode the whole file again
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        exc = whole
+    line = data.count(b"\n", 0, exc.start) + 1
+    return ParseError(f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
-from .errors import AsymmetryError, MissingPair, ParseError, RangeError, SelfDistanceNonzero
+from .errors import AsymmetryError, MissingPair, ParseError, RangeError, SelfDistanceNonzero, open_text
 
 DISTANCE_KINDS = ("geographic", "genetic", "inventory", "syntactic", "phonological", "featural")
 
@@ -53,7 +53,7 @@ def load_distance_table(path: str) -> LanguageDistanceTable:
     when duplicate rows for the same pair and kind disagree.
     """
     entries: dict[tuple[str, str, str], float] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != CSV_HEADER:

@@ -6,6 +6,13 @@ Records become rows of a DesignMatrix whose columns follow a FeatureSchema:
 six language distances, ten dataset features, then one column per enabled
 proxy. Missing proxy scores and missing embedding cosines stay NaN, not
 imputed, at this layer: NaN is the one marker of a missing cell.
+
+A records file is a CSV with one proxy:<id> column per proxy, or JSONL with
+one JSON object per line. A JSONL line is read through the field table of
+`perfcast.fields`, so each value must have its field's JSON type, nothing
+is coerced, and an absent optional key takes the field's default; the one
+leniency is a seen_by_estimated_model string, read like the CSV cell. Every
+record then has its task, corpus group, Joshi class and scores checked.
 """
 
 from __future__ import annotations
@@ -14,14 +21,14 @@ import csv
 import hashlib
 import json
 import math
-import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import DATASET_FEATURE_COLUMNS, DatasetFeatureBlock
-from .errors import DuplicateId, KeyMismatch, MissingFeature, MissingPair, ParseError, RangeError
+from .errors import DuplicateId, KeyMismatch, MissingFeature, MissingPair, ParseError, RangeError, open_text
+from .fields import from_json
 from .langdist import DISTANCE_KINDS, LanguageDistanceTable, language_features
 
 TASKS = ("mt", "intent", "slot")
@@ -88,30 +95,6 @@ class PerformanceRecord:
     joshi_class: int | None = None
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-# Type checks by annotation string; numpy integer and float scalars register as Integral and Real.
-_FIELD_TYPES = {
-    "int": _is_int,
-    "int | None": lambda value: value is None or _is_int(value),
-    "float": lambda value: isinstance(value, numbers.Real) and not isinstance(value, bool),
-    "str": lambda value: isinstance(value, str),
-}
-
-
-def check_field_types(obj) -> None:
-    """Raise ValueError naming the first field of a dataclass whose value is not of its declared type.
-
-    An int field takes an integer but not a bool; a float field any real number but not a bool.
-    """
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if not _FIELD_TYPES[f.type](value):
-            raise ValueError(f"{f.name} must be of type {f.type}, not {value!r}")
-
-
 def _check_score(record_id: str, metric_name: str, score: float) -> None:
     if not math.isfinite(score):
         raise RangeError(f"record {record_id!r}: non-finite score {score}")
@@ -145,15 +128,6 @@ def _parse_bool(raw: str, context: str) -> bool:
     raise ParseError(f"{context}: bad boolean {raw!r}")
 
 
-def _json_bool(value, context: str) -> bool:
-    """A JSON bool as is; a string by the CSV loader's rules; anything else is an error."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        return _parse_bool(value, context)
-    raise ParseError(f"{context}: bad boolean {value!r}")
-
-
 def load_records(path: str) -> list[PerformanceRecord]:
     """Load records from CSV (proxy:<id> columns) or JSONL (proxy_scores object)."""
     records = _load_records_jsonl(path) if path.endswith((".jsonl", ".json")) else _load_records_csv(path)
@@ -167,7 +141,7 @@ def load_records(path: str) -> list[PerformanceRecord]:
 
 def _load_records_csv(path: str) -> list[PerformanceRecord]:
     records: list[PerformanceRecord] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -224,24 +198,10 @@ def _load_records_csv(path: str) -> list[PerformanceRecord]:
     return records
 
 
-def _json_text(obj: dict, name: str, context: str, default: str | None = None) -> str:
-    value = obj[name] if default is None else obj.get(name, default)
-    if not isinstance(value, str):
-        raise ParseError(f"{context}: {name} must be a string, not {value!r}")
-    return value
-
-
-def _json_number(value, name: str, context: str) -> float:
-    """A JSON number as a float; a bool, string or anything else is an error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{context}: {name} must be a number, not {value!r}")
-    return float(value)
-
-
 def _load_records_jsonl(path: str) -> list[PerformanceRecord]:
-    """One JSON object per line; each value must have its field's JSON type, or the line is a ParseError."""
+    """One JSON object per line, read by from_json; a string seen_by_estimated_model is read as in the CSV."""
     records: list[PerformanceRecord] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -249,34 +209,11 @@ def _load_records_jsonl(path: str) -> list[PerformanceRecord]:
             context = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ParseError(f"{context}: a record must be a JSON object")
-                proxy_obj = obj.get("proxy_scores", {})
-                if not isinstance(proxy_obj, dict):
-                    raise ParseError(f"{context}: proxy_scores must be a JSON object")
-                proxies = {
-                    k: None if v is None else _json_number(v, f"proxy score {k!r}", context)
-                    for k, v in proxy_obj.items()
-                }
-                joshi = obj.get("joshi_class")
-                if joshi is not None and not _is_int(joshi):
-                    raise ParseError(f"{context}: joshi_class must be an integer or null, not {joshi!r}")
-                rec = PerformanceRecord(
-                    record_id=_json_text(obj, "record_id", context),
-                    task=_json_text(obj, "task", context),
-                    estimated_model=_json_text(obj, "estimated_model", context),
-                    train_dataset=_json_text(obj, "train_dataset", context),
-                    test_dataset=_json_text(obj, "test_dataset", context),
-                    src_lang=_json_text(obj, "src_lang", context),
-                    tgt_lang=_json_text(obj, "tgt_lang", context),
-                    metric_name=_json_text(obj, "metric_name", context),
-                    score=_json_number(obj["score"], "score", context),
-                    proxy_scores=proxies,
-                    seen_by_estimated_model=_json_bool(obj.get("seen_by_estimated_model", True), context),
-                    corpus_group=_json_text(obj, "corpus_group", context, default="other"),
-                    joshi_class=joshi,
-                )
-            except (KeyError, OverflowError, json.JSONDecodeError) as exc:
+                seen = obj.get("seen_by_estimated_model") if isinstance(obj, dict) else None
+                if isinstance(seen, str):
+                    obj["seen_by_estimated_model"] = _parse_bool(seen, context)
+                rec = from_json(PerformanceRecord, obj)
+            except ValueError as exc:  # json.JSONDecodeError is a ValueError
                 raise ParseError(f"{context}: bad record: {exc}") from exc
             records.append(validate_record(rec))
     return records

@@ -15,17 +15,10 @@ from .gbt import GbtModel, GbtParams, gbt_fit, gbt_importance, gbt_predict
 from .mf import MfModel, MfParams, mf_fit, mf_predict, mf_predict_one
 from .poly import PolyModel, PolyParams, poly_fit, poly_predict
 from .presets import PRESETS, get_preset
-from .serialize import load_model, model_from_dict, model_to_dict, save_model
+from .serialize import KINDS, load_model, model_from_dict, model_to_dict, save_model
 
 AnyParams = GbtParams | PolyParams | MfParams
 AnyModel = GbtModel | PolyModel | MfModel
-
-# kind name -> (params class, model class)
-KINDS: dict[str, tuple[type, type]] = {
-    "gbt": (GbtParams, GbtModel),
-    "poly": (PolyParams, PolyModel),
-    "mf": (MfParams, MfModel),
-}
 
 _KIND_OF = {cls: kind for kind, classes in KINDS.items() for cls in classes}
 

@@ -28,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import EmptyTrainingSet, NoSplits, SchemaMismatch
-from ..records import DesignMatrix, check_field_types
+from ..fields import check_field_types
+from ..records import DesignMatrix
 
 
 @dataclass(frozen=True)

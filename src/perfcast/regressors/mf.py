@@ -34,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import NotManyToMany, SchemaMismatch, UnknownLanguage
-from ..records import DesignMatrix, check_field_types
+from ..fields import check_field_types
+from ..records import DesignMatrix
 from .poly import _apply_stats, impute_and_standardize
 
 

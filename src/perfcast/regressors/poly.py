@@ -31,7 +31,8 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from ..errors import EmptyTrainingSet, SchemaMismatch
-from ..records import DesignMatrix, check_field_types
+from ..fields import check_field_types
+from ..records import DesignMatrix
 
 
 @dataclass(frozen=True)

@@ -1,171 +1,147 @@
 """Self-describing JSON serialization for fitted models.
 
-Floats survive the JSON round trip exactly (repr-based encoding), so a
-loaded model predicts bit-identically to the one that was saved.
+A model file holds `format_version`, `kind` and every field of the model's
+dataclass but `objective_history`. It is read back through the field table
+of `perfcast.fields`, so every field must have its annotation's JSON type,
+with nothing coerced; the params object is built by its own class, which
+checks its fields against the same table, and each tree by `_load_tree`.
+Checks that span fields follow: GBT node features within the feature
+names, poly terms within the columns, equal lengths, MF factor shapes and
+bias languages. Floats survive the JSON round trip exactly (repr-based
+encoding), so a loaded model predicts bit-identically to the one that was
+saved.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 from typing import Any
 
 import numpy as np
 
-from ..errors import ParseError
+from ..errors import ParseError, open_text
+from ..fields import FIELD_TYPES, FieldType, from_json
 from .gbt import NODE_DTYPE, GbtModel, GbtParams, make_tree
 from .mf import MfModel, MfParams
 from .poly import PolyModel, PolyParams
 
 FORMAT_VERSION = 1
 
+# kind name -> (params class, model class)
+KINDS: dict[str, tuple[type, type]] = {
+    "gbt": (GbtParams, GbtModel),
+    "poly": (PolyParams, PolyModel),
+    "mf": (MfParams, MfModel),
+}
+
+_MODEL_KIND = {model_cls: kind for kind, (_, model_cls) in KINDS.items()}
+
+# The poly objective trajectory is not part of the file format.
+_UNSAVED = ("objective_history",)
+
+
+def _to_json(value):
+    """A field value as the JSON value the field table reads back."""
+    if is_dataclass(value):
+        return asdict(value)
+    if isinstance(value, np.recarray):
+        return [dict(zip(NODE_DTYPE.names, row)) for row in value.tolist()]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _to_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_to_json(item) for item in value]
+    return value
+
 
 def model_to_dict(model: GbtModel | PolyModel | MfModel) -> dict[str, Any]:
-    if isinstance(model, GbtModel):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "gbt",
-            "params": asdict(model.params),
-            "fingerprint": model.fingerprint,
-            "base_score": model.base_score,
-            "eta": model.eta,
-            "feature_names": list(model.feature_names),
-            "trees": [[dict(zip(NODE_DTYPE.names, row)) for row in tree.tolist()] for tree in model.trees],
-            "gain_totals": model.gain_totals,
-            "train_rmse": model.train_rmse,
-        }
-    if isinstance(model, PolyModel):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "poly",
-            "params": asdict(model.params),
-            "fingerprint": model.fingerprint,
-            "terms": [list(t) for t in model.terms],
-            "intercept": model.intercept,
-            "coef": model.coef.tolist(),
-            "impute": model.impute.tolist(),
-            "mean": model.mean.tolist(),
-            "std": model.std.tolist(),
-            "converged": model.converged,
-            "n_sweeps": model.n_sweeps,
-        }
-    if isinstance(model, MfModel):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "mf",
-            "params": asdict(model.params),
-            "fingerprint": model.fingerprint,
-            "mu": model.mu,
-            "w": {k: v.tolist() for k, v in model.w.items()},
-            "h": {k: v.tolist() for k, v in model.h.items()},
-            "b_s": {k: float(v) for k, v in model.b_s.items()},
-            "b_t": {k: float(v) for k, v in model.b_t.items()},
-            "theta": model.theta.tolist(),
-            "impute": model.impute.tolist(),
-            "mean": model.mean.tolist(),
-            "std": model.std.tolist(),
-        }
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+    if type(model) not in _MODEL_KIND:
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    out = {"format_version": FORMAT_VERSION, "kind": _MODEL_KIND[type(model)]}
+    for f in fields(model):
+        if f.name not in _UNSAVED:
+            out[f.name] = _to_json(getattr(model, f.name))
+    return out
 
 
-# Each node field's JSON types, in NODE_DTYPE order: the array itself would
+# Each node field's check, in NODE_DTYPE order: the array itself would
 # truncate a fractional index and read the string "false" as True.
-_NODE_JSON_TYPES = [{"i": (int,), "f": (int, float), "b": (bool,)}[NODE_DTYPE[f].kind] for f in NODE_DTYPE.names]
+_NODE_CHECKS = [FIELD_TYPES[{"i": "int", "f": "float", "b": "bool"}[NODE_DTYPE[name].kind]].check
+                for name in NODE_DTYPE.names]
 
 
-def _load_tree(nodes: list[dict], n_features: int) -> np.recarray:
+def _load_tree(nodes: list) -> np.recarray:
     """The tree of one node list in a model file.
 
-    Rejects a node whose keys are not exactly the NODE_DTYPE fields or whose
-    values have the wrong JSON type, and an internal node whose feature does
-    not exist or whose child index does not lie between its own index and the
-    end of the tree. The grower appends both children after their parent, so
-    in every tree it writes each child index exceeds its parent's. That rules
-    out cycles and bounds the passes of the level-by-level predict.
+    Rejects a node that is not an object whose keys are exactly the
+    NODE_DTYPE fields or whose values have the wrong JSON type, and an
+    internal node whose child index does not lie between its own index and
+    the end of the tree. The grower appends both children after their
+    parent, so in every tree it writes each child index exceeds its
+    parent's. That rules out cycles and bounds the passes of the
+    level-by-level predict.
     """
-    fields, values = set(NODE_DTYPE.names), operator.itemgetter(*NODE_DTYPE.names)
+    names, values = set(NODE_DTYPE.names), operator.itemgetter(*NODE_DTYPE.names)
     rows = []
     for i, node in enumerate(nodes):
-        if node.keys() != fields:
-            raise ParseError(f"node {i}: keys {sorted(node)} are not {sorted(fields)}")
+        if not isinstance(node, dict):
+            raise ValueError(f"node {i}: {node!r} is not a JSON object")
+        if node.keys() != names:
+            raise ValueError(f"node {i}: keys {sorted(node)} are not {sorted(names)}")
         rows.append(values(node))
-        for name, value, types in zip(NODE_DTYPE.names, rows[-1], _NODE_JSON_TYPES):
-            if type(value) not in types:
-                raise ParseError(f"node {i}: {name} {value!r} is not of type {NODE_DTYPE[name]}")
+        for name, value, check in zip(NODE_DTYPE.names, rows[-1], _NODE_CHECKS):
+            if not check(value):
+                raise ValueError(f"node {i}: {name} {value!r} is not of type {NODE_DTYPE[name]}")
     tree = make_tree(rows)
     n = len(tree)
     if n == 0:
-        raise ParseError("empty tree")
-    feature, left, right = tree["feature"], tree["left"], tree["right"]
-    ids = np.arange(n)
+        raise ValueError("empty tree")
+    left, right, ids = tree["left"], tree["right"], np.arange(n)
     bad_left = (left <= ids) | (left >= n)
-    bad_right = (right <= ids) | (right >= n)
-    bad = np.flatnonzero((feature >= 0) & ((feature >= n_features) | bad_left | bad_right))
+    bad = np.flatnonzero((tree["feature"] >= 0) & (bad_left | (right <= ids) | (right >= n)))
     if bad.size:
         i = int(bad[0])
-        if feature[i] >= n_features:
-            raise ParseError(f"node {i}: feature {feature[i]} outside [0, {n_features})")
-        raise ParseError(f"node {i}: child {left[i] if bad_left[i] else right[i]} outside ({i}, {n})")
+        raise ValueError(f"node {i}: child {left[i] if bad_left[i] else right[i]} outside ({i}, {n})")
     return tree
 
 
-def _same_lengths(**fields) -> None:
-    lengths = {name: len(value) for name, value in fields.items()}
+# The field table sits below the regressors, so the annotations only models
+# use are added to it here: a params object, built by its own class (which
+# checks its fields against the table) so that {"eta": 1} keeps its bytes,
+# and trees, each built by _load_tree.
+FIELD_TYPES.update({
+    params_cls.__name__: FieldType(lambda value: isinstance(value, dict), lambda value, cls=params_cls: cls(**value))
+    for params_cls, _ in KINDS.values()
+})
+FIELD_TYPES["np.recarray"] = FieldType(lambda value: isinstance(value, list), _load_tree)
+FIELD_TYPES["list[np.recarray]"] = FieldType(lambda value: isinstance(value, list), list, "np.recarray")
+
+
+def _same_lengths(**arrays) -> None:
+    lengths = {name: len(value) for name, value in arrays.items()}
     if len(set(lengths.values())) > 1:
         raise ParseError(f"lengths differ: {lengths}")
 
 
-def model_from_dict(obj: dict[str, Any]) -> GbtModel | PolyModel | MfModel:
-    version = obj.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version {version!r} (expected {FORMAT_VERSION})")
-    kind = obj.get("kind")
-    if kind == "gbt":
-        feature_names = tuple(obj["feature_names"])
-        return GbtModel(
-            base_score=float(obj["base_score"]),
-            eta=float(obj["eta"]),
-            trees=[_load_tree(nodes, len(feature_names)) for nodes in obj["trees"]],
-            feature_names=feature_names,
-            fingerprint=obj["fingerprint"],
-            params=GbtParams(**obj["params"]),
-            gain_totals=dict(obj["gain_totals"]),
-            train_rmse=list(obj["train_rmse"]),
-        )
-    if kind == "poly":
-        model = PolyModel(
-            params=PolyParams(**obj["params"]),
-            terms=[tuple(t) for t in obj["terms"]],
-            intercept=float(obj["intercept"]),
-            coef=np.asarray(obj["coef"], dtype=np.float64),
-            impute=np.asarray(obj["impute"], dtype=np.float64),
-            mean=np.asarray(obj["mean"], dtype=np.float64),
-            std=np.asarray(obj["std"], dtype=np.float64),
-            fingerprint=obj["fingerprint"],
-            converged=bool(obj["converged"]),
-            n_sweeps=int(obj["n_sweeps"]),
-        )
+def _check_across_fields(model: GbtModel | PolyModel | MfModel) -> None:
+    """Raise ParseError for fields of the right types that do not fit together."""
+    if isinstance(model, GbtModel):
+        n_features = len(model.feature_names)
+        for t, tree in enumerate(model.trees):
+            bad = np.flatnonzero(tree["feature"] >= n_features)
+            if bad.size:
+                i = int(bad[0])
+                raise ParseError(f"trees[{t}]: node {i}: feature {tree['feature'][i]} outside [0, {n_features})")
+    elif isinstance(model, PolyModel):
         _same_lengths(impute=model.impute, mean=model.mean, std=model.std)
         _same_lengths(coef=model.coef, terms=model.terms)
         for term in model.terms:
-            if not all(isinstance(i, int) and 0 <= i < len(model.mean) for i in term):
+            if not all(0 <= i < len(model.mean) for i in term):
                 raise ParseError(f"term {list(term)} indexes a column outside [0, {len(model.mean)})")
-        return model
-    if kind == "mf":
-        model = MfModel(
-            params=MfParams(**obj["params"]),
-            mu=float(obj["mu"]),
-            w={k: np.asarray(v, dtype=np.float64) for k, v in obj["w"].items()},
-            h={k: np.asarray(v, dtype=np.float64) for k, v in obj["h"].items()},
-            b_s={k: float(v) for k, v in obj["b_s"].items()},
-            b_t={k: float(v) for k, v in obj["b_t"].items()},
-            theta=np.asarray(obj["theta"], dtype=np.float64),
-            impute=np.asarray(obj["impute"], dtype=np.float64),
-            mean=np.asarray(obj["mean"], dtype=np.float64),
-            std=np.asarray(obj["std"], dtype=np.float64),
-            fingerprint=obj["fingerprint"],
-        )
+    else:
         k = model.params.latent_dim
         for name, factors in (("w", model.w), ("h", model.h)):
             for lang, vector in factors.items():
@@ -174,8 +150,21 @@ def model_from_dict(obj: dict[str, Any]) -> GbtModel | PolyModel | MfModel:
         if model.b_s.keys() != model.w.keys() or model.b_t.keys() != model.h.keys():
             raise ParseError("the languages of b_s/b_t do not match those of w/h")
         _same_lengths(theta=model.theta, impute=model.impute, mean=model.mean, std=model.std)
-        return model
-    raise ParseError(f"unknown model kind {kind!r}")
+
+
+def model_from_dict(obj: dict[str, Any]) -> GbtModel | PolyModel | MfModel:
+    """The model of a model file's JSON object; ParseError or ValueError names what is wrong."""
+    if not isinstance(obj, dict):
+        raise ParseError("a model file must hold a JSON object")
+    version = obj.get("format_version")
+    if not FIELD_TYPES["int"].check(version) or version != FORMAT_VERSION:
+        raise ParseError(f"unsupported format_version {version!r} (expected {FORMAT_VERSION})")
+    kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ParseError(f"unknown model kind {kind!r}")
+    model = from_json(KINDS[kind][1], obj)
+    _check_across_fields(model)
+    return model
 
 
 def save_model(model: GbtModel | PolyModel | MfModel, path: str) -> None:
@@ -185,12 +174,12 @@ def save_model(model: GbtModel | PolyModel | MfModel, path: str) -> None:
 
 
 def load_model(path: str) -> GbtModel | PolyModel | MfModel:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: not a valid model file: {exc}") from exc
     try:
         return model_from_dict(obj)
-    except (ParseError, AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (ParseError, ValueError) as exc:
         raise ParseError(f"{path}: not a valid model file: {type(exc).__name__}: {exc}") from exc

@@ -297,26 +297,28 @@ class TestDatasetFeatures:
         assert block.tfidf_cosine == pytest.approx(oracle_tfidf_cosine(o1["counts"], o2["counts"]), abs=1e-12)
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
 TTR = st.sampled_from([5e-324, 1.0]) | st.floats(0.0, 1.0, exclude_min=True)
+UNIT = st.sampled_from([-1e-12, 0.0, 1.0, 1.0 + 1e-12]) | st.floats(0.0, 1.0)  # [0, 1] with rounding slack
+POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
 def feature_rows(draw):
-    """(train_dataset, test_dataset, block) rows with free-text ids, range ends and absent embedding cosines."""
+    """(train_dataset, test_dataset, block) rows with free-text ids, values in their columns' ranges and absent
+    embedding cosines."""
     keys = draw(st.lists(st.tuples(st.text(max_size=5), st.text(max_size=5)), max_size=5, unique=True))
     return [
         (train_id, test_id, DatasetFeatureBlock(
-            train_size=draw(st.integers(0, 10**9)),
-            vocab_size_train=draw(st.integers(0, 10**9)),
-            avg_sentence_length_train=draw(FINITE),
+            train_size=draw(st.integers(1, 10**9)),
+            vocab_size_train=draw(st.integers(1, 10**9)),
+            avg_sentence_length_train=draw(POSITIVE),
             word_overlap=draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5)),
             ttr_train=draw(TTR),
             ttr_test=draw(TTR),
-            ttr_distance=draw(FINITE),
-            jsd=draw(st.sampled_from([-1e-12, 0.0, 1.0, 1.0 + 1e-12]) | st.floats(0.0, 1.0)),
-            tfidf_cosine=draw(FINITE),
-            embedding_cosine=draw(st.none() | FINITE),
+            ttr_distance=draw(st.floats(0.0, allow_infinity=False)),
+            jsd=draw(UNIT),
+            tfidf_cosine=draw(UNIT),
+            embedding_cosine=draw(st.none() | st.sampled_from([-1.0 - 1e-12, 1.0 + 1e-12]) | st.floats(-1.0, 1.0)),
         ))
         for train_id, test_id in keys
     ]
@@ -326,7 +328,12 @@ class TestFeatureCsvProperties:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(feature_rows())
     @example([("tr, \"α\"", "te\r\nx",
-               DatasetFeatureBlock(1, 1, 0.0, 0.5, 1.0, 5e-324, 0.0, 1.0 + 1e-12, -0.0, None))])
+               DatasetFeatureBlock(1, 1, 5e-324, 0.5, 1.0, 5e-324, 0.0, 1.0 + 1e-12, -0.0, None))])
+    @example([
+        ("lower", "ends", DatasetFeatureBlock(1, 1, 5e-324, 0.0, 5e-324, 5e-324, 0.0, -1e-12, -1e-12, -1.0 - 1e-12)),
+        ("upper", "ends", DatasetFeatureBlock(10**9, 10**9, 1.7976931348623157e308, 0.5, 1.0, 1.0,
+                                              1.7976931348623157e308, 1.0 + 1e-12, 1.0 + 1e-12, 1.0 + 1e-12)),
+    ])
     def test_write_load_write(self, rows):
         with tempfile.TemporaryDirectory() as tmp:
             first, second = os.path.join(tmp, "first.csv"), os.path.join(tmp, "second.csv")
@@ -382,6 +389,16 @@ class TestFileIo:
         ("ttr_train", "-3", r"\(0, 1\]"),
         ("ttr_test", "0.0", r"\(0, 1\]"),
         ("jsd", "2.0", r"\[0, 1\]"),
+        ("train_size", "-5", r"\[1, inf\)"),
+        ("train_size", "0", r"\[1, inf\)"),
+        ("vocab_size_train", "-3", r"\[1, inf\)"),
+        ("avg_sentence_length_train", "-1.0", r"\(0, inf\)"),
+        ("avg_sentence_length_train", "0.0", r"\(0, inf\)"),
+        ("ttr_distance", "-2.0", r"\[0, inf\)"),
+        ("tfidf_cosine", "7.5", r"\[0, 1\]"),
+        ("tfidf_cosine", "-0.001", r"\[0, 1\]"),
+        ("embedding_cosine", "-3.0", r"\[-1, 1\]"),
+        ("embedding_cosine", "1.001", r"\[-1, 1\]"),
     ])
     def test_feature_csv_value_out_of_range(self, tmp_path, column, value, interval):
         path = self.write_edited_feature_csv(tmp_path, {column: value})
@@ -414,6 +431,17 @@ class TestFileIo:
         path = tmp_path / "emb.jsonl"
         path.write_text('{"dataset_id": "d1", "dim": 3, "mean_vector": [1.0]}\n')
         with pytest.raises(ParseError):
+            load_embeddings(str(path))
+
+    def test_embedding_jsonl_repeated_dataset(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text(
+            '{"dataset_id": "a", "dim": 1, "mean_vector": [1.0]}\n'
+            '{"dataset_id": "b", "dim": 1, "mean_vector": [2.0]}\n'
+            '\n'
+            '{"dataset_id": "a", "dim": 1, "mean_vector": [3.0]}\n'
+        )
+        with pytest.raises(ParseError, match=r"emb.jsonl:4: duplicate dataset_id 'a', first given on line 1"):
             load_embeddings(str(path))
 
     def test_column_order_is_stable(self):

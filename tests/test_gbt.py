@@ -364,6 +364,12 @@ class TestModelFileValidation:
         obj["format_version"] = 99
         rejects_model_file(path, obj, "format_version 99")
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_format_version_of_another_type(self, saved, version):
+        path, obj = saved
+        obj["format_version"] = version
+        rejects_model_file(path, obj, f"format_version {version!r}")
+
     def test_missing_key(self, saved):
         path, obj = saved
         del obj["eta"]
