@@ -3,13 +3,17 @@
 One boosting engine, two growth policies: depth_wise splits every node
 level by level up to max_depth; leaf_wise repeatedly splits the highest-gain
 leaf until num_leaves. Split search is exact greedy over sorted unique
-values (optionally capped by quantile binning via max_bin). It scans a
-node's feature columns together as one (column, row) block, in the spirit of
-XGBoost's column blocks (Chen & Guestrin, KDD 2016, section 4.1): one sort,
-one prefix sum and one gain array for all columns, with the block sorted
-afresh at every node. A NaN cell is a missing value (section 3.4): it is
-routed to whichever side maximizes gain and that default direction is stored
-per node, so missing cells are handled natively at fit and predict time.
+values (optionally capped by quantile binning via max_bin). As in XGBoost's
+column blocks (Chen & Guestrin, KDD 2016, section 4.1), each column's rows
+are sorted by value once per fit. Nodes are searched in batches: a whole
+level for depth_wise, the two children of each split for leaf_wise. A
+batch's nodes and feature columns form one padded (node, column, position)
+block, with one stable sort by node, one prefix sum, and gains scored at
+every candidate boundary. A node with fewer than twice the rows a child must
+keep cannot split, so it becomes a leaf without a search. A NaN cell is a
+missing value (section 3.4): it is routed to whichever side maximizes gain
+and that default direction is stored per node, so missing cells are handled
+natively at fit and predict time.
 
 Squared-error objective: g_i = pred_i - y_i and h_i = 1, so hessian sums are
 the row counts n. Split gain 0.5 * [GL^2/(n_L+lambda) + GR^2/(n_R+lambda) -
@@ -71,6 +75,9 @@ class GbtParams:
             raise ValueError("max_bin must be >= 2 when set")
 
 
+# per default direction (missing cells left, then right): 1 where they join the left side; reversed, the right
+_TO_LEFT = np.array([1, 0])
+
 # A tree is one array of these, one row per node in left-first id order, with
 # feature -1 marking a leaf. Aligned, so predict's per-field gathers read
 # naturally aligned values.
@@ -108,9 +115,10 @@ def _soft(g: np.ndarray | float, alpha: float):
     return np.sign(g) * np.maximum(np.abs(g) - alpha, 0.0)
 
 
-def _score(g, n, alpha: float, lam: float):
-    s = _soft(g, alpha)
-    return s * s / (n + lam)
+def _score(g, n, params: GbtParams):
+    """soft(g, reg_alpha)^2 / (n + reg_lambda); the square drops soft's sign, so it is not applied."""
+    s = np.maximum(np.abs(g) - params.reg_alpha, 0.0)
+    return s * s / (n + params.reg_lambda)
 
 
 @dataclass
@@ -123,160 +131,185 @@ class _Split:
     right_rows: np.ndarray
 
 
-def _best_split(
-    X: np.ndarray,
-    g: np.ndarray,
-    rows: np.ndarray,
-    cols: Sequence[int],
-    params: GbtParams,
-) -> _Split | None:
-    """Exhaustive best split over the given rows and feature columns.
+def _column_cells(X: np.ndarray, g: np.ndarray, by_value: np.ndarray, in_rows: np.ndarray, cols: Sequence[int]):
+    """The cells of the rows in_rows marks, in each column of cols in value order, for _split_search.
 
-    All columns are scanned at once as a (column, row) block: each column is
-    sorted with its missing (NaN) cells last, the gains of every boundary between
-    distinct values are computed for both default directions in one
-    (column, direction, position) array, and one flat argmax picks the
-    winner. Ties therefore break to the lowest feature index, then
-    missing-to-left, then the lowest threshold. Returns None when no split
-    has a positive gain.
+    by_value holds every row of X in each column's value order, missing (NaN)
+    cells last in row order. Returns (row ids, values, gradients): row ids
+    are (column, position); values and gradients are flat in the same order
+    and end in one padding cell, a NaN value with a zero gradient.
     """
-    n, k = rows.size, len(cols)
-    if n < 2:
-        return None
-    alpha, lam = params.reg_alpha, params.reg_lambda
-    g_rows = g[rows]
-    values = X[rows[:, None], cols].T
-    miss = np.isnan(values)
-    # NaN sorts after every value, so each column's missing cells come last, in row order
-    order = np.argsort(values, axis=1, kind="stable")
-    ids = np.arange(k)
-    sv = values[ids[:, None], order]
-    # (column, sorted position); cumsum is sequential, so each column's
-    # prefix sums have the bits of a 1-D cumsum over its sorted cells
-    cum = np.cumsum(g_rows[order], axis=1)
-    n_miss = miss.sum(axis=1)
-    n_nm = n - n_miss
-    total = cum[ids, n_nm - 1]
-    miss_sum = np.zeros(k)
-    for c in np.flatnonzero(n_miss):
-        # a 1-D sum, as a 2-D reduction may add in another order
-        miss_sum[c] = g_rows[miss[c]].sum()
+    row_ids = by_value[cols]
+    row_ids = row_ids[in_rows[row_ids]].reshape(len(cols), -1)
+    return row_ids, np.append(X[row_ids, np.array(cols)[:, None]], np.nan), np.append(g[row_ids], 0.0)
+
+
+def _split_search(
+    X: np.ndarray, cells: tuple[np.ndarray, ...], batch: list[np.ndarray], cols: Sequence[int], params: GbtParams
+) -> list[_Split | None]:
+    """Exhaustive best split of each node in batch, a list of row sets, searched as one block.
+
+    cells is _column_cells of rows that hold every node's. A node with fewer
+    than 2 * max(min_child_weight, min_child_samples) rows, or fewer than 2,
+    has no split that leaves both children that many, so it is not searched.
+    The others share one (node, column, position) block. A stable sort of
+    each column's cells by node keeps every node's cells in the order the
+    node would sort them alone; they fill the front of its positions, and
+    padding, keyed after its missing cells, fills the rest. So one cumsum
+    along the positions gives every (node, column) the bits of a 1-D cumsum
+    over its own sorted cells. Every boundary between distinct values is a
+    candidate, for both default directions, and each node takes one flat
+    argmax over its (column, direction, position) gains. Ties therefore break
+    to the lowest feature index, then missing-to-left, then the lowest
+    threshold. A node gets None when no split has a positive gain.
+    """
+    floor = max(params.min_child_weight, params.min_child_samples)  # rows each child keeps
+    out: list[_Split | None] = [None] * len(batch)
+    search = [i for i, rows in enumerate(batch) if rows.size >= max(2, 2 * floor)]
+    if not search:
+        return out
+    row_ids, values, grads = cells
+    nodes = [batch[i] for i in search]
+    sizes = np.array([rows.size for rows in nodes])
+    # every (node, column) ends in at least one padding cell
+    (B, k), m = (len(nodes), len(cols)), int(sizes.max()) + 1
+    node_of = np.full(X.shape[0], B, dtype=np.min_scalar_type(B))
+    node_of[np.concatenate(nodes)] = np.repeat(np.arange(B), sizes)
+    grouped = np.argsort(node_of[row_ids], axis=1, kind="stable")[:, : sizes.sum()]
+    grouped += np.arange(0, row_ids.size, row_ids.shape[1])[:, None]
+    at = np.full((B, k, m), row_ids.size)  # (node, column, position) -> index in the cells, the last one padding
+    at.transpose(0, 2, 1)[np.arange(m) < sizes[:, None]] = grouped.T
+    sv, sg = values.take(at), grads.take(at)
+    missing = np.isnan(sv)  # the missing cells and the padding
+    n_nm = missing.argmax(axis=2)  # the first missing or padding cell
+    n_miss = sizes[:, None] - n_nm
+    # zero gradients past the non-missing cells keep every prefix sum's bits, so each row ends on its total
+    cum = np.cumsum(np.where(missing, 0.0, sg), axis=2)
+    total = cum[:, :, -1]
+    miss_sum = np.zeros((B, k))
+    has_miss = np.nonzero(n_miss)
+    for b, c in zip(*has_miss):
+        # a 1-D sum, as a 2-D reduction over the padded block may add in another order
+        miss_sum[b, c] = sg[b, c, n_nm[b, c] : sizes[b]].sum()
 
     # candidate i puts the first i + 1 sorted non-missing cells on the left
-    cl = np.arange(1, n)
-    boundary = (sv[:, :-1] < sv[:, 1:]) & (cl < n_nm[:, None])
-    thresholds = 0.5 * (sv[:, :-1] + sv[:, 1:])
+    cl = np.arange(1, m)
+    boundary = sv[:, :, :-1] < sv[:, :, 1:]  # False next to a NaN cell
+    binned = {}  # (node, column, position) -> quantile threshold
     if params.max_bin is not None:
-        for c in np.flatnonzero(boundary.sum(axis=1) + 1 > params.max_bin):
-            vs = sv[c, : n_nm[c]]
+        for b, c in zip(*np.nonzero(boundary.sum(axis=2) + 1 > params.max_bin)):
+            vs = sv[b, c, : n_nm[b, c]]
             qs = np.quantile(vs, np.arange(1, params.max_bin) / params.max_bin)
             left_counts = np.searchsorted(vs, qs, side="left")
             keep = (left_counts > 0) & (left_counts < vs.size)
             # left_counts is nondecreasing, so this keeps the first quantile per position
             counts, first = np.unique(left_counts[keep], return_index=True)
-            boundary[c] = False
-            boundary[c, counts - 1] = True
-            thresholds[c, counts - 1] = qs[keep][first]
+            boundary[b, c] = False
+            boundary[b, c, counts - 1] = True
+            binned.update(((b, c, p), q) for p, q in zip(counts - 1, qs[keep][first]))
 
-    # Both sides gain a direction axis, (column, direction, position):
-    # direction 0 sends the missing cells left, 1 sends them right. Adding
-    # 0.0 on the side they skip changes at most the sign of a zero, which
-    # the score does not see. Each side's hessian sum is its row count.
-    to_left = np.array([[1], [0]])
-    to_right = to_left[::-1]
-    left = cum[:, None, :-1] + miss_sum[:, None, None] * to_left
-    right = (total[:, None] - cum[:, :-1])[:, None, :] + miss_sum[:, None, None] * to_right
-    count_l = cl + n_miss[:, None, None] * to_left
-    count_r = (n_nm[:, None] - cl)[:, None, :] + n_miss[:, None, None] * to_right
-    parent = _score(total + miss_sum, n, alpha, lam)[:, None, None]
-    # positions past a column's last non-missing cell hold 0/0 when reg_lambda is 0; they are set to -inf below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = 0.5 * (_score(left, count_l, alpha, lam) + _score(right, count_r, alpha, lam) - parent) - params.gamma
-    floor = max(params.min_child_weight, params.min_child_samples)
-    valid = boundary[:, None, :] & (count_l >= floor) & (count_r >= floor)
-    gains = np.where(valid, gains, -np.inf)
-    c, direction, i = np.unravel_index(np.argmax(gains), gains.shape)
-    gain = float(gains[c, direction, i])
-    if gain <= 0.0:
-        return None
-    threshold = float(thresholds[c, i])
-    default_left = bool(direction == 0)
-    go_left = np.where(miss[c], default_left, values[c] < threshold)
-    return _Split(
-        gain=gain,
-        feature=cols[c],
-        threshold=threshold,
-        default_left=default_left,
-        left_rows=rows[go_left],
-        right_rows=rows[~go_left],
-    )
+    # Candidates are (node, column, direction, position) with floor rows on
+    # each side: direction 0 sends the missing cells left, 1 sends them
+    # right. A (node, column) without missing cells would tie direction 0,
+    # which wins ties, so its direction 1 is not a candidate.
+    valid = np.zeros((B, k, 2, m - 1), dtype=bool)
+    valid[:, :, 0] = boundary & (cl >= (floor - n_miss)[:, :, None]) & (cl <= (n_nm - floor)[:, :, None])
+    valid[has_miss + (1,)] = boundary[has_miss] & (cl >= floor) & (cl <= (sizes[has_miss[0]] - floor)[:, None])
+    flat = np.flatnonzero(valid)
+    bcd, i = np.divmod(flat, m - 1)
+    bc, cl = bcd // 2, i + 1
+    # Only candidates are scored, each side's hessian sum its row count. The
+    # missing cells join one side per direction; adding 0.0 on the other
+    # changes at most the sign of a zero, which the score does not see.
+    cum_i = cum.take(bc * m + i)
+    left = cum_i + (miss_sum[:, :, None] * _TO_LEFT).take(bcd)
+    right = (total.take(bc) - cum_i) + (miss_sum[:, :, None] * _TO_LEFT[::-1]).take(bcd)
+    count_l = cl + (n_miss[:, :, None] * _TO_LEFT).take(bcd)
+    count_r = (n_nm[:, :, None] + n_miss[:, :, None] * _TO_LEFT[::-1]).take(bcd) - cl
+    parent = _score(total + miss_sum, sizes[:, None], params).take(bc)
+    gains = np.full((B, k * 2 * (m - 1)), -np.inf)
+    gains.put(flat, 0.5 * (_score(left, count_l, params) + _score(right, count_r, params) - parent) - params.gamma)
+    best = gains.argmax(axis=1)
+    gain = gains[np.arange(B), best]
+    best_c, direction, position = np.unravel_index(best, (k, 2, m - 1))
+    for b in np.flatnonzero(gain > 0.0):
+        rows, c, p = nodes[b], best_c[b], position[b]
+        threshold = float(binned.get((b, c, p), 0.5 * (sv[b, c, p] + sv[b, c, p + 1])))
+        default_left = bool(direction[b] == 0)
+        left_rows, right_rows = _partition(X, rows, cols[c], threshold, default_left)
+        out[search[b]] = _Split(float(gain[b]), cols[c], threshold, default_left, left_rows, right_rows)
+    return out
 
 
-def _leaf_weight(g_sum: float, n: int, params: GbtParams) -> float:
-    return -float(_soft(g_sum, params.reg_alpha)) / (n + params.reg_lambda)
+def _partition(X: np.ndarray, rows: np.ndarray, feature: int, threshold: float, default_left: bool):
+    """rows split into those a node sends left and those it sends right, each in row order."""
+    v = X[rows, feature]
+    go_left = np.where(np.isnan(v), default_left, v < threshold)
+    return rows[go_left], rows[~go_left]
 
 
 def _grow_tree(
-    X: np.ndarray,
-    g: np.ndarray,
-    rows: np.ndarray,
-    cols: Sequence[int],
-    params: GbtParams,
+    X: np.ndarray, g: np.ndarray, by_value: np.ndarray, in_rows: np.ndarray, cols: Sequence[int], params: GbtParams,
     gain_out: dict[int, float],
-) -> np.recarray:
-    # node tuples in NODE_DTYPE field order; a split reserves its children's ids
-    nodes: list[tuple | None] = [None]
+) -> tuple[np.recarray, np.ndarray, np.ndarray]:
+    """One tree grown on the rows in_rows marks; returns it, every row of X, and the weight of each row's leaf.
 
-    def make_leaf(node_id: int, node_rows: np.ndarray) -> None:
-        weight = _leaf_weight(float(g[node_rows].sum()), node_rows.size, params)
-        nodes[node_id] = (-1, 0.0, True, -1, -1, weight, 0.0)
+    by_value holds X's rows in each column's value order (see _column_cells).
+    depth_wise searches each level's nodes in one batch; leaf_wise searches
+    each split's two children in one batch. The rows in_rows leaves out
+    follow each split to their leaves. Node ids, and the order in which
+    gain_out adds gains, follow the order in which splits reserve their
+    children's ids: depth first, left first, for depth_wise, and split order
+    for leaf_wise.
+    """
+    cells = _column_cells(X, g, by_value, in_rows, cols)
+    # by creation index: the root, then each split's two children; a node's path
+    # is its turns from the root, 0 left and 1 right
+    node_rows, out_rows, path = [np.flatnonzero(in_rows)], [np.flatnonzero(~in_rows)], [()]
+    splits: dict[int, tuple[_Split, int]] = {}  # creation index -> (split, its left child's index)
 
-    def apply_split(node_id: int, split: _Split) -> tuple[int, int]:
-        left, right = len(nodes), len(nodes) + 1
-        nodes[node_id] = (split.feature, split.threshold, split.default_left, left, right, 0.0, split.gain)
-        nodes.extend((None, None))
-        gain_out[split.feature] = gain_out.get(split.feature, 0.0) + split.gain
-        return left, right
+    def split(i: int, s: _Split) -> list[int]:
+        splits[i] = (s, len(node_rows))
+        node_rows.extend((s.left_rows, s.right_rows))
+        out_rows.extend(_partition(X, out_rows[i], s.feature, s.threshold, s.default_left))
+        path.extend((path[i] + (0,), path[i] + (1,)))
+        return [len(node_rows) - 2, len(node_rows) - 1]
 
+    def search(nodes: list[int]) -> list[tuple[int, _Split]]:
+        found = _split_search(X, cells, [node_rows[i] for i in nodes], cols, params)
+        return [(i, s) for i, s in zip(nodes, found) if s is not None]
+
+    order: list[int] = []  # split nodes, in the order they reserve their children's ids
     if params.growth == "depth_wise":
-        stack: list[tuple[int, np.ndarray, int]] = [(0, rows, 0)]
-        while stack:
-            node_id, node_rows, depth = stack.pop()
-            split = _best_split(X, g, node_rows, cols, params) if depth < params.max_depth else None
-            if split is None:
-                make_leaf(node_id, node_rows)
-                continue
-            left_id, right_id = apply_split(node_id, split)
-            # LIFO with right pushed first keeps node ids in left-first order
-            stack.append((right_id, split.right_rows, depth + 1))
-            stack.append((left_id, split.left_rows, depth + 1))
+        level = [0]
+        for _ in range(params.max_depth):
+            level = [child for i, s in search(level) for child in split(i, s)]
+        order = sorted(splits, key=path.__getitem__)  # depth first, left first: a path sorts before its extensions
     else:
-        # leaf_wise: repeatedly split the evaluated leaf with the highest gain
-        frontier: list[tuple[int, np.ndarray, int, _Split | None]] = [
-            (0, rows, 0, _best_split(X, g, rows, cols, params))
-        ]
-        n_leaves = 1
-        while n_leaves < (params.num_leaves or 0):
-            pick = -1
-            for i, (_, _, _, split) in enumerate(frontier):
-                if split is None:
-                    continue
-                if pick < 0 or split.gain > frontier[pick][3].gain:
-                    pick = i
-            if pick < 0:
-                break
-            node_id, _, depth, split = frontier.pop(pick)
-            left_id, right_id = apply_split(node_id, split)
-            for child_id, child_rows in ((left_id, split.left_rows), (right_id, split.right_rows)):
-                child_split = (
-                    _best_split(X, g, child_rows, cols, params) if depth + 1 < params.max_depth else None
-                )
-                frontier.append((child_id, child_rows, depth + 1, child_split))
-            n_leaves += 1
-        for node_id, node_rows, _, _ in frontier:
-            make_leaf(node_id, node_rows)
+        # leaf_wise: split the searched leaf with the highest gain, the first created on ties
+        pending = dict(search([0]))
+        while pending and len(order) + 1 < params.num_leaves:
+            i = max(pending, key=lambda j: pending[j].gain)
+            order.append(i)
+            children = split(i, pending.pop(i))
+            if len(path[i]) + 1 < params.max_depth and len(order) + 1 < params.num_leaves:
+                pending.update(search(children))
 
-    return make_tree(nodes)
+    ids = {0: 0}  # creation index -> node id
+    nodes = {}  # node id -> tuple in NODE_DTYPE field order
+    for i in order:
+        s, left = splits[i]
+        ids[left], ids[left + 1] = len(ids), len(ids) + 1
+        nodes[ids[i]] = (s.feature, s.threshold, s.default_left, ids[left], ids[left + 1], 0.0, s.gain)
+        gain_out[s.feature] = gain_out.get(s.feature, 0.0) + s.gain
+    leaves = [i for i in ids if i not in splits]
+    # -soft(G, alpha) / (n + lambda), each G a 1-D sum over the leaf's rows in row order
+    g_sums, counts = np.array([[g[node_rows[i]].sum(), node_rows[i].size] for i in leaves]).T
+    weights = -_soft(g_sums, params.reg_alpha) / (counts + params.reg_lambda)
+    nodes.update((ids[i], (-1, 0.0, True, -1, -1, weight, 0.0)) for i, weight in zip(leaves, weights))
+    rows = [np.concatenate((node_rows[i], out_rows[i])) for i in leaves]
+    tree = make_tree([nodes[j] for j in range(len(nodes))])
+    return tree, np.concatenate(rows), np.repeat(weights, [r.size for r in rows])
 
 
 def _tree_predict(tree: np.recarray, X: np.ndarray) -> np.ndarray:
@@ -319,20 +352,22 @@ def gbt_fit(matrix: DesignMatrix, params: GbtParams) -> GbtModel:
 
     n_sub = max(1, int(round(params.subsample * n)))
     n_cols = max(1, int(round(params.colsample_bytree * d)))
+    by_value = np.argsort(X.T, axis=1, kind="stable")  # each column's rows in value order, missing cells last
 
     for _ in range(params.n_estimators):
-        rows = np.arange(n, dtype=np.intp) if n_sub >= n else np.sort(rng.permutation(n)[:n_sub])
+        in_tree = np.zeros(n, dtype=bool)  # the tree's subsample of rows
+        in_tree[slice(None) if n_sub >= n else rng.permutation(n)[:n_sub]] = True
         cols = list(range(d)) if n_cols >= d else sorted(rng.permutation(d)[:n_cols].tolist())
         g = pred - y
-        tree = _grow_tree(X, g, rows, cols, params, gain_totals)
+        tree, leaf_rows, weights = _grow_tree(X, g, by_value, in_tree, cols, params, gain_totals)
         trees.append(tree)
-        pred += params.eta * _tree_predict(tree, X)
+        pred[leaf_rows] += params.eta * weights
         train_rmse.append(float(np.sqrt(np.mean((pred - y) ** 2))))
 
     names = matrix.schema.columns
     return GbtModel(
         base_score=base,
-        eta=params.eta,
+        eta=float(params.eta),
         trees=trees,
         feature_names=names,
         fingerprint=matrix.schema.fingerprint(),

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -16,6 +18,7 @@ from perfcast.corpus import DATASET_FEATURE_COLUMNS
 from perfcast.errors import MissingFeature, MissingPair, TooFewPoints
 from perfcast.langdist import DISTANCE_KINDS, language_features
 from perfcast.records import PROXY_PREFIX, DesignMatrix
+from perfcast.regressors.gbt import GbtParams, _tree_predict, make_tree
 
 
 def oracle_profile(tokens_per_sentence):
@@ -203,6 +206,212 @@ def oracle_best_split(X, M, g, h, rows, cols, params):
                     right_rows=rows[~go_left],
                 )
     return best
+
+
+# The per-node GBT split search and grower that the level-batched ones replaced, with the
+# helpers they called, kept as written.
+
+
+def _soft(g: np.ndarray | float, alpha: float):
+    return np.sign(g) * np.maximum(np.abs(g) - alpha, 0.0)
+
+
+def _score(g, n, alpha: float, lam: float):
+    s = _soft(g, alpha)
+    return s * s / (n + lam)
+
+
+@dataclass
+class _Split:
+    gain: float
+    feature: int
+    threshold: float
+    default_left: bool
+    left_rows: np.ndarray
+    right_rows: np.ndarray
+
+
+def _leaf_weight(g_sum: float, n: int, params: GbtParams) -> float:
+    return -float(_soft(g_sum, params.reg_alpha)) / (n + params.reg_lambda)
+
+
+def oracle_best_split_node(
+    X: np.ndarray,
+    g: np.ndarray,
+    rows: np.ndarray,
+    cols: Sequence[int],
+    params: GbtParams,
+) -> _Split | None:
+    """The per-node split search that the level-batched one replaced, kept as written.
+
+    Exhaustive best split over the given rows and feature columns.
+
+    All columns are scanned at once as a (column, row) block: each column is
+    sorted with its missing (NaN) cells last, the gains of every boundary between
+    distinct values are computed for both default directions in one
+    (column, direction, position) array, and one flat argmax picks the
+    winner. Ties therefore break to the lowest feature index, then
+    missing-to-left, then the lowest threshold. Returns None when no split
+    has a positive gain.
+    """
+    n, k = rows.size, len(cols)
+    if n < 2:
+        return None
+    alpha, lam = params.reg_alpha, params.reg_lambda
+    g_rows = g[rows]
+    values = X[rows[:, None], cols].T
+    miss = np.isnan(values)
+    # NaN sorts after every value, so each column's missing cells come last, in row order
+    order = np.argsort(values, axis=1, kind="stable")
+    ids = np.arange(k)
+    sv = values[ids[:, None], order]
+    # (column, sorted position); cumsum is sequential, so each column's
+    # prefix sums have the bits of a 1-D cumsum over its sorted cells
+    cum = np.cumsum(g_rows[order], axis=1)
+    n_miss = miss.sum(axis=1)
+    n_nm = n - n_miss
+    total = cum[ids, n_nm - 1]
+    miss_sum = np.zeros(k)
+    for c in np.flatnonzero(n_miss):
+        # a 1-D sum, as a 2-D reduction may add in another order
+        miss_sum[c] = g_rows[miss[c]].sum()
+
+    # candidate i puts the first i + 1 sorted non-missing cells on the left
+    cl = np.arange(1, n)
+    boundary = (sv[:, :-1] < sv[:, 1:]) & (cl < n_nm[:, None])
+    thresholds = 0.5 * (sv[:, :-1] + sv[:, 1:])
+    if params.max_bin is not None:
+        for c in np.flatnonzero(boundary.sum(axis=1) + 1 > params.max_bin):
+            vs = sv[c, : n_nm[c]]
+            qs = np.quantile(vs, np.arange(1, params.max_bin) / params.max_bin)
+            left_counts = np.searchsorted(vs, qs, side="left")
+            keep = (left_counts > 0) & (left_counts < vs.size)
+            # left_counts is nondecreasing, so this keeps the first quantile per position
+            counts, first = np.unique(left_counts[keep], return_index=True)
+            boundary[c] = False
+            boundary[c, counts - 1] = True
+            thresholds[c, counts - 1] = qs[keep][first]
+
+    # Both sides gain a direction axis, (column, direction, position):
+    # direction 0 sends the missing cells left, 1 sends them right. Adding
+    # 0.0 on the side they skip changes at most the sign of a zero, which
+    # the score does not see. Each side's hessian sum is its row count.
+    to_left = np.array([[1], [0]])
+    to_right = to_left[::-1]
+    left = cum[:, None, :-1] + miss_sum[:, None, None] * to_left
+    right = (total[:, None] - cum[:, :-1])[:, None, :] + miss_sum[:, None, None] * to_right
+    count_l = cl + n_miss[:, None, None] * to_left
+    count_r = (n_nm[:, None] - cl)[:, None, :] + n_miss[:, None, None] * to_right
+    parent = _score(total + miss_sum, n, alpha, lam)[:, None, None]
+    # positions past a column's last non-missing cell hold 0/0 when reg_lambda is 0; they are set to -inf below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = 0.5 * (_score(left, count_l, alpha, lam) + _score(right, count_r, alpha, lam) - parent) - params.gamma
+    floor = max(params.min_child_weight, params.min_child_samples)
+    valid = boundary[:, None, :] & (count_l >= floor) & (count_r >= floor)
+    gains = np.where(valid, gains, -np.inf)
+    c, direction, i = np.unravel_index(np.argmax(gains), gains.shape)
+    gain = float(gains[c, direction, i])
+    if gain <= 0.0:
+        return None
+    threshold = float(thresholds[c, i])
+    default_left = bool(direction == 0)
+    go_left = np.where(miss[c], default_left, values[c] < threshold)
+    return _Split(
+        gain=gain,
+        feature=cols[c],
+        threshold=threshold,
+        default_left=default_left,
+        left_rows=rows[go_left],
+        right_rows=rows[~go_left],
+    )
+
+
+def oracle_grow_tree(
+    X: np.ndarray,
+    g: np.ndarray,
+    rows: np.ndarray,
+    cols: Sequence[int],
+    params: GbtParams,
+    gain_out: dict[int, float],
+) -> np.recarray:
+    """The recursive per-node grower that the level-batched one replaced, kept as written."""
+    # node tuples in NODE_DTYPE field order; a split reserves its children's ids
+    nodes: list[tuple | None] = [None]
+
+    def make_leaf(node_id: int, node_rows: np.ndarray) -> None:
+        weight = _leaf_weight(float(g[node_rows].sum()), node_rows.size, params)
+        nodes[node_id] = (-1, 0.0, True, -1, -1, weight, 0.0)
+
+    def apply_split(node_id: int, split: _Split) -> tuple[int, int]:
+        left, right = len(nodes), len(nodes) + 1
+        nodes[node_id] = (split.feature, split.threshold, split.default_left, left, right, 0.0, split.gain)
+        nodes.extend((None, None))
+        gain_out[split.feature] = gain_out.get(split.feature, 0.0) + split.gain
+        return left, right
+
+    if params.growth == "depth_wise":
+        stack: list[tuple[int, np.ndarray, int]] = [(0, rows, 0)]
+        while stack:
+            node_id, node_rows, depth = stack.pop()
+            split = oracle_best_split_node(X, g, node_rows, cols, params) if depth < params.max_depth else None
+            if split is None:
+                make_leaf(node_id, node_rows)
+                continue
+            left_id, right_id = apply_split(node_id, split)
+            # LIFO with right pushed first keeps node ids in left-first order
+            stack.append((right_id, split.right_rows, depth + 1))
+            stack.append((left_id, split.left_rows, depth + 1))
+    else:
+        # leaf_wise: repeatedly split the evaluated leaf with the highest gain
+        frontier: list[tuple[int, np.ndarray, int, _Split | None]] = [
+            (0, rows, 0, oracle_best_split_node(X, g, rows, cols, params))
+        ]
+        n_leaves = 1
+        while n_leaves < (params.num_leaves or 0):
+            pick = -1
+            for i, (_, _, _, split) in enumerate(frontier):
+                if split is None:
+                    continue
+                if pick < 0 or split.gain > frontier[pick][3].gain:
+                    pick = i
+            if pick < 0:
+                break
+            node_id, _, depth, split = frontier.pop(pick)
+            left_id, right_id = apply_split(node_id, split)
+            for child_id, child_rows in ((left_id, split.left_rows), (right_id, split.right_rows)):
+                child_split = (
+                    oracle_best_split_node(X, g, child_rows, cols, params) if depth + 1 < params.max_depth else None
+                )
+                frontier.append((child_id, child_rows, depth + 1, child_split))
+            n_leaves += 1
+        for node_id, node_rows, _, _ in frontier:
+            make_leaf(node_id, node_rows)
+
+    return make_tree(nodes)
+
+
+def oracle_gbt_fit(matrix: DesignMatrix, params):
+    """gbt_fit's boosting loop over oracle_grow_tree, every row routed through the tree for its prediction.
+
+    Returns (trees, gain_totals, train_rmse) as gbt_fit stores them.
+    """
+    X, y = matrix.rows, matrix.targets
+    n, d = X.shape
+    pred = np.full(n, float(np.mean(y)), dtype=np.float64)
+    rng = np.random.default_rng(params.seed)
+    trees, gain_totals, train_rmse = [], {}, []
+    n_sub = max(1, int(round(params.subsample * n)))
+    n_cols = max(1, int(round(params.colsample_bytree * d)))
+    for _ in range(params.n_estimators):
+        rows = np.arange(n, dtype=np.intp) if n_sub >= n else np.sort(rng.permutation(n)[:n_sub])
+        cols = list(range(d)) if n_cols >= d else sorted(rng.permutation(d)[:n_cols].tolist())
+        g = pred - y
+        tree = oracle_grow_tree(X, g, rows, cols, params, gain_totals)
+        trees.append(tree)
+        pred += params.eta * _tree_predict(tree, X)
+        train_rmse.append(float(np.sqrt(np.mean((pred - y) ** 2))))
+    names = matrix.schema.columns
+    return trees, {names[f]: v for f, v in sorted(gain_totals.items())}, train_rmse
 
 
 def oracle_forest_predict(model, rows: np.ndarray, missing: np.ndarray) -> np.ndarray:

@@ -19,10 +19,10 @@ from perfcast.regressors import (
     load_model,
     save_model,
 )
-from perfcast.regressors.gbt import NODE_DTYPE, _best_split, make_tree, predict_rows
+from perfcast.regressors.gbt import NODE_DTYPE, _column_cells, _split_search, make_tree, predict_rows
 
 from conftest import rejects_model_file
-from oracles import oracle_best_depth1_split, oracle_best_split, oracle_forest_predict
+from oracles import oracle_best_depth1_split, oracle_best_split, oracle_forest_predict, oracle_gbt_fit
 
 
 def matrix_from(X, y, mask=None):
@@ -154,6 +154,31 @@ class TestFitBasics:
         by_weight = forest(min_child_weight=4.2)
         assert by_weight == forest(min_child_weight=0.0, min_child_samples=5)
         assert by_weight != forest(min_child_weight=0.0, min_child_samples=4)
+
+    @pytest.mark.parametrize(
+        "floor, n_rows, splits",
+        [
+            (dict(min_child_samples=3), 6, True),  # exactly 2 x floor rows, cut 3/3
+            (dict(min_child_samples=3), 5, False),  # 2 x floor - 1 rows
+            (dict(min_child_weight=2.5), 6, True),
+            (dict(min_child_weight=2.5), 5, False),  # 2 x floor rows, but no cut leaves 2.5 on both sides
+            (dict(min_child_weight=2.5), 4, False),
+        ],
+    )
+    def test_splittable_row_floor_boundary(self, floor, n_rows, splits):
+        # the first half of the rows (rounded up) target 0 and the rest 10: one clean cut
+        y = np.where(np.arange(n_rows) < (n_rows + 1) // 2, 0.0, 10.0)
+        model = gbt_fit(matrix_from(np.arange(n_rows, dtype=float)[:, None], y), plain_params(**floor))
+        assert (model.trees[0][0].feature >= 0) == splits
+
+    def test_level_of_nodes_at_exactly_twice_the_floor_splits(self):
+        # a 6/6 root cut, then both 6-row children cut 3/3 in one level
+        m = matrix_from(np.arange(12, dtype=float)[:, None], np.repeat([0.0, 10.0, 100.0, 110.0], 3))
+        model = gbt_fit(m, plain_params(max_depth=2, min_child_samples=3))
+        tree = model.trees[0]
+        assert tree.feature.tolist() == [0, 0, 0, -1, -1, -1, -1]
+        assert tree.threshold[:3].tolist() == [5.5, 2.5, 8.5]
+        np.testing.assert_array_equal(gbt_predict(model, m), m.targets)
 
     def test_gamma_blocks_low_gain_splits(self):
         m = matrix_from([[1.0], [2.0], [3.0], [4.0]], [1.0, 1.0, 3.0, 3.0])
@@ -333,6 +358,15 @@ class TestSerialization:
             obj = json.load(fh)
         assert obj["kind"] == "gbt"
         assert obj["params"]["n_estimators"] == 8
+
+    def test_integer_eta_round_trips_byte_stable(self, tmp_path):
+        m = matrix_from([[1.0], [2.0], [3.0], [4.0]], [1.0, 1.0, 3.0, 3.0])
+        model = gbt_fit(m, GbtParams(n_estimators=2, eta=1, max_depth=1))
+        first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+        save_model(model, first)
+        save_model(load_model(first), second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
 
     def test_equal_trees_are_byte_equal(self):
         nodes = [(0, 0.5, True, 1, 2, 0.0, 1.5), (-1, 0.0, True, -1, -1, 0.25, 0.0), (-1, 0.0, False, -1, -1, -0.5, 0.0)]
@@ -516,7 +550,8 @@ class TestSplitSearchProperties:
         X, g, rows, cols, params = case
         # the oracle keeps general hessians; squared loss has every hessian 1
         expected = oracle_best_split(X, np.isnan(X), g, np.ones(X.shape[0]), rows, cols, params)
-        got = _best_split(*case)
+        cells = _column_cells(X, g, np.argsort(X.T, axis=1, kind="stable"), np.isin(np.arange(len(X)), rows), cols)
+        got = _split_search(X, cells, [rows], cols, params)[0]
         if expected is None:
             assert got is None
             return
@@ -526,3 +561,56 @@ class TestSplitSearchProperties:
         )
         np.testing.assert_array_equal(got.left_rows, expected["left_rows"])
         np.testing.assert_array_equal(got.right_rows, expected["right_rows"])
+
+
+@st.composite
+def grower_cases(draw):
+    """A design matrix and params for whole forests: tied, duplicated and missing columns, and floors that block levels.
+
+    As in split_nodes, the draws come from a numpy generator seeded by
+    hypothesis.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(2, 61))
+    d = int(rng.integers(1, 6))
+    X = np.empty((n, d))
+    for j in range(d):
+        kind = rng.choice(["tied", "distinct", "part", "full", "duplicate"], p=[0.3, 0.25, 0.3, 0.05, 0.1])
+        if kind == "duplicate" and j > 0:
+            X[:, j] = X[:, int(rng.integers(j))]
+            continue
+        X[:, j] = rng.choice([-1.0, 0.0, 0.5, 2.0], n) if kind == "tied" else rng.normal(size=n)
+        X[(kind == "full") | ((kind == "part") & (rng.random(n) < 0.3)), j] = np.nan
+    y = rng.choice([0.0, 1.0, 5.0], n) if rng.random() < 0.2 else rng.normal(scale=3.0, size=n)
+    growth = str(rng.choice(["depth_wise", "leaf_wise"]))
+    # a floor near n / 4 or above stops growth a level or two down, or at the root
+    floor = int(rng.integers(1, n // 2 + 2)) if rng.random() < 0.25 else int(rng.choice([1, 2, 3]))
+    params = GbtParams(
+        n_estimators=int(rng.integers(1, 5)),
+        eta=float(rng.choice([0.3, 1.0])),
+        max_depth=int(rng.integers(1, 7)),
+        min_child_weight=float(rng.choice([0.0, 1.0, 2.5])),
+        min_child_samples=floor,
+        gamma=float(rng.choice([0.0, 0.0, 0.5])),
+        subsample=float(rng.choice([0.6, 1.0])),
+        colsample_bytree=float(rng.choice([0.5, 1.0])),
+        reg_alpha=float(rng.choice([0.0, 0.2])),
+        reg_lambda=float(rng.choice([1.0, 0.1, 0.0])),
+        growth=growth,
+        num_leaves=int(rng.integers(2, 17)) if growth == "leaf_wise" else None,
+        max_bin=None if rng.random() < 0.6 else int(rng.integers(2, 8)),
+        seed=int(rng.integers(0, 4)),
+    )
+    return matrix_from(X, y), params
+
+
+class TestGrowerProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(grower_cases())
+    def test_batched_forest_matches_per_node_oracle(self, case):
+        m, params = case
+        model = gbt_fit(m, params)
+        trees, gain_totals, train_rmse = oracle_gbt_fit(m, params)
+        assert [tree.tobytes() for tree in model.trees] == [tree.tobytes() for tree in trees]
+        assert model.gain_totals == gain_totals
+        assert model.train_rmse == train_rmse
