@@ -22,6 +22,8 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Sequence, get_args
 
 from . import __version__
@@ -42,7 +44,7 @@ from .experiments import (
     run_ablation,
     run_experiment,
 )
-from .fields import FIELD_TYPES
+from .fields import FIELD_TYPES, FieldType, from_json, read
 from .langdist import load_distance_table
 from .records import (
     PerformanceRecord,
@@ -75,15 +77,121 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _read_config(path: str) -> dict:
+# ---------------------------------------------------------------------------
+# Config
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CorpusEntry:
+    """One `corpora` entry: a text file, or the source and target files of a parallel corpus."""
+
+    dataset_id: str
+    path: str | None = None
+    source_path: str | None = None
+    target_path: str | None = None
+    mode: str = "unicode_words"
+
+    def __post_init__(self):
+        if self.mode not in get_args(TokenizeMode):
+            raise ValueError(f"unknown tokenize mode {self.mode!r}")
+
+
+@dataclass(frozen=True)
+class PairEntry:
+    """One `pairs` entry: the dataset_ids of a (train, test) corpus pair."""
+
+    train: str
+    test: str
+
+
+FIELD_TYPES.update({cls.__name__: FieldType(lambda value: isinstance(value, dict), partial(from_json, cls))
+                    for cls in (SplitSpec, CorpusEntry, PairEntry)})
+FIELD_TYPES.update({f"tuple[{name}, ...]": FieldType(lambda value: isinstance(value, list), tuple, name)
+                    for name in ("CorpusEntry", "PairEntry")})
+
+# the corpus files a side reads when a corpora entry has no `path`
+_SIDES = {"source": ("source_path",), "target": ("target_path",), "concat": ("source_path", "target_path")}
+
+
+@dataclass(frozen=True)
+class Config:
+    """The config file of every command, read by fields.from_json.
+
+    One file may serve several commands, as train and then predict, so a
+    key that some command reads is accepted by all; a key that names no
+    field is an error. README.md lists the commands that read each field.
+    """
+
+    records: str | tuple[str, ...] | None = None
+    test_records: str | tuple[str, ...] | None = None
+    dataset_features: str | None = None
+    corpora: tuple[CorpusEntry, ...] = ()
+    pairs: tuple[PairEntry, ...] = ()
+    side: str = "source"
+    embeddings: str | None = None
+    language_distances: str | None = None
+    language_families: str | None = None
+    feature_groups: tuple[str, ...] = ("language", "dataset", "proxy")
+    proxies: tuple[str, ...] | None = None
+    estimated_model: str | None = None
+    regressor: str = "gbt"
+    grid: list[dict] | None = None
+    params: dict | None = None
+    preset: str | None = None
+    split: SplitSpec = SplitSpec("random", 0.7)
+    repeats: int = 5
+    cv_folds: int = 10
+    seed: int | None = None
+    model: str | None = None
+    label: str | None = None
+    lowess_frac: float = 0.5
+    report_format: str = "markdown"
+    group_sets: list[tuple[str, ...]] | None = None
+
+    def __post_init__(self):
+        if self.side not in _SIDES:
+            raise ValueError(f"unknown side {self.side!r}")
+        for i, entry in enumerate(self.corpora):
+            if entry.path is None:
+                for name in _SIDES[self.side]:
+                    if getattr(entry, name) is None:
+                        raise ValueError(f"corpora[{i}]: {name} is missing")
+        if self.regressor not in KINDS:
+            raise ValueError(f"unknown regressor kind {self.regressor!r}")
+        if not 0 < self.lowess_frac <= 1:
+            raise ValueError(f"'lowess_frac' must be a number in (0, 1], not {self.lowess_frac!r}")
+        if self.report_format not in ("markdown", "csv"):
+            raise ValueError(f"'report_format' must be 'markdown' or 'csv', not {self.report_format!r}")
+        self.candidates()  # a params or grid entry its class rejects, or a preset of another kind
+
+    def candidates(self) -> list[AnyParams]:
+        """The hyperparameter sets to search: the grid, else params, else the preset, else the defaults.
+
+        Each params object is built by its own class, through the field table
+        entry serialize.py gives it, so {"eta": 1} keeps its bytes.
+        """
+        params_cls = KINDS[self.regressor][0]
+        if self.grid is not None:
+            return [read(params_cls.__name__, obj, f"grid[{i}]") for i, obj in enumerate(self.grid)]
+        if self.params is not None:
+            return [read(params_cls.__name__, self.params, "params")]
+        if self.preset is None:
+            return [params_cls()]
+        params = get_preset(self.preset)
+        if params_kind(params) != self.regressor:
+            raise ConfigError(f"preset {self.preset!r} is a {params_kind(params)} configuration"
+                              f" but regressor is {self.regressor!r}")
+        return [params]
+
+
+def _read_config(path: str) -> Config:
     try:
         with open_text(path) as fh:
-            cfg = json.load(fh)
+            return from_json(Config, json.load(fh))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return cfg
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 class _Run:
@@ -104,8 +212,6 @@ class _Run:
         return path
 
     def resolve(self, rel: str) -> str:
-        if not isinstance(rel, str):
-            raise ConfigError(f"expected a file path, got {rel!r}")
         if os.path.isabs(rel):
             return rel
         return os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(self.config_path)), rel))
@@ -143,68 +249,7 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) 
 # Config materialization
 # ---------------------------------------------------------------------------
 
-def _string_list(cfg: dict, key: str, default: list[str] | None = None) -> list[str] | None:
-    value = cfg.get(key, default)
-    if value is not None and not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise ConfigError(f"'{key}' must be a list of strings, not {value!r}")
-    return value
-
-
-def _entries(cfg: dict, key: str) -> list[tuple[str, dict]]:
-    """The objects listed under cfg[key], each with a label naming the key and its index."""
-    value = cfg[key]
-    if not isinstance(value, list):
-        raise ConfigError(f"'{key}' must be a list of objects, not {value!r}")
-    labeled = [(f"'{key}' entry {i}", entry) for i, entry in enumerate(value)]
-    for label, entry in labeled:
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{label} must be an object, not {entry!r}")
-    return labeled
-
-
-def _text(entry: dict, name: str, label: str) -> str:
-    if name not in entry:
-        raise ConfigError(f"{label} is missing {name!r}")
-    if not isinstance(entry[name], str):
-        raise ConfigError(f"{label}: {name!r} must be a string, not {entry[name]!r}")
-    return entry[name]
-
-
-def _parse_params(kind: str, obj: dict) -> AnyParams:
-    try:
-        return KINDS[kind][0](**obj)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {kind} params {obj}: {exc}") from exc
-
-
-def _resolve_grid(cfg: dict, preset_override: str | None):
-    kind = cfg.get("regressor", "gbt")
-    if not isinstance(kind, str) or kind not in KINDS:
-        raise ConfigError(f"unknown regressor kind {kind!r}")
-    if preset_override is not None:
-        grid = [get_preset(preset_override)]
-    elif "grid" in cfg:
-        if not isinstance(cfg["grid"], list):
-            raise ConfigError(f"'grid' must be a list of params objects, not {cfg['grid']!r}")
-        grid = [_parse_params(kind, obj) for obj in cfg["grid"]]
-    elif "params" in cfg:
-        grid = [_parse_params(kind, cfg["params"])]
-    elif "preset" in cfg:
-        grid = [get_preset(cfg["preset"])]
-    else:
-        grid = [KINDS[kind][0]()]
-    for params in grid:
-        if params_kind(params) != kind:
-            raise ConfigError(
-                f"preset/grid entry is a {params_kind(params)} configuration but regressor is {kind!r}"
-            )
-    return grid
-
-
-def _load_record_sources(run: _Run, cfg: dict, key: str) -> list[PerformanceRecord]:
-    paths = [cfg[key]] if isinstance(cfg[key], str) else cfg[key]
-    if not isinstance(paths, list):
-        raise ConfigError(f"'{key}' must be a path or a list of paths, not {paths!r}")
+def _load_record_sources(run: _Run, paths: tuple[str, ...]) -> list[PerformanceRecord]:
     records: list[PerformanceRecord] = []
     seen_ids: set[str] = set()
     for rel in paths:
@@ -217,80 +262,64 @@ def _load_record_sources(run: _Run, cfg: dict, key: str) -> list[PerformanceReco
     return records
 
 
-def _feature_sources(run: _Run, cfg: dict):
-    """Records, feature groups, dataset feature blocks and language table named by a config.
+def _feature_sources(run: _Run, cfg: Config):
+    """Records, dataset feature blocks and language table named by a config.
 
     Dataset features come from a precomputed `dataset_features` CSV or are
     computed inline from `corpora` + `pairs`.
     """
-    if "records" not in cfg:
+    if cfg.records is None:
         raise ConfigError("config is missing 'records'")
-    records = _load_record_sources(run, cfg, "records")
-    groups = tuple(_string_list(cfg, "feature_groups", ["language", "dataset", "proxy"]))
+    records = _load_record_sources(run, cfg.records)
     dataset_blocks = None
-    if "dataset" in groups:
-        if "dataset_features" in cfg:
-            dataset_blocks = load_feature_csv(run.track(run.resolve(cfg["dataset_features"])))
-        elif "corpora" in cfg:
+    if "dataset" in cfg.feature_groups:
+        if cfg.dataset_features is not None:
+            dataset_blocks = load_feature_csv(run.track(run.resolve(cfg.dataset_features)))
+        elif cfg.corpora:
             dataset_blocks = {(tr, te): block for tr, te, block in _compute_feature_blocks(run, cfg)}
         else:
             raise ConfigError(
                 "dataset feature group enabled but neither 'dataset_features' nor 'corpora'+'pairs' given"
             )
     language_table = None
-    if "language" in groups:
-        if "language_distances" not in cfg:
+    if "language" in cfg.feature_groups:
+        if cfg.language_distances is None:
             raise ConfigError("language feature group enabled but no 'language_distances' path given")
-        language_table = load_distance_table(run.track(run.resolve(cfg["language_distances"])))
-    return records, groups, dataset_blocks, language_table
+        language_table = load_distance_table(run.track(run.resolve(cfg.language_distances)))
+    return records, dataset_blocks, language_table
 
 
-def _config_int(cfg: dict, key: str, default: int) -> int:
-    value = cfg.get(key, default)
-    if not FIELD_TYPES["int"].check(value):
-        raise ValueError(f"'{key}' must be an integer, not {value!r}")
-    return value
-
-
-def _materialize_experiment(run: _Run, cfg: dict, seed_override: int | None, preset_override: str | None):
-    records, groups, dataset_blocks, language_table = _feature_sources(run, cfg)
-    split_cfg = cfg.get("split", {"kind": "random", "ratio": 0.7})
-    if not isinstance(split_cfg, dict):
-        raise ConfigError(f"'split' must be an object, not {split_cfg!r}")
+def _materialize_experiment(run: _Run, cfg: Config) -> ExperimentConfig:
+    records, dataset_blocks, language_table = _feature_sources(run, cfg)
     test_records = None
-    if "test_records" in cfg:
-        test_records = _load_record_sources(run, cfg, "test_records")
+    if cfg.test_records is not None:
+        test_records = _load_record_sources(run, cfg.test_records)
+    config = ExperimentConfig(
+        records=records,
+        grid=cfg.candidates(),
+        split=cfg.split,
+        feature_groups=cfg.feature_groups,
+        proxies=cfg.proxies,
+        repeats=cfg.repeats,
+        cv_folds=cfg.cv_folds,
+        seed=cfg.seed if cfg.seed is not None else 0,
+        estimated_model=cfg.estimated_model,
+        dataset_features=dataset_blocks,
+        language_table=language_table,
+        test_records=test_records,
+    )
     try:
-        config = ExperimentConfig(
-            records=records,
-            grid=_resolve_grid(cfg, preset_override),
-            split=SplitSpec(
-                kind=split_cfg.get("kind", "random"),
-                ratio=split_cfg.get("ratio"),
-                held_out_language=split_cfg.get("held_out_language"),
-            ),
-            feature_groups=groups,
-            proxies=_string_list(cfg, "proxies"),
-            repeats=_config_int(cfg, "repeats", 5),
-            cv_folds=_config_int(cfg, "cv_folds", 10),
-            seed=seed_override if seed_override is not None else _config_int(cfg, "seed", 0),
-            estimated_model=cfg.get("estimated_model"),
-            dataset_features=dataset_blocks,
-            language_table=language_table,
-            test_records=test_records,
-        )
         config.validate()
-    except (TypeError, ValueError) as exc:
-        # a value of the wrong JSON type, such as "ratio": "0.7" or "repeats": [1]
+    except ValueError as exc:
         raise ConfigError(f"invalid experiment config: {exc}") from exc
     return config
 
 
-def _load_families(run: _Run, cfg: dict) -> dict[str, str]:
+def _load_families(run: _Run, cfg: Config) -> dict[str, str]:
     """The lang,family CSV as a map; a short, long or repeated row is a ParseError at file:line."""
-    if "language_families" not in cfg:
+    if cfg.language_families is None:
         return {}
-    path = run.track(run.resolve(cfg["language_families"]))
+    path = run.track(run.resolve(cfg.language_families))
     families: dict[str, str] = {}
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -344,81 +373,64 @@ def _result_json(result: ExperimentResult) -> dict:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _compute_feature_blocks(run: _Run, cfg: dict) -> list[tuple[str, str, object]]:
+def _compute_feature_blocks(run: _Run, cfg: Config) -> list[tuple[str, str, object]]:
     """Profile the configured corpora and compute one feature block per pair."""
-    if not cfg.get("corpora") or not cfg.get("pairs"):
+    if not cfg.corpora or not cfg.pairs:
         raise ConfigError("feature computation needs 'corpora' and 'pairs'")
-    side = cfg.get("side", "source")
-    if side not in ("source", "target", "concat"):
-        raise ConfigError(f"unknown side {side!r}")
 
     profiles = {}
-    for label, entry in _entries(cfg, "corpora"):
-        dataset_id = _text(entry, "dataset_id", label)
-        mode = entry.get("mode", "unicode_words")
-        if mode not in get_args(TokenizeMode):
-            raise ConfigError(f"{label}: unknown tokenize mode {mode!r}")
-        if "path" in entry:
-            sentences = read_corpus(run.track(run.resolve(entry["path"])), mode)
-        else:
-            sides = []
-            if side in ("source", "concat"):
-                sides.append(_text(entry, "source_path", label))
-            if side in ("target", "concat"):
-                sides.append(_text(entry, "target_path", label))
-            sentences = []
-            for rel in sides:
-                sentences.extend(read_corpus(run.track(run.resolve(rel)), mode))
-        profiles[dataset_id] = profile(dataset_id, sentences)
+    for entry in cfg.corpora:
+        sentences = []
+        for rel in [entry.path] if entry.path is not None else [getattr(entry, name) for name in _SIDES[cfg.side]]:
+            sentences.extend(read_corpus(run.track(run.resolve(rel)), entry.mode))
+        profiles[entry.dataset_id] = profile(entry.dataset_id, sentences)
 
     embeddings = {}
-    if "embeddings" in cfg:
-        embeddings = load_embeddings(run.track(run.resolve(cfg["embeddings"])))
+    if cfg.embeddings is not None:
+        embeddings = load_embeddings(run.track(run.resolve(cfg.embeddings)))
 
     blocks = []
-    for label, pair in _entries(cfg, "pairs"):
-        train_id, test_id = _text(pair, "train", label), _text(pair, "test", label)
-        for dataset_id in (train_id, test_id):
+    for pair in cfg.pairs:
+        for dataset_id in (pair.train, pair.test):
             if dataset_id not in profiles:
                 raise ConfigError(f"pair references unknown corpus {dataset_id!r}")
         emb = None
-        if train_id in embeddings and test_id in embeddings:
-            emb = (embeddings[train_id], embeddings[test_id])
-        blocks.append((train_id, test_id, dataset_features(profiles[train_id], profiles[test_id], emb)))
+        if pair.train in embeddings and pair.test in embeddings:
+            emb = (embeddings[pair.train], embeddings[pair.test])
+        blocks.append((pair.train, pair.test, dataset_features(profiles[pair.train], profiles[pair.test], emb)))
     return blocks
 
 
-def _cmd_features(run: _Run, cfg: dict) -> None:
+def _cmd_features(run: _Run, cfg: Config) -> None:
     blocks = _compute_feature_blocks(run, cfg)
     write_feature_csv(os.path.join(run.out_dir, "features.csv"), blocks)
 
 
-def _design_matrix(run: _Run, cfg: dict):
+def _design_matrix(run: _Run, cfg: Config):
     """The design matrix built from the config's records and feature sources."""
-    records, groups, dataset_blocks, language_table = _feature_sources(run, cfg)
-    proxies = _string_list(cfg, "proxies")
-    roster = sorted(proxies) if proxies is not None else proxy_roster(records)
-    return build_design_matrix(records, build_schema(groups, roster), dataset_blocks, language_table)
+    records, dataset_blocks, language_table = _feature_sources(run, cfg)
+    roster = sorted(cfg.proxies) if cfg.proxies is not None else proxy_roster(records)
+    return build_design_matrix(records, build_schema(cfg.feature_groups, roster), dataset_blocks, language_table)
 
 
-def _cmd_train(run: _Run, cfg: dict, seed_override: int | None, preset_override: str | None) -> None:
+def _cmd_train(run: _Run, cfg: Config) -> None:
     matrix = _design_matrix(run, cfg)
-    grid = _resolve_grid(cfg, preset_override)
+    grid = cfg.candidates()
     if len(grid) != 1:
         raise ConfigError("train expects exactly one hyperparameter set (preset or params)")
-    params = grid[0]
-    try:
-        seed = seed_override if seed_override is not None else _config_int(cfg, "seed", params.seed)
-    except ValueError as exc:
-        raise ConfigError(f"invalid train config: {exc}") from exc
-    model = fit_model(with_seed(params, seed), matrix)
+    params = grid[0] if cfg.seed is None else with_seed(grid[0], cfg.seed)
+    model = fit_model(params, matrix)
     save_model(model, os.path.join(run.out_dir, "model.json"))
 
 
-def _cmd_predict(run: _Run, cfg: dict) -> None:
-    if "model" not in cfg:
-        raise ConfigError("predict config needs 'model'")
-    model = load_model(run.track(run.resolve(cfg["model"])))
+def _load_config_model(run: _Run, cfg: Config):
+    if cfg.model is None:
+        raise ConfigError(f"{run.command} config needs 'model'")
+    return load_model(run.track(run.resolve(cfg.model)))
+
+
+def _cmd_predict(run: _Run, cfg: Config) -> None:
+    model = _load_config_model(run, cfg)
     matrix = _design_matrix(run, cfg)
     preds = predict_model(model, matrix)
     rows = [(rid, repr(float(t)), repr(float(p)))
@@ -426,23 +438,8 @@ def _cmd_predict(run: _Run, cfg: dict) -> None:
     _write_csv(os.path.join(run.out_dir, "predictions.csv"), ("record_id", "true", "pred"), rows)
 
 
-def _report_format(cfg: dict) -> str:
-    """The configured report format, checked before any experiment runs."""
-    fmt = cfg.get("report_format", "markdown")
-    if fmt not in ("markdown", "csv"):
-        raise ConfigError(f"'report_format' must be 'markdown' or 'csv', not {fmt!r}")
-    return fmt
-
-
-def _cmd_experiment(run: _Run, cfg: dict, seed_override: int | None, preset_override: str | None) -> None:
-    config = _materialize_experiment(run, cfg, seed_override, preset_override)
-    label = cfg.get("label", f"{cfg.get('regressor', 'gbt')}:{config.split.kind}")
-    if not isinstance(label, str):
-        raise ConfigError(f"'label' must be a string, not {label!r}")
-    lowess_frac = cfg.get("lowess_frac", 0.5)
-    if not FIELD_TYPES["float"].check(lowess_frac) or not 0 < lowess_frac <= 1:
-        raise ConfigError(f"'lowess_frac' must be a number in (0, 1], not {lowess_frac!r}")
-    fmt = _report_format(cfg)
+def _cmd_experiment(run: _Run, cfg: Config) -> None:
+    config = _materialize_experiment(run, cfg)
     families = _load_families(run, cfg)
     result = run_experiment(config)
     _write_json(os.path.join(run.out_dir, "results.json"), _result_json(result))
@@ -450,38 +447,30 @@ def _cmd_experiment(run: _Run, cfg: dict, seed_override: int | None, preset_over
     _write_csv(os.path.join(run.out_dir, "predictions.csv"), ("record_id", "true", "pred"), rows)
     all_records = config.records + (config.test_records or [])
     scatter = _scatter_for(all_records, result, families)
+    label = cfg.label if cfg.label is not None else f"{cfg.regressor}:{cfg.split.kind}"
     emit_report(
         [(label, result)],
         run.out_dir,
         scatter=scatter,
-        fmt=fmt,
-        lowess_frac=float(lowess_frac),
+        fmt=cfg.report_format,
+        lowess_frac=cfg.lowess_frac,
     )
 
 
-def _cmd_ablate(run: _Run, cfg: dict, seed_override: int | None, preset_override: str | None) -> None:
-    config = _materialize_experiment(run, cfg, seed_override, preset_override)
-    group_sets = cfg.get("group_sets")
-    if group_sets is not None and not (
-        isinstance(group_sets, list)
-        and all(isinstance(s, list) and all(isinstance(g, str) for g in s) for s in group_sets)
-    ):
-        raise ConfigError(f"'group_sets' must be a list of lists of feature groups, not {group_sets!r}")
-    fmt = _report_format(cfg)
-    results = run_ablation(config, group_sets)
+def _cmd_ablate(run: _Run, cfg: Config) -> None:
+    config = _materialize_experiment(run, cfg)
+    results = run_ablation(config, cfg.group_sets)
     payload = {"+".join(subset): _result_json(res) for subset, res in results.items()}
     _write_json(os.path.join(run.out_dir, "results.json"), payload)
     emit_report(
         [("+".join(subset), res) for subset, res in results.items()],
         run.out_dir,
-        fmt=fmt,
+        fmt=cfg.report_format,
     )
 
 
-def _cmd_importance(run: _Run, cfg: dict) -> None:
-    if "model" not in cfg:
-        raise ConfigError("importance config needs 'model'")
-    model = load_model(run.track(run.resolve(cfg["model"])))
+def _cmd_importance(run: _Run, cfg: Config) -> None:
+    model = _load_config_model(run, cfg)
     if not isinstance(model, GbtModel):
         raise ConfigError("feature importance is only defined for gbt models")
     scores = gbt_importance(model)
@@ -493,6 +482,10 @@ def _cmd_importance(run: _Run, cfg: dict) -> None:
     )
 
 
+_COMMANDS = {"features": _cmd_features, "train": _cmd_train, "predict": _cmd_predict,
+             "experiment": _cmd_experiment, "ablate": _cmd_ablate, "importance": _cmd_importance}
+
+
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
@@ -502,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"perfcast {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("features", "train", "predict", "experiment", "ablate", "importance"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
@@ -520,19 +513,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         cfg = _read_config(args.config)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        if args.preset is not None:  # the flag replaces the config's hyperparameters
+            cfg = replace(cfg, grid=None, params=None, preset=args.preset)
         run = _Run(args.command, args.config, args.out, args.seed, args.threads)
-        if args.command == "features":
-            _cmd_features(run, cfg)
-        elif args.command == "train":
-            _cmd_train(run, cfg, args.seed, args.preset)
-        elif args.command == "predict":
-            _cmd_predict(run, cfg)
-        elif args.command == "experiment":
-            _cmd_experiment(run, cfg, args.seed, args.preset)
-        elif args.command == "ablate":
-            _cmd_ablate(run, cfg, args.seed, args.preset)
-        elif args.command == "importance":
-            _cmd_importance(run, cfg)
+        _COMMANDS[args.command](run, cfg)
         run.write_manifest()
     except (PerfcastError, OSError, KeyError, ValueError) as exc:
         report = {"error": type(exc).__name__, "message": str(exc)}

@@ -315,8 +315,9 @@ _FEATURE_RANGES = {
 def load_feature_csv(path: str) -> dict[tuple[str, str], DatasetFeatureBlock]:
     """Inverse of write_feature_csv, keyed by (train_dataset, test_dataset).
 
-    Rejects a non-finite cell, a value outside its column's documented range
-    and a repeated (train_dataset, test_dataset) key, naming file:line.
+    Skips blank lines. Rejects a non-finite cell, a value outside its
+    column's documented range and a repeated (train_dataset, test_dataset)
+    key, naming file:line.
     """
     expected = ("train_dataset", "test_dataset") + DATASET_FEATURE_COLUMNS
     out: dict[tuple[str, str], DatasetFeatureBlock] = {}
@@ -327,6 +328,8 @@ def load_feature_csv(path: str) -> dict[tuple[str, str], DatasetFeatureBlock]:
         if header is None or tuple(header) != expected:
             raise ParseError(f"{path}: unexpected feature CSV header {header}")
         for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
             if len(row) != len(expected):
                 raise ParseError(f"{path}:{lineno}: expected {len(expected)} cells, got {len(row)}")
             try:

@@ -209,7 +209,7 @@ def kfold_cv(
 
 @dataclass(frozen=True)
 class SplitSpec:
-    kind: str
+    kind: str = "random"
     ratio: float | None = None
     held_out_language: str | None = None
 
@@ -231,7 +231,7 @@ class ExperimentConfig:
     grid: list[AnyParams]
     split: SplitSpec
     feature_groups: tuple[str, ...] = ("language", "dataset", "proxy")
-    proxies: list[str] | None = None
+    proxies: Sequence[str] | None = None
     repeats: int = 5
     cv_folds: int = 10
     seed: int = 0

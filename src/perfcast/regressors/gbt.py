@@ -65,6 +65,8 @@ class GbtParams:
             raise ValueError("subsample and colsample_bytree must be in (0, 1]")
         if self.reg_alpha < 0 or self.reg_lambda < 0 or self.gamma < 0:
             raise ValueError("regularization terms must be >= 0")
+        if self.min_child_weight < 0 or self.min_child_samples < 0:
+            raise ValueError("min_child_weight and min_child_samples must be >= 0")
         if self.growth not in ("depth_wise", "leaf_wise"):
             raise ValueError(f"unknown growth policy {self.growth!r}")
         if self.growth == "leaf_wise" and (self.num_leaves is None or self.num_leaves < 2):

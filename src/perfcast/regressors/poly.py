@@ -54,6 +54,8 @@ class PolyParams:
             raise ValueError("l1_ratio must be in [0, 1]")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.tolerance < 0:
+            raise ValueError("tolerance must be >= 0")
 
 
 @dataclass

@@ -3,8 +3,9 @@
 A model file holds `format_version`, `kind` and every field of the model's
 dataclass but `objective_history`. It is read back through the field table
 of `perfcast.fields`, so every field must have its annotation's JSON type,
-with nothing coerced; the params object is built by its own class, which
-checks its fields against the same table, and each tree by `_load_tree`.
+with nothing coerced, and any other key is an error; the params object is
+built by its own class, which checks its fields against the same table,
+and each tree by `_load_tree`.
 Checks that span fields follow: GBT node features within the feature
 names, poly terms within the columns, equal lengths, MF factor shapes and
 bias languages. Floats survive the JSON round trip exactly (repr-based
@@ -162,7 +163,8 @@ def model_from_dict(obj: dict[str, Any]) -> GbtModel | PolyModel | MfModel:
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in KINDS:
         raise ParseError(f"unknown model kind {kind!r}")
-    model = from_json(KINDS[kind][1], obj)
+    fields_only = {key: value for key, value in obj.items() if key not in ("format_version", "kind")}
+    model = from_json(KINDS[kind][1], fields_only)
     _check_across_fields(model)
     return model
 

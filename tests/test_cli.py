@@ -121,14 +121,14 @@ class TestConfigShape:
     """A config value of the wrong JSON shape is a typed error naming the key, never a traceback."""
 
     @pytest.mark.parametrize("extra, match", [
-        ({"corpora": ["a.txt"]}, "'corpora' entry 0 must be an object"),
-        ({"pairs": [["a", "b"]]}, "'pairs' entry 0 must be an object"),
+        ({"corpora": ["a.txt"]}, "corpora[0] must be of type CorpusEntry, not 'a.txt'"),
+        ({"pairs": [["a", "b"]]}, "pairs[0] must be of type PairEntry, not ['a', 'b']"),
         ({"corpora": [{"dataset_id": "a", "path": "a.txt"}, {"path": "a.txt"}]},
-         "'corpora' entry 1 is missing 'dataset_id'"),
-        ({"pairs": [{"train": "a", "test": "b"}, {"train": "a"}]}, "'pairs' entry 1 is missing 'test'"),
-        ({"corpora": [{"dataset_id": "a", "path": 5}]}, "expected a file path, got 5"),
+         "corpora[1]: dataset_id is missing"),
+        ({"pairs": [{"train": "a", "test": "b"}, {"train": "a"}]}, "pairs[1]: test is missing"),
+        ({"corpora": [{"dataset_id": "a", "path": 5}]}, "corpora[0]: path must be of type str | None, not 5"),
         ({"corpora": [{"dataset_id": "a", "path": "a.txt"}, {"dataset_id": "b", "path": "a.txt", "mode": 5}]},
-         "'corpora' entry 1: unknown tokenize mode 5"),
+         "corpora[1]: mode must be of type str, not 5"),
     ], ids=["corpus_string", "pair_list", "corpus_without_id", "pair_without_test", "path_number",
             "mode_number"])
     def test_features(self, tmp_path, capsys, extra, match):
@@ -139,14 +139,15 @@ class TestConfigShape:
         assert (err["error"], match in err["message"]) == ("ConfigError", True), err
 
     @pytest.mark.parametrize("extra, error, match", [
-        ({"records": 5}, "ConfigError", "'records' must be a path or a list of paths"),
-        ({"records": ["records.csv", 5]}, "ConfigError", "expected a file path, got 5"),
-        ({"feature_groups": 5}, "ConfigError", "'feature_groups' must be a list of strings"),
-        ({"proxies": 5}, "ConfigError", "'proxies' must be a list of strings"),
-        ({"regressor": ["gbt"]}, "ConfigError", "unknown regressor kind"),
-        ({"grid": 5}, "ConfigError", "'grid' must be a list"),
-        ({"params": None, "preset": ["lgbm_default"]}, "ConfigError", "unknown preset ['lgbm_default']"),
-        ({"seed": 1.5}, "ConfigError", "'seed' must be an integer, not 1.5"),
+        ({"records": 5}, "ConfigError", "records must be of type str | tuple[str, ...] | None, not 5"),
+        ({"records": ["records.csv", 5]}, "ConfigError", "records[1] must be of type str, not 5"),
+        ({"feature_groups": 5}, "ConfigError", "feature_groups must be of type tuple[str, ...], not 5"),
+        ({"proxies": 5}, "ConfigError", "proxies must be of type tuple[str, ...] | None, not 5"),
+        ({"regressor": ["gbt"]}, "ConfigError", "regressor must be of type str, not ['gbt']"),
+        ({"grid": 5}, "ConfigError", "grid must be of type list[dict] | None, not 5"),
+        ({"params": None, "preset": ["lgbm_default"]}, "ConfigError",
+         "preset must be of type str | None, not ['lgbm_default']"),
+        ({"seed": 1.5}, "ConfigError", "seed must be of type int | None, not 1.5"),
     ], ids=["records_number", "records_list_number", "groups_number", "proxies_number", "regressor_list",
             "grid_number", "preset_list", "seed_float"])
     def test_train(self, tmp_path, capsys, extra, error, match):
@@ -157,15 +158,15 @@ class TestConfigShape:
         assert (err["error"], match in err["message"]) == (error, True), err
 
     @pytest.mark.parametrize("extra, match", [
-        ({"lowess_frac": "x"}, "'lowess_frac' must be a number in (0, 1], not 'x'"),
+        ({"lowess_frac": "x"}, "lowess_frac must be of type float, not 'x'"),
         ({"lowess_frac": 2}, "'lowess_frac' must be a number in (0, 1], not 2"),
-        ({"label": 5}, "'label' must be a string, not 5"),
+        ({"label": 5}, "label must be of type str | None, not 5"),
         ({"report_format": "pdf"}, "'report_format' must be 'markdown' or 'csv', not 'pdf'"),
-        ({"repeats": 2.7}, "'repeats' must be an integer, not 2.7"),
-        ({"repeats": True}, "'repeats' must be an integer, not True"),
-        ({"cv_folds": 3.0}, "'cv_folds' must be an integer, not 3.0"),
-        ({"seed": 1.9}, "'seed' must be an integer, not 1.9"),
-        ({"seed": "1"}, "'seed' must be an integer, not '1'"),
+        ({"repeats": 2.7}, "repeats must be of type int, not 2.7"),
+        ({"repeats": True}, "repeats must be of type int, not True"),
+        ({"cv_folds": 3.0}, "cv_folds must be of type int, not 3.0"),
+        ({"seed": 1.9}, "seed must be of type int | None, not 1.9"),
+        ({"seed": "1"}, "seed must be of type int | None, not '1'"),
         ({"params": {"n_estimators": 2.5}}, "n_estimators must be of type int, not 2.5"),
         ({"params": {"eta": "0.1"}}, "eta must be of type float, not '0.1'"),
         ({"params": {"max_depth": True}}, "max_depth must be of type int, not True"),
@@ -176,16 +177,29 @@ class TestConfigShape:
         ({"regressor": "poly", "params": {"degree": 2.0}}, "degree must be of type int, not 2.0"),
         ({"regressor": "mf", "params": {"latent_dim": "8"}}, "latent_dim must be of type int, not '8'"),
         ({"regressor": "mf", "params": {"alpha": [0.1]}}, "alpha must be of type float, not [0.1]"),
+        ({"params": {"min_child_weight": float("nan")}}, "params: min_child_weight must be finite, not nan"),
     ], ids=["lowess_frac_string", "lowess_frac_range", "label_number", "report_format_unknown", "repeats_float",
             "repeats_bool", "cv_folds_float", "seed_float", "seed_string", "n_estimators_float", "eta_string",
             "max_depth_bool", "reg_lambda_bool", "growth_number", "num_leaves_float", "max_bin_string",
-            "poly_degree_float", "mf_latent_dim_string", "mf_alpha_list"])
+            "poly_degree_float", "mf_latent_dim_string", "mf_alpha_list", "min_child_weight_nan"])
     def test_experiment(self, tmp_path, capsys, extra, match):
         cfg = write_experiment_fixture(tmp_path, config_extra=extra)
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], match in err["message"]) == ("ConfigError", True), err
         assert not (tmp_path / "out" / "results.json").exists()  # rejected before the experiment ran
+
+    @pytest.mark.parametrize("extra, match", [
+        ({"repeat": 3}, "unknown key 'repeat'"),
+        ({"split": {"kind": "lolo", "held_out_langauge": "aar"}}, "split: unknown key 'held_out_langauge'"),
+        ({"corpora": [{"dataset_id": "a", "pth": "a.txt"}]}, "corpora[0]: unknown key 'pth'"),
+        ({"pairs": [{"train": "a", "tset": "b"}]}, "pairs[0]: unknown key 'tset'"),
+    ], ids=["repeats", "held_out_language", "corpus_path", "pair_test"])
+    def test_misspelt_key(self, tmp_path, capsys, extra, match):
+        cfg = write_experiment_fixture(tmp_path, config_extra=extra)
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": f"{cfg}: {match}"}
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_unknown_preset_message_is_plain(self, tmp_path, capsys, where):
@@ -197,7 +211,8 @@ class TestConfigShape:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "out"), *flag]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
-        assert err["message"].startswith("unknown preset 'nope'; available: "), err
+        prefix = f"{cfg}: " if where == "config" else ""
+        assert err["message"].startswith(prefix + "unknown preset 'nope'; available: "), err
 
 
 class TestLanguageFamilies:
@@ -275,9 +290,9 @@ class TestExperimentCommand:
         assert "nope.csv" in err["message"]
 
     @pytest.mark.parametrize("extra, match", [
-        ({"split": "lolo"}, "'split' must be an object"),
-        ({"split": {"kind": "random", "ratio": "0.7"}}, "invalid experiment config"),
-        ({"repeats": [1]}, "invalid experiment config"),
+        ({"split": "lolo"}, "split must be of type SplitSpec, not 'lolo'"),
+        ({"split": {"kind": "random", "ratio": "0.7"}}, "split: ratio must be of type float | None, not '0.7'"),
+        ({"repeats": [1]}, "repeats must be of type int, not [1]"),
     ], ids=["split_string", "ratio_string", "repeats_list"])
     def test_config_value_of_wrong_type_is_a_config_error(self, tmp_path, capsys, extra, match):
         cfg = write_experiment_fixture(tmp_path, config_extra=extra)
@@ -512,13 +527,16 @@ class TestAblateCommand:
         summary = (out / "summary.csv").read_text().splitlines()
         assert len(summary) == 3
 
-    @pytest.mark.parametrize("group_sets", [5, ["proxy"]], ids=["number", "flat_list"])
-    def test_group_sets_of_wrong_shape(self, tmp_path, capsys, group_sets):
+    @pytest.mark.parametrize("group_sets, match", [
+        (5, "group_sets must be of type list[tuple[str, ...]] | None, not 5"),
+        (["proxy"], "group_sets[0] must be of type tuple[str, ...], not 'proxy'"),
+    ], ids=["number", "flat_list"])
+    def test_group_sets_of_wrong_shape(self, tmp_path, capsys, group_sets, match):
         cfg = write_experiment_fixture(tmp_path, config_extra={"group_sets": group_sets})
         assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
-        assert "'group_sets' must be a list of lists" in err["message"]
+        assert match in err["message"]
 
 
 class TestManifest:

@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,6 +411,12 @@ class TestFileIo:
         edits = {"word_overlap": "0.5", "ttr_train": "1.0", "ttr_test": "1.0", "jsd": repr(1.0 + 1e-15)}
         block = load_feature_csv(self.write_edited_feature_csv(tmp_path, edits))[("d1", "d2")]
         assert (block.word_overlap, block.ttr_train, block.jsd) == (0.5, 1.0, 1.0 + 1e-15)
+
+    def test_feature_csv_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "features.csv"
+        header, row = Path(self.write_edited_feature_csv(tmp_path, {})).read_text().splitlines()
+        path.write_text(f"{header}\n\n{row}\n\n")
+        assert list(load_feature_csv(str(path))) == [("d1", "d2")]
 
     def test_feature_csv_duplicate_pair(self, tmp_path):
         path = self.write_edited_feature_csv(tmp_path, {}, copies=2)
