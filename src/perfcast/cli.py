@@ -47,6 +47,7 @@ from .experiments import (
 from .fields import FIELD_TYPES, FieldType, from_json, read
 from .langdist import load_distance_table
 from .records import (
+    FEATURE_GROUPS,
     PerformanceRecord,
     build_design_matrix,
     build_schema,
@@ -156,6 +157,12 @@ class Config:
                 for name in _SIDES[self.side]:
                     if getattr(entry, name) is None:
                         raise ValueError(f"corpora[{i}]: {name} is missing")
+        for i, subset in enumerate(self.group_sets or ()):
+            if not subset:
+                raise ValueError(f"group_sets[{i}]: feature-group subsets must be non-empty")
+            for group in subset:
+                if group not in FEATURE_GROUPS:
+                    raise ValueError(f"group_sets[{i}]: unknown feature group {group!r}")
         if self.regressor not in KINDS:
             raise ValueError(f"unknown regressor kind {self.regressor!r}")
         if not 0 < self.lowess_frac <= 1:
@@ -192,6 +199,26 @@ def _read_config(path: str) -> Config:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     except (ConfigError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _check_corpus_pairs(path: str, command: str, cfg: Config) -> None:
+    """Reject corpora and pairs that cannot make the features a command computes from them.
+
+    features computes them always; a command that builds a design matrix
+    does when the dataset group is on, no dataset_features CSV is given and
+    corpora are. Runs before any corpus is read or the output directory made.
+    """
+    matrix_from_corpora = (command in ("train", "predict", "experiment", "ablate") and "dataset" in cfg.feature_groups
+                           and cfg.dataset_features is None and cfg.corpora)
+    if command != "features" and not matrix_from_corpora:
+        return
+    if not cfg.corpora or not cfg.pairs:
+        raise ConfigError(f"{path}: feature computation needs 'corpora' and 'pairs'")
+    dataset_ids = {entry.dataset_id for entry in cfg.corpora}
+    for i, pair in enumerate(cfg.pairs):
+        for name in ("train", "test"):
+            if getattr(pair, name) not in dataset_ids:
+                raise ConfigError(f"{path}: pairs[{i}]: {name} references unknown corpus {getattr(pair, name)!r}")
 
 
 class _Run:
@@ -374,16 +401,15 @@ def _result_json(result: ExperimentResult) -> dict:
 # ---------------------------------------------------------------------------
 
 def _compute_feature_blocks(run: _Run, cfg: Config) -> list[tuple[str, str, object]]:
-    """Profile the configured corpora and compute one feature block per pair."""
-    if not cfg.corpora or not cfg.pairs:
-        raise ConfigError("feature computation needs 'corpora' and 'pairs'")
+    """Profile the configured corpora, reading each file once, and compute one feature block per pair.
 
+    _check_corpus_pairs has checked that every pair names a corpora entry.
+    """
     profiles = {}
     for entry in cfg.corpora:
-        sentences = []
-        for rel in [entry.path] if entry.path is not None else [getattr(entry, name) for name in _SIDES[cfg.side]]:
-            sentences.extend(read_corpus(run.track(run.resolve(rel)), entry.mode))
-        profiles[entry.dataset_id] = profile(entry.dataset_id, sentences)
+        rels = [entry.path] if entry.path is not None else [getattr(entry, name) for name in _SIDES[cfg.side]]
+        first, *rest = (read_corpus(run.track(run.resolve(rel)), entry.mode) for rel in rels)
+        profiles[entry.dataset_id] = profile(entry.dataset_id, sum(rest, first))  # no copy of a lone file's counts
 
     embeddings = {}
     if cfg.embeddings is not None:
@@ -391,9 +417,6 @@ def _compute_feature_blocks(run: _Run, cfg: Config) -> list[tuple[str, str, obje
 
     blocks = []
     for pair in cfg.pairs:
-        for dataset_id in (pair.train, pair.test):
-            if dataset_id not in profiles:
-                raise ConfigError(f"pair references unknown corpus {dataset_id!r}")
         emb = None
         if pair.train in embeddings and pair.test in embeddings:
             emb = (embeddings[pair.train], embeddings[pair.test])
@@ -513,6 +536,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         cfg = _read_config(args.config)
+        _check_corpus_pairs(args.config, args.command, cfg)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         if args.preset is not None:  # the flag replaces the config's hyperparameters

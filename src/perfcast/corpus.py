@@ -5,18 +5,23 @@ Everything here is a pure function of tokenized text: corpus profiles
 distance, Jensen-Shannon divergence, TF-IDF cosine) and the cosine between
 precomputed mean sentence embeddings. Embeddings are never computed here,
 only ingested.
+
+A corpus file is read whole and tokenized once. The pairwise statistics are
+array sums over the two corpora's count vectors on the sorted union of their
+vocabularies. Every sum adds its terms left to right in token order, so the
+results are the same, to the bit, as a loop over the sorted vocabulary.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
+import itertools
 import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -44,18 +49,35 @@ DATASET_FEATURE_COLUMNS = (
 
 
 def tokenize(text: str, mode: TokenizeMode = "unicode_words") -> list[str]:
-    """Split one sentence into tokens.
+    """Split text into tokens; no token spans a line break.
 
     unicode_words lowercases and keeps runs of Unicode word characters, which
     drops pure-punctuation segments. pretokenized_whitespace splits on ASCII
     whitespace only, for text already tokenized externally (e.g. SentencePiece
-    output joined by spaces). Empty input yields an empty list.
+    output joined by spaces). Empty input yields an empty list. Neither mode
+    looks across a "\\n" (str.lower's final-sigma rule stops at it too), so
+    the tokens of a whole text are those of its lines, in order.
     """
     if mode == "unicode_words":
         return _WORD_RE.findall(text.lower())
     if mode == "pretokenized_whitespace":
         return [t for t in _ASCII_WS_RE.split(text) if t]
     raise ValueError(f"unknown tokenize mode: {mode!r}")
+
+
+@dataclass(frozen=True)
+class CorpusCounts:
+    """A corpus's sentence count and token counts; len() is the sentence count."""
+
+    num_sentences: int = 0
+    counts: Counter[str] = field(default_factory=Counter)
+
+    def __len__(self) -> int:
+        return self.num_sentences
+
+    def __add__(self, other: CorpusCounts) -> CorpusCounts:
+        """The counts of the two corpora one after the other."""
+        return CorpusCounts(self.num_sentences + other.num_sentences, self.counts + other.counts)
 
 
 @dataclass(frozen=True)
@@ -69,11 +91,6 @@ class DatasetProfile:
     vocab_size: int
     avg_sentence_length: float
     ttr: float
-
-    @functools.cached_property
-    def distribution(self) -> TokenDistribution:
-        """The normalized unigram distribution, built on first use and kept with the profile."""
-        return token_distribution(self)
 
 
 @dataclass(frozen=True)
@@ -125,32 +142,78 @@ class DatasetFeatureBlock:
         return [getattr(self, c) for c in DATASET_FEATURE_COLUMNS]
 
 
-def profile(dataset_id: str, sentences: Sequence[Sequence[str]]) -> DatasetProfile:
-    """Summarize a tokenized corpus. Raises EmptyCorpus on no sentences or zero tokens."""
-    if not sentences:
+def profile(dataset_id: str, corpus: CorpusCounts | Sequence[Sequence[str]]) -> DatasetProfile:
+    """Summarize a corpus: read_corpus's counts, or token sequences, one per sentence.
+
+    Raises EmptyCorpus on no sentences or zero tokens.
+    """
+    if not isinstance(corpus, CorpusCounts):
+        corpus = CorpusCounts(len(corpus), Counter(itertools.chain.from_iterable(corpus)))
+    if not corpus.num_sentences:
         raise EmptyCorpus(f"{dataset_id}: no sentences")
-    counts: Counter[str] = Counter()
-    for sent in sentences:
-        counts.update(sent)
+    counts = corpus.counts
     total = sum(counts.values())
     if total == 0:
         raise EmptyCorpus(f"{dataset_id}: zero tokens")
     return DatasetProfile(
         dataset_id=dataset_id,
-        num_sentences=len(sentences),
+        num_sentences=corpus.num_sentences,
         total_tokens=total,
         token_counts=dict(counts),
         vocab_size=len(counts),
-        avg_sentence_length=total / len(sentences),
+        avg_sentence_length=total / corpus.num_sentences,
         ttr=len(counts) / total,
     )
 
 
+def _pair_vectors(c1: Mapping[str, float], c2: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The two maps' values over the sorted union of their keys, as float64 vectors (0 where absent)."""
+    vocabulary = sorted(c1.keys() | c2.keys())
+    a, b = (np.fromiter(map(c.get, vocabulary, itertools.repeat(0)), np.float64, len(vocabulary)) for c in (c1, c2))
+    return a, b
+
+
+def _ordered_sum(terms: np.ndarray) -> float:
+    """The terms added left to right, as a loop over the vocabulary adds them; np.sum adds pairwise."""
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
+def _overlap(a: np.ndarray, b: np.ndarray) -> float:
+    in_a, in_b = a > 0.0, b > 0.0
+    return int(np.count_nonzero(in_a & in_b)) / (int(np.count_nonzero(in_a)) + int(np.count_nonzero(in_b)))
+
+
+def _kl_to_mixture(x: np.ndarray, m: np.ndarray) -> float:
+    """Sum of x * log2(x / m) over the tokens where x > 0."""
+    present = x > 0.0
+    x = x[present]
+    # math.log2, not np.log2, whose vectorized loops may round differently
+    logs = np.fromiter(map(math.log2, (x / m[present]).tolist()), np.float64, x.size)
+    return _ordered_sum(x * logs)
+
+
+def _jsd(p: np.ndarray, q: np.ndarray) -> float:
+    m = 0.5 * (p + q)
+    return min(1.0, max(0.0, 0.5 * (_kl_to_mixture(p, m) + _kl_to_mixture(q, m))))
+
+
+# idf(t) = ln((1 + N) / (1 + df(t))) + 1 with N = 2 documents: ln(1) + 1 for a
+# token of both, and this for a token of one
+_IDF_ONE_DOCUMENT = math.log(3.0 / 2.0) + 1.0
+
+
+def _tfidf_cosine(a: np.ndarray, b: np.ndarray) -> float:
+    idf = np.where((a > 0.0) & (b > 0.0), 1.0, _IDF_ONE_DOCUMENT)
+    v1, v2 = a * idf, b * idf
+    norm1, norm2 = _ordered_sum(v1 * v1), _ordered_sum(v2 * v2)
+    if norm1 == 0.0 or norm2 == 0.0:
+        raise ZeroVector("TF-IDF vector has zero norm")
+    return _ordered_sum(v1 * v2) / math.sqrt(norm1 * norm2)
+
+
 def word_overlap(p1: DatasetProfile, p2: DatasetProfile) -> float:
     """|T1 n T2| / (|T1| + |T2|); in [0, 0.5], 0.5 iff vocabularies coincide."""
-    t1 = p1.token_counts.keys()
-    t2 = p2.token_counts.keys()
-    return len(t1 & t2) / (len(t1) + len(t2))
+    return _overlap(*_pair_vectors(p1.token_counts, p2.token_counts))
 
 
 def ttr_distance(ttr_train: float, ttr_test: float) -> float:
@@ -171,23 +234,12 @@ def jsd(p: TokenDistribution, q: TokenDistribution) -> float:
 
     Tokens absent from one distribution have probability 0 there and contribute
     0 to that side's KL term; the mixture M is strictly positive wherever
-    either distribution is. The sum is clamped to [0, 1], since rounding can
-    carry disjoint vocabularies to 1 + 2.2e-16.
+    either distribution is. Each KL sum runs in sorted token order, so the
+    result is symmetric in (p, q) and independent of dict insertion order.
+    The sum is clamped to [0, 1], since rounding can carry disjoint
+    vocabularies to 1 + 2.2e-16.
     """
-    # sorted union keeps the summation order symmetric in (p, q) and
-    # independent of dict insertion order
-    vocab = sorted(p.probs.keys() | q.probs.keys())
-    kl_p = 0.0
-    kl_q = 0.0
-    for tok in vocab:
-        pv = p.probs.get(tok, 0.0)
-        qv = q.probs.get(tok, 0.0)
-        m = 0.5 * (pv + qv)
-        if pv > 0.0:
-            kl_p += pv * math.log2(pv / m)
-        if qv > 0.0:
-            kl_q += qv * math.log2(qv / m)
-    return min(1.0, max(0.0, 0.5 * (kl_p + kl_q)))
+    return _jsd(*_pair_vectors(p.probs, q.probs))
 
 
 def tfidf_cosine(p1: DatasetProfile, p2: DatasetProfile) -> float:
@@ -195,25 +247,10 @@ def tfidf_cosine(p1: DatasetProfile, p2: DatasetProfile) -> float:
 
     Each dataset is one document in a two-document collection over the union
     vocabulary; tf is the raw count and idf(t) = ln((1+N)/(1+df(t))) + 1 with
-    N = 2 (smoothed, so shared terms keep nonzero weight).
+    N = 2 (smoothed, as scikit-learn's TfidfVectorizer, so shared terms keep
+    nonzero weight).
     """
-    vocab = sorted(p1.token_counts.keys() | p2.token_counts.keys())
-    dot = 0.0
-    norm1 = 0.0
-    norm2 = 0.0
-    for tok in vocab:
-        c1 = p1.token_counts.get(tok, 0)
-        c2 = p2.token_counts.get(tok, 0)
-        df = (c1 > 0) + (c2 > 0)
-        idf = math.log(3.0 / (1.0 + df)) + 1.0
-        v1 = c1 * idf
-        v2 = c2 * idf
-        dot += v1 * v2
-        norm1 += v1 * v1
-        norm2 += v2 * v2
-    if norm1 == 0.0 or norm2 == 0.0:
-        raise ZeroVector("TF-IDF vector has zero norm")
-    return dot / math.sqrt(norm1 * norm2)
+    return _tfidf_cosine(*_pair_vectors(p1.token_counts, p2.token_counts))
 
 
 def embedding_cosine(a: EmbeddingSet, b: EmbeddingSet) -> float:
@@ -234,16 +271,17 @@ def dataset_features(
     embeddings: tuple[EmbeddingSet, EmbeddingSet] | None = None,
 ) -> DatasetFeatureBlock:
     """Assemble the full pairwise feature block for one (train, test) pair."""
+    a, b = _pair_vectors(train.token_counts, test.token_counts)
     return DatasetFeatureBlock(
         train_size=train.num_sentences,
         vocab_size_train=train.vocab_size,
         avg_sentence_length_train=train.avg_sentence_length,
-        word_overlap=word_overlap(train, test),
+        word_overlap=_overlap(a, b),
         ttr_train=train.ttr,
         ttr_test=test.ttr,
         ttr_distance=ttr_distance(train.ttr, test.ttr),
-        jsd=jsd(train.distribution, test.distribution),
-        tfidf_cosine=tfidf_cosine(train, test),
+        jsd=_jsd(a / train.total_tokens, b / test.total_tokens),
+        tfidf_cosine=_tfidf_cosine(a, b),
         embedding_cosine=embedding_cosine(*embeddings) if embeddings is not None else None,
     )
 
@@ -252,10 +290,21 @@ def dataset_features(
 # File I/O
 # ---------------------------------------------------------------------------
 
-def read_corpus(path: str, mode: TokenizeMode = "unicode_words") -> list[list[str]]:
-    """Read a UTF-8, one-sentence-per-line corpus file into token sequences."""
+def read_corpus(path: str, mode: TokenizeMode = "unicode_words") -> CorpusCounts:
+    """Count the sentences and tokens of a UTF-8, one-sentence-per-line corpus file.
+
+    The file is read whole and tokenized once. A sentence is a line after
+    universal-newline translation ("\\r" and "\\r\\n" become "\\n"): each "\\n"
+    ends one, and text after the last "\\n" is one more. Other characters
+    that str.splitlines breaks at (\\x0b, \\x0c, \\x85, \\u2028, ...) do not end
+    a sentence.
+    """
     with open_text(path) as fh:
-        return [tokenize(line.rstrip("\n"), mode) for line in fh]
+        text = fh.read()
+    num_sentences = text.count("\n")
+    if text and not text.endswith("\n"):
+        num_sentences += 1
+    return CorpusCounts(num_sentences, Counter(tokenize(text, mode)))
 
 
 def load_embeddings(path: str) -> dict[str, EmbeddingSet]:

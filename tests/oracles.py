@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from perfcast.corpus import DATASET_FEATURE_COLUMNS
+from perfcast.corpus import DATASET_FEATURE_COLUMNS, DatasetFeatureBlock, embedding_cosine, tokenize
+from perfcast.errors import open_text
 from perfcast.errors import MissingFeature, MissingPair, TooFewPoints
 from perfcast.langdist import DISTANCE_KINDS, language_features
 from perfcast.records import PROXY_PREFIX, DesignMatrix
@@ -75,6 +76,73 @@ def oracle_tfidf_cosine(counts1: dict, counts2: dict) -> float:
     n1 = math.sqrt(sum(a * a for a in v1))
     n2 = math.sqrt(sum(b * b for b in v2))
     return dot / (n1 * n2)
+
+
+def oracle_read_corpus(path: str, mode: str = "unicode_words") -> list[list[str]]:
+    """The former per-line corpus reader: one token list per line that file iteration yields."""
+    with open_text(path) as fh:
+        return [tokenize(line.rstrip("\n"), mode) for line in fh]
+
+
+def oracle_sorted_jsd(probs1: dict, probs2: dict) -> float:
+    """Base-2 JSD of two probability maps, clamped to [0, 1]: the former library loop over the sorted union.
+
+    Unlike oracle_jsd, this adds in sorted-token order, so it is the bit-for-bit reference.
+    """
+    vocab = sorted(probs1.keys() | probs2.keys())
+    kl_p = 0.0
+    kl_q = 0.0
+    for tok in vocab:
+        pv = probs1.get(tok, 0.0)
+        qv = probs2.get(tok, 0.0)
+        m = 0.5 * (pv + qv)
+        if pv > 0.0:
+            kl_p += pv * math.log2(pv / m)
+        if qv > 0.0:
+            kl_q += qv * math.log2(qv / m)
+    return min(1.0, max(0.0, 0.5 * (kl_p + kl_q)))
+
+
+def oracle_sorted_tfidf_cosine(counts1: dict, counts2: dict) -> float:
+    """TF-IDF cosine of two count maps: the former library loop over the sorted union, the bit-for-bit reference."""
+    vocab = sorted(counts1.keys() | counts2.keys())
+    dot = 0.0
+    norm1 = 0.0
+    norm2 = 0.0
+    for tok in vocab:
+        c1 = counts1.get(tok, 0)
+        c2 = counts2.get(tok, 0)
+        df = (c1 > 0) + (c2 > 0)
+        idf = math.log(3.0 / (1.0 + df)) + 1.0
+        v1 = c1 * idf
+        v2 = c2 * idf
+        dot += v1 * v2
+        norm1 += v1 * v1
+        norm2 += v2 * v2
+    return dot / math.sqrt(norm1 * norm2)
+
+
+def oracle_dataset_features(train_sentences, test_sentences, embeddings=None) -> DatasetFeatureBlock:
+    """The feature block of two tokenized corpora from the former per-pair dict loops.
+
+    The embedding cosine is the library's own numpy formula, which the
+    token statistics do not touch.
+    """
+    o1, o2 = oracle_profile(train_sentences), oracle_profile(test_sentences)
+    c1, c2 = o1["counts"], o2["counts"]
+    return DatasetFeatureBlock(
+        train_size=o1["num_sentences"],
+        vocab_size_train=o1["vocab_size"],
+        avg_sentence_length_train=o1["avg_sentence_length"],
+        word_overlap=oracle_word_overlap(c1, c2),
+        ttr_train=o1["ttr"],
+        ttr_test=o2["ttr"],
+        ttr_distance=oracle_ttr_distance(o1["ttr"], o2["ttr"]),
+        jsd=oracle_sorted_jsd({t: c / o1["total_tokens"] for t, c in c1.items()},
+                              {t: c / o2["total_tokens"] for t, c in c2.items()}),
+        tfidf_cosine=oracle_sorted_tfidf_cosine(c1, c2),
+        embedding_cosine=embedding_cosine(*embeddings) if embeddings is not None else None,
+    )
 
 
 def oracle_cosine(a, b) -> float:

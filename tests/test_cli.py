@@ -3,14 +3,26 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from perfcast import corpus
+from perfcast import cli
 from perfcast.cli import main
-from perfcast.corpus import jsd, load_feature_csv, profile, token_distribution, tokenize, write_feature_csv
+from perfcast.corpus import (
+    EmbeddingSet,
+    jsd,
+    load_feature_csv,
+    profile,
+    read_corpus,
+    token_distribution,
+    tokenize,
+    write_feature_csv,
+)
 from perfcast.langdist import save_distance_table
 from perfcast.records import build_schema, proxy_roster, save_records
 
 from conftest import synthetic_setup
+from oracles import oracle_dataset_features, oracle_read_corpus
 
 
 def write_json(path, obj):
@@ -56,6 +68,31 @@ def dir_bytes(path, skip=("manifest.json",)):
     return out
 
 
+# Words of two overlapping pools, so corpora share some tokens, all or none
+WORDS = st.sampled_from(["a", "b", "c", "Dd", "e_1", "ΟΔΟΣ"]) | st.sampled_from(["x", "y", "z9", "b"])
+WORD_LINE = st.lists(WORDS, min_size=1, max_size=5).map(" ".join)
+SIDE_FILES = {"source": ("source",), "target": ("target",), "concat": ("source", "target")}
+
+
+@st.composite
+def feature_runs(draw):
+    """(side, [(source lines, target lines)], [mean embedding or None]) for 1-4 corpora.
+
+    Each file's first line holds a token; the lines after it may hold none.
+    """
+    side = draw(st.sampled_from(sorted(SIDE_FILES)))
+    lines = st.lists(WORD_LINE | st.sampled_from(["", "...", "a, b!"]), max_size=4)
+    corpora = []
+    for _ in range(draw(st.integers(1, 4))):
+        if corpora and draw(st.integers(0, 4)) == 0:
+            corpora.append(draw(st.sampled_from(corpora)))  # an identical corpus
+        else:
+            corpora.append(tuple([draw(WORD_LINE)] + draw(lines) for _ in range(2)))
+    vectors = [draw(st.none() | st.tuples(st.sampled_from([0.5, 1.0, -2.0]), st.sampled_from([1.0, 3.0])))
+               for _ in corpora]
+    return side, corpora, vectors
+
+
 class TestFeaturesCommand:
     def test_end_to_end(self, tmp_path):
         (tmp_path / "a.txt").write_text("Hello, world!\nThe world turns.\n")
@@ -83,9 +120,12 @@ class TestFeaturesCommand:
         assert block.embedding_cosine == pytest.approx(1 / np.sqrt(2), abs=1e-12)
         assert (out / "manifest.json").exists()
 
-    def test_each_corpus_distribution_built_once(self, tmp_path, monkeypatch):
-        built = []
-        monkeypatch.setattr(corpus, "token_distribution", lambda p: built.append(p.dataset_id) or token_distribution(p))
+    def test_each_corpus_file_read_and_profiled_once(self, tmp_path, monkeypatch):
+        reads, profiled = [], []
+        monkeypatch.setattr(cli, "read_corpus", lambda path, mode: reads.append(os.path.basename(path))
+                            or read_corpus(path, mode))
+        monkeypatch.setattr(cli, "profile", lambda dataset_id, counts: profiled.append(dataset_id)
+                            or profile(dataset_id, counts))
         for name in "abc":
             (tmp_path / f"{name}.txt").write_text(f"{name} shared words\nmore {name} text\n")
         cfg = write_json(tmp_path / "features.json", {
@@ -93,11 +133,48 @@ class TestFeaturesCommand:
             "pairs": [{"train": tr, "test": te} for tr in "abc" for te in "abc"],
         })
         assert main(["features", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        assert sorted(built) == ["a", "b", "c"]
+        assert sorted(reads) == ["a.txt", "b.txt", "c.txt"]
+        assert profiled == ["a", "b", "c"]  # nine pairs, three profiles
         blocks = load_feature_csv(str(tmp_path / "out" / "features.csv"))
         texts = {name: [tokenize(line) for line in (tmp_path / f"{name}.txt").read_text().splitlines()] for name in "abc"}
         for (tr, te), block in blocks.items():
             assert block.jsd == jsd(token_distribution(profile(tr, texts[tr])), token_distribution(profile(te, texts[te])))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(feature_runs())
+    @example(("source", [(["a b", "c"], ["x"]), (["Dd e_1"], ["x"])], [None, None]))  # disjoint: jsd 1
+    @example(("concat", [(["a b", "b"], ["c"]), (["a b", "b"], ["c"])], [(1.0, 2.0), (3.0, -1.0)]))  # identical
+    @example(("target", [(["x"], ["a a b."]), (["x"], ["b c, c"]), (["x"], ["ΟΔΟΣ a"])], [(1.0, 1.0), None, (0.0, 2.0)]))
+    def test_all_pairs_match_per_pair_oracle(self, tmp_path_factory, run):
+        side, corpora, vectors = run
+        tmp = tmp_path_factory.mktemp("features")
+        entries, sentences, embeddings = [], {}, []
+        for i, (source, target) in enumerate(corpora):
+            dataset_id = f"c{i}"
+            for name, lines in (("source", source), ("target", target)):
+                (tmp / f"{dataset_id}.{name}").write_text("\n".join(lines) + "\n" * (i % 2), encoding="utf-8")
+            entries.append({"dataset_id": dataset_id, "source_path": f"{dataset_id}.source",
+                            "target_path": f"{dataset_id}.target"})
+            sentences[dataset_id] = [sent for name in SIDE_FILES[side]
+                                     for sent in oracle_read_corpus(str(tmp / f"{dataset_id}.{name}"))]
+            if vectors[i] is not None:
+                embeddings.append(EmbeddingSet(dataset_id, 2, vectors[i]))
+        (tmp / "emb.jsonl").write_text("".join(
+            json.dumps({"dataset_id": e.dataset_id, "dim": e.dim, "mean_vector": list(e.mean_vector)}) + "\n"
+            for e in embeddings))
+        pairs = [(tr["dataset_id"], te["dataset_id"]) for tr in entries for te in entries]
+        cfg = write_json(tmp / "features.json", {
+            "corpora": entries, "side": side, "embeddings": "emb.jsonl",
+            "pairs": [{"train": tr, "test": te} for tr, te in pairs],
+        })
+        assert main(["features", "--config", cfg, "--out", str(tmp / "out")]) == 0
+        emb = {e.dataset_id: e for e in embeddings}
+        write_feature_csv(str(tmp / "expected.csv"), [
+            (tr, te, oracle_dataset_features(sentences[tr], sentences[te],
+                                             (emb[tr], emb[te]) if tr in emb and te in emb else None))
+            for tr, te in pairs
+        ])
+        assert (tmp / "out" / "features.csv").read_bytes() == (tmp / "expected.csv").read_bytes()
 
     def test_side_switch(self, tmp_path):
         (tmp_path / "src.txt").write_text("alpha beta\n")
@@ -137,6 +214,46 @@ class TestConfigShape:
         assert main(["features", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], match in err["message"]) == ("ConfigError", True), err
+
+    @pytest.mark.parametrize("config, match", [
+        ({}, "feature computation needs 'corpora' and 'pairs'"),
+        ({"corpora": [{"dataset_id": "a", "path": "missing.txt"}]}, "feature computation needs 'corpora' and 'pairs'"),
+        ({"pairs": [{"train": "a", "test": "a"}]}, "feature computation needs 'corpora' and 'pairs'"),
+        ({"corpora": [{"dataset_id": "a", "path": "missing.txt"}, {"dataset_id": "b", "path": "missing.txt"}],
+          "pairs": [{"train": "a", "test": "b"}, {"train": "b", "test": "zz"}]},
+         "pairs[1]: test references unknown corpus 'zz'"),
+    ], ids=["empty", "corpora_without_pairs", "pairs_without_corpora", "unknown_corpus"])
+    def test_feature_sources_rejected_before_any_file(self, tmp_path, capsys, config, match):
+        # the corpus files do not exist, so reading one first would be an OSError
+        cfg = write_json(tmp_path / "f.json", config)
+        out = tmp_path / "out"
+        assert main(["features", "--config", cfg, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == ("ConfigError", f"{cfg}: {match}")
+        assert not out.exists()
+
+    def test_train_rejects_a_pair_of_unknown_corpus_before_any_file(self, tmp_path, capsys):
+        # dataset features come from the corpora when no dataset_features CSV is given
+        obj = json.loads(open(write_experiment_fixture(tmp_path)).read())
+        del obj["dataset_features"]
+        cfg = write_json(tmp_path / "train.json", {**obj, "corpora": [{"dataset_id": "a", "path": "missing.txt"}],
+                                                  "pairs": [{"train": "a", "test": "zz"}]})
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == ("ConfigError", f"{cfg}: pairs[0]: test references unknown corpus 'zz'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [
+        {"corpora": [{"dataset_id": "a", "path": "missing.txt"}]},
+        {"corpora": [{"dataset_id": "a", "path": "missing.txt"}], "pairs": [{"train": "a", "test": "zz"}]},
+        {"feature_groups": ["language", "proxy"], "dataset_features": None,
+         "corpora": [{"dataset_id": "a", "path": "missing.txt"}], "pairs": [{"train": "a", "test": "zz"}]},
+    ], ids=["csv_corpora_without_pairs", "csv_unknown_corpus", "no_dataset_group"])
+    def test_train_ignores_corpora_it_computes_no_features_from(self, tmp_path, extra):
+        obj = {**json.loads(open(write_experiment_fixture(tmp_path)).read()), **extra}
+        cfg = write_json(tmp_path / "train.json", {k: v for k, v in obj.items() if v is not None})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("extra, error, match", [
         ({"records": 5}, "ConfigError", "records must be of type str | tuple[str, ...] | None, not 5"),
@@ -530,13 +647,16 @@ class TestAblateCommand:
     @pytest.mark.parametrize("group_sets, match", [
         (5, "group_sets must be of type list[tuple[str, ...]] | None, not 5"),
         (["proxy"], "group_sets[0] must be of type tuple[str, ...], not 'proxy'"),
-    ], ids=["number", "flat_list"])
+        ([["proxy"], ["proxy", "lang"]], "group_sets[1]: unknown feature group 'lang'"),
+        ([["proxy"], []], "group_sets[1]: feature-group subsets must be non-empty"),
+    ], ids=["number", "flat_list", "unknown_group", "empty_subset"])
     def test_group_sets_of_wrong_shape(self, tmp_path, capsys, group_sets, match):
         cfg = write_experiment_fixture(tmp_path, config_extra={"group_sets": group_sets})
         assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
-        assert match in err["message"]
+        assert err["message"].startswith(f"{cfg}: ") and match in err["message"]
+        assert not (tmp_path / "out").exists()  # rejected as the config is read
 
 
 class TestManifest:

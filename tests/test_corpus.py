@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perfcast.corpus import (
+    CorpusCounts,
     DatasetFeatureBlock,
     DATASET_FEATURE_COLUMNS,
     EmbeddingSet,
@@ -19,6 +21,7 @@ from perfcast.corpus import (
     load_embeddings,
     load_feature_csv,
     profile,
+    read_corpus,
     tfidf_cosine,
     tokenize,
     ttr_distance,
@@ -28,8 +31,11 @@ from perfcast.corpus import (
 from perfcast.errors import DimMismatch, EmptyCorpus, InvalidTTR, ParseError, PerfcastError, ZeroVector
 
 from oracles import (
+    oracle_dataset_features,
     oracle_jsd,
     oracle_profile,
+    oracle_read_corpus,
+    oracle_sorted_jsd,
     oracle_tfidf_cosine,
     oracle_ttr_distance,
     oracle_word_overlap,
@@ -296,6 +302,72 @@ class TestDatasetFeatures:
         assert block.ttr_distance == pytest.approx(oracle_ttr_distance(o1["ttr"], o2["ttr"]), abs=1e-12)
         assert block.jsd == pytest.approx(oracle_jsd(o1["counts"], o2["counts"]), abs=1e-12)
         assert block.tfidf_cosine == pytest.approx(oracle_tfidf_cosine(o1["counts"], o2["counts"]), abs=1e-12)
+
+
+# Line breaks that universal newlines translate and ones that only str.splitlines breaks at, word and
+# punctuation characters, and Greek capitals, whose lowering depends on the letters around them.
+CORPUS_TEXT = st.text(st.sampled_from(list("ab_1é ,.!\t\n\r\x0b\x0c\x1c\x85\u2028ΟΔΣ")), max_size=40)
+
+
+def write_corpus(path, text: str) -> str:
+    with open(path, "w", encoding="utf-8", newline="") as fh:  # keeps every "\r"
+        fh.write(text)
+    return str(path)
+
+
+class TestReadCorpus:
+    """read_corpus counts a whole file as the per-line reader and the per-sentence profile did."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(CORPUS_TEXT, min_size=1, max_size=3), st.sampled_from(["unicode_words", "pretokenized_whitespace"]))
+    @example(["a b\r\nb\ra"], "unicode_words")
+    @example(["a\n\nb", "\n"], "pretokenized_whitespace")
+    @example(["...\n!! ,\n", "a"], "unicode_words")
+    @example(["a\x0bb\x0cb\x85a\u2028b\x1cc\n"], "unicode_words")
+    @example(["a\x0bb\x0cb\x85a\u2028b\x1cc\n"], "pretokenized_whitespace")
+    @example(["ΟΔΟΣ\nΣ a"], "unicode_words")
+    @example(["", ""], "unicode_words")
+    def test_whole_file_counts_match_per_line_reader(self, tmp_path_factory, texts, mode):
+        tmp = tmp_path_factory.mktemp("corpus")
+        paths = [write_corpus(tmp / f"{i}.txt", text) for i, text in enumerate(texts)]
+        counts = sum((read_corpus(path, mode) for path in paths), CorpusCounts())  # a concat entry's files
+        sentences = [sent for path in paths for sent in oracle_read_corpus(path, mode)]
+        assert len(counts) == counts.num_sentences == len(sentences)
+        expected = Counter(tok for sent in sentences for tok in sent)
+        assert list(counts.counts.items()) == list(expected.items())  # same counts, first-seen order
+        if sum(expected.values()):
+            assert profile("d", counts) == profile("d", sentences)
+        else:
+            for corpus in (counts, sentences):
+                with pytest.raises(EmptyCorpus):
+                    profile("d", corpus)
+
+
+def random_counts(rng) -> dict[str, int]:
+    return {f"w{i}": int(rng.integers(1, 50)) for i in rng.choice(12, int(rng.integers(1, 8)), replace=False)}
+
+
+class TestPairKernelBits:
+    """The single-pair functions give the per-pair dict loops' floats, bit for bit."""
+
+    def test_dataset_features_match_dict_loops(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            s1, s2 = random_corpus(rng), random_corpus(rng)
+            if rng.uniform() < 0.2:
+                s2 = [[tok.upper() for tok in sent] for sent in s2]  # disjoint vocabularies
+            p1, p2 = profile("d1", s1), profile("d2", s2)
+            got = dataset_features(p1, p2)
+            assert [repr(v) for v in got.as_row()] == [repr(v) for v in oracle_dataset_features(s1, s2).as_row()]
+            assert (word_overlap(p1, p2), tfidf_cosine(p1, p2)) == (got.word_overlap, got.tfidf_cosine)
+
+    def test_jsd_matches_dict_loop(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            c1, c2 = random_counts(rng), random_counts(rng)
+            p = {t: c / sum(c1.values()) for t, c in c1.items()}
+            q = {t: c / sum(c2.values()) for t, c in c2.items()}
+            assert repr(jsd(TokenDistribution(p), TokenDistribution(q))) == repr(oracle_sorted_jsd(p, q))
 
 
 TTR = st.sampled_from([5e-324, 1.0]) | st.floats(0.0, 1.0, exclude_min=True)
