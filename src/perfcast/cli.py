@@ -36,7 +36,7 @@ from .corpus import (
     read_corpus,
     write_feature_csv,
 )
-from .errors import ConfigError, ParseError, PerfcastError, open_text
+from .errors import ConfigError, DuplicateId, ParseError, PerfcastError, open_text
 from .experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -152,7 +152,11 @@ class Config:
     def __post_init__(self):
         if self.side not in _SIDES:
             raise ValueError(f"unknown side {self.side!r}")
+        dataset_ids = set()
         for i, entry in enumerate(self.corpora):
+            if entry.dataset_id in dataset_ids:
+                raise ValueError(f"corpora[{i}]: repeated dataset_id {entry.dataset_id!r}")
+            dataset_ids.add(entry.dataset_id)
             if entry.path is None:
                 for name in _SIDES[self.side]:
                     if getattr(entry, name) is None:
@@ -201,24 +205,38 @@ def _read_config(path: str) -> Config:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _check_corpus_pairs(path: str, command: str, cfg: Config) -> None:
-    """Reject corpora and pairs that cannot make the features a command computes from them.
+_MATRIX_COMMANDS = ("train", "predict", "experiment", "ablate")  # the commands that build a design matrix
 
-    features computes them always; a command that builds a design matrix
-    does when the dataset group is on, no dataset_features CSV is given and
-    corpora are. Runs before any corpus is read or the output directory made.
+
+def _check_command(path: str, command: str, cfg: Config) -> None:
+    """Reject a config that lacks what the command reads, naming the config file.
+
+    Runs before any input file is read or the output directory made. The
+    corpora and pairs are checked when the command computes features from
+    them: features always, a design-matrix command when the dataset group is
+    on, no dataset_features CSV is given and corpora are.
     """
-    matrix_from_corpora = (command in ("train", "predict", "experiment", "ablate") and "dataset" in cfg.feature_groups
-                           and cfg.dataset_features is None and cfg.corpora)
-    if command != "features" and not matrix_from_corpora:
-        return
-    if not cfg.corpora or not cfg.pairs:
-        raise ConfigError(f"{path}: feature computation needs 'corpora' and 'pairs'")
-    dataset_ids = {entry.dataset_id for entry in cfg.corpora}
-    for i, pair in enumerate(cfg.pairs):
-        for name in ("train", "test"):
-            if getattr(pair, name) not in dataset_ids:
-                raise ConfigError(f"{path}: pairs[{i}]: {name} references unknown corpus {getattr(pair, name)!r}")
+    if command in ("predict", "importance") and cfg.model is None:
+        raise ConfigError(f"{path}: {command} config needs 'model'")
+    matrix = command in _MATRIX_COMMANDS
+    if matrix and cfg.records is None:
+        raise ConfigError(f"{path}: config is missing 'records'")
+    dataset_group = matrix and "dataset" in cfg.feature_groups and cfg.dataset_features is None
+    if command == "features" or (dataset_group and cfg.corpora):
+        if not cfg.corpora or not cfg.pairs:
+            raise ConfigError(f"{path}: feature computation needs 'corpora' and 'pairs'")
+        dataset_ids = {entry.dataset_id for entry in cfg.corpora}
+        for i, pair in enumerate(cfg.pairs):
+            for name in ("train", "test"):
+                if getattr(pair, name) not in dataset_ids:
+                    raise ConfigError(f"{path}: pairs[{i}]: {name} references unknown corpus {getattr(pair, name)!r}")
+    elif dataset_group:
+        raise ConfigError(f"{path}: dataset feature group enabled but neither 'dataset_features'"
+                          " nor 'corpora'+'pairs' given")
+    if matrix and "language" in cfg.feature_groups and cfg.language_distances is None:
+        raise ConfigError(f"{path}: language feature group enabled but no 'language_distances' path given")
+    if command == "train" and len(cfg.candidates()) != 1:
+        raise ConfigError(f"{path}: train expects exactly one hyperparameter set (preset or params)")
 
 
 class _Run:
@@ -277,14 +295,18 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) 
 # ---------------------------------------------------------------------------
 
 def _load_record_sources(run: _Run, paths: tuple[str, ...]) -> list[PerformanceRecord]:
+    """The records of every file, in order; an id that an earlier file gave is a DuplicateId naming both."""
     records: list[PerformanceRecord] = []
-    seen_ids: set[str] = set()
+    sources: list[str] = []
+    # record_id -> index of the file that gave it; load_records rejects a repeat within one file
+    source_of: dict[str, int] = {}
     for rel in paths:
         path = run.track(run.resolve(rel))
+        sources.append(path)
         for rec in load_records(path):
-            if rec.record_id in seen_ids:
-                raise ParseError(f"duplicate record_id {rec.record_id!r} across record files")
-            seen_ids.add(rec.record_id)
+            first = source_of.setdefault(rec.record_id, len(sources) - 1)
+            if first != len(sources) - 1:
+                raise DuplicateId(f"{path}: duplicate record_id {rec.record_id!r}, first given in {sources[first]}")
             records.append(rec)
     return records
 
@@ -293,25 +315,18 @@ def _feature_sources(run: _Run, cfg: Config):
     """Records, dataset feature blocks and language table named by a config.
 
     Dataset features come from a precomputed `dataset_features` CSV or are
-    computed inline from `corpora` + `pairs`.
+    computed inline from `corpora` + `pairs`. _check_command has checked
+    that the config names every source its feature groups need.
     """
-    if cfg.records is None:
-        raise ConfigError("config is missing 'records'")
     records = _load_record_sources(run, cfg.records)
     dataset_blocks = None
     if "dataset" in cfg.feature_groups:
         if cfg.dataset_features is not None:
             dataset_blocks = load_feature_csv(run.track(run.resolve(cfg.dataset_features)))
-        elif cfg.corpora:
-            dataset_blocks = {(tr, te): block for tr, te, block in _compute_feature_blocks(run, cfg)}
         else:
-            raise ConfigError(
-                "dataset feature group enabled but neither 'dataset_features' nor 'corpora'+'pairs' given"
-            )
+            dataset_blocks = {(tr, te): block for tr, te, block in _compute_feature_blocks(run, cfg)}
     language_table = None
     if "language" in cfg.feature_groups:
-        if cfg.language_distances is None:
-            raise ConfigError("language feature group enabled but no 'language_distances' path given")
         language_table = load_distance_table(run.track(run.resolve(cfg.language_distances)))
     return records, dataset_blocks, language_table
 
@@ -403,7 +418,7 @@ def _result_json(result: ExperimentResult) -> dict:
 def _compute_feature_blocks(run: _Run, cfg: Config) -> list[tuple[str, str, object]]:
     """Profile the configured corpora, reading each file once, and compute one feature block per pair.
 
-    _check_corpus_pairs has checked that every pair names a corpora entry.
+    _check_command has checked that every pair names a corpora entry.
     """
     profiles = {}
     for entry in cfg.corpora:
@@ -438,22 +453,14 @@ def _design_matrix(run: _Run, cfg: Config):
 
 def _cmd_train(run: _Run, cfg: Config) -> None:
     matrix = _design_matrix(run, cfg)
-    grid = cfg.candidates()
-    if len(grid) != 1:
-        raise ConfigError("train expects exactly one hyperparameter set (preset or params)")
-    params = grid[0] if cfg.seed is None else with_seed(grid[0], cfg.seed)
+    (params,) = cfg.candidates()  # _check_command has checked there is one
+    params = params if cfg.seed is None else with_seed(params, cfg.seed)
     model = fit_model(params, matrix)
     save_model(model, os.path.join(run.out_dir, "model.json"))
 
 
-def _load_config_model(run: _Run, cfg: Config):
-    if cfg.model is None:
-        raise ConfigError(f"{run.command} config needs 'model'")
-    return load_model(run.track(run.resolve(cfg.model)))
-
-
 def _cmd_predict(run: _Run, cfg: Config) -> None:
-    model = _load_config_model(run, cfg)
+    model = load_model(run.track(run.resolve(cfg.model)))
     matrix = _design_matrix(run, cfg)
     preds = predict_model(model, matrix)
     rows = [(rid, repr(float(t)), repr(float(p)))
@@ -493,7 +500,7 @@ def _cmd_ablate(run: _Run, cfg: Config) -> None:
 
 
 def _cmd_importance(run: _Run, cfg: Config) -> None:
-    model = _load_config_model(run, cfg)
+    model = load_model(run.track(run.resolve(cfg.model)))
     if not isinstance(model, GbtModel):
         raise ConfigError("feature importance is only defined for gbt models")
     scores = gbt_importance(model)
@@ -536,11 +543,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         cfg = _read_config(args.config)
-        _check_corpus_pairs(args.config, args.command, cfg)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         if args.preset is not None:  # the flag replaces the config's hyperparameters
             cfg = replace(cfg, grid=None, params=None, preset=args.preset)
+        _check_command(args.config, args.command, cfg)
         run = _Run(args.command, args.config, args.out, args.seed, args.threads)
         _COMMANDS[args.command](run, cfg)
         run.write_manifest()

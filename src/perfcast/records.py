@@ -12,7 +12,8 @@ one JSON object per line. A JSONL line is read through the field table of
 `perfcast.fields`, so each value must have its field's JSON type, nothing
 is coerced, and an absent optional key takes the field's default; the one
 leniency is a seen_by_estimated_model string, read like the CSV cell. Every
-record then has its task, corpus group, Joshi class and scores checked.
+record then has its task, corpus group, Joshi class and scores checked, and
+its id checked against the earlier lines'. Every error names file:line.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import csv
 import hashlib
 import json
 import math
+from array import array
 from dataclasses import dataclass, field, replace
+from math import isfinite
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,6 +49,7 @@ METRIC_RANGES = {
     "comet": (0.0, 1.0),
     "comet22": (0.0, 1.0),
 }
+_NO_RANGE = (-math.inf, math.inf)
 
 _BASE_COLUMNS = (
     "record_id",
@@ -78,8 +82,15 @@ _KEY_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass
 class PerformanceRecord:
+    """One observed outcome with its proxy scores.
+
+    A plain mutable dataclass: a frozen one sets each field through
+    object.__setattr__, which costs several times as much per record, and a
+    record is not hashable anyway, since proxy_scores is a dict.
+    """
+
     record_id: str
     task: str
     estimated_model: str
@@ -95,52 +106,79 @@ class PerformanceRecord:
     joshi_class: int | None = None
 
 
-def _check_score(record_id: str, metric_name: str, score: float) -> None:
-    if not math.isfinite(score):
-        raise RangeError(f"record {record_id!r}: non-finite score {score}")
-    bounds = METRIC_RANGES.get(metric_name.lower())
-    if bounds is not None and not (bounds[0] <= score <= bounds[1]):
-        raise RangeError(
-            f"record {record_id!r}: {metric_name} score {score} outside [{bounds[0]}, {bounds[1]}]"
-        )
+def validate_record(rec: PerformanceRecord, path: str, lineno: int,
+                    bounds_of: dict[str, tuple[float, float]]) -> PerformanceRecord:
+    """Check the task, corpus group, Joshi class, score and proxy scores, in that order.
 
-
-def validate_record(rec: PerformanceRecord) -> PerformanceRecord:
+    Every error starts with the record's path:lineno. bounds_of maps each
+    metric name met so far in the file to its METRIC_RANGES entry, or to
+    (-inf, inf) for a metric with no range, so that each name is looked up
+    once; a name it lacks is looked up and added.
+    """
     if rec.task not in TASKS:
-        raise ParseError(f"record {rec.record_id!r}: unknown task {rec.task!r}")
+        raise ParseError(f"{path}:{lineno}: record {rec.record_id!r}: unknown task {rec.task!r}")
     if rec.corpus_group not in CORPUS_GROUPS:
-        raise ParseError(f"record {rec.record_id!r}: unknown corpus_group {rec.corpus_group!r}")
-    if rec.joshi_class is not None and not (0 <= rec.joshi_class <= 5):
-        raise ParseError(f"record {rec.record_id!r}: joshi_class {rec.joshi_class} outside 0-5")
-    _check_score(rec.record_id, rec.metric_name, rec.score)
+        raise ParseError(f"{path}:{lineno}: record {rec.record_id!r}: unknown corpus_group {rec.corpus_group!r}")
+    joshi = rec.joshi_class
+    if joshi is not None and not (0 <= joshi <= 5):
+        raise ParseError(f"{path}:{lineno}: record {rec.record_id!r}: joshi_class {joshi} outside 0-5")
+    score = rec.score
+    if not isfinite(score):
+        raise RangeError(f"{path}:{lineno}: record {rec.record_id!r}: non-finite score {score}")
+    try:
+        low, high = bounds_of[rec.metric_name]
+    except KeyError:
+        low, high = bounds_of[rec.metric_name] = METRIC_RANGES.get(rec.metric_name.lower(), _NO_RANGE)
+    if not low <= score <= high:
+        raise RangeError(f"{path}:{lineno}: record {rec.record_id!r}: {rec.metric_name} score {score}"
+                         f" outside [{low}, {high}]")
     for proxy_id, value in rec.proxy_scores.items():
-        if value is not None and not math.isfinite(value):
-            raise RangeError(f"record {rec.record_id!r}: non-finite proxy score for {proxy_id!r}")
+        if value is not None and not isfinite(value):
+            raise RangeError(f"{path}:{lineno}: record {rec.record_id!r}: non-finite proxy score for {proxy_id!r}")
     return rec
 
 
-def _parse_bool(raw: str, context: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "1"):
-        return True
-    if lowered in ("false", "0"):
-        return False
-    raise ParseError(f"{context}: bad boolean {raw!r}")
+def _check_new_id(records: list[PerformanceRecord], lines: array, ids: set[str], path: str) -> None:
+    """Raise DuplicateId naming both lines if the last record repeats an earlier record's id.
+
+    lines holds the line of each record. It is an array of C longs, not a
+    dict of ints: an int object kept alive per record raised the CLI's peak
+    memory by about 1 MB for 8000 records.
+    """
+    record_id = records[-1].record_id
+    if record_id in ids:
+        first = next(i for i, rec in enumerate(records) if rec.record_id == record_id)
+        raise DuplicateId(f"{path}:{lines[-1]}: duplicate record_id {record_id!r}, first given on line {lines[first]}")
+    ids.add(record_id)
+
+
+_BOOLS = {"true": True, "1": True, "false": False, "0": False}
+
+
+def _parse_bool(raw: str, path: str, lineno: int) -> bool:
+    value = _BOOLS.get(raw)
+    if value is None:
+        value = _BOOLS.get(raw.strip().lower())
+    if value is None:
+        raise ParseError(f"{path}:{lineno}: bad boolean {raw!r}")
+    return value
 
 
 def load_records(path: str) -> list[PerformanceRecord]:
-    """Load records from CSV (proxy:<id> columns) or JSONL (proxy_scores object)."""
-    records = _load_records_jsonl(path) if path.endswith((".jsonl", ".json")) else _load_records_csv(path)
-    seen: set[str] = set()
-    for rec in records:
-        if rec.record_id in seen:
-            raise DuplicateId(f"duplicate record_id {rec.record_id!r} in {path}")
-        seen.add(rec.record_id)
-    return records
+    """Load records from CSV (proxy:<id> columns) or JSONL (proxy_scores object).
+
+    Every error names the file and line, and a repeated record_id is a
+    DuplicateId at the line that repeats it.
+    """
+    return _load_records_jsonl(path) if path.endswith((".jsonl", ".json")) else _load_records_csv(path)
 
 
 def _load_records_csv(path: str) -> list[PerformanceRecord]:
+    """One pass per row: unpack the cells, parse score, joshi_class, proxies and the boolean, then check."""
     records: list[PerformanceRecord] = []
+    lines = array("l")
+    ids: set[str] = set()
+    bounds_of: dict[str, tuple[float, float]] = {}
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -154,68 +192,63 @@ def _load_records_csv(path: str) -> list[PerformanceRecord]:
             if not col.startswith(PROXY_PREFIX):
                 raise ParseError(f"{path}: unexpected column {col!r} (proxy columns must start with {PROXY_PREFIX!r})")
             proxy_ids.append(col[len(PROXY_PREFIX):])
+        width = len(header)
         for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            context = f"{path}:{lineno}"
+            if len(row) != width:  # a blank line reads as no cell or one blank cell; a header has 12 or more
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                raise ParseError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
+            (record_id, task, estimated_model, train_dataset, test_dataset, src_lang, tgt_lang, metric_name,
+             score, seen, corpus_group, joshi, *cells) = row
             try:
-                score = float(row[8])
+                score = float(score)
             except ValueError as exc:
-                raise ParseError(f"{context}: bad score {row[8]!r}") from exc
-            joshi_raw = row[11].strip()
-            try:
-                joshi = int(joshi_raw) if joshi_raw else None
+                raise ParseError(f"{path}:{lineno}: bad score {score!r}") from exc
+            try:  # int() and float() ignore the whitespace round a number; a cell of whitespace alone is empty
+                joshi = int(joshi) if joshi else None
             except ValueError as exc:
-                raise ParseError(f"{context}: bad joshi_class {joshi_raw!r}") from exc
+                if joshi.strip():
+                    raise ParseError(f"{path}:{lineno}: bad joshi_class {joshi.strip()!r}") from exc
+                joshi = None
             proxies: dict[str, float | None] = {}
-            for proxy_id, cell in zip(proxy_ids, row[len(_BASE_COLUMNS):]):
-                cell = cell.strip()
-                if cell == "":
+            for proxy_id, cell in zip(proxy_ids, cells):
+                try:
+                    proxies[proxy_id] = float(cell) if cell else None
+                except ValueError as exc:
+                    if cell.strip():
+                        raise ParseError(f"{path}:{lineno}: bad proxy score {cell.strip()!r}") from exc
                     proxies[proxy_id] = None
-                else:
-                    try:
-                        proxies[proxy_id] = float(cell)
-                    except ValueError as exc:
-                        raise ParseError(f"{context}: bad proxy score {cell!r}") from exc
-            rec = PerformanceRecord(
-                record_id=row[0],
-                task=row[1],
-                estimated_model=row[2],
-                train_dataset=row[3],
-                test_dataset=row[4],
-                src_lang=row[5],
-                tgt_lang=row[6],
-                metric_name=row[7],
-                score=score,
-                proxy_scores=proxies,
-                seen_by_estimated_model=_parse_bool(row[9], context),
-                corpus_group=row[10],
-                joshi_class=joshi,
-            )
-            records.append(validate_record(rec))
+            rec = PerformanceRecord(record_id, task, estimated_model, train_dataset, test_dataset, src_lang,
+                                    tgt_lang, metric_name, score, proxies, _parse_bool(seen, path, lineno),
+                                    corpus_group, joshi)
+            records.append(validate_record(rec, path, lineno, bounds_of))
+            lines.append(lineno)
+            _check_new_id(records, lines, ids, path)
     return records
 
 
 def _load_records_jsonl(path: str) -> list[PerformanceRecord]:
     """One JSON object per line, read by from_json; a string seen_by_estimated_model is read as in the CSV."""
     records: list[PerformanceRecord] = []
+    lines = array("l")
+    ids: set[str] = set()
+    bounds_of: dict[str, tuple[float, float]] = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            context = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
                 seen = obj.get("seen_by_estimated_model") if isinstance(obj, dict) else None
                 if isinstance(seen, str):
-                    obj["seen_by_estimated_model"] = _parse_bool(seen, context)
+                    obj["seen_by_estimated_model"] = _parse_bool(seen, path, lineno)
                 rec = from_json(PerformanceRecord, obj)
             except ValueError as exc:  # json.JSONDecodeError is a ValueError
-                raise ParseError(f"{context}: bad record: {exc}") from exc
-            records.append(validate_record(rec))
+                raise ParseError(f"{path}:{lineno}: bad record: {exc}") from exc
+            records.append(validate_record(rec, path, lineno, bounds_of))
+            lines.append(lineno)
+            _check_new_id(records, lines, ids, path)
     return records
 
 

@@ -7,6 +7,7 @@ values asserted in the tests are computed here (or frozen from here).
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -16,9 +17,17 @@ import numpy as np
 
 from perfcast.corpus import DATASET_FEATURE_COLUMNS, DatasetFeatureBlock, embedding_cosine, tokenize
 from perfcast.errors import open_text
-from perfcast.errors import MissingFeature, MissingPair, TooFewPoints
+from perfcast.errors import MissingFeature, MissingPair, ParseError, RangeError, TooFewPoints
 from perfcast.langdist import DISTANCE_KINDS, language_features
-from perfcast.records import PROXY_PREFIX, DesignMatrix
+from perfcast.records import (
+    _BASE_COLUMNS,
+    CORPUS_GROUPS,
+    METRIC_RANGES,
+    PROXY_PREFIX,
+    TASKS,
+    DesignMatrix,
+    PerformanceRecord,
+)
 from perfcast.regressors.gbt import GbtParams, _tree_predict, make_tree
 
 
@@ -698,3 +707,99 @@ def oracle_mf_sgd(C: np.ndarray, y: np.ndarray, src_of, tgt_of, n_src: int, n_tg
             if c_dim:
                 theta -= lr * (err * ci + params.beta_z * theta)
     return W, H, np.array(b_s), np.array(b_t), theta, mu
+
+
+# The records CSV reader that the one-pass reader replaced, with the checks it called, kept as
+# written. Its record checks name no file or line, and it does not look for repeated ids.
+
+
+def _check_score(record_id: str, metric_name: str, score: float) -> None:
+    if not math.isfinite(score):
+        raise RangeError(f"record {record_id!r}: non-finite score {score}")
+    bounds = METRIC_RANGES.get(metric_name.lower())
+    if bounds is not None and not (bounds[0] <= score <= bounds[1]):
+        raise RangeError(
+            f"record {record_id!r}: {metric_name} score {score} outside [{bounds[0]}, {bounds[1]}]"
+        )
+
+
+def oracle_validate_record(rec: PerformanceRecord) -> PerformanceRecord:
+    if rec.task not in TASKS:
+        raise ParseError(f"record {rec.record_id!r}: unknown task {rec.task!r}")
+    if rec.corpus_group not in CORPUS_GROUPS:
+        raise ParseError(f"record {rec.record_id!r}: unknown corpus_group {rec.corpus_group!r}")
+    if rec.joshi_class is not None and not (0 <= rec.joshi_class <= 5):
+        raise ParseError(f"record {rec.record_id!r}: joshi_class {rec.joshi_class} outside 0-5")
+    _check_score(rec.record_id, rec.metric_name, rec.score)
+    for proxy_id, value in rec.proxy_scores.items():
+        if value is not None and not math.isfinite(value):
+            raise RangeError(f"record {rec.record_id!r}: non-finite proxy score for {proxy_id!r}")
+    return rec
+
+
+def _parse_bool(raw: str, context: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("true", "1"):
+        return True
+    if lowered in ("false", "0"):
+        return False
+    raise ParseError(f"{context}: bad boolean {raw!r}")
+
+
+def oracle_load_records_csv(path: str) -> list[PerformanceRecord]:
+    records: list[PerformanceRecord] = []
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return []
+        header = [h.strip() for h in header]
+        if tuple(header[: len(_BASE_COLUMNS)]) != _BASE_COLUMNS:
+            raise ParseError(f"{path}: unexpected records header (first columns must be {','.join(_BASE_COLUMNS)})")
+        proxy_ids = []
+        for col in header[len(_BASE_COLUMNS):]:
+            if not col.startswith(PROXY_PREFIX):
+                raise ParseError(f"{path}: unexpected column {col!r} (proxy columns must start with {PROXY_PREFIX!r})")
+            proxy_ids.append(col[len(PROXY_PREFIX):])
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+            context = f"{path}:{lineno}"
+            try:
+                score = float(row[8])
+            except ValueError as exc:
+                raise ParseError(f"{context}: bad score {row[8]!r}") from exc
+            joshi_raw = row[11].strip()
+            try:
+                joshi = int(joshi_raw) if joshi_raw else None
+            except ValueError as exc:
+                raise ParseError(f"{context}: bad joshi_class {joshi_raw!r}") from exc
+            proxies: dict[str, float | None] = {}
+            for proxy_id, cell in zip(proxy_ids, row[len(_BASE_COLUMNS):]):
+                cell = cell.strip()
+                if cell == "":
+                    proxies[proxy_id] = None
+                else:
+                    try:
+                        proxies[proxy_id] = float(cell)
+                    except ValueError as exc:
+                        raise ParseError(f"{context}: bad proxy score {cell!r}") from exc
+            rec = PerformanceRecord(
+                record_id=row[0],
+                task=row[1],
+                estimated_model=row[2],
+                train_dataset=row[3],
+                test_dataset=row[4],
+                src_lang=row[5],
+                tgt_lang=row[6],
+                metric_name=row[7],
+                score=score,
+                proxy_scores=proxies,
+                seen_by_estimated_model=_parse_bool(row[9], context),
+                corpus_group=row[10],
+                joshi_class=joshi,
+            )
+            records.append(oracle_validate_record(rec))
+    return records

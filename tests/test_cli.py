@@ -244,6 +244,36 @@ class TestConfigShape:
         assert (err["error"], err["message"]) == ("ConfigError", f"{cfg}: pairs[0]: test references unknown corpus 'zz'")
         assert not out.exists()
 
+    def test_repeated_dataset_id_rejected_before_any_file(self, tmp_path, capsys):
+        # the corpus files do not exist, so reading one first would be an OSError
+        cfg = write_json(tmp_path / "f.json", {
+            "corpora": [{"dataset_id": "x", "path": "a.txt"}, {"dataset_id": "x", "path": "b.txt"}],
+            "pairs": [{"train": "x", "test": "x"}]})
+        out = tmp_path / "out"
+        assert main(["features", "--config", cfg, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == ("ConfigError", f"{cfg}: corpora[1]: repeated dataset_id 'x'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, drop, extra, match", [
+        ("train", ["records"], {}, "config is missing 'records'"),
+        ("predict", [], {}, "predict config needs 'model'"),
+        ("importance", [], {}, "importance config needs 'model'"),
+        ("experiment", ["dataset_features"], {},
+         "dataset feature group enabled but neither 'dataset_features' nor 'corpora'+'pairs' given"),
+        ("ablate", ["language_distances"], {}, "language feature group enabled but no 'language_distances' path given"),
+        ("train", ["params"], {"grid": [{"max_depth": 2}, {"max_depth": 3}]},
+         "train expects exactly one hyperparameter set (preset or params)"),
+    ], ids=["records", "predict_model", "importance_model", "dataset_source", "language_source", "train_grid"])
+    def test_command_needs_rejected_before_any_file(self, tmp_path, capsys, command, drop, extra, match):
+        obj = {**json.loads(open(write_experiment_fixture(tmp_path)).read()), **extra}
+        cfg = write_json(tmp_path / "c.json", {k: v for k, v in obj.items() if k not in drop})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == ("ConfigError", f"{cfg}: {match}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [
         {"corpora": [{"dataset_id": "a", "path": "missing.txt"}]},
         {"corpora": [{"dataset_id": "a", "path": "missing.txt"}], "pairs": [{"train": "a", "test": "zz"}]},
@@ -502,6 +532,22 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "predictions.csv").read_text().splitlines()
         assert len(lines) == 1 + 4  # 12 records, test side of the 7:3 split
+
+    @pytest.mark.parametrize("twice", [False, True], ids=["two_files", "one_file_twice"])
+    def test_id_in_two_record_files_names_both(self, tmp_path, capsys, twice):
+        records, _, _ = synthetic_setup(6, seed=4)
+        save_records(records[:4], str(tmp_path / "one.csv"))
+        save_records(records[3:], str(tmp_path / "two.csv"))
+        second = "one.csv" if twice else "two.csv"
+        cfg = write_json(tmp_path / "c.json", {
+            "records": ["one.csv", second], "feature_groups": ["proxy"], "regressor": "poly",
+            "params": {"degree": 1, "alpha": 0.1}, "split": {"kind": "random", "ratio": 0.7}, "repeats": 1,
+        })
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        repeated = records[0 if twice else 3].record_id
+        message = f"{tmp_path / second}: duplicate record_id {repeated!r}, first given in {tmp_path / 'one.csv'}"
+        assert (err["error"], err["message"]) == ("DuplicateId", message)
 
     def test_lolo_split(self, tmp_path):
         cfg = write_experiment_fixture(tmp_path, config_extra={

@@ -1,3 +1,6 @@
+import csv
+import io
+import itertools
 import json
 import os
 import re
@@ -10,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perfcast.corpus import DATASET_FEATURE_COLUMNS
-from perfcast.errors import DuplicateId, KeyMismatch, MissingFeature, ParseError, RangeError
+from perfcast.errors import DuplicateId, KeyMismatch, MissingFeature, ParseError, PerfcastError, RangeError
 from perfcast.records import (
+    _BASE_COLUMNS,
     CORPUS_GROUPS,
     FEATURE_GROUPS,
     PROXY_PREFIX,
@@ -27,7 +31,7 @@ from perfcast.records import (
 from perfcast.langdist import DISTANCE_KINDS, language_features
 
 from conftest import LANGS, make_feature_block, make_language_table, synthetic_setup
-from oracles import oracle_build_design_matrix
+from oracles import oracle_build_design_matrix, oracle_load_records_csv
 
 
 def rec(record_id="r1", **kw):
@@ -136,6 +140,44 @@ class TestLoadSave:
         path.write_text(json.dumps({**jsonl_record(metric_name="accuracy", score=0.5), field: value}) + "\n")
         with pytest.raises(ParseError, match="records.jsonl:1: .*" + re.escape(match)):
             load_records(str(path))
+
+    @pytest.mark.parametrize("fault, error, message", [
+        ({"task": "bogus"}, ParseError, "record 'r2': unknown task 'bogus'"),
+        ({"corpus_group": "nowhere"}, ParseError, "record 'r2': unknown corpus_group 'nowhere'"),
+        ({"joshi_class": 6}, ParseError, "record 'r2': joshi_class 6 outside 0-5"),
+        ({"score": 101.0}, RangeError, "record 'r2': spbleu score 101.0 outside [0.0, 100.0]"),
+        ({"score": float("-inf")}, RangeError, "record 'r2': non-finite score -inf"),
+        ({"proxy_scores": {"p0": float("nan"), "p1": None}}, RangeError,
+         "record 'r2': non-finite proxy score for 'p0'"),
+    ], ids=["task", "corpus_group", "joshi_range", "score_range", "score_infinite", "proxy_nan"])
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_record_check_names_file_and_line(self, tmp_path, suffix, fault, error, message):
+        path = str(tmp_path / f"records{suffix}")
+        records = [rec("r1"), rec("r2", **fault)]
+        if suffix == ".csv":
+            save_records(records, path)  # the header is line 1
+            line = 3
+        else:
+            write_jsonl(records, path, ensure_ascii=True)
+            line = 2
+        with pytest.raises(error) as exc:
+            load_records(path)
+        assert str(exc.value) == f"{path}:{line}: {message}"
+
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "records.csv"
+        save_records([rec("a"), rec("b")], str(path))
+        path.write_text(path.read_text() + "\n" + path.read_text().splitlines()[1] + "\n")  # a blank line, then a again
+        with pytest.raises(DuplicateId) as exc:
+            load_records(str(path))
+        assert str(exc.value) == f"{path}:5: duplicate record_id 'a', first given on line 2"
+
+    def test_jsonl_duplicate_id_names_both_lines(self, tmp_path):
+        path = str(tmp_path / "records.jsonl")
+        write_jsonl([rec("a"), rec("b"), rec("b")], path, ensure_ascii=True)
+        with pytest.raises(DuplicateId) as exc:
+            load_records(path)
+        assert str(exc.value) == f"{path}:3: duplicate record_id 'b', first given on line 2"
 
     def test_bad_task(self, tmp_path):
         path = str(tmp_path / "records.csv")
@@ -432,3 +474,158 @@ class TestLoadSaveProperties:
             path = os.path.join(tmp, "records.csv")
             save_records(records, path)
             assert load_records(path) == expected
+
+
+# Cells of a records CSV row: valid values, some with whitespace round them, and faulty ones
+TEXT = st.sampled_from(["m", "large", "a,b", 'q"t', " sp ", "ü"])
+METRIC_SCORES = {"spbleu": st.floats(0.0, 100.0), "SpBLEU": st.floats(0.0, 100.0), "accuracy": st.floats(0.0, 1.0),
+                 "synthetic": FINITE}
+PADDED = st.sampled_from(["{}", " {}", "{} ", "\t{} ", "\u00a0{}\u2003"])
+BLANK = st.sampled_from(["", "   ", "\t"])
+
+
+def fault_cells(cells, proxy_ids, kind, data):
+    """Inject one fault of kind into a row's cells, a dict from column name to cell text.
+
+    A width fault sets the key "width" to the number of cells to add (1) or drop (-1).
+    """
+    pick = lambda *values: data.draw(st.sampled_from(values))
+    if kind == "width":
+        cells["width"] = pick(1, -1)
+    elif kind == "bad_score":
+        cells["score"] = pick("abc", "1.2.3", "", " ")
+    elif kind == "bad_joshi":
+        cells["joshi_class"] = pick("x", "2.5", " 1e0 ")
+    elif kind == "bad_proxy":
+        cells[PROXY_PREFIX + pick(*proxy_ids)] = pick("n/a", "1,5", " - ")
+    elif kind == "bad_bool":
+        cells["seen_by_estimated_model"] = pick("maybe", "yes", "", "2")
+    elif kind == "unknown_task":
+        cells["task"] = pick("bogus", "MT", " mt")
+    elif kind == "unknown_group":
+        cells["corpus_group"] = pick("nowhere", "Other")
+    elif kind == "joshi_range":
+        cells["joshi_class"] = pick("6", "-1", " 17 ")
+    elif kind == "score_range":
+        metric, score = pick(("spbleu", "100.5"), ("SpBLEU", "-0.5"), ("accuracy", "1.5"), ("accuracy", " -1e-9 "))
+        cells["metric_name"], cells["score"] = metric, score
+    elif kind == "score_nonfinite":
+        cells["score"] = pick("nan", "inf", "-inf", " NaN ", "-Infinity")
+    elif kind == "proxy_nonfinite":
+        cells[PROXY_PREFIX + pick(*proxy_ids)] = pick("nan", "inf", "-Infinity")
+    else:
+        raise AssertionError(kind)
+
+
+FAULT_KINDS = ("width", "bad_score", "bad_joshi", "bad_proxy", "bad_bool", "unknown_task", "unknown_group",
+               "joshi_range", "score_range", "score_nonfinite", "proxy_nonfinite", "duplicate")
+
+
+def records_csv_lines(data, faults):
+    """A header and lines of a records CSV: valid rows, blank lines, and each (row, kind) of faults injected."""
+    proxy_ids = data.draw(st.lists(st.sampled_from(["p0", "p1", "ß"]), min_size=1, max_size=3, unique=True))
+    header = list(_BASE_COLUMNS) + [PROXY_PREFIX + p for p in proxy_ids]
+    n_rows = max([row for row, _ in faults], default=-1) + 1 + data.draw(st.integers(0, 3))
+    padded = lambda text: data.draw(PADDED).format(text)
+    ids = []
+    lines = []
+    for i in range(n_rows):
+        lines.extend(data.draw(st.lists(BLANK, max_size=2)))
+        metric = data.draw(st.sampled_from(sorted(METRIC_SCORES)))
+        cells = dict(zip(_BASE_COLUMNS, [
+            f"r{i}", data.draw(st.sampled_from(TASKS)), data.draw(TEXT), data.draw(TEXT), data.draw(TEXT),
+            data.draw(TEXT), data.draw(TEXT), metric, padded(repr(data.draw(METRIC_SCORES[metric]))),
+            padded(data.draw(st.sampled_from(["true", "false", "1", "0", "TRUE", "False"]))),
+            data.draw(st.sampled_from(CORPUS_GROUPS)),
+            data.draw(st.sampled_from(["", " "]) | st.integers(0, 5).map(str).map(padded)),
+        ]))
+        for p in proxy_ids:
+            cells[PROXY_PREFIX + p] = data.draw(BLANK | FINITE.map(repr).map(padded))
+        for row, kind in faults:
+            if row != i:
+                continue
+            if kind == "duplicate":
+                cells["record_id"] = data.draw(st.sampled_from(ids)) if ids else cells["record_id"]
+            else:
+                fault_cells(cells, proxy_ids, kind, data)
+        ids.append(cells["record_id"])
+        row = [cells[name] for name in header]
+        row = row + [""] if cells.get("width") == 1 else row[:-1] if cells.get("width") == -1 else row
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="").writerow(row)
+        lines.append(buffer.getvalue())
+    lines.extend(data.draw(st.lists(BLANK, max_size=2)))
+    return [",".join(header)] + lines
+
+
+def write_lines(path, lines, terminator):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(line + terminator for line in lines))
+
+
+def oracle_outcome(path, lines, terminator):
+    """The records the oracle reads from lines, or the error the one-pass reader must raise.
+
+    The oracle reads the file cut after each line in turn. The first cut it
+    rejects, or the first whose last record repeats an id, gives the error:
+    the oracle's, prefixed with its file:line where the oracle named none,
+    or a DuplicateId naming both lines.
+    """
+    records, first_line = [], {}
+    for n in range(1, len(lines) + 1):
+        write_lines(path, lines[:n], terminator)
+        try:
+            cut = oracle_load_records_csv(path)
+        except PerfcastError as exc:
+            where = f"{path}:{n}: "
+            return type(exc), str(exc) if str(exc).startswith(where) else where + str(exc)
+        if len(cut) > len(records):
+            record_id = cut[-1].record_id
+            if record_id in first_line:
+                first = first_line[record_id]
+                return DuplicateId, f"{path}:{n}: duplicate record_id {record_id!r}, first given on line {first}"
+            first_line[record_id] = n
+        records = cut
+    return records
+
+
+class TestCsvReaderMatchesOracle:
+    """The one-pass CSV reader against the reader it replaced, kept in tests/oracles.py."""
+
+    def check(self, data, faults):
+        lines = records_csv_lines(data, faults)
+        terminator = data.draw(st.sampled_from(["\n", "\r\n"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "records.csv")
+            expected = oracle_outcome(path, lines, terminator)
+            write_lines(path, lines, terminator)
+            if isinstance(expected, list):
+                assert load_records(path) == expected
+                return
+            with pytest.raises(PerfcastError) as got:
+                load_records(path)
+            assert (type(got.value), str(got.value)) == expected
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_valid_file(self, data):
+        self.check(data, [])
+
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_one_fault(self, kind, data):
+        self.check(data, [(data.draw(st.integers(0, 3)), kind)])
+
+    @pytest.mark.parametrize("kinds", itertools.combinations(FAULT_KINDS, 2), ids="+".join)
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_two_faults_in_one_row(self, kinds, data):
+        row = data.draw(st.integers(0, 3))
+        self.check(data, [(row, kind) for kind in kinds])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_faults_in_two_rows(self, data):
+        rows = data.draw(st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True))
+        self.check(data, [(row, data.draw(st.sampled_from(FAULT_KINDS))) for row in rows])
