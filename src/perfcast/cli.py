@@ -161,12 +161,16 @@ class Config:
                 for name in _SIDES[self.side]:
                     if getattr(entry, name) is None:
                         raise ValueError(f"corpora[{i}]: {name} is missing")
-        for i, subset in enumerate(self.group_sets or ()):
+        if not self.feature_groups:
+            raise ValueError("feature_groups: at least one feature group must be enabled")
+        subsets = [("feature_groups", self.feature_groups)]
+        subsets += [(f"group_sets[{i}]", subset) for i, subset in enumerate(self.group_sets or ())]
+        for where, subset in subsets:
             if not subset:
-                raise ValueError(f"group_sets[{i}]: feature-group subsets must be non-empty")
+                raise ValueError(f"{where}: feature-group subsets must be non-empty")
             for group in subset:
                 if group not in FEATURE_GROUPS:
-                    raise ValueError(f"group_sets[{i}]: unknown feature group {group!r}")
+                    raise ValueError(f"{where}: unknown feature group {group!r}")
         if self.regressor not in KINDS:
             raise ValueError(f"unknown regressor kind {self.regressor!r}")
         if not 0 < self.lowess_frac <= 1:

@@ -1,11 +1,14 @@
 """Evaluation protocols: splits, cross-validated model selection, repeats.
 
 Four split protocols (random 7:3, leave-one-language-out, seen/unseen,
-cross-dataset), k-fold grid search on the training side, and the repeated
-experiment driver that reports mean and population standard deviation of the
-test RMSE over `repeats` runs. Repeat r derives its seed as config.seed + r;
-that seed drives the split shuffle, the CV fold shuffle, and the regressor's
-own randomness, so reruns with identical config are bit-identical.
+cross-dataset), each returning index arrays into the records it is given,
+k-fold grid search on the training side, and the repeated experiment driver
+that reports mean and population standard deviation of the test RMSE over
+`repeats` runs. The driver builds one design matrix per experiment; split
+units and CV folds select rows of it. Repeat r derives its seed as
+config.seed + r; that seed drives the split shuffle, the CV fold shuffle,
+and the regressor's own randomness, so reruns with identical config are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -79,26 +82,23 @@ def iqm(values: Sequence[float]) -> float:
 
 def split_random(
     records: Sequence[PerformanceRecord], ratio: float, seed: int
-) -> tuple[list[PerformanceRecord], list[PerformanceRecord]]:
-    """Seeded shuffle; train takes the first floor(ratio * n) records."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded shuffle of the indices; train takes the first floor(ratio * n)."""
     n = len(records)
     if n < 2:
         raise TooFewRecords(f"need >= 2 records, got {n}")
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio {ratio} outside (0, 1)")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    perm = np.random.default_rng(seed).permutation(n)
     # tiny epsilon so float products like 0.7 * 90 floor to the exact value
     n_train = int(math.floor(ratio * n + 1e-9))
-    train = [records[i] for i in perm[:n_train]]
-    test = [records[i] for i in perm[n_train:]]
-    return train, test
+    return perm[:n_train], perm[n_train:]
 
 
 def split_lolo(
     records: Sequence[PerformanceRecord],
-) -> list[tuple[str, list[PerformanceRecord], list[PerformanceRecord]]]:
-    """One (language, train, test) split per holdable language.
+) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """One (language, train indices, test indices) split per holdable language.
 
     A record is on the test side iff the held-out language is its source or
     target. Languages appearing in every record (English in English-centric
@@ -113,28 +113,24 @@ def split_lolo(
         raise TooFewLanguages(f"need >= 2 holdable languages, got {len(holdable)}")
     splits = []
     for lang in holdable:
-        test = [r for r in records if lang in (r.src_lang, r.tgt_lang)]
-        train = [r for r in records if lang not in (r.src_lang, r.tgt_lang)]
-        splits.append((lang, train, test))
+        held = np.array([lang in (r.src_lang, r.tgt_lang) for r in records])
+        splits.append((lang, np.flatnonzero(~held), np.flatnonzero(held)))
     return splits
 
 
-def split_unseen(
-    records: Sequence[PerformanceRecord],
-) -> tuple[list[PerformanceRecord], list[PerformanceRecord]]:
-    """Train on records the estimated model has seen, test on the rest."""
-    train = [r for r in records if r.seen_by_estimated_model]
-    test = [r for r in records if not r.seen_by_estimated_model]
-    if not train or not test:
+def split_unseen(records: Sequence[PerformanceRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Train on the indices of records the estimated model has seen, test on the rest."""
+    seen = np.array([r.seen_by_estimated_model for r in records], dtype=bool)
+    if seen.all() or not seen.any():
         raise DegenerateSplit("unseen split needs both seen and unseen records")
-    return train, test
+    return np.flatnonzero(seen), np.flatnonzero(~seen)
 
 
 def split_cross_dataset(
     train_records: Sequence[PerformanceRecord],
     test_records: Sequence[PerformanceRecord],
-) -> tuple[list[PerformanceRecord], list[PerformanceRecord]]:
-    """Identity passthrough after checking the two sources are schema-compatible."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of each side into train_records + test_records, once the two are schema-compatible."""
     if not train_records or not test_records:
         raise TooFewRecords("cross-dataset split needs non-empty train and test record lists")
     roster_train = proxy_roster(train_records)
@@ -143,7 +139,8 @@ def split_cross_dataset(
         raise SchemaMismatch(
             f"proxy rosters differ: {roster_train} vs {roster_test}"
         )
-    return list(train_records), list(test_records)
+    n = len(train_records)
+    return np.arange(n, dtype=np.intp), np.arange(n, n + len(test_records), dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +278,10 @@ def _filtered_records(config: ExperimentConfig) -> list[PerformanceRecord]:
 
 
 def _split_units(config: ExperimentConfig, records, seed: int):
-    """Each unit is (label, train_records, test_records); labels are LOLO languages."""
+    """Each unit is (label, train indices, test indices) into the experiment's matrix; labels are LOLO languages."""
     kind = config.split.kind
     if kind == "random":
-        train, test = split_random(records, config.split.ratio, seed)
-        return [(None, train, test)]
+        return [(None, *split_random(records, config.split.ratio, seed))]
     if kind == "lolo":
         splits = split_lolo(records)
         if config.split.held_out_language is not None:
@@ -294,76 +290,62 @@ def _split_units(config: ExperimentConfig, records, seed: int):
                 raise TooFewLanguages(f"language {config.split.held_out_language!r} is not holdable")
         return splits
     if kind == "unseen":
-        train, test = split_unseen(records)
-        return [(None, train, test)]
-    train, test = split_cross_dataset(records, config.test_records)
-    return [(None, train, test)]
+        return [(None, *split_unseen(records))]
+    return [(None, *split_cross_dataset(records, config.test_records))]
 
 
-def _language_pairs(records) -> list[tuple[str, str]]:
-    return [(rec.src_lang, rec.tgt_lang) for rec in records]
-
-
-def _check_plan_languages(config: ExperimentConfig, plan) -> None:
+def _check_plan_languages(config: ExperimentConfig, matrix: DesignMatrix, plan) -> None:
     """Refuse, before any fit, a test side or CV fold the regressor could not predict from its training side."""
+    def pairs(idx):
+        return [matrix.languages[j] for j in idx]
+
     for r, (seed_r, units) in enumerate(plan):
-        for label, train_recs, test_recs in units:
+        for label, train, test in units:
             unit = f"repeat {r}" if label is None else f"repeat {r}, LOLO unit {label!r}"
-            train_pairs = _language_pairs(train_recs)
-            check_languages(config.grid[0], train_pairs, _language_pairs(test_recs), f"the test side of {unit}")
+            check_languages(config.grid[0], pairs(train), pairs(test), f"the test side of {unit}")
             if len(config.grid) == 1:
                 continue
-            folds = kfold_indices(len(train_pairs), config.cv_folds, seed_r)
-            for i, fold in enumerate(folds):
-                held = set(fold.tolist())
-                check_languages(
-                    config.grid[0],
-                    [pair for j, pair in enumerate(train_pairs) if j not in held],
-                    [train_pairs[j] for j in fold.tolist()],
-                    f"CV fold {i} of {unit}",
-                )
+            for i, fold in enumerate(kfold_indices(len(train), config.cv_folds, seed_r)):
+                check_languages(config.grid[0], pairs(np.delete(train, fold)), pairs(train[fold]), f"CV fold {i} of {unit}")
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Repeat the full select-fit-evaluate protocol and aggregate test RMSE.
 
-    Per repeat: derive the repeat seed, build the split, grid-search with
-    k-fold CV on the training side (skipped when the grid has one candidate),
-    refit on the full training side, and score the test side. LOLO pools the
-    predictions of all per-language splits before computing the repeat RMSE.
-    Every repeat's split units and CV folds are drawn, and checked for
-    languages the regressor could not predict, before the first fit.
+    One design matrix holds the filtered records, followed by test_records
+    under a cross-dataset split; every split unit and CV fold is an index
+    array into it. Per repeat: derive the repeat seed, build the split,
+    grid-search with k-fold CV on the training side (skipped when the grid
+    has one candidate), refit on the full training side, and score the test
+    side. LOLO pools the predictions of all per-language splits before
+    computing the repeat RMSE, each record once: a record on the test side
+    of several units (a many-to-many record whose source and target are both
+    holdable) keeps its prediction from the first unit in sorted-language
+    order. Every repeat's split units and CV folds are drawn, and checked
+    for languages the regressor could not predict, before the first fit.
     """
     config.validate()
     records = _filtered_records(config)
-    roster = sorted(config.proxies) if config.proxies is not None else proxy_roster(
-        records + (config.test_records or [])
+    test_records = config.test_records or []
+    roster = sorted(config.proxies) if config.proxies is not None else proxy_roster(records + test_records)
+    plan = [(config.seed + r, _split_units(config, records, config.seed + r)) for r in range(config.repeats)]
+    matrix = build_design_matrix(
+        records + test_records if config.split.kind == "cross_dataset" else records,
+        build_schema(config.feature_groups, roster), config.dataset_features, config.language_table,
     )
-    schema = build_schema(config.feature_groups, roster)
+    _check_plan_languages(config, matrix, plan)
 
     per_repeat: list[float] = []
-    final_predictions: list[tuple[str, float, float]] = []
-    final_chosen: dict = {}
-    final_per_lang: dict[str, float] | None = None
-    final_gains: dict[str, float] = {}
-    final_cv: dict = {}
-
-    plan = [(config.seed + r, _split_units(config, records, config.seed + r)) for r in range(config.repeats)]
-    _check_plan_languages(config, plan)
-
-    for r, (seed_r, units) in enumerate(plan):
-        all_pred: list[np.ndarray] = []
-        all_true: list[np.ndarray] = []
-        all_ids: list[str] = []
+    for seed_r, units in plan:
+        tested: list[np.ndarray] = []
+        predicted: list[np.ndarray] = []
         chosen: dict = {}
         per_lang: dict[str, float] = {}
         gains: dict[str, float] = {}
         cv_scores: dict = {}
 
-        for label, train_recs, test_recs in units:
-            m_train = build_design_matrix(train_recs, schema, config.dataset_features, config.language_table)
-            m_test = build_design_matrix(test_recs, schema, config.dataset_features, config.language_table)
-
+        for label, train, test in units:
+            m_train, m_test = matrix.subset(train), matrix.subset(test)
             if len(config.grid) == 1:
                 best = config.grid[0]
             else:
@@ -373,9 +355,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             model = fit_model(with_seed(best, seed_r), m_train)
             pred = predict_model(model, m_test)
 
-            all_pred.append(pred)
-            all_true.append(m_test.targets)
-            all_ids.extend(m_test.row_ids)
+            tested.append(test)
+            predicted.append(pred)
             chosen[label or "all"] = _params_dict(best)
             if label is not None:
                 per_lang[label] = rmse(pred, m_test.targets)
@@ -383,33 +364,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 for name, val in model.gain_totals.items():
                     gains[name] = gains.get(name, 0.0) + val
 
-        pooled_pred = np.concatenate(all_pred)
-        pooled_true = np.concatenate(all_true)
-        per_repeat.append(rmse(pooled_pred, pooled_true))
+        # each record once, from the first unit whose test side holds it
+        pooled = np.concatenate(tested)
+        first = np.sort(np.unique(pooled, return_index=True)[1])
+        pooled, pooled_pred = pooled[first], np.concatenate(predicted)[first]
+        per_repeat.append(rmse(pooled_pred, matrix.targets[pooled]))
 
-        if r == config.repeats - 1:
-            final_predictions = [
-                (rid, float(t), float(p))
-                for rid, t, p in zip(all_ids, pooled_true, pooled_pred)
-            ]
-            final_chosen = chosen
-            final_per_lang = per_lang if config.split.kind == "lolo" else None
-            final_gains = gains
-            final_cv = cv_scores
-
-    total_gain = sum(final_gains.values())
+    total_gain = sum(gains.values())
     importance = (
-        {k: v / total_gain for k, v in sorted(final_gains.items())} if total_gain > 0 else None
+        {k: v / total_gain for k, v in sorted(gains.items())} if total_gain > 0 else None
     )
     return ExperimentResult(
         per_repeat_rmse=per_repeat,
         mean_rmse=float(np.mean(per_repeat)),
         std_rmse=float(np.std(per_repeat)),
-        chosen_params=final_chosen,
-        predictions=final_predictions,
-        per_language_rmse=final_per_lang,
+        chosen_params=chosen,
+        predictions=[(matrix.row_ids[i], float(matrix.targets[i]), float(p)) for i, p in zip(pooled, pooled_pred)],
+        per_language_rmse=per_lang or None,
         importance=importance,
-        cv_scores=final_cv,
+        cv_scores=cv_scores,
     )
 
 

@@ -17,7 +17,26 @@ import numpy as np
 
 from perfcast.corpus import DATASET_FEATURE_COLUMNS, DatasetFeatureBlock, embedding_cosine, tokenize
 from perfcast.errors import open_text
-from perfcast.errors import MissingFeature, MissingPair, ParseError, RangeError, TooFewPoints
+from perfcast.errors import (
+    DegenerateSplit,
+    MissingFeature,
+    MissingPair,
+    ParseError,
+    RangeError,
+    SchemaMismatch,
+    TooFewLanguages,
+    TooFewPoints,
+    TooFewRecords,
+)
+from perfcast.experiments import (
+    ExperimentConfig,
+    ExperimentResult,
+    _filtered_records,
+    _params_dict,
+    kfold_cv,
+    kfold_indices,
+    rmse,
+)
 from perfcast.langdist import DISTANCE_KINDS, language_features
 from perfcast.records import (
     _BASE_COLUMNS,
@@ -27,7 +46,11 @@ from perfcast.records import (
     TASKS,
     DesignMatrix,
     PerformanceRecord,
+    build_design_matrix,
+    build_schema,
+    proxy_roster,
 )
+from perfcast.regressors import GbtModel, check_languages, fit_model, predict_model, with_seed
 from perfcast.regressors.gbt import GbtParams, _tree_predict, make_tree
 
 
@@ -803,3 +826,209 @@ def oracle_load_records_csv(path: str) -> list[PerformanceRecord]:
             )
             records.append(oracle_validate_record(rec))
     return records
+
+
+# ---------------------------------------------------------------------------
+# Experiment driver on record lists: one pair of design matrices per split unit
+# ---------------------------------------------------------------------------
+
+def oracle_split_random(
+    records: Sequence[PerformanceRecord], ratio: float, seed: int
+) -> tuple[list[PerformanceRecord], list[PerformanceRecord]]:
+    """Seeded shuffle; train takes the first floor(ratio * n) records."""
+    n = len(records)
+    if n < 2:
+        raise TooFewRecords(f"need >= 2 records, got {n}")
+    if not (0.0 < ratio < 1.0):
+        raise ValueError(f"ratio {ratio} outside (0, 1)")
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    # tiny epsilon so float products like 0.7 * 90 floor to the exact value
+    n_train = int(math.floor(ratio * n + 1e-9))
+    train = [records[i] for i in perm[:n_train]]
+    test = [records[i] for i in perm[n_train:]]
+    return train, test
+
+
+def oracle_split_lolo(
+    records: Sequence[PerformanceRecord],
+) -> list[tuple[str, list[PerformanceRecord], list[PerformanceRecord]]]:
+    """One (language, train, test) split per holdable language.
+
+    A record is on the test side iff the held-out language is its source or
+    target. Languages appearing in every record (English in English-centric
+    data) cannot be held out: doing so would empty the training side.
+    """
+    langs = sorted({r.src_lang for r in records} | {r.tgt_lang for r in records})
+    holdable = [
+        lang for lang in langs
+        if not all(lang in (r.src_lang, r.tgt_lang) for r in records)
+    ]
+    if len(holdable) < 2:
+        raise TooFewLanguages(f"need >= 2 holdable languages, got {len(holdable)}")
+    splits = []
+    for lang in holdable:
+        test = [r for r in records if lang in (r.src_lang, r.tgt_lang)]
+        train = [r for r in records if lang not in (r.src_lang, r.tgt_lang)]
+        splits.append((lang, train, test))
+    return splits
+
+
+def oracle_split_unseen(
+    records: Sequence[PerformanceRecord],
+) -> tuple[list[PerformanceRecord], list[PerformanceRecord]]:
+    """Train on records the estimated model has seen, test on the rest."""
+    train = [r for r in records if r.seen_by_estimated_model]
+    test = [r for r in records if not r.seen_by_estimated_model]
+    if not train or not test:
+        raise DegenerateSplit("unseen split needs both seen and unseen records")
+    return train, test
+
+
+def oracle_split_cross_dataset(
+    train_records: Sequence[PerformanceRecord],
+    test_records: Sequence[PerformanceRecord],
+) -> tuple[list[PerformanceRecord], list[PerformanceRecord]]:
+    """Identity passthrough after checking the two sources are schema-compatible."""
+    if not train_records or not test_records:
+        raise TooFewRecords("cross-dataset split needs non-empty train and test record lists")
+    roster_train = proxy_roster(train_records)
+    roster_test = proxy_roster(test_records)
+    if roster_train != roster_test:
+        raise SchemaMismatch(
+            f"proxy rosters differ: {roster_train} vs {roster_test}"
+        )
+    return list(train_records), list(test_records)
+
+
+def _oracle_split_units(config: ExperimentConfig, records, seed: int):
+    """Each unit is (label, train_records, test_records); labels are LOLO languages."""
+    kind = config.split.kind
+    if kind == "random":
+        train, test = oracle_split_random(records, config.split.ratio, seed)
+        return [(None, train, test)]
+    if kind == "lolo":
+        splits = oracle_split_lolo(records)
+        if config.split.held_out_language is not None:
+            splits = [s for s in splits if s[0] == config.split.held_out_language]
+            if not splits:
+                raise TooFewLanguages(f"language {config.split.held_out_language!r} is not holdable")
+        return splits
+    if kind == "unseen":
+        train, test = oracle_split_unseen(records)
+        return [(None, train, test)]
+    train, test = oracle_split_cross_dataset(records, config.test_records)
+    return [(None, train, test)]
+
+
+def _oracle_language_pairs(records) -> list[tuple[str, str]]:
+    return [(rec.src_lang, rec.tgt_lang) for rec in records]
+
+
+def _oracle_check_plan_languages(config: ExperimentConfig, plan) -> None:
+    """Refuse, before any fit, a test side or CV fold the regressor could not predict from its training side."""
+    for r, (seed_r, units) in enumerate(plan):
+        for label, train_recs, test_recs in units:
+            unit = f"repeat {r}" if label is None else f"repeat {r}, LOLO unit {label!r}"
+            train_pairs = _oracle_language_pairs(train_recs)
+            check_languages(config.grid[0], train_pairs, _oracle_language_pairs(test_recs), f"the test side of {unit}")
+            if len(config.grid) == 1:
+                continue
+            folds = kfold_indices(len(train_pairs), config.cv_folds, seed_r)
+            for i, fold in enumerate(folds):
+                held = set(fold.tolist())
+                check_languages(
+                    config.grid[0],
+                    [pair for j, pair in enumerate(train_pairs) if j not in held],
+                    [train_pairs[j] for j in fold.tolist()],
+                    f"CV fold {i} of {unit}",
+                )
+
+
+def oracle_run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Repeat the full select-fit-evaluate protocol and aggregate test RMSE.
+
+    Per repeat: derive the repeat seed, build the split, grid-search with
+    k-fold CV on the training side (skipped when the grid has one candidate),
+    refit on the full training side, and score the test side. LOLO pools the
+    predictions of all per-language splits before computing the repeat RMSE.
+    Every repeat's split units and CV folds are drawn, and checked for
+    languages the regressor could not predict, before the first fit.
+    """
+    config.validate()
+    records = _filtered_records(config)
+    roster = sorted(config.proxies) if config.proxies is not None else proxy_roster(
+        records + (config.test_records or [])
+    )
+    schema = build_schema(config.feature_groups, roster)
+
+    per_repeat: list[float] = []
+    final_predictions: list[tuple[str, float, float]] = []
+    final_chosen: dict = {}
+    final_per_lang: dict[str, float] | None = None
+    final_gains: dict[str, float] = {}
+    final_cv: dict = {}
+
+    plan = [(config.seed + r, _oracle_split_units(config, records, config.seed + r)) for r in range(config.repeats)]
+    _oracle_check_plan_languages(config, plan)
+
+    for r, (seed_r, units) in enumerate(plan):
+        all_pred: list[np.ndarray] = []
+        all_true: list[np.ndarray] = []
+        all_ids: list[str] = []
+        chosen: dict = {}
+        per_lang: dict[str, float] = {}
+        gains: dict[str, float] = {}
+        cv_scores: dict = {}
+
+        for label, train_recs, test_recs in units:
+            m_train = build_design_matrix(train_recs, schema, config.dataset_features, config.language_table)
+            m_test = build_design_matrix(test_recs, schema, config.dataset_features, config.language_table)
+
+            if len(config.grid) == 1:
+                best = config.grid[0]
+            else:
+                cv = kfold_cv(m_train, config.cv_folds, config.grid, seed_r)
+                best = cv.best_params
+                cv_scores[label or "all"] = cv.scores
+            model = fit_model(with_seed(best, seed_r), m_train)
+            pred = predict_model(model, m_test)
+
+            all_pred.append(pred)
+            all_true.append(m_test.targets)
+            all_ids.extend(m_test.row_ids)
+            chosen[label or "all"] = _params_dict(best)
+            if label is not None:
+                per_lang[label] = rmse(pred, m_test.targets)
+            if isinstance(model, GbtModel):
+                for name, val in model.gain_totals.items():
+                    gains[name] = gains.get(name, 0.0) + val
+
+        pooled_pred = np.concatenate(all_pred)
+        pooled_true = np.concatenate(all_true)
+        per_repeat.append(rmse(pooled_pred, pooled_true))
+
+        if r == config.repeats - 1:
+            final_predictions = [
+                (rid, float(t), float(p))
+                for rid, t, p in zip(all_ids, pooled_true, pooled_pred)
+            ]
+            final_chosen = chosen
+            final_per_lang = per_lang if config.split.kind == "lolo" else None
+            final_gains = gains
+            final_cv = cv_scores
+
+    total_gain = sum(final_gains.values())
+    importance = (
+        {k: v / total_gain for k, v in sorted(final_gains.items())} if total_gain > 0 else None
+    )
+    return ExperimentResult(
+        per_repeat_rmse=per_repeat,
+        mean_rmse=float(np.mean(per_repeat)),
+        std_rmse=float(np.std(per_repeat)),
+        chosen_params=final_chosen,
+        predictions=final_predictions,
+        per_language_rmse=final_per_lang,
+        importance=importance,
+        cv_scores=final_cv,
+    )

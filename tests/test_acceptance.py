@@ -286,7 +286,8 @@ def test_criterion_09_protocol_fidelity():
     splits = split_lolo(records)
     held = [lang for lang, _, _ in splits]
     assert held == sorted({r.tgt_lang for r in records})
-    for lang, train, test in splits:
+    for lang, train_idx, test_idx in splits:
+        train, test = [records[i] for i in train_idx], [records[i] for i in test_idx]
         assert all(lang in (r.src_lang, r.tgt_lang) for r in test)
         assert all(lang not in (r.src_lang, r.tgt_lang) for r in train)
         assert len(train) + len(test) == len(records)

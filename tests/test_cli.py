@@ -705,6 +705,19 @@ class TestAblateCommand:
         assert not (tmp_path / "out").exists()  # rejected as the config is read
 
 
+@pytest.mark.parametrize("feature_groups, match", [
+    (["proxy", "lang"], "feature_groups: unknown feature group 'lang'"),
+    ([], "feature_groups: at least one feature group must be enabled"),
+], ids=["unknown_group", "empty"])
+def test_bad_feature_groups_rejected_before_any_file(tmp_path, capsys, feature_groups, match):
+    cfg = write_experiment_fixture(tmp_path, config_extra={"feature_groups": feature_groups})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == f"{cfg}: {match}"
+    assert not (tmp_path / "out").exists()
+
+
 class TestManifest:
     def test_records_inputs_and_seed(self, tmp_path):
         cfg = write_experiment_fixture(tmp_path)

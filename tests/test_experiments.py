@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfcast.errors import (
     DegenerateSplit,
     EmptyInput,
     LengthMismatch,
+    PerfcastError,
     SchemaMismatch,
     TooFewLanguages,
     TooFewRecords,
@@ -28,13 +33,18 @@ import perfcast.experiments
 from perfcast.records import PerformanceRecord
 from perfcast.regressors import GbtParams, MfParams, PolyParams
 
-from conftest import synthetic_setup
-from oracles import oracle_rmse
+from conftest import LANGS, make_language_table, synthetic_setup
+from oracles import oracle_rmse, oracle_run_experiment
 from test_gbt import matrix_from
 
 
 def ids(records):
     return sorted(r.record_id for r in records)
+
+
+def picked(records, idx):
+    """The records an index array selects, in its order."""
+    return [records[i] for i in idx]
 
 
 class TestSplitRandom:
@@ -45,19 +55,19 @@ class TestSplitRandom:
 
     def test_partition(self):
         records, _, _ = synthetic_setup(25, seed=1)
-        train, test = split_random(records, 0.7, seed=2)
+        train, test = (picked(records, idx) for idx in split_random(records, 0.7, seed=2))
         assert ids(train + test) == ids(records)
         assert not set(ids(train)) & set(ids(test))
 
     def test_same_seed_reproducible(self):
         records, _, _ = synthetic_setup(20, seed=2)
-        a = split_random(records, 0.7, seed=5)
-        b = split_random(records, 0.7, seed=5)
-        assert ids(a[0]) == ids(b[0]) and [r.record_id for r in a[0]] == [r.record_id for r in b[0]]
+        a = picked(records, split_random(records, 0.7, seed=5)[0])
+        b = picked(records, split_random(records, 0.7, seed=5)[0])
+        assert ids(a) == ids(b) and [r.record_id for r in a] == [r.record_id for r in b]
 
     def test_different_seeds_differ(self):
         records, _, _ = synthetic_setup(12, seed=3)
-        trains = {tuple(r.record_id for r in split_random(records, 0.7, seed=s)[0]) for s in range(20)}
+        trains = {tuple(r.record_id for r in picked(records, split_random(records, 0.7, seed=s)[0])) for s in range(20)}
         assert len(trains) > 1
 
     def test_too_few(self):
@@ -86,7 +96,8 @@ class TestSplitLolo:
 
     def test_membership_property(self):
         records, _, _ = synthetic_setup(20, seed=1)
-        for lang, train, test in split_lolo(records):
+        for lang, train_idx, test_idx in split_lolo(records):
+            train, test = picked(records, train_idx), picked(records, test_idx)
             assert all(lang in (r.src_lang, r.tgt_lang) for r in test)
             assert all(lang not in (r.src_lang, r.tgt_lang) for r in train)
             assert ids(train + test) == ids(records)
@@ -119,7 +130,7 @@ class TestSplitLolo:
 class TestSplitUnseen:
     def test_partition_by_flag(self):
         records, _, _ = synthetic_setup(30, seed=4)
-        train, test = split_unseen(records)
+        train, test = (picked(records, idx) for idx in split_unseen(records))
         assert all(r.seen_by_estimated_model for r in train)
         assert all(not r.seen_by_estimated_model for r in test)
         assert ids(train + test) == ids(records)
@@ -132,12 +143,12 @@ class TestSplitUnseen:
 
     def test_flag_flip_swaps_sides(self):
         records, _, _ = synthetic_setup(30, seed=6)
-        train, test = split_unseen(records)
+        train, test = (picked(records, idx) for idx in split_unseen(records))
         flipped = [
             PerformanceRecord(**{**r.__dict__, "seen_by_estimated_model": not r.seen_by_estimated_model})
             for r in records
         ]
-        train_f, test_f = split_unseen(flipped)
+        train_f, test_f = (picked(flipped, idx) for idx in split_unseen(flipped))
         assert ids(train) == ids(test_f)
         assert ids(test) == ids(train_f)
 
@@ -147,7 +158,7 @@ class TestSplitCrossDataset:
         a, _, _ = synthetic_setup(19, seed=7)
         b, _, _ = synthetic_setup(8, seed=8)
         b = [PerformanceRecord(**{**r.__dict__, "record_id": "x" + r.record_id}) for r in b]
-        train, test = split_cross_dataset(a, b)
+        train, test = (picked(a + b, idx) for idx in split_cross_dataset(a, b))
         assert (len(train), len(test)) == (19, 8)
         assert ids(train) == ids(a) and ids(test) == ids(b)
 
@@ -163,6 +174,13 @@ class TestSplitCrossDataset:
             split_cross_dataset(a, [])
         with pytest.raises(TooFewRecords):
             split_cross_dataset([], a)
+
+
+def test_splits_return_index_arrays():
+    records, _, _ = synthetic_setup(20, seed=1)
+    sides = [*split_random(records, 0.7, seed=0), *split_unseen(records), *split_cross_dataset(records, records),
+             *split_lolo(records)[0][1:]]
+    assert all(isinstance(side, np.ndarray) and side.dtype == np.intp for side in sides)
 
 
 class TestKfold:
@@ -324,6 +342,17 @@ class TestRunExperiment:
         assert sorted(p[0] for p in result.predictions) == ids(records)
         assert set(result.per_language_rmse) == {"aar", "bel", "ces"}
 
+    def test_lolo_scores_many_to_many_record_once(self):
+        # with four holdable languages every record sits on the test side of two LOLO units
+        records = many_to_many_records(("aar", "bel", "ces", "dan"), per_pair=3, seed=0)
+        result = run_experiment(poly_config(records, SplitSpec("lolo"), repeats=1, seed=0))
+        got = [p[0] for p in result.predictions]
+        assert len(records) == 36 and len(got) == len(set(got)) == 36
+        assert sorted(got) == ids(records)
+        true = [p[1] for p in result.predictions]
+        assert result.per_repeat_rmse == [rmse([p[2] for p in result.predictions], true)]
+        assert set(result.per_language_rmse) == {"aar", "bel", "ces", "dan"}
+
     def test_lolo_single_language_restriction(self):
         records, _, _ = synthetic_setup(24, seed=6, languages=("aar", "bel", "ces"))
         config = poly_config(records, SplitSpec("lolo", held_out_language="bel"), repeats=1, seed=0)
@@ -403,6 +432,19 @@ class TestRunExperiment:
         result = run_experiment(config)
         assert sorted(p[0] for p in result.predictions) == ids(b)
 
+    def test_one_design_matrix_per_experiment(self, monkeypatch):
+        calls = []
+        build = perfcast.experiments.build_design_matrix
+        monkeypatch.setattr(perfcast.experiments, "build_design_matrix", lambda *a: calls.append(a) or build(*a))
+        records, blocks, table = synthetic_setup(24, seed=5, languages=("aar", "bel", "ces"))
+        config = poly_config(records, SplitSpec("lolo"), repeats=3, seed=0, dataset_features=blocks,
+                             language_table=table)
+        run_experiment(config)
+        assert len(calls) == 1
+        calls.clear()
+        run_ablation(config, [("proxy",), ("language", "proxy"), ("dataset",)])
+        assert len(calls) == 3
+
     def test_validation(self):
         records, _, _ = synthetic_setup(10, seed=13)
         with pytest.raises(ValueError):
@@ -455,3 +497,108 @@ class TestAblation:
         config = poly_config(records, SplitSpec("random", ratio=0.7), repeats=1)
         with pytest.raises(ValueError):
             run_ablation(config, [()])
+
+
+def oracle_outcome(config):
+    """The parent driver's result, or the type and message of what it raised.
+
+    The oracle scores a many-to-many record once per LOLO unit whose test
+    side holds it; the driver keeps only its first prediction. Where the
+    oracle's predictions repeat a record, each repeat r is rerun alone (its
+    seed is config.seed + r, so it draws the same split, folds and fits)
+    and its predictions deduplicated by first occurrence.
+    """
+    try:
+        result = oracle_run_experiment(config)
+    except PerfcastError as exc:
+        return type(exc), str(exc)
+    if len({p[0] for p in result.predictions}) == len(result.predictions):
+        return result
+    per_repeat = []
+    for r in range(config.repeats):
+        last = oracle_run_experiment(replace(config, seed=config.seed + r, repeats=1))
+        first: dict = {}
+        for p in last.predictions:
+            first.setdefault(p[0], p)
+        kept = list(first.values())
+        per_repeat.append(rmse([p[2] for p in kept], [p[1] for p in kept]))
+    return replace(last, per_repeat_rmse=per_repeat, mean_rmse=float(np.mean(per_repeat)),
+                   std_rmse=float(np.std(per_repeat)), predictions=kept)
+
+
+@st.composite
+def experiment_configs(draw, kind, regressor):
+    """Configs over English-centric or many-to-many records, with every driver option drawn."""
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    langs = LANGS[:draw(st.integers(3, 4))]
+    if regressor == "mf" or draw(st.booleans()):
+        def make(prefix, s):
+            recs = many_to_many_records(langs, draw(st.integers(1, 2)), s)
+            return [replace(r, record_id=prefix + r.record_id, seen_by_estimated_model=bool(rng.uniform() < 0.7))
+                    for r in recs]
+        records, test_records = make("", seed), make("x", seed + 1)
+        blocks, table, groups = None, make_language_table(langs, seed=seed), ("language", "proxy")
+    else:
+        records, blocks, table = synthetic_setup(draw(st.integers(16, 30)), seed=seed, languages=langs)
+        test_records, test_blocks, _ = synthetic_setup(draw(st.integers(4, 10)), seed=seed + 1, languages=langs)
+        test_records = [replace(r, record_id="x" + r.record_id) for r in test_records]
+        blocks = {**blocks, **test_blocks}
+        groups = ("language", "dataset", "proxy")
+    feature_groups = tuple(g for g in groups if draw(st.booleans())) or groups[-1:]
+    estimated_model = None
+    if draw(st.booleans()):
+        estimated_model = records[0].estimated_model
+        records = [replace(r, estimated_model="other") if rng.uniform() < 0.2 else r for r in records]
+
+    if regressor == "gbt":
+        point = GbtParams(n_estimators=draw(st.integers(1, 3)), max_depth=draw(st.integers(1, 3)), eta=0.3,
+                          subsample=draw(st.sampled_from([1.0, 0.7])))
+        other = replace(point, max_depth=point.max_depth % 3 + 1)
+    elif regressor == "poly":
+        point = PolyParams(degree=draw(st.integers(1, 2)), alpha=draw(st.sampled_from([0.01, 0.1, 1.0])),
+                           max_iterations=50)
+        other = replace(point, alpha=point.alpha * 10)
+    else:
+        point = MfParams(latent_dim=draw(st.integers(1, 2)), iterations=draw(st.integers(2, 10)))
+        other = replace(point, alpha=0.02)
+    grid = [point, other][:draw(st.integers(1, 2))]
+
+    held_out = draw(st.sampled_from([None, *langs])) if kind == "lolo" else None
+    split = SplitSpec(kind, ratio=draw(st.sampled_from([0.6, 0.7])) if kind == "random" else None,
+                      held_out_language=held_out)
+    return ExperimentConfig(
+        records=records, grid=grid, split=split, feature_groups=feature_groups,
+        repeats=draw(st.integers(1, 3)), cv_folds=draw(st.integers(2, 3)), seed=seed,
+        estimated_model=estimated_model, dataset_features=blocks, language_table=table,
+        test_records=test_records if kind == "cross_dataset" else None,
+    )
+
+
+class TestDriverMatchesOracle:
+    """run_experiment on one design matrix against the parent driver, which built two per split unit."""
+
+    @pytest.mark.parametrize("regressor", ["gbt", "poly", "mf"])
+    @pytest.mark.parametrize("kind", ["random", "lolo", "unseen", "cross_dataset"])
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_same_result(self, kind, regressor, data):
+        config = data.draw(experiment_configs(kind, regressor))
+        expected = oracle_outcome(config)
+        try:
+            got = run_experiment(config)
+        except PerfcastError as exc:
+            got = type(exc), str(exc)
+        assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("grid", [
+        [PolyParams(degree=1, alpha=0.1)],
+        [GbtParams(n_estimators=3, max_depth=2, subsample=0.7), GbtParams(n_estimators=3, max_depth=3, subsample=0.7)],
+    ], ids=["poly", "gbt_grid"])
+    def test_many_to_many_lolo(self, grid):
+        records = many_to_many_records(("aar", "bel", "ces", "dan"), per_pair=2, seed=1)
+        config = ExperimentConfig(records=records, grid=grid, split=SplitSpec("lolo"), feature_groups=("proxy",),
+                                  repeats=2, cv_folds=2, seed=4)
+        expected = oracle_outcome(config)
+        assert len(expected.predictions) == len(records)  # the oracle's two predictions per record, deduplicated
+        assert repr(run_experiment(config)) == repr(expected)
