@@ -475,7 +475,7 @@ def _cmd_predict(run: _Run, cfg: Config) -> None:
 def _cmd_experiment(run: _Run, cfg: Config) -> None:
     config = _materialize_experiment(run, cfg)
     families = _load_families(run, cfg)
-    result = run_experiment(config)
+    result = run_experiment(config, workers=run.threads)
     _write_json(os.path.join(run.out_dir, "results.json"), _result_json(result))
     rows = [(rid, repr(t), repr(p)) for rid, t, p in result.predictions]
     _write_csv(os.path.join(run.out_dir, "predictions.csv"), ("record_id", "true", "pred"), rows)
@@ -493,7 +493,7 @@ def _cmd_experiment(run: _Run, cfg: Config) -> None:
 
 def _cmd_ablate(run: _Run, cfg: Config) -> None:
     config = _materialize_experiment(run, cfg)
-    results = run_ablation(config, cfg.group_sets)
+    results = run_ablation(config, cfg.group_sets, workers=run.threads)
     payload = {"+".join(subset): _result_json(res) for subset, res in results.items()}
     _write_json(os.path.join(run.out_dir, "results.json"), payload)
     emit_report(
@@ -536,12 +536,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--preset", default=None, help="named hyperparameter preset override")
         p.add_argument("--threads", type=int, default=0,
-                       help="worker hint, 0 = auto; never affects results")
+                       help="worker processes, 0 = one per CPU; never changes outputs")
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.threads < 0:
         print(json.dumps({"error": "ConfigError", "message": "--threads must be >= 0"}), file=sys.stderr)
         return 2

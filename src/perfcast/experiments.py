@@ -8,14 +8,20 @@ that reports mean and population standard deviation of the test RMSE over
 units and CV folds select rows of it. Repeat r derives its seed as
 config.seed + r; that seed drives the split shuffle, the CV fold shuffle,
 and the regressor's own randomness, so reruns with identical config are
-bit-identical.
+bit-identical. The (repeat, split unit) jobs of an experiment run in up to
+`workers` forked processes, and their results merge in plan order, so the
+result is the same for every worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -277,21 +283,37 @@ def _filtered_records(config: ExperimentConfig) -> list[PerformanceRecord]:
     return records
 
 
-def _split_units(config: ExperimentConfig, records, seed: int):
-    """Each unit is (label, train indices, test indices) into the experiment's matrix; labels are LOLO languages."""
+class _UnitResult(NamedTuple):
+    """What one (repeat, split unit) job hands back to the merge."""
+
+    predictions: np.ndarray  # of the unit's test side, in its index order
+    params: dict  # the chosen grid point, as _params_dict gives it
+    unit_rmse: float | None  # the unit's test RMSE, for a LOLO unit
+    gains: dict[str, float]  # GBT gain totals per feature; empty for other kinds
+    cv_scores: list[float] | None  # None when the grid has one point
+
+
+def _plan(config: ExperimentConfig, records) -> list[tuple[int, list]]:
+    """(repeat seed, split units) per repeat; a unit is (label, train indices, test indices) into the matrix.
+
+    Labels are LOLO languages. Only a random split reads the seed, so every
+    other kind draws its units once and all repeats share them.
+    """
+    seeds = [config.seed + r for r in range(config.repeats)]
     kind = config.split.kind
     if kind == "random":
-        return [(None, *split_random(records, config.split.ratio, seed))]
+        return [(seed, [(None, *split_random(records, config.split.ratio, seed))]) for seed in seeds]
     if kind == "lolo":
-        splits = split_lolo(records)
+        units = split_lolo(records)
         if config.split.held_out_language is not None:
-            splits = [s for s in splits if s[0] == config.split.held_out_language]
-            if not splits:
+            units = [u for u in units if u[0] == config.split.held_out_language]
+            if not units:
                 raise TooFewLanguages(f"language {config.split.held_out_language!r} is not holdable")
-        return splits
-    if kind == "unseen":
-        return [(None, *split_unseen(records))]
-    return [(None, *split_cross_dataset(records, config.test_records))]
+    elif kind == "unseen":
+        units = [(None, *split_unseen(records))]
+    else:
+        units = [(None, *split_cross_dataset(records, config.test_records))]
+    return [(seed, units) for seed in seeds]
 
 
 def _check_plan_languages(config: ExperimentConfig, matrix: DesignMatrix, plan) -> None:
@@ -309,67 +331,166 @@ def _check_plan_languages(config: ExperimentConfig, matrix: DesignMatrix, plan) 
                 check_languages(config.grid[0], pairs(np.delete(train, fold)), pairs(train[fold]), f"CV fold {i} of {unit}")
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+def _run_unit(config: ExperimentConfig, matrix: DesignMatrix, job) -> _UnitResult:
+    """One (repeat seed, label, train, test) job: CV when the grid has several points, the refit, the test predict."""
+    seed, label, train, test = job
+    m_train, m_test = matrix.subset(train), matrix.subset(test)
+    scores = None
+    if len(config.grid) == 1:
+        best = config.grid[0]
+    else:
+        cv = kfold_cv(m_train, config.cv_folds, config.grid, seed)
+        best, scores = cv.best_params, cv.scores
+    model = fit_model(with_seed(best, seed), m_train)
+    pred = predict_model(model, m_test)
+    return _UnitResult(
+        predictions=pred,
+        params=_params_dict(best),
+        unit_rmse=rmse(pred, m_test.targets) if label is not None else None,
+        gains=model.gain_totals if isinstance(model, GbtModel) else {},
+        cv_scores=scores,
+    )
+
+
+def _worker_count(workers: int, n_jobs: int) -> int:
+    """workers, or one per CPU this process may run on when it is 0, at most n_jobs."""
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    if workers == 0:
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(workers, n_jobs)
+
+
+def _run_share(fn: Callable, jobs: list, start: int, step: int):
+    """Run jobs start, start + step, ... in order and stop at the first that raises.
+
+    Returns ([(job index, result)], (job index, exception) or None): a later
+    job's outcome cannot matter once an earlier one has failed.
+    """
+    done = []
+    for i in range(start, len(jobs), step):
+        try:
+            done.append((i, fn(jobs[i])))
+        except Exception as exc:  # _map_jobs raises the earliest failure in plan order
+            return done, (i, exc)
+    return done, None
+
+
+def _child(fn: Callable, jobs: list, start: int, step: int, write_fd: int) -> None:
+    """Run a forked process's share of the jobs, pickle the outcome into write_fd, and end the process."""
+    status = 1
+    try:
+        with open(write_fd, "wb") as fh:
+            fh.write(pickle.dumps(_run_share(fn, jobs, start, step)))
+        status = 0
+    finally:
+        # never return into the caller's stack; skip atexit handlers and the
+        # flush of the stdio buffers this process inherited, which would repeat their text
+        os._exit(status)
+
+
+def _map_jobs(fn: Callable, jobs: list, workers: int) -> list:
+    """[fn(job) for job in jobs], with job i run in process i mod W, where W = min(workers, len(jobs)).
+
+    The caller is process 0 and runs its own jobs in place. Each other
+    process is forked here, inheriting fn's arguments, and pickles its
+    results, or the exception its first failing job raised, into a pipe.
+    With W == 1 or without os.fork the jobs run serially. When jobs fail,
+    the exception of the earliest in plan order is raised, as the serial
+    loop would raise it. Every child is reaped before this returns or raises.
+    """
+    w = _worker_count(workers, len(jobs))
+    if w == 1 or not hasattr(os, "fork"):
+        return [fn(job) for job in jobs]
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for start in range(1, w):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _child(fn, jobs, start, w, write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        done, failure = _run_share(fn, jobs, 0, w)
+        failures = [failure] if failure is not None else []
+        while children:
+            pid, fh = children[0]
+            payload = fh.read()  # to EOF before waitpid: a payload can outgrow the pipe buffer
+            fh.close()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if status != 0:
+                raise ChildProcessError(f"worker process {pid} ended without its results (wait status {status})")
+            child_done, child_failure = pickle.loads(payload)  # bytes this function's own child wrote
+            done += child_done
+            if child_failure is not None:
+                failures.append(child_failure)
+    finally:
+        for pid, fh in children:  # left by an error or an interrupt in the caller
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return [result for _, result in sorted(done, key=lambda d: d[0])]
+
+
+def run_experiment(config: ExperimentConfig, workers: int = 0) -> ExperimentResult:
     """Repeat the full select-fit-evaluate protocol and aggregate test RMSE.
 
     One design matrix holds the filtered records, followed by test_records
     under a cross-dataset split; every split unit and CV fold is an index
-    array into it. Per repeat: derive the repeat seed, build the split,
-    grid-search with k-fold CV on the training side (skipped when the grid
-    has one candidate), refit on the full training side, and score the test
-    side. LOLO pools the predictions of all per-language splits before
-    computing the repeat RMSE, each record once: a record on the test side
-    of several units (a many-to-many record whose source and target are both
-    holdable) keeps its prediction from the first unit in sorted-language
-    order. Every repeat's split units and CV folds are drawn, and checked
-    for languages the regressor could not predict, before the first fit.
+    array into it. Every repeat's split units and CV folds are drawn, and
+    checked for languages the regressor could not predict, before the first
+    fit; split units that do not read the seed (all but a random split's)
+    are drawn once and shared by the repeats. Each (repeat, split unit) is
+    one job: grid search with k-fold CV on the training side (skipped when
+    the grid has one candidate), refit on the full training side with the
+    repeat seed, and predict the test side.
+
+    The jobs run in `workers` processes (0: one per CPU this process may run
+    on; never more than there are jobs): the caller and forked children,
+    see _map_jobs. Their results merge in plan order, so the result is the
+    same, repr for repr, for every `workers` value, and so is the error
+    raised when a job fails. LOLO pools the predictions of all per-language
+    units before computing the repeat RMSE, each record once: a record on
+    the test side of several units (a many-to-many record whose source and
+    target are both holdable) keeps its prediction from the first unit in
+    sorted-language order. Every field but per_repeat_rmse, mean_rmse and
+    std_rmse describes the last repeat.
     """
     config.validate()
     records = _filtered_records(config)
-    test_records = config.test_records or []
-    roster = sorted(config.proxies) if config.proxies is not None else proxy_roster(records + test_records)
-    plan = [(config.seed + r, _split_units(config, records, config.seed + r)) for r in range(config.repeats)]
+    plan = _plan(config, records)
+    rows = records + config.test_records if config.split.kind == "cross_dataset" else records
+    roster = sorted(config.proxies) if config.proxies is not None else proxy_roster(rows)
     matrix = build_design_matrix(
-        records + test_records if config.split.kind == "cross_dataset" else records,
-        build_schema(config.feature_groups, roster), config.dataset_features, config.language_table,
+        rows, build_schema(config.feature_groups, roster), config.dataset_features, config.language_table,
     )
     _check_plan_languages(config, matrix, plan)
+    jobs = [(seed, *unit) for seed, units in plan for unit in units]
+    results = iter(_map_jobs(partial(_run_unit, config, matrix), jobs, workers))
 
     per_repeat: list[float] = []
-    for seed_r, units in plan:
-        tested: list[np.ndarray] = []
-        predicted: list[np.ndarray] = []
-        chosen: dict = {}
-        per_lang: dict[str, float] = {}
-        gains: dict[str, float] = {}
-        cv_scores: dict = {}
-
-        for label, train, test in units:
-            m_train, m_test = matrix.subset(train), matrix.subset(test)
-            if len(config.grid) == 1:
-                best = config.grid[0]
-            else:
-                cv = kfold_cv(m_train, config.cv_folds, config.grid, seed_r)
-                best = cv.best_params
-                cv_scores[label or "all"] = cv.scores
-            model = fit_model(with_seed(best, seed_r), m_train)
-            pred = predict_model(model, m_test)
-
-            tested.append(test)
-            predicted.append(pred)
-            chosen[label or "all"] = _params_dict(best)
-            if label is not None:
-                per_lang[label] = rmse(pred, m_test.targets)
-            if isinstance(model, GbtModel):
-                for name, val in model.gain_totals.items():
-                    gains[name] = gains.get(name, 0.0) + val
-
+    for _, units in plan:
+        outs = [next(results) for _ in units]
         # each record once, from the first unit whose test side holds it
-        pooled = np.concatenate(tested)
+        pooled = np.concatenate([test for _, _, test in units])
         first = np.sort(np.unique(pooled, return_index=True)[1])
-        pooled, pooled_pred = pooled[first], np.concatenate(predicted)[first]
+        pooled, pooled_pred = pooled[first], np.concatenate([out.predictions for out in outs])[first]
         per_repeat.append(rmse(pooled_pred, matrix.targets[pooled]))
 
+    # every field below describes the last repeat, whose units and outs the loop left
+    keys = [label or "all" for label, _, _ in units]
+    gains: dict[str, float] = {}
+    for out in outs:
+        for name, val in out.gains.items():
+            gains[name] = gains.get(name, 0.0) + val
     total_gain = sum(gains.values())
     importance = (
         {k: v / total_gain for k, v in sorted(gains.items())} if total_gain > 0 else None
@@ -378,11 +499,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         per_repeat_rmse=per_repeat,
         mean_rmse=float(np.mean(per_repeat)),
         std_rmse=float(np.std(per_repeat)),
-        chosen_params=chosen,
+        chosen_params={key: out.params for key, out in zip(keys, outs)},
         predictions=[(matrix.row_ids[i], float(matrix.targets[i]), float(p)) for i, p in zip(pooled, pooled_pred)],
-        per_language_rmse=per_lang or None,
+        per_language_rmse={label: out.unit_rmse for (label, _, _), out in zip(units, outs) if label is not None} or None,
         importance=importance,
-        cv_scores=cv_scores,
+        cv_scores={key: out.cv_scores for key, out in zip(keys, outs) if out.cv_scores is not None},
     )
 
 
@@ -395,13 +516,14 @@ def _params_dict(params: AnyParams) -> dict:
 def run_ablation(
     config: ExperimentConfig,
     group_sets: Sequence[Sequence[str]] | None = None,
+    workers: int = 0,
 ) -> dict[tuple[str, ...], ExperimentResult]:
-    """run_experiment once per feature-group subset, identical seeds throughout."""
+    """run_experiment once per feature-group subset, identical seeds and `workers` throughout."""
     sets = tuple(tuple(s) for s in (group_sets if group_sets is not None else DEFAULT_ABLATION_SETS))
     for s in sets:
         if not s:
             raise ValueError("feature-group subsets must be non-empty")
     results: dict[tuple[str, ...], ExperimentResult] = {}
     for s in sets:
-        results[s] = run_experiment(replace(config, feature_groups=s))
+        results[s] = run_experiment(replace(config, feature_groups=s), workers)
     return results

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from perfcast.errors import (
     DegenerateSplit,
     EmptyInput,
+    EmptyTrainingSet,
     LengthMismatch,
     PerfcastError,
     SchemaMismatch,
@@ -445,6 +447,28 @@ class TestRunExperiment:
         run_ablation(config, [("proxy",), ("language", "proxy"), ("dataset",)])
         assert len(calls) == 3
 
+    def test_test_records_widen_the_proxy_roster_only_under_cross_dataset(self, monkeypatch):
+        schemas = []
+        build = perfcast.experiments.build_design_matrix
+        monkeypatch.setattr(perfcast.experiments, "build_design_matrix",
+                            lambda records, schema, *a: schemas.append(schema) or build(records, schema, *a))
+        records, _, _ = synthetic_setup(30, seed=14)
+        unused, _, _ = synthetic_setup(5, seed=15)
+        unused = [replace(r, record_id="x" + r.record_id, proxy_scores={"q9": 1.0}) for r in unused]
+        config = poly_config(records, SplitSpec("random", ratio=0.7), repeats=2, seed=0)
+        alone = run_experiment(config)
+        with_unused = run_experiment(replace(config, test_records=unused))
+        assert [s.columns for s in schemas] == [("proxy:p0",), ("proxy:p0",)]
+        assert repr(with_unused) == repr(alone)
+
+    def test_seed_independent_units_drawn_once(self, monkeypatch):
+        calls = []
+        split = perfcast.experiments.split_lolo
+        monkeypatch.setattr(perfcast.experiments, "split_lolo", lambda records: calls.append(1) or split(records))
+        records, _, _ = synthetic_setup(24, seed=5, languages=("aar", "bel", "ces"))
+        result = run_experiment(poly_config(records, SplitSpec("lolo"), repeats=3, seed=0))
+        assert len(calls) == 1 and len(result.per_repeat_rmse) == 3
+
     def test_validation(self):
         records, _, _ = synthetic_setup(10, seed=13)
         with pytest.raises(ValueError):
@@ -602,3 +626,77 @@ class TestDriverMatchesOracle:
         expected = oracle_outcome(config)
         assert len(expected.predictions) == len(records)  # the oracle's two predictions per record, deduplicated
         assert repr(run_experiment(config)) == repr(expected)
+
+
+def outcome(config, workers):
+    """run_experiment's result, or the type and message of the PerfcastError it raised."""
+    try:
+        return run_experiment(config, workers)
+    except PerfcastError as exc:
+        return type(exc), str(exc)
+
+
+def fit_failing_at(seeds, error=EmptyTrainingSet):
+    """perfcast.experiments.fit_model, raising error for a fit whose params carry one of seeds."""
+    fit = perfcast.experiments.fit_model
+
+    def fit_or_fail(params, matrix):
+        if params.seed in seeds:
+            raise error(f"no fit at seed {params.seed}")
+        return fit(params, matrix)
+
+    return fit_or_fail
+
+
+class TestWorkers:
+    """(repeat, split unit) jobs over forked processes: the serial loop's result or error, and no process left."""
+
+    @pytest.mark.parametrize("regressor", ["gbt", "poly", "mf"])
+    @pytest.mark.parametrize("kind", ["random", "lolo", "unseen", "cross_dataset"])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_same_outcome_for_every_worker_count(self, kind, regressor, data):
+        config = data.draw(experiment_configs(kind, regressor))
+        serial = repr(outcome(config, 1))
+        assert repr(outcome(config, 2)) == serial
+        assert repr(outcome(config, 3)) == serial
+
+    # job r is repeat r and runs in process r mod workers; process 0 is the caller
+    @pytest.mark.parametrize("workers, failing, first", [
+        (3, {1}, 1), (3, {1, 2}, 1), (3, {2, 0}, 0), (2, {1, 2}, 1), (2, {0, 1}, 0),
+    ])
+    def test_earliest_failing_job_raised(self, monkeypatch, workers, failing, first):
+        monkeypatch.setattr(perfcast.experiments, "fit_model", fit_failing_at(failing))
+        records, _, _ = synthetic_setup(30, seed=16)
+        config = poly_config(records, SplitSpec("random", ratio=0.7), repeats=3, seed=0)
+        for w in (1, workers):
+            with pytest.raises(EmptyTrainingSet, match=f"^no fit at seed {first}$"):
+                run_experiment(config, w)
+
+    def test_no_process_outlives_the_call(self, monkeypatch):
+        records, _, _ = synthetic_setup(30, seed=17)
+        config = poly_config(records, SplitSpec("random", ratio=0.7), repeats=3, seed=0)
+        run_experiment(config, 3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.setattr(perfcast.experiments, "fit_model", fit_failing_at({2}))
+        with pytest.raises(EmptyTrainingSet):
+            run_experiment(config, 3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.setattr(perfcast.experiments, "fit_model", fit_failing_at({0}, KeyboardInterrupt))
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config, 3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_unflushed_stdout_written_once(self, capfd):
+        records, _, _ = synthetic_setup(30, seed=18)
+        print("marker", end="")
+        run_experiment(poly_config(records, SplitSpec("random", ratio=0.7), repeats=3, seed=0), 3)
+        assert capfd.readouterr().out == "marker"
+
+    def test_negative_workers_rejected(self):
+        records, _, _ = synthetic_setup(10, seed=19)
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            run_experiment(poly_config(records, SplitSpec("random", ratio=0.7), repeats=1), -1)
