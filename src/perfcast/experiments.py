@@ -358,7 +358,7 @@ def _worker_count(workers: int, n_jobs: int) -> int:
         raise ValueError(f"workers must be >= 0, got {workers}")
     if workers == 0:
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(workers, n_jobs)
+    return max(1, min(workers, n_jobs))
 
 
 def _run_share(fn: Callable, jobs: list, start: int, step: int):
@@ -395,13 +395,11 @@ def _map_jobs(fn: Callable, jobs: list, workers: int) -> list:
     The caller is process 0 and runs its own jobs in place. Each other
     process is forked here, inheriting fn's arguments, and pickles its
     results, or the exception its first failing job raised, into a pipe.
-    With W == 1 or without os.fork the jobs run serially. When jobs fail,
+    Without os.fork W is 1, and the caller runs every job. When jobs fail,
     the exception of the earliest in plan order is raised, as the serial
     loop would raise it. Every child is reaped before this returns or raises.
     """
-    w = _worker_count(workers, len(jobs))
-    if w == 1 or not hasattr(os, "fork"):
-        return [fn(job) for job in jobs]
+    w = _worker_count(workers, len(jobs)) if hasattr(os, "fork") else 1
     children = []  # (pid, read end of its pipe) of each child not yet reaped
     try:
         for start in range(1, w):

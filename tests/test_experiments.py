@@ -696,6 +696,13 @@ class TestWorkers:
         run_experiment(poly_config(records, SplitSpec("random", ratio=0.7), repeats=3, seed=0), 3)
         assert capfd.readouterr().out == "marker"
 
+    def test_without_fork_the_caller_runs_every_job(self, monkeypatch):
+        records, _, _ = synthetic_setup(30, seed=20)
+        config = poly_config(records, SplitSpec("random", ratio=0.7), repeats=3, seed=0)
+        serial = repr(run_experiment(config, 1))
+        monkeypatch.delattr(os, "fork")
+        assert repr(run_experiment(config, 3)) == serial
+
     def test_negative_workers_rejected(self):
         records, _, _ = synthetic_setup(10, seed=19)
         with pytest.raises(ValueError, match="workers must be >= 0"):
