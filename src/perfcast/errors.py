@@ -55,6 +55,9 @@ class MissingPair(PerfcastError):
         self.kinds = list(kinds)
         super().__init__(f"no distance for ({lang_a}, {lang_b}); missing kinds: {', '.join(kinds)}")
 
+    def __reduce__(self):  # args holds only the message; pickle rebuilds from the fields
+        return type(self), (self.lang_a, self.lang_b, self.kinds)
+
 
 # records / design matrix
 class DuplicateId(PerfcastError):
@@ -70,6 +73,9 @@ class MissingFeature(PerfcastError):
         self.record_id = record_id
         self.column = column
         super().__init__(f"record {record_id!r}: feature column {column!r} is unresolvable")
+
+    def __reduce__(self):  # args holds only the message; pickle rebuilds from the fields
+        return type(self), (self.record_id, self.column)
 
 
 class SchemaMismatch(PerfcastError):

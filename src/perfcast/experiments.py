@@ -19,6 +19,7 @@ import math
 import os
 import pickle
 import signal
+import traceback
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
@@ -376,12 +377,26 @@ def _run_share(fn: Callable, jobs: list, start: int, step: int):
     return done, None
 
 
+class _RemoteTraceback(Exception):
+    """The formatted traceback of a job that failed in a worker process, set as the exception's __cause__.
+
+    concurrent.futures passes a worker's traceback on the same way.
+    """
+
+
 def _child(fn: Callable, jobs: list, start: int, step: int, write_fd: int) -> None:
-    """Run a forked process's share of the jobs, pickle the outcome into write_fd, and end the process."""
+    """Run a forked process's share of the jobs, pickle the outcome into write_fd, and end the process.
+
+    A failure travels as (job index, exception, its formatted traceback),
+    since pickling an exception drops its traceback.
+    """
     status = 1
     try:
+        done, failure = _run_share(fn, jobs, start, step)
+        if failure is not None:
+            failure = (*failure, "".join(traceback.format_exception(failure[1])))
         with open(write_fd, "wb") as fh:
-            fh.write(pickle.dumps(_run_share(fn, jobs, start, step)))
+            fh.write(pickle.dumps((done, failure)))
         status = 0
     finally:
         # never return into the caller's stack; skip atexit handlers and the
@@ -397,7 +412,8 @@ def _map_jobs(fn: Callable, jobs: list, workers: int) -> list:
     results, or the exception its first failing job raised, into a pipe.
     Without os.fork W is 1, and the caller runs every job. When jobs fail,
     the exception of the earliest in plan order is raised, as the serial
-    loop would raise it. Every child is reaped before this returns or raises.
+    loop would raise it; one raised in a child carries the child's traceback
+    as its __cause__. Every child is reaped before this returns or raises.
     """
     w = _worker_count(workers, len(jobs)) if hasattr(os, "fork") else 1
     children = []  # (pid, read end of its pipe) of each child not yet reaped
@@ -427,7 +443,9 @@ def _map_jobs(fn: Callable, jobs: list, workers: int) -> list:
             child_done, child_failure = pickle.loads(payload)  # bytes this function's own child wrote
             done += child_done
             if child_failure is not None:
-                failures.append(child_failure)
+                i, exc, tb = child_failure
+                exc.__cause__ = _RemoteTraceback(tb)
+                failures.append((i, exc))
     finally:
         for pid, fh in children:  # left by an error or an interrupt in the caller
             fh.close()

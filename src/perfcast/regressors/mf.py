@@ -20,7 +20,8 @@ on the BLAS build, unlike numpy's `@`, so a fit gives the same floats whatever
 BLAS numpy links; against a loop that takes the dots with `@` (kept as
 tests/oracles.oracle_mf_sgd) they differ by rounding only. Factors and
 theta become float64 arrays at the end, so the model and its file format
-are unchanged.
+are unchanged. Prediction sums in the same order, one expression over all
+rows, so it does not depend on the BLAS build either.
 
 Context features reuse the same mean-imputation and standardization as the
 polynomial regressor, with statistics from the training split.
@@ -160,19 +161,34 @@ def mf_fit(
     )
 
 
+def _evaluate(model: MfModel, sources: Sequence[str], targets: Sequence[str], C: np.ndarray) -> np.ndarray:
+    """The model equation for each row of standardized contexts C, in the fit's summation order.
+
+    mu + b_s + b_t + w . h + theta . c as one numpy expression over the
+    rows, each dot product summed from 0.0 in index order as the fit's err is.
+    """
+    for source, target in zip(sources, targets):
+        if source not in model.w:
+            raise UnknownLanguage(f"source language {source!r} was not seen during fit")
+        if target not in model.h:
+            raise UnknownLanguage(f"target language {target!r} was not seen during fit")
+    n, k = len(sources), model.params.latent_dim
+    W = np.array([model.w[s] for s in sources], dtype=np.float64).reshape(n, k)
+    H = np.array([model.h[t] for t in targets], dtype=np.float64).reshape(n, k)
+    wh = np.zeros(n)
+    for f in range(k):
+        wh += W[:, f] * H[:, f]
+    tc = np.zeros(n)
+    for j, t in enumerate(model.theta.tolist()):
+        tc += t * C[:, j]
+    b_s = np.array([model.b_s[s] for s in sources], dtype=np.float64)
+    b_t = np.array([model.b_t[t] for t in targets], dtype=np.float64)
+    return model.mu + b_s + b_t + wh + tc
+
+
 def mf_predict_one(model: MfModel, source: str, target: str, context: np.ndarray) -> float:
     """Evaluate the model equation for one standardized context row."""
-    if source not in model.w:
-        raise UnknownLanguage(f"source language {source!r} was not seen during fit")
-    if target not in model.h:
-        raise UnknownLanguage(f"target language {target!r} was not seen during fit")
-    return (
-        model.mu
-        + model.b_s[source]
-        + model.b_t[target]
-        + float(model.w[source] @ model.h[target])
-        + float(model.theta @ context)
-    )
+    return float(_evaluate(model, [source], [target], context.reshape(1, -1))[0])
 
 
 def mf_predict(
@@ -183,8 +199,4 @@ def mf_predict(
 ) -> np.ndarray:
     if matrix.schema.fingerprint() != model.fingerprint:
         raise SchemaMismatch("design matrix schema does not match the fitted model")
-    C = _apply_stats(matrix.rows, model.impute, model.mean, model.std)
-    return np.array(
-        [mf_predict_one(model, s, t, C[i]) for i, (s, t) in enumerate(zip(sources, targets))],
-        dtype=np.float64,
-    )
+    return _evaluate(model, sources, targets, _apply_stats(matrix.rows, model.impute, model.mean, model.std))

@@ -139,7 +139,9 @@ def _check_across_fields(model: GbtModel | PolyModel | MfModel) -> None:
     elif isinstance(model, PolyModel):
         _same_lengths(impute=model.impute, mean=model.mean, std=model.std)
         _same_lengths(coef=model.coef, terms=model.terms)
-        for term in model.terms:
+        for k, term in enumerate(model.terms):
+            if not term:
+                raise ParseError(f"terms[{k}] is empty")
             if not all(0 <= i < len(model.mean) for i in term):
                 raise ParseError(f"term {list(term)} indexes a column outside [0, {len(model.mean)})")
     else:

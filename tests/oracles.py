@@ -537,12 +537,35 @@ def oracle_ols(X: np.ndarray, y: np.ndarray):
     return float(beta[0]), beta[1:]
 
 
-def oracle_poly_cd(P: np.ndarray, y: np.ndarray, params):
-    """The elastic net by cyclic coordinate descent on the residual, one column dot per coordinate.
+def oracle_expand(Z: np.ndarray, terms) -> np.ndarray:
+    """The product column of each term, one term at a time."""
+    out = np.empty((Z.shape[0], len(terms)), dtype=np.float64)
+    for k, term in enumerate(terms):
+        col = Z[:, term[0]].copy()
+        for j in term[1:]:
+            col *= Z[:, j]
+        out[:, k] = col
+    return out
 
-    P is the expanded, standardized design. Returns (intercept, coef,
-    converged, n_sweeps, objective_history), with poly_fit's meaning of a sweep.
+
+def oracle_poly_cd(P: np.ndarray, y: np.ndarray, params):
+    """The elastic net by coordinate descent on the residual, one column dot per coordinate.
+
+    A pass visits, in index order, the non-constant coordinates that are
+    nonzero or whose |P[:, j] . r / n| exceeds alpha * l1_ratio at the pass's
+    start, as poly_fit's passes do. P is the expanded, standardized design.
+    Returns (intercept, coef, converged, n_sweeps, objective_history), with
+    poly_fit's meaning of a pass.
     """
+    return _poly_cd(P, y, params, every_coordinate=False)
+
+
+def oracle_poly_cd_cyclic(P: np.ndarray, y: np.ndarray, params):
+    """oracle_poly_cd with every pass visiting every non-constant coordinate."""
+    return _poly_cd(P, y, params, every_coordinate=True)
+
+
+def _poly_cd(P: np.ndarray, y: np.ndarray, params, every_coordinate: bool):
     n, m = P.shape
     col_sq = (P * P).sum(axis=0) / n
     l1 = params.alpha * params.l1_ratio
@@ -563,9 +586,11 @@ def oracle_poly_cd(P: np.ndarray, y: np.ndarray, params):
     sweeps = 0
     for sweeps in range(1, params.max_iterations + 1):
         max_delta = 0.0
-        for j in range(m):
-            if col_sq[j] == 0.0:
-                continue
+        visit = [
+            j for j in range(m)
+            if col_sq[j] != 0.0 and (every_coordinate or beta[j] != 0.0 or abs((P[:, j] @ r) / n) > l1)
+        ]
+        for j in visit:
             old = beta[j]
             rho = (P[:, j] @ r) / n + col_sq[j] * old
             new = float(np.sign(rho) * max(abs(rho) - l1, 0.0)) / (col_sq[j] + l2)

@@ -601,6 +601,24 @@ class TestTrainPredictImportance:
         results = json.loads((out / "results.json").read_text())
         assert results["chosen_params"]["all"]["growth"] == "leaf_wise"
 
+    def test_poly_model_with_an_empty_term_is_a_parse_error(self, tmp_path, capsys):
+        cfg_path = write_experiment_fixture(tmp_path, config_extra={"regressor": "poly", "params": {"degree": 1}})
+        train_out = tmp_path / "train_out"
+        assert main(["train", "--config", cfg_path, "--out", str(train_out)]) == 0
+        model_path = train_out / "model.json"
+        model = json.loads(model_path.read_text())
+        model["terms"][0] = []
+        model_path.write_text(json.dumps(model))
+
+        cfg = {**json.loads((tmp_path / "config.json").read_text()), "model": str(model_path)}
+        rc = main(["predict", "--config", write_json(tmp_path / "predict.json", cfg),
+                   "--out", str(tmp_path / "pred_out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert f"{model_path}: not a valid model file" in err["message"]
+        assert "terms[0] is empty" in err["message"]
+
     def test_wrong_kind_preset_rejected(self, tmp_path, capsys):
         cfg = write_experiment_fixture(tmp_path, config_extra={"regressor": "poly",
                                                               "params": {"degree": 1}})

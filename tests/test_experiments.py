@@ -1,4 +1,5 @@
 import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import perfcast.errors
 from perfcast.errors import (
     DegenerateSplit,
     EmptyInput,
@@ -648,6 +650,14 @@ def fit_failing_at(seeds, error=EmptyTrainingSet):
     return fit_or_fail
 
 
+def all_subclasses(cls):
+    """Every class of perfcast.errors that derives from cls, cls included."""
+    found = {cls}
+    for sub in cls.__subclasses__():
+        found |= all_subclasses(sub)
+    return {c for c in found if c.__module__ == perfcast.errors.__name__}
+
+
 class TestWorkers:
     """(repeat, split unit) jobs over forked processes: the serial loop's result or error, and no process left."""
 
@@ -672,6 +682,22 @@ class TestWorkers:
         for w in (1, workers):
             with pytest.raises(EmptyTrainingSet, match=f"^no fit at seed {first}$"):
                 run_experiment(config, w)
+
+    def test_failure_in_a_child_carries_its_traceback(self, monkeypatch):
+        monkeypatch.setattr(perfcast.experiments, "fit_model", fit_failing_at({1}))
+        records, _, _ = synthetic_setup(30, seed=16)
+        config = poly_config(records, SplitSpec("random", ratio=0.7), repeats=2, seed=0)
+        with pytest.raises(EmptyTrainingSet, match="^no fit at seed 1$") as exc:
+            run_experiment(config, 2)  # repeat 1 runs in the forked process
+        assert "in fit_or_fail" in str(exc.value.__cause__)
+
+    @pytest.mark.parametrize("error", sorted(all_subclasses(PerfcastError), key=lambda e: e.__name__),
+                             ids=lambda e: e.__name__)
+    def test_every_error_survives_pickling(self, error):
+        args = {"MissingPair": ("aar", "bel", ["syntactic", "genetic"]), "MissingFeature": ("r1", "proxy:p0")}
+        exc = error(*args.get(error.__name__, ("a message",)))
+        back = pickle.loads(pickle.dumps(exc))
+        assert (type(back), str(back), vars(back)) == (error, str(exc), vars(exc))
 
     def test_no_process_outlives_the_call(self, monkeypatch):
         records, _, _ = synthetic_setup(30, seed=17)

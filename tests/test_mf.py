@@ -243,6 +243,25 @@ class TestPredict:
         expected = 1.0 + 0.3 - 0.1 + (0.5 * 2.0 + -1.0 * 0.25) + (1.5 * 2.0 + -0.5 * 4.0)
         assert mf_predict_one(model, "sa", "ta", context) == pytest.approx(expected, abs=1e-15)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(mf_problems())
+    def test_rows_sum_in_the_fits_order(self, problem):
+        matrix, sources, targets, params = problem
+        model = mf_fit(matrix, sources, targets, params)
+        C = (np.where(np.isnan(matrix.rows), model.impute, matrix.rows) - model.mean) / model.std
+        expected = []
+        for s, t, c in zip(sources, targets, C.tolist()):
+            wh = 0.0
+            for w, h in zip(model.w[s].tolist(), model.h[t].tolist()):
+                wh += w * h
+            tc = 0.0
+            for theta, x in zip(model.theta.tolist(), c):
+                tc += theta * x
+            expected.append(model.mu + model.b_s[s] + model.b_t[t] + wh + tc)
+        pred = mf_predict(model, matrix, sources, targets)
+        assert pred.tobytes() == np.array(expected).tobytes()
+        assert [mf_predict_one(model, s, t, c) for s, t, c in zip(sources, targets, C)] == expected
+
     def test_schema_mismatch(self):
         sources = ["sa", "sa", "sb", "sb"]
         targets = ["ta", "tb", "ta", "tb"]

@@ -11,7 +11,7 @@ from perfcast.regressors import PolyParams, load_model, poly_fit, poly_predict, 
 from perfcast.regressors.poly import PolyModel, _expand, expansion_terms, impute_and_standardize
 
 from conftest import assert_round_trip, rejects_model_file
-from oracles import oracle_ols, oracle_poly_cd
+from oracles import oracle_expand, oracle_ols, oracle_poly_cd, oracle_poly_cd_cyclic
 from test_gbt import matrix_from
 
 
@@ -27,6 +27,22 @@ class TestExpansion:
         # C(d + k, k) - 1 monomials of total degree 1..k
         assert len(expansion_terms(3, 2)) == 9
         assert len(expansion_terms(4, 3)) == 34
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 40),
+        d=st.integers(1, 6),
+        degree=st.integers(1, 3),
+        shuffle=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_term_loop_to_the_bit(self, n, d, degree, shuffle, seed):
+        rng = np.random.default_rng(seed)
+        Z = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+        terms = expansion_terms(d, degree)
+        if shuffle:  # a loaded model's terms come in its file's order
+            terms = [terms[k] for k in rng.permutation(len(terms))]
+        assert _expand(Z, terms).tobytes() == oracle_expand(Z, terms).tobytes()
 
 
 class TestFit:
@@ -129,6 +145,37 @@ class TestCoordinateDescentOracle:
         # an objective at the rounding floor is compared against the first sweep's
         np.testing.assert_allclose(model.objective_history, history, rtol=1e-9, atol=1e-12 * history[0])
 
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(elastic_net_problems())
+    def test_same_minimum_as_passes_over_every_coordinate(self, problem):
+        matrix, params = problem
+        Xs, _, mean, std = impute_and_standardize(matrix.rows)
+        P = _expand((Xs - mean) / std, expansion_terms(Xs.shape[1], params.degree))
+        assert_same_minimum(P, matrix.targets, params)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("l1_ratio", [0.5, 0.9, 1.0])
+    def test_same_minimum_on_a_wider_expansion(self, seed, l1_ratio):
+        # 55 terms, where a zero coordinate often leaves the l1 band partway through a pass
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(50, 5))
+        y = X @ rng.normal(size=5) + X[:, 0] * X[:, 1] + rng.normal(size=50)
+        Xs, _, mean, std = impute_and_standardize(X)
+        P = _expand((Xs - mean) / std, expansion_terms(5, 3))
+        assert_same_minimum(P, y, PolyParams(degree=3, alpha=0.05, l1_ratio=l1_ratio, max_iterations=3000))
+
+
+def assert_same_minimum(P, y, params):
+    """Where both converge, the visit rule and every-coordinate passes reach the same minimum."""
+    _, coef, converged, _, history = oracle_poly_cd(P, y, params)
+    _, coef_cyclic, converged_cyclic, _, history_cyclic = oracle_poly_cd_cyclic(P, y, params)
+    if not (converged and converged_cyclic):
+        return
+    assert history[-1] == pytest.approx(history_cyclic[-1], rel=1e-9)
+    if params.l1_ratio < 1.0 and params.alpha > 0.0:  # a strictly convex objective has one minimizer
+        scale = float(np.abs(coef_cyclic).max(initial=0.0))
+        np.testing.assert_allclose(coef, coef_cyclic, rtol=0.0, atol=1e-6 * scale)
+
 
 class TestPredict:
     def test_zero_coefficients_give_intercept(self):
@@ -220,6 +267,11 @@ class TestModelFileValidation:
         path, obj = saved
         obj["coef"].pop()
         rejects_model_file(path, obj, "lengths differ.*coef")
+
+    def test_empty_term(self, saved):
+        path, obj = saved
+        obj["terms"][0] = []
+        rejects_model_file(path, obj, r"terms\[0\] is empty")
 
     def test_column_statistics_lengths_differ(self, saved):
         path, obj = saved
