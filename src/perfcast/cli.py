@@ -173,6 +173,12 @@ class Config:
                     raise ValueError(f"{where}: unknown feature group {group!r}")
         if self.regressor not in KINDS:
             raise ValueError(f"unknown regressor kind {self.regressor!r}")
+        if self.grid == []:
+            raise ValueError("grid: needs at least one hyperparameter set")
+        if self.repeats < 1:
+            raise ValueError(f"'repeats' must be >= 1, not {self.repeats!r}")
+        if self.cv_folds < 2:
+            raise ValueError(f"'cv_folds' must be >= 2, not {self.cv_folds!r}")
         if not 0 < self.lowess_frac <= 1:
             raise ValueError(f"'lowess_frac' must be a number in (0, 1], not {self.lowess_frac!r}")
         if self.report_format not in ("markdown", "csv"):
@@ -239,6 +245,8 @@ def _check_command(path: str, command: str, cfg: Config) -> None:
                           " nor 'corpora'+'pairs' given")
     if matrix and "language" in cfg.feature_groups and cfg.language_distances is None:
         raise ConfigError(f"{path}: language feature group enabled but no 'language_distances' path given")
+    if command in ("experiment", "ablate") and cfg.split.kind == "cross_dataset" and not cfg.test_records:
+        raise ConfigError(f"{path}: a cross_dataset split needs 'test_records'")
     if command == "train" and len(cfg.candidates()) != 1:
         raise ConfigError(f"{path}: train expects exactly one hyperparameter set (preset or params)")
 
@@ -337,10 +345,7 @@ def _feature_sources(run: _Run, cfg: Config):
 
 def _materialize_experiment(run: _Run, cfg: Config) -> ExperimentConfig:
     records, dataset_blocks, language_table = _feature_sources(run, cfg)
-    test_records = None
-    if cfg.test_records is not None:
-        test_records = _load_record_sources(run, cfg.test_records)
-    config = ExperimentConfig(
+    return ExperimentConfig(
         records=records,
         grid=cfg.candidates(),
         split=cfg.split,
@@ -352,13 +357,8 @@ def _materialize_experiment(run: _Run, cfg: Config) -> ExperimentConfig:
         estimated_model=cfg.estimated_model,
         dataset_features=dataset_blocks,
         language_table=language_table,
-        test_records=test_records,
+        test_records=None if cfg.test_records is None else _load_record_sources(run, cfg.test_records),
     )
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ConfigError(f"invalid experiment config: {exc}") from exc
-    return config
 
 
 def _load_families(run: _Run, cfg: Config) -> dict[str, str]:

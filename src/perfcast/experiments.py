@@ -49,6 +49,7 @@ from .regressors import (
     GbtModel,
     check_languages,
     fit_model,
+    gbt_gain_totals,
     params_kind,
     predict_model,
     with_seed,
@@ -259,7 +260,7 @@ class ExperimentConfig:
             raise ValueError("repeats must be >= 1")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be >= 2")
-        if self.split.kind == "cross_dataset" and not self.test_records:
+        if self.split.kind == "cross_dataset" and self.test_records is None:
             raise ValueError("cross_dataset split requires test_records")
 
 
@@ -348,7 +349,7 @@ def _run_unit(config: ExperimentConfig, matrix: DesignMatrix, job) -> _UnitResul
         predictions=pred,
         params=_params_dict(best),
         unit_rmse=rmse(pred, m_test.targets) if label is not None else None,
-        gains=model.gain_totals if isinstance(model, GbtModel) else {},
+        gains=gbt_gain_totals(model) if isinstance(model, GbtModel) else {},
         cv_scores=scores,
     )
 
@@ -524,7 +525,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 0) -> ExperimentResu
 
 
 def _params_dict(params: AnyParams) -> dict:
+    """The grid point's settings and kind; not its seed, which with_seed replaces on every fit."""
     out = asdict(params)
+    out.pop("seed", None)
     out["kind"] = params_kind(params)
     return out
 

@@ -11,25 +11,24 @@ import numpy as np
 
 from ..errors import UnknownLanguage
 from ..records import DesignMatrix
-from .gbt import GbtModel, GbtParams, gbt_fit, gbt_importance, gbt_predict
+from .gbt import GbtModel, GbtParams, gbt_fit, gbt_gain_totals, gbt_importance, gbt_predict
 from .mf import MfModel, MfParams, mf_fit, mf_predict, mf_predict_one
 from .poly import PolyModel, PolyParams, poly_fit, poly_predict
 from .presets import PRESETS, get_preset
-from .serialize import KINDS, load_model, model_from_dict, model_to_dict, save_model
+from .serialize import KIND_OF, KINDS, load_model, model_from_dict, model_to_dict, save_model
 
 AnyParams = GbtParams | PolyParams | MfParams
 AnyModel = GbtModel | PolyModel | MfModel
 
-_KIND_OF = {cls: kind for kind, classes in KINDS.items() for cls in classes}
-
 
 def params_kind(obj: AnyParams | AnyModel) -> str:
     """Kind name of a params object or a fitted model."""
-    return _KIND_OF[type(obj)]
+    return KIND_OF[type(obj)]
 
 
 def with_seed(params: AnyParams, seed: int) -> AnyParams:
-    return replace(params, seed=seed)
+    """params with seed, for a kind that reads one (its params class has a seed field); other params unchanged."""
+    return replace(params, seed=seed) if hasattr(params, "seed") else params
 
 
 def _language_pairs(matrix: DesignMatrix) -> tuple[list[str], list[str]]:
@@ -80,7 +79,7 @@ def predict_model(model: AnyModel, matrix: DesignMatrix) -> np.ndarray:
 
 
 __all__ = [
-    "GbtModel", "GbtParams", "gbt_fit", "gbt_importance", "gbt_predict",
+    "GbtModel", "GbtParams", "gbt_fit", "gbt_gain_totals", "gbt_importance", "gbt_predict",
     "MfModel", "MfParams", "mf_fit", "mf_predict", "mf_predict_one",
     "PolyModel", "PolyParams", "poly_fit", "poly_predict",
     "PRESETS", "get_preset", "load_model", "save_model", "model_to_dict", "model_from_dict",

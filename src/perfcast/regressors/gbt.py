@@ -104,12 +104,10 @@ def make_tree(nodes: Sequence[tuple]) -> np.recarray:
 @dataclass
 class GbtModel:
     base_score: float
-    eta: float
     trees: list[np.recarray]
     feature_names: tuple[str, ...]
     fingerprint: str
     params: GbtParams
-    gain_totals: dict[str, float] = field(default_factory=dict)
     train_rmse: list[float] = field(default_factory=list)
 
 
@@ -251,18 +249,16 @@ def _partition(X: np.ndarray, rows: np.ndarray, feature: int, threshold: float, 
 
 
 def _grow_tree(
-    X: np.ndarray, g: np.ndarray, by_value: np.ndarray, in_rows: np.ndarray, cols: Sequence[int], params: GbtParams,
-    gain_out: dict[int, float],
+    X: np.ndarray, g: np.ndarray, by_value: np.ndarray, in_rows: np.ndarray, cols: Sequence[int], params: GbtParams
 ) -> tuple[np.recarray, np.ndarray, np.ndarray]:
     """One tree grown on the rows in_rows marks; returns it, every row of X, and the weight of each row's leaf.
 
     by_value holds X's rows in each column's value order (see _column_cells).
     depth_wise searches each level's nodes in one batch; leaf_wise searches
     each split's two children in one batch. The rows in_rows leaves out
-    follow each split to their leaves. Node ids, and the order in which
-    gain_out adds gains, follow the order in which splits reserve their
-    children's ids: depth first, left first, for depth_wise, and split order
-    for leaf_wise.
+    follow each split to their leaves. Node ids follow the order in which
+    splits reserve their children's ids: depth first, left first, for
+    depth_wise, and split order for leaf_wise.
     """
     cells = _column_cells(X, g, by_value, in_rows, cols)
     # by creation index: the root, then each split's two children; a node's path
@@ -303,7 +299,6 @@ def _grow_tree(
         s, left = splits[i]
         ids[left], ids[left + 1] = len(ids), len(ids) + 1
         nodes[ids[i]] = (s.feature, s.threshold, s.default_left, ids[left], ids[left + 1], 0.0, s.gain)
-        gain_out[s.feature] = gain_out.get(s.feature, 0.0) + s.gain
     leaves = [i for i in ids if i not in splits]
     # -soft(G, alpha) / (n + lambda), each G a 1-D sum over the leaf's rows in row order
     g_sums, counts = np.array([[g[node_rows[i]].sum(), node_rows[i].size] for i in leaves]).T
@@ -349,7 +344,6 @@ def gbt_fit(matrix: DesignMatrix, params: GbtParams) -> GbtModel:
     pred = np.full(n, base, dtype=np.float64)
     rng = np.random.default_rng(params.seed)
     trees: list[np.recarray] = []
-    gain_totals: dict[int, float] = {}
     train_rmse: list[float] = []
 
     n_sub = max(1, int(round(params.subsample * n)))
@@ -361,22 +355,13 @@ def gbt_fit(matrix: DesignMatrix, params: GbtParams) -> GbtModel:
         in_tree[slice(None) if n_sub >= n else rng.permutation(n)[:n_sub]] = True
         cols = list(range(d)) if n_cols >= d else sorted(rng.permutation(d)[:n_cols].tolist())
         g = pred - y
-        tree, leaf_rows, weights = _grow_tree(X, g, by_value, in_tree, cols, params, gain_totals)
+        tree, leaf_rows, weights = _grow_tree(X, g, by_value, in_tree, cols, params)
         trees.append(tree)
         pred[leaf_rows] += params.eta * weights
         train_rmse.append(float(np.sqrt(np.mean((pred - y) ** 2))))
 
-    names = matrix.schema.columns
-    return GbtModel(
-        base_score=base,
-        eta=float(params.eta),
-        trees=trees,
-        feature_names=names,
-        fingerprint=matrix.schema.fingerprint(),
-        params=params,
-        gain_totals={names[f]: v for f, v in sorted(gain_totals.items())},
-        train_rmse=train_rmse,
-    )
+    return GbtModel(base_score=base, trees=trees, feature_names=matrix.schema.columns,
+                    fingerprint=matrix.schema.fingerprint(), params=params, train_rmse=train_rmse)
 
 
 def gbt_predict(model: GbtModel, matrix: DesignMatrix) -> np.ndarray:
@@ -393,14 +378,32 @@ def predict_rows(model: GbtModel, rows: np.ndarray) -> np.ndarray:
     if rows.shape[1] != len(model.feature_names):
         raise SchemaMismatch(f"rows have {rows.shape[1]} columns, the model {len(model.feature_names)}")
     out = np.full(rows.shape[0], model.base_score, dtype=np.float64)
+    eta = model.params.eta
     for tree in model.trees:
-        out += model.eta * _tree_predict(tree, rows)
+        out += eta * _tree_predict(tree, rows)
     return out
+
+
+def gbt_gain_totals(model: GbtModel) -> dict[str, float]:
+    """Total split gain per feature name, in feature order; a feature no node splits on is absent.
+
+    Each tree's split nodes are visited in the order of their left child's
+    id. The grower hands a split's two children the next two ids, so that
+    is the order in which it made the splits, and each total is the float
+    that a running sum kept during the fit would hold.
+    """
+    totals: dict[int, float] = {}
+    for tree in model.trees:
+        splits = np.sort(tree.view(np.ndarray)[tree["feature"] >= 0], order="left")
+        for feature, gain in zip(splits["feature"].tolist(), splits["gain"].tolist()):
+            totals[feature] = totals.get(feature, 0.0) + gain
+    return {model.feature_names[f]: total for f, total in sorted(totals.items())}
 
 
 def gbt_importance(model: GbtModel) -> dict[str, float]:
     """Total split gain per feature, normalized to sum to 1."""
-    total = math.fsum(model.gain_totals.values())
-    if not model.gain_totals or total <= 0.0:
+    totals = gbt_gain_totals(model)
+    total = math.fsum(totals.values())
+    if not totals or total <= 0.0:
         raise NoSplits("model contains no internal nodes")
-    return {name: value / total for name, value in model.gain_totals.items()}
+    return {name: value / total for name, value in totals.items()}

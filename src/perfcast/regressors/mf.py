@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import NotManyToMany, SchemaMismatch, UnknownLanguage
+from ..errors import LengthMismatch, NotManyToMany, SchemaMismatch, UnknownLanguage
 from ..fields import check_field_types
 from ..records import DesignMatrix
 from .poly import _apply_stats, impute_and_standardize
@@ -199,4 +199,6 @@ def mf_predict(
 ) -> np.ndarray:
     if matrix.schema.fingerprint() != model.fingerprint:
         raise SchemaMismatch("design matrix schema does not match the fitted model")
+    if len(sources) != matrix.n or len(targets) != matrix.n:
+        raise LengthMismatch(f"{matrix.n} design matrix rows, but {len(sources)} sources and {len(targets)} targets")
     return _evaluate(model, sources, targets, _apply_stats(matrix.rows, model.impute, model.mean, model.std))

@@ -38,6 +38,7 @@ cannot accumulate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
@@ -57,7 +58,6 @@ class PolyParams:
     l1_ratio: float = 0.9
     max_iterations: int = 5000
     tolerance: float = 1e-9
-    seed: int = 0  # unused by the deterministic solver; kept for interface symmetry
 
     def __post_init__(self):
         check_field_types(self)
@@ -76,9 +76,8 @@ class PolyParams:
 @dataclass
 class PolyModel:
     params: PolyParams
-    terms: list[tuple[int, ...]]
     intercept: float
-    coef: np.ndarray
+    coef: np.ndarray  # coef[k] multiplies the product column of terms[k]
     impute: np.ndarray  # per-column training means substituted for missing (NaN) cells
     mean: np.ndarray
     std: np.ndarray
@@ -87,13 +86,20 @@ class PolyModel:
     n_sweeps: int
     objective_history: list[float] = field(default_factory=list)
 
+    @property
+    def terms(self) -> list[tuple[int, ...]]:
+        """The monomials of the expansion, which the column count and the degree fix."""
+        return expansion_terms(len(self.mean), self.params.degree)
+
 
 def expansion_terms(n_features: int, degree: int) -> list[tuple[int, ...]]:
     """All monomials of total degree 1..degree as nondecreasing index tuples."""
-    terms: list[tuple[int, ...]] = []
-    for deg in range(1, degree + 1):
-        terms.extend(combinations_with_replacement(range(n_features), deg))
-    return terms
+    return [term for deg in range(1, degree + 1) for term in combinations_with_replacement(range(n_features), deg)]
+
+
+def term_count(n_features: int, degree: int) -> int:
+    """len(expansion_terms(n_features, degree)), C(n_features + degree, degree) - 1, without listing the terms."""
+    return math.comb(n_features + degree, degree) - 1
 
 
 def impute_and_standardize(rows: np.ndarray):
@@ -121,30 +127,28 @@ def _apply_stats(rows: np.ndarray, impute: np.ndarray, mean: np.ndarray, std: np
     return (np.where(np.isnan(rows), impute, rows) - mean) / std
 
 
-def _expand(Z: np.ndarray, terms: list[tuple[int, ...]]) -> np.ndarray:
-    """The product column of every term, in the order of terms.
+def _expand(Z: np.ndarray, degree: int) -> np.ndarray:
+    """The product column of every term of expansion_terms(Z.shape[1], degree), in that order.
 
-    The terms of one degree, wherever they sit in terms, form an index array
-    idx of shape (count, degree). A block of their columns is the gather
-    Z[:, idx[:, 0]], multiplied in place by Z[:, idx[:, d]] for each further
-    factor, so each cell is the product of the same factors in the same
-    order as a per-term loop, to the bit. A block holds at most
+    The terms of one degree form an index array idx of shape (count,
+    degree) and fill a contiguous range of columns. A block of them is the
+    gather Z[:, idx[:, 0]], multiplied in place by Z[:, idx[:, d]] for each
+    further factor, so each cell is the product of the same factors in the
+    same order as a per-term loop, to the bit. A block holds at most
     _BLOCK_CELLS cells, which bounds the temporaries.
     """
-    n = Z.shape[0]
-    out = np.empty((n, len(terms)), dtype=np.float64)
-    positions: dict[int, list[int]] = {}
-    for k, term in enumerate(terms):
-        positions.setdefault(len(term), []).append(k)
+    n, d = Z.shape
+    out = np.empty((n, term_count(d, degree)), dtype=np.float64)
     step = max(1, _BLOCK_CELLS // max(n, 1))
-    for degree, ks in positions.items():
-        idx = np.array([terms[k] for k in ks], dtype=np.intp).reshape(len(ks), degree)
-        cols = np.array(ks, dtype=np.intp)
-        for b in range(0, len(ks), step):
+    start = 0  # the first column of the next block
+    for deg in range(1, degree + 1):
+        idx = np.array(list(combinations_with_replacement(range(d), deg)), dtype=np.intp).reshape(-1, deg)
+        for b in range(0, len(idx), step):
             block = Z[:, idx[b:b + step, 0]]
-            for d in range(1, degree):
-                block *= Z[:, idx[b:b + step, d]]
-            out[:, cols[b:b + step]] = block
+            for f in range(1, deg):
+                block *= Z[:, idx[b:b + step, f]]
+            out[:, start:start + block.shape[1]] = block
+            start += block.shape[1]
     return out
 
 
@@ -163,8 +167,7 @@ def poly_fit(matrix: DesignMatrix, params: PolyParams) -> PolyModel:
     y = matrix.targets
     Xs, impute, mean, std = impute_and_standardize(matrix.rows)
     Z = (Xs - mean) / std
-    terms = expansion_terms(Xs.shape[1], params.degree)
-    P = _expand(Z, terms)
+    P = _expand(Z, params.degree)
     n, m = P.shape
 
     col_sq = (P * P).sum(axis=0) / n
@@ -214,7 +217,6 @@ def poly_fit(matrix: DesignMatrix, params: PolyParams) -> PolyModel:
 
     return PolyModel(
         params=params,
-        terms=terms,
         intercept=intercept,
         coef=beta,
         impute=impute,
@@ -231,4 +233,4 @@ def poly_predict(model: PolyModel, matrix: DesignMatrix) -> np.ndarray:
     if matrix.schema.fingerprint() != model.fingerprint:
         raise SchemaMismatch("design matrix schema does not match the fitted model")
     Z = _apply_stats(matrix.rows, model.impute, model.mean, model.std)
-    return _expand(Z, model.terms) @ model.coef + model.intercept
+    return _expand(Z, model.params.degree) @ model.coef + model.intercept

@@ -1,16 +1,21 @@
 """Self-describing JSON serialization for fitted models.
 
 A model file holds `format_version`, `kind` and every field of the model's
-dataclass but `objective_history`. It is read back through the field table
-of `perfcast.fields`, so every field must have its annotation's JSON type,
+dataclass but `objective_history`. Each fact is stored once, and nothing
+that predict or a report can derive is stored: a GBT model's eta is its
+params' eta and its gain totals are sums of the node gains
+(gbt_gain_totals); a poly model's terms follow from its column count and
+degree (PolyModel.terms). It is read back through the field table of
+`perfcast.fields`, so every field must have its annotation's JSON type,
 with nothing coerced, and any other key is an error; the params object is
 built by its own class, which checks its fields against the same table,
 and each tree by `_load_tree`.
 Checks that span fields follow: GBT node features within the feature
-names, poly terms within the columns, equal lengths, MF factor shapes and
+names, one poly coefficient per term, equal lengths, MF factor shapes and
 bias languages. Floats survive the JSON round trip exactly (repr-based
 encoding), so a loaded model predicts bit-identically to the one that was
-saved.
+saved. A file of another format_version, such as format 1, which also
+stored these derived fields, is rejected; retrain to replace it.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from ..errors import ParseError, open_text
 from ..fields import FIELD_TYPES, FieldType, from_json
 from .gbt import NODE_DTYPE, GbtModel, GbtParams, make_tree
 from .mf import MfModel, MfParams
-from .poly import PolyModel, PolyParams
+from .poly import PolyModel, PolyParams, term_count
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # kind name -> (params class, model class)
 KINDS: dict[str, tuple[type, type]] = {
@@ -37,7 +42,8 @@ KINDS: dict[str, tuple[type, type]] = {
     "mf": (MfParams, MfModel),
 }
 
-_MODEL_KIND = {model_cls: kind for kind, (_, model_cls) in KINDS.items()}
+# params class or model class -> kind name
+KIND_OF = {cls: kind for kind, classes in KINDS.items() for cls in classes}
 
 # The poly objective trajectory is not part of the file format.
 _UNSAVED = ("objective_history",)
@@ -59,9 +65,10 @@ def _to_json(value):
 
 
 def model_to_dict(model: GbtModel | PolyModel | MfModel) -> dict[str, Any]:
-    if type(model) not in _MODEL_KIND:
+    kind = KIND_OF.get(type(model))
+    if kind is None or type(model) is not KINDS[kind][1]:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    out = {"format_version": FORMAT_VERSION, "kind": _MODEL_KIND[type(model)]}
+    out = {"format_version": FORMAT_VERSION, "kind": kind}
     for f in fields(model):
         if f.name not in _UNSAVED:
             out[f.name] = _to_json(getattr(model, f.name))
@@ -138,12 +145,10 @@ def _check_across_fields(model: GbtModel | PolyModel | MfModel) -> None:
                 raise ParseError(f"trees[{t}]: node {i}: feature {tree['feature'][i]} outside [0, {n_features})")
     elif isinstance(model, PolyModel):
         _same_lengths(impute=model.impute, mean=model.mean, std=model.std)
-        _same_lengths(coef=model.coef, terms=model.terms)
-        for k, term in enumerate(model.terms):
-            if not term:
-                raise ParseError(f"terms[{k}] is empty")
-            if not all(0 <= i < len(model.mean) for i in term):
-                raise ParseError(f"term {list(term)} indexes a column outside [0, {len(model.mean)})")
+        n_terms = term_count(len(model.mean), model.params.degree)
+        if len(model.coef) != n_terms:
+            raise ParseError(f"coef has {len(model.coef)} entries, but degree {model.params.degree}"
+                             f" on {len(model.mean)} columns has {n_terms} terms")
     else:
         k = model.params.latent_dim
         for name, factors in (("w", model.w), ("h", model.h)):

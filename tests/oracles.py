@@ -50,7 +50,7 @@ from perfcast.records import (
     build_schema,
     proxy_roster,
 )
-from perfcast.regressors import GbtModel, check_languages, fit_model, predict_model, with_seed
+from perfcast.regressors import GbtModel, check_languages, fit_model, gbt_gain_totals, predict_model, with_seed
 from perfcast.regressors.gbt import GbtParams, _tree_predict, make_tree
 
 
@@ -493,7 +493,8 @@ def oracle_grow_tree(
 def oracle_gbt_fit(matrix: DesignMatrix, params):
     """gbt_fit's boosting loop over oracle_grow_tree, every row routed through the tree for its prediction.
 
-    Returns (trees, gain_totals, train_rmse) as gbt_fit stores them.
+    Returns (trees, gain_totals, train_rmse). The gain totals are running
+    sums kept as the splits are made, which gbt_gain_totals must equal.
     """
     X, y = matrix.rows, matrix.targets
     n, d = X.shape
@@ -526,7 +527,7 @@ def oracle_forest_predict(model, rows: np.ndarray, missing: np.ndarray) -> np.nd
 
     expected = np.full(len(rows), model.base_score)
     for tree in model.trees:
-        expected += model.eta * np.array([walk(tree, rows[i], missing[i]) for i in range(len(rows))])
+        expected += model.params.eta * np.array([walk(tree, rows[i], missing[i]) for i in range(len(rows))])
     return expected
 
 
@@ -1026,7 +1027,7 @@ def oracle_run_experiment(config: ExperimentConfig) -> ExperimentResult:
             if label is not None:
                 per_lang[label] = rmse(pred, m_test.targets)
             if isinstance(model, GbtModel):
-                for name, val in model.gain_totals.items():
+                for name, val in gbt_gain_totals(model).items():
                     gains[name] = gains.get(name, 0.0) + val
 
         pooled_pred = np.concatenate(all_pred)

@@ -274,6 +274,39 @@ class TestConfigShape:
         assert (err["error"], err["message"]) == ("ConfigError", f"{cfg}: {match}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["experiment", "ablate"])
+    @pytest.mark.parametrize("extra, match", [
+        ({"repeats": 0}, "'repeats' must be >= 1, not 0"),
+        ({"cv_folds": 1}, "'cv_folds' must be >= 2, not 1"),
+        ({"split": {"kind": "cross_dataset"}}, "a cross_dataset split needs 'test_records'"),
+        ({"split": {"kind": "cross_dataset"}, "test_records": []}, "a cross_dataset split needs 'test_records'"),
+        ({"params": None, "grid": []}, "grid: needs at least one hyperparameter set"),
+    ], ids=["no_repeats", "one_fold", "cross_dataset_without_test_records", "cross_dataset_empty_test_records",
+            "empty_grid"])
+    def test_experiment_settings_rejected_before_any_file(self, tmp_path, capsys, command, extra, match):
+        obj = {**json.loads(open(write_experiment_fixture(tmp_path)).read()), **extra}
+        cfg = write_json(tmp_path / "c.json", {k: v for k, v in obj.items() if v is not None})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == ("ConfigError", f"{cfg}: {match}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, where", [
+        ({"params": {"degree": 1, "seed": 3}}, "params"),
+        ({"params": None, "grid": [{"degree": 1}, {"degree": 2, "seed": 0}]}, "grid[1]"),
+    ], ids=["params", "grid"])
+    def test_poly_params_have_no_seed(self, tmp_path, capsys, extra, where):
+        obj = {**json.loads(open(write_experiment_fixture(tmp_path)).read()), "regressor": "poly", **extra}
+        cfg = write_json(tmp_path / "c.json", {k: v for k, v in obj.items() if v is not None})
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"{cfg}: {where}: ")
+        assert "unexpected keyword argument 'seed'" in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [
         {"corpora": [{"dataset_id": "a", "path": "missing.txt"}]},
         {"corpora": [{"dataset_id": "a", "path": "missing.txt"}], "pairs": [{"train": "a", "test": "zz"}]},
@@ -400,6 +433,15 @@ class TestExperimentCommand:
         results = json.loads((out / "results.json").read_text())
         assert len(results["per_repeat_rmse"]) == 2
         assert results["mean_rmse"] == pytest.approx(np.mean(results["per_repeat_rmse"]))
+
+    def test_chosen_params_carry_no_seed(self, tmp_path):
+        # the params say seed 0, but repeat r fits with the config seed 4 plus r
+        cfg = write_experiment_fixture(tmp_path)
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+        chosen = json.loads((out / "results.json").read_text())["chosen_params"]["all"]
+        assert (chosen["kind"], chosen["n_estimators"], chosen["subsample"]) == ("gbt", 8, 0.9)
+        assert "seed" not in chosen
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_experiment_fixture(tmp_path)
@@ -601,13 +643,14 @@ class TestTrainPredictImportance:
         results = json.loads((out / "results.json").read_text())
         assert results["chosen_params"]["all"]["growth"] == "leaf_wise"
 
-    def test_poly_model_with_an_empty_term_is_a_parse_error(self, tmp_path, capsys):
+    def test_poly_model_with_a_coef_per_term_missing_is_a_parse_error(self, tmp_path, capsys):
         cfg_path = write_experiment_fixture(tmp_path, config_extra={"regressor": "poly", "params": {"degree": 1}})
         train_out = tmp_path / "train_out"
         assert main(["train", "--config", cfg_path, "--out", str(train_out)]) == 0
         model_path = train_out / "model.json"
         model = json.loads(model_path.read_text())
-        model["terms"][0] = []
+        n_terms = len(model["coef"])  # degree 1: one term per column
+        model["coef"].pop()
         model_path.write_text(json.dumps(model))
 
         cfg = {**json.loads((tmp_path / "config.json").read_text()), "model": str(model_path)}
@@ -617,7 +660,7 @@ class TestTrainPredictImportance:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParseError"
         assert f"{model_path}: not a valid model file" in err["message"]
-        assert "terms[0] is empty" in err["message"]
+        assert f"coef has {n_terms - 1} entries, but degree 1 on {n_terms} columns has {n_terms} terms" in err["message"]
 
     def test_wrong_kind_preset_rejected(self, tmp_path, capsys):
         cfg = write_experiment_fixture(tmp_path, config_extra={"regressor": "poly",

@@ -639,7 +639,10 @@ def outcome(config, workers):
 
 
 def fit_failing_at(seeds, error=EmptyTrainingSet):
-    """perfcast.experiments.fit_model, raising error for a fit whose params carry one of seeds."""
+    """perfcast.experiments.fit_model, raising error for a fit whose params carry one of seeds.
+
+    GBT reads its seed, so with_seed gives each repeat's fit the repeat seed.
+    """
     fit = perfcast.experiments.fit_model
 
     def fit_or_fail(params, matrix):
@@ -648,6 +651,11 @@ def fit_failing_at(seeds, error=EmptyTrainingSet):
         return fit(params, matrix)
 
     return fit_or_fail
+
+
+def gbt_config(records, split, **kw):
+    return ExperimentConfig(records=records, grid=[GbtParams(n_estimators=2, max_depth=2)], split=split,
+                            feature_groups=("proxy",), **kw)
 
 
 def all_subclasses(cls):
@@ -678,7 +686,7 @@ class TestWorkers:
     def test_earliest_failing_job_raised(self, monkeypatch, workers, failing, first):
         monkeypatch.setattr(perfcast.experiments, "fit_model", fit_failing_at(failing))
         records, _, _ = synthetic_setup(30, seed=16)
-        config = poly_config(records, SplitSpec("random", ratio=0.7), repeats=3, seed=0)
+        config = gbt_config(records, SplitSpec("random", ratio=0.7), repeats=3, seed=0)
         for w in (1, workers):
             with pytest.raises(EmptyTrainingSet, match=f"^no fit at seed {first}$"):
                 run_experiment(config, w)
@@ -686,7 +694,7 @@ class TestWorkers:
     def test_failure_in_a_child_carries_its_traceback(self, monkeypatch):
         monkeypatch.setattr(perfcast.experiments, "fit_model", fit_failing_at({1}))
         records, _, _ = synthetic_setup(30, seed=16)
-        config = poly_config(records, SplitSpec("random", ratio=0.7), repeats=2, seed=0)
+        config = gbt_config(records, SplitSpec("random", ratio=0.7), repeats=2, seed=0)
         with pytest.raises(EmptyTrainingSet, match="^no fit at seed 1$") as exc:
             run_experiment(config, 2)  # repeat 1 runs in the forked process
         assert "in fit_or_fail" in str(exc.value.__cause__)
@@ -701,7 +709,7 @@ class TestWorkers:
 
     def test_no_process_outlives_the_call(self, monkeypatch):
         records, _, _ = synthetic_setup(30, seed=17)
-        config = poly_config(records, SplitSpec("random", ratio=0.7), repeats=3, seed=0)
+        config = gbt_config(records, SplitSpec("random", ratio=0.7), repeats=3, seed=0)
         run_experiment(config, 3)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

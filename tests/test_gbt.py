@@ -14,6 +14,7 @@ from perfcast.regressors import (
     GbtModel,
     GbtParams,
     gbt_fit,
+    gbt_gain_totals,
     gbt_importance,
     gbt_predict,
     load_model,
@@ -268,8 +269,8 @@ class TestPredict:
     def test_zero_tree_model_returns_base(self):
         schema = build_schema(("proxy",), ["f0"])
         model = GbtModel(
-            base_score=7.5, eta=0.3, trees=[], feature_names=schema.columns,
-            fingerprint=schema.fingerprint(), params=GbtParams(),
+            base_score=7.5, trees=[], feature_names=schema.columns,
+            fingerprint=schema.fingerprint(), params=GbtParams(eta=0.3),
         )
         m = matrix_from([[1.0], [2.0]], [0.0, 0.0])
         np.testing.assert_array_equal(gbt_predict(model, m), [7.5, 7.5])
@@ -277,8 +278,8 @@ class TestPredict:
     def test_single_leaf_weight_scaled_by_eta(self):
         schema = build_schema(("proxy",), ["f0"])
         model = GbtModel(
-            base_score=1.0, eta=0.1, trees=[make_tree([(-1, 0.0, True, -1, -1, 5.0, 0.0)])],
-            feature_names=schema.columns, fingerprint=schema.fingerprint(), params=GbtParams(),
+            base_score=1.0, trees=[make_tree([(-1, 0.0, True, -1, -1, 5.0, 0.0)])],
+            feature_names=schema.columns, fingerprint=schema.fingerprint(), params=GbtParams(eta=0.1),
         )
         np.testing.assert_allclose(predict_rows(model, np.array([[0.0]])), [1.5])
 
@@ -398,6 +399,17 @@ class TestModelFileValidation:
         obj["format_version"] = 99
         rejects_model_file(path, obj, "format_version 99")
 
+    def test_format_1_rejected(self, saved):
+        path, obj = saved
+        # a format 1 file also held eta and the gain totals
+        obj.update(format_version=1, eta=obj["params"]["eta"], gain_totals=gbt_gain_totals(load_model(str(path))))
+        rejects_model_file(path, obj, r"unsupported format_version 1 \(expected 2\)")
+
+    def test_format_2_stores_no_derived_field(self, saved):
+        _, obj = saved
+        assert sorted(obj) == ["base_score", "feature_names", "fingerprint", "format_version", "kind", "params",
+                               "train_rmse", "trees"]
+
     @pytest.mark.parametrize("version", [True, 1.0])
     def test_format_version_of_another_type(self, saved, version):
         path, obj = saved
@@ -406,8 +418,8 @@ class TestModelFileValidation:
 
     def test_missing_key(self, saved):
         path, obj = saved
-        del obj["eta"]
-        rejects_model_file(path, obj, "eta")
+        del obj["base_score"]
+        rejects_model_file(path, obj, "base_score is missing")
 
     def test_non_object_model(self, saved):
         path, _ = saved
@@ -612,5 +624,5 @@ class TestGrowerProperties:
         model = gbt_fit(m, params)
         trees, gain_totals, train_rmse = oracle_gbt_fit(m, params)
         assert [tree.tobytes() for tree in model.trees] == [tree.tobytes() for tree in trees]
-        assert model.gain_totals == gain_totals
+        assert gbt_gain_totals(model) == gain_totals
         assert model.train_rmse == train_rmse

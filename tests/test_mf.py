@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfcast.errors import NotManyToMany, SchemaMismatch, UnknownLanguage
+from perfcast.errors import LengthMismatch, NotManyToMany, SchemaMismatch, UnknownLanguage
 from perfcast.records import DesignMatrix, FeatureSchema, build_schema
 from perfcast.regressors import (
     MfParams,
@@ -261,6 +261,15 @@ class TestPredict:
         pred = mf_predict(model, matrix, sources, targets)
         assert pred.tobytes() == np.array(expected).tobytes()
         assert [mf_predict_one(model, s, t, c) for s, t, c in zip(sources, targets, C)] == expected
+
+    def test_languages_of_another_length(self):
+        sources, targets, y = rank1_grid([1.0, 2.0, 3.0, 4.0], [1.0, 2.0])
+        m = context_matrix(y)
+        model = mf_fit(m, sources, targets, no_reg_params(iterations=10))
+        with pytest.raises(LengthMismatch, match="^8 design matrix rows, but 5 sources and 5 targets$"):
+            mf_predict(model, m, sources[:5], targets[:5])
+        with pytest.raises(LengthMismatch, match="8 sources and 9 targets"):
+            mf_predict(model, m, sources, targets + targets[:1])
 
     def test_schema_mismatch(self):
         sources = ["sa", "sa", "sb", "sb"]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from perfcast.errors import EmptyTrainingSet, SchemaMismatch
 from perfcast.records import build_schema
-from perfcast.regressors import PolyParams, load_model, poly_fit, poly_predict, save_model
+from perfcast.regressors import GbtParams, PolyParams, load_model, poly_fit, poly_predict, save_model, with_seed
 from perfcast.regressors.poly import PolyModel, _expand, expansion_terms, impute_and_standardize
 
 from conftest import assert_round_trip, rejects_model_file
@@ -33,19 +33,23 @@ class TestExpansion:
         n=st.integers(1, 40),
         d=st.integers(1, 6),
         degree=st.integers(1, 3),
-        shuffle=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_per_term_loop_to_the_bit(self, n, d, degree, shuffle, seed):
+    def test_matches_per_term_loop_to_the_bit(self, n, d, degree, seed):
         rng = np.random.default_rng(seed)
         Z = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
-        terms = expansion_terms(d, degree)
-        if shuffle:  # a loaded model's terms come in its file's order
-            terms = [terms[k] for k in rng.permutation(len(terms))]
-        assert _expand(Z, terms).tobytes() == oracle_expand(Z, terms).tobytes()
+        assert _expand(Z, degree).tobytes() == oracle_expand(Z, expansion_terms(d, degree)).tobytes()
 
 
 class TestFit:
+    def test_params_read_no_seed(self):
+        # a kind reads its seed iff its params class has a seed field
+        params = PolyParams(degree=1)
+        assert with_seed(params, 5) is params
+        assert with_seed(GbtParams(), 5).seed == 5
+        with pytest.raises(TypeError, match="seed"):
+            PolyParams(seed=0)
+
     def test_constant_targets(self):
         m = matrix_from(np.random.default_rng(0).normal(size=(20, 3)), np.full(20, 6.5))
         model = poly_fit(m, PolyParams(degree=2, alpha=0.1, l1_ratio=0.9))
@@ -135,7 +139,7 @@ class TestCoordinateDescentOracle:
         matrix, params = problem
         model = poly_fit(matrix, params)
         Xs, _, mean, std = impute_and_standardize(matrix.rows)
-        P = _expand((Xs - mean) / std, expansion_terms(Xs.shape[1], params.degree))
+        P = _expand((Xs - mean) / std, params.degree)
         intercept, coef, converged, sweeps, history = oracle_poly_cd(P, matrix.targets, params)
         assert (model.n_sweeps, model.converged) == (sweeps, converged)
         np.testing.assert_array_equal(np.flatnonzero(model.coef), np.flatnonzero(coef))
@@ -150,7 +154,7 @@ class TestCoordinateDescentOracle:
     def test_same_minimum_as_passes_over_every_coordinate(self, problem):
         matrix, params = problem
         Xs, _, mean, std = impute_and_standardize(matrix.rows)
-        P = _expand((Xs - mean) / std, expansion_terms(Xs.shape[1], params.degree))
+        P = _expand((Xs - mean) / std, params.degree)
         assert_same_minimum(P, matrix.targets, params)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -161,7 +165,7 @@ class TestCoordinateDescentOracle:
         X = rng.normal(size=(50, 5))
         y = X @ rng.normal(size=5) + X[:, 0] * X[:, 1] + rng.normal(size=50)
         Xs, _, mean, std = impute_and_standardize(X)
-        P = _expand((Xs - mean) / std, expansion_terms(5, 3))
+        P = _expand((Xs - mean) / std, 3)
         assert_same_minimum(P, y, PolyParams(degree=3, alpha=0.05, l1_ratio=l1_ratio, max_iterations=3000))
 
 
@@ -187,7 +191,6 @@ class TestPredict:
         schema = build_schema(("proxy",), ["f0"])
         model = PolyModel(
             params=PolyParams(degree=2),
-            terms=expansion_terms(1, 2),
             intercept=0.0,
             coef=np.array([0.0, 1.0]),  # x then x^2; coefficient only on x^2
             impute=np.zeros(1),
@@ -253,25 +256,16 @@ class TestModelFileValidation:
         save_model(poly_fit(m, PolyParams(degree=2, alpha=0.02)), str(path))
         return path, json.loads(path.read_text())
 
-    def test_term_index_outside_the_columns(self, saved):
-        path, obj = saved
-        obj["terms"][0] = [999]
-        rejects_model_file(path, obj, r"term \[999\] indexes a column outside \[0, 3\)")
-
-    def test_negative_term_index(self, saved):
-        path, obj = saved
-        obj["terms"][0] = [-1]
-        rejects_model_file(path, obj, r"term \[-1\]")
-
     def test_coef_and_terms_lengths_differ(self, saved):
         path, obj = saved
         obj["coef"].pop()
-        rejects_model_file(path, obj, "lengths differ.*coef")
+        rejects_model_file(path, obj, "coef has 8 entries, but degree 2 on 3 columns has 9 terms")
 
-    def test_empty_term(self, saved):
-        path, obj = saved
-        obj["terms"][0] = []
-        rejects_model_file(path, obj, r"terms\[0\] is empty")
+    def test_format_2_stores_no_terms_and_no_seed(self, saved):
+        _, obj = saved
+        assert sorted(obj) == ["coef", "converged", "fingerprint", "format_version", "impute", "intercept", "kind",
+                               "mean", "n_sweeps", "params", "std"]
+        assert "seed" not in obj["params"]
 
     def test_column_statistics_lengths_differ(self, saved):
         path, obj = saved
