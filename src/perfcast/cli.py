@@ -36,7 +36,7 @@ from .corpus import (
     read_corpus,
     write_feature_csv,
 )
-from .errors import ConfigError, DuplicateId, ParseError, PerfcastError, open_text
+from .errors import ConfigError, DuplicateId, ParseError, PerfcastError, TooFewRecords, open_text
 from .experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -46,6 +46,7 @@ from .experiments import (
 )
 from .fields import FIELD_TYPES, FieldType, from_json, read
 from .langdist import load_distance_table
+from .pool import map_jobs
 from .records import (
     FEATURE_GROUPS,
     PerformanceRecord,
@@ -307,7 +308,11 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) 
 # ---------------------------------------------------------------------------
 
 def _load_record_sources(run: _Run, paths: tuple[str, ...]) -> list[PerformanceRecord]:
-    """The records of every file, in order; an id that an earlier file gave is a DuplicateId naming both."""
+    """The records of every file, in order.
+
+    A file with no records is TooFewRecords, and an id that an earlier file
+    gave is a DuplicateId naming both.
+    """
     records: list[PerformanceRecord] = []
     sources: list[str] = []
     # record_id -> index of the file that gave it; load_records rejects a repeat within one file
@@ -315,7 +320,10 @@ def _load_record_sources(run: _Run, paths: tuple[str, ...]) -> list[PerformanceR
     for rel in paths:
         path = run.track(run.resolve(rel))
         sources.append(path)
-        for rec in load_records(path):
+        loaded = load_records(path)
+        if not loaded:
+            raise TooFewRecords(f"{path}: no records")
+        for rec in loaded:
             first = source_of.setdefault(rec.record_id, len(sources) - 1)
             if first != len(sources) - 1:
                 raise DuplicateId(f"{path}: duplicate record_id {rec.record_id!r}, first given in {sources[first]}")
@@ -419,28 +427,41 @@ def _result_json(result: ExperimentResult) -> dict:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _profile_corpus(job: tuple[str, list[str], str]):
+    """The profile of one corpora entry's (dataset_id, resolved paths, mode): each file read once."""
+    dataset_id, paths, mode = job
+    first, *rest = (read_corpus(path, mode) for path in paths)
+    return profile(dataset_id, sum(rest, first))  # no copy of a lone file's counts
+
+
+def _pair_features(profiles: dict, embeddings: dict, pair: tuple[str, str]):
+    """The feature block of one (train, test) pair of dataset_ids."""
+    train, test = pair
+    emb = (embeddings[train], embeddings[test]) if train in embeddings and test in embeddings else None
+    return dataset_features(profiles[train], profiles[test], emb)
+
+
 def _compute_feature_blocks(run: _Run, cfg: Config) -> list[tuple[str, str, object]]:
     """Profile the configured corpora, reading each file once, and compute one feature block per pair.
 
-    _check_command has checked that every pair names a corpora entry.
+    Every path is resolved and tracked here; the profiles, then the pair
+    blocks, are computed over --threads processes (perfcast.pool) and come
+    back in config order. _check_command has checked that every pair names
+    a corpora entry.
     """
-    profiles = {}
+    jobs = []
     for entry in cfg.corpora:
         rels = [entry.path] if entry.path is not None else [getattr(entry, name) for name in _SIDES[cfg.side]]
-        first, *rest = (read_corpus(run.track(run.resolve(rel)), entry.mode) for rel in rels)
-        profiles[entry.dataset_id] = profile(entry.dataset_id, sum(rest, first))  # no copy of a lone file's counts
+        jobs.append((entry.dataset_id, [run.track(run.resolve(rel)) for rel in rels], entry.mode))
+    profiles = dict(zip((entry.dataset_id for entry in cfg.corpora), map_jobs(_profile_corpus, jobs, run.threads)))
 
     embeddings = {}
     if cfg.embeddings is not None:
         embeddings = load_embeddings(run.track(run.resolve(cfg.embeddings)))
 
-    blocks = []
-    for pair in cfg.pairs:
-        emb = None
-        if pair.train in embeddings and pair.test in embeddings:
-            emb = (embeddings[pair.train], embeddings[pair.test])
-        blocks.append((pair.train, pair.test, dataset_features(profiles[pair.train], profiles[pair.test], emb)))
-    return blocks
+    pairs = [(pair.train, pair.test) for pair in cfg.pairs]
+    blocks = map_jobs(partial(_pair_features, profiles, embeddings), pairs, run.threads)
+    return [(train, test, block) for (train, test), block in zip(pairs, blocks)]
 
 
 def _cmd_features(run: _Run, cfg: Config) -> None:

@@ -9,20 +9,16 @@ units and CV folds select rows of it. Repeat r derives its seed as
 config.seed + r; that seed drives the split shuffle, the CV fold shuffle,
 and the regressor's own randomness, so reruns with identical config are
 bit-identical. The (repeat, split unit) jobs of an experiment run in up to
-`workers` forked processes, and their results merge in plan order, so the
-result is the same for every worker count.
+`workers` processes through perfcast.pool, and their results merge in plan
+order, so the result is the same for every worker count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import traceback
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +32,7 @@ from .errors import (
     TooFewRecords,
 )
 from .langdist import LanguageDistanceTable
+from .pool import map_jobs
 from .records import (
     DesignMatrix,
     FEATURE_GROUPS,
@@ -185,12 +182,18 @@ def kfold_cv(
     k: int,
     grid: Sequence[AnyParams],
     seed: int,
+    *,
+    folds: Sequence[np.ndarray] | None = None,
 ) -> CvResult:
-    """Seeded k-fold grid search; ties break to the earlier grid point."""
-    n = matrix.n
+    """Seeded k-fold grid search; ties break to the earlier grid point.
+
+    folds, when given, are the folds kfold_indices(matrix.n, k, seed) draws,
+    which the caller has drawn already.
+    """
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    folds = kfold_indices(n, k, seed)
+    if folds is None:
+        folds = kfold_indices(matrix.n, k, seed)
     splits = [
         (matrix.subset(np.concatenate([folds[j] for j in range(k) if j != i])), matrix.subset(folds[i]))
         for i in range(k)
@@ -318,30 +321,41 @@ def _plan(config: ExperimentConfig, records) -> list[tuple[int, list]]:
     return [(seed, units) for seed in seeds]
 
 
-def _check_plan_languages(config: ExperimentConfig, matrix: DesignMatrix, plan) -> None:
-    """Refuse, before any fit, a test side or CV fold the regressor could not predict from its training side."""
+def _jobs(config: ExperimentConfig, matrix: DesignMatrix, plan) -> list:
+    """One (repeat seed, label, train, test, CV folds) job per (repeat, split unit), in plan order.
+
+    The CV folds, index arrays into train, are drawn here once when the grid
+    has several points, and are None when it has one. Every test side and
+    CV fold the regressor could not predict from its training side is
+    refused here, before any fit.
+    """
     def pairs(idx):
         return [matrix.languages[j] for j in idx]
 
+    jobs = []
     for r, (seed_r, units) in enumerate(plan):
         for label, train, test in units:
             unit = f"repeat {r}" if label is None else f"repeat {r}, LOLO unit {label!r}"
             check_languages(config.grid[0], pairs(train), pairs(test), f"the test side of {unit}")
-            if len(config.grid) == 1:
-                continue
-            for i, fold in enumerate(kfold_indices(len(train), config.cv_folds, seed_r)):
-                check_languages(config.grid[0], pairs(np.delete(train, fold)), pairs(train[fold]), f"CV fold {i} of {unit}")
+            folds = None
+            if len(config.grid) > 1:
+                folds = kfold_indices(len(train), config.cv_folds, seed_r)
+                for i, fold in enumerate(folds):
+                    check_languages(config.grid[0], pairs(np.delete(train, fold)), pairs(train[fold]),
+                                    f"CV fold {i} of {unit}")
+            jobs.append((seed_r, label, train, test, folds))
+    return jobs
 
 
-def _run_unit(config: ExperimentConfig, matrix: DesignMatrix, job) -> _UnitResult:
-    """One (repeat seed, label, train, test) job: CV when the grid has several points, the refit, the test predict."""
-    seed, label, train, test = job
+def _run_unit(grid: list[AnyParams], matrix: DesignMatrix, job) -> _UnitResult:
+    """One (repeat seed, label, train, test, CV folds) job: CV when there are folds, the refit, the test predict."""
+    seed, label, train, test, folds = job
     m_train, m_test = matrix.subset(train), matrix.subset(test)
     scores = None
-    if len(config.grid) == 1:
-        best = config.grid[0]
+    if folds is None:
+        best = grid[0]
     else:
-        cv = kfold_cv(m_train, config.cv_folds, config.grid, seed)
+        cv = kfold_cv(m_train, len(folds), grid, seed, folds=folds)
         best, scores = cv.best_params, cv.scores
     model = fit_model(with_seed(best, seed), m_train)
     pred = predict_model(model, m_test)
@@ -354,109 +368,6 @@ def _run_unit(config: ExperimentConfig, matrix: DesignMatrix, job) -> _UnitResul
     )
 
 
-def _worker_count(workers: int, n_jobs: int) -> int:
-    """workers, or one per CPU this process may run on when it is 0, at most n_jobs."""
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    if workers == 0:
-        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(workers, n_jobs))
-
-
-def _run_share(fn: Callable, jobs: list, start: int, step: int):
-    """Run jobs start, start + step, ... in order and stop at the first that raises.
-
-    Returns ([(job index, result)], (job index, exception) or None): a later
-    job's outcome cannot matter once an earlier one has failed.
-    """
-    done = []
-    for i in range(start, len(jobs), step):
-        try:
-            done.append((i, fn(jobs[i])))
-        except Exception as exc:  # _map_jobs raises the earliest failure in plan order
-            return done, (i, exc)
-    return done, None
-
-
-class _RemoteTraceback(Exception):
-    """The formatted traceback of a job that failed in a worker process, set as the exception's __cause__.
-
-    concurrent.futures passes a worker's traceback on the same way.
-    """
-
-
-def _child(fn: Callable, jobs: list, start: int, step: int, write_fd: int) -> None:
-    """Run a forked process's share of the jobs, pickle the outcome into write_fd, and end the process.
-
-    A failure travels as (job index, exception, its formatted traceback),
-    since pickling an exception drops its traceback.
-    """
-    status = 1
-    try:
-        done, failure = _run_share(fn, jobs, start, step)
-        if failure is not None:
-            failure = (*failure, "".join(traceback.format_exception(failure[1])))
-        with open(write_fd, "wb") as fh:
-            fh.write(pickle.dumps((done, failure)))
-        status = 0
-    finally:
-        # never return into the caller's stack; skip atexit handlers and the
-        # flush of the stdio buffers this process inherited, which would repeat their text
-        os._exit(status)
-
-
-def _map_jobs(fn: Callable, jobs: list, workers: int) -> list:
-    """[fn(job) for job in jobs], with job i run in process i mod W, where W = min(workers, len(jobs)).
-
-    The caller is process 0 and runs its own jobs in place. Each other
-    process is forked here, inheriting fn's arguments, and pickles its
-    results, or the exception its first failing job raised, into a pipe.
-    Without os.fork W is 1, and the caller runs every job. When jobs fail,
-    the exception of the earliest in plan order is raised, as the serial
-    loop would raise it; one raised in a child carries the child's traceback
-    as its __cause__. Every child is reaped before this returns or raises.
-    """
-    w = _worker_count(workers, len(jobs)) if hasattr(os, "fork") else 1
-    children = []  # (pid, read end of its pipe) of each child not yet reaped
-    try:
-        for start in range(1, w):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _child(fn, jobs, start, w, write_fd)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
-        done, failure = _run_share(fn, jobs, 0, w)
-        failures = [failure] if failure is not None else []
-        while children:
-            pid, fh = children[0]
-            payload = fh.read()  # to EOF before waitpid: a payload can outgrow the pipe buffer
-            fh.close()
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
-            if status != 0:
-                raise ChildProcessError(f"worker process {pid} ended without its results (wait status {status})")
-            child_done, child_failure = pickle.loads(payload)  # bytes this function's own child wrote
-            done += child_done
-            if child_failure is not None:
-                i, exc, tb = child_failure
-                exc.__cause__ = _RemoteTraceback(tb)
-                failures.append((i, exc))
-    finally:
-        for pid, fh in children:  # left by an error or an interrupt in the caller
-            fh.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return [result for _, result in sorted(done, key=lambda d: d[0])]
-
-
 def run_experiment(config: ExperimentConfig, workers: int = 0) -> ExperimentResult:
     """Repeat the full select-fit-evaluate protocol and aggregate test RMSE.
 
@@ -465,14 +376,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 0) -> ExperimentResu
     array into it. Every repeat's split units and CV folds are drawn, and
     checked for languages the regressor could not predict, before the first
     fit; split units that do not read the seed (all but a random split's)
-    are drawn once and shared by the repeats. Each (repeat, split unit) is
+    are drawn once and shared by the repeats, and each unit's CV folds are
+    drawn once per repeat, for the check and the CV. Each (repeat, split unit) is
     one job: grid search with k-fold CV on the training side (skipped when
     the grid has one candidate), refit on the full training side with the
     repeat seed, and predict the test side.
 
     The jobs run in `workers` processes (0: one per CPU this process may run
-    on; never more than there are jobs): the caller and forked children,
-    see _map_jobs. Their results merge in plan order, so the result is the
+    on; never more than there are jobs): the caller and the forked workers
+    of perfcast.pool. Their results merge in plan order, so the result is the
     same, repr for repr, for every `workers` value, and so is the error
     raised when a job fails. LOLO pools the predictions of all per-language
     units before computing the repeat RMSE, each record once: a record on
@@ -489,9 +401,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 0) -> ExperimentResu
     matrix = build_design_matrix(
         rows, build_schema(config.feature_groups, roster), config.dataset_features, config.language_table,
     )
-    _check_plan_languages(config, matrix, plan)
-    jobs = [(seed, *unit) for seed, units in plan for unit in units]
-    results = iter(_map_jobs(partial(_run_unit, config, matrix), jobs, workers))
+    jobs = _jobs(config, matrix, plan)
+    results = iter(map_jobs(partial(_run_unit, config.grid, matrix), jobs, workers))
 
     per_repeat: list[float] = []
     for _, units in plan:

@@ -110,6 +110,14 @@ def read(annotation: str, value, where: str):
         raise ValueError(f"{where}: {exc}") from exc
 
 
+def check_keys(cls, obj: dict) -> None:
+    """Raise ValueError naming the first key of obj that names no field of the dataclass cls."""
+    names = {f.name for f in fields(cls)}
+    unknown = [key for key in obj if key not in names]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+
+
 def from_json(cls, obj):
     """An instance of the dataclass cls whose fields are read from the JSON object obj.
 
@@ -120,10 +128,7 @@ def from_json(cls, obj):
     """
     if not isinstance(obj, dict):
         raise ValueError(f"a {cls.__name__} must be a JSON object, not {obj!r}")
-    names = {f.name for f in fields(cls)}
-    unknown = [key for key in obj if key not in names]
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}")
+    check_keys(cls, obj)
     values = {}
     for f in fields(cls):
         if f.name in obj:

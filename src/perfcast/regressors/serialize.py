@@ -23,12 +23,13 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import asdict, fields, is_dataclass
+from functools import partial
 from typing import Any
 
 import numpy as np
 
 from ..errors import ParseError, open_text
-from ..fields import FIELD_TYPES, FieldType, from_json
+from ..fields import FIELD_TYPES, FieldType, check_keys, from_json
 from .gbt import NODE_DTYPE, GbtModel, GbtParams, make_tree
 from .mf import MfModel, MfParams
 from .poly import PolyModel, PolyParams, term_count
@@ -116,12 +117,18 @@ def _load_tree(nodes: list) -> np.recarray:
     return tree
 
 
+def _params(cls, value: dict):
+    """A params object of class cls, built by cls from a JSON object; a key cls has no field for is a ValueError."""
+    check_keys(cls, value)
+    return cls(**value)
+
+
 # The field table sits below the regressors, so the annotations only models
 # use are added to it here: a params object, built by its own class (which
 # checks its fields against the table) so that {"eta": 1} keeps its bytes,
 # and trees, each built by _load_tree.
 FIELD_TYPES.update({
-    params_cls.__name__: FieldType(lambda value: isinstance(value, dict), lambda value, cls=params_cls: cls(**value))
+    params_cls.__name__: FieldType(lambda value: isinstance(value, dict), partial(_params, params_cls))
     for params_cls, _ in KINDS.values()
 })
 FIELD_TYPES["np.recarray"] = FieldType(lambda value: isinstance(value, list), _load_tree)

@@ -13,11 +13,21 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from perfcast import pool
 from perfcast.corpus import DatasetFeatureBlock
 from perfcast.errors import ParseError
 from perfcast.langdist import DISTANCE_KINDS, LanguageDistanceTable
 from perfcast.records import PerformanceRecord
 from perfcast.regressors import load_model, save_model
+
+
+@pytest.fixture(autouse=True)
+def fresh_pool():
+    """End the worker processes around each test, so that a test forks its own after its monkeypatches."""
+    pool.close()
+    yield
+    pool.close()
+
 
 LANGS = ("aar", "bel", "ces", "dan", "ewe", "fij", "gla", "hau")
 

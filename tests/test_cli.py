@@ -132,13 +132,33 @@ class TestFeaturesCommand:
             "corpora": [{"dataset_id": name, "path": f"{name}.txt"} for name in "abc"],
             "pairs": [{"train": tr, "test": te} for tr in "abc" for te in "abc"],
         })
-        assert main(["features", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        # --threads 1: the counters above see the calls the caller makes, not a worker's
+        assert main(["features", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"]) == 0
         assert sorted(reads) == ["a.txt", "b.txt", "c.txt"]
         assert profiled == ["a", "b", "c"]  # nine pairs, three profiles
         blocks = load_feature_csv(str(tmp_path / "out" / "features.csv"))
         texts = {name: [tokenize(line) for line in (tmp_path / f"{name}.txt").read_text().splitlines()] for name in "abc"}
         for (tr, te), block in blocks.items():
             assert block.jsd == jsd(token_distribution(profile(tr, texts[tr])), token_distribution(profile(te, texts[te])))
+
+    @pytest.mark.parametrize("bad", [None, b"", b"ok\n\xff\n"], ids=["none", "empty", "not_utf8"])
+    def test_same_output_for_every_thread_count(self, tmp_path, capsys, bad):
+        # the last corpus is profiled in a worker at --threads 3
+        for name in "abc":
+            (tmp_path / f"{name}.txt").write_text(f"{name} shared words\nmore {name} text\n")
+        if bad is not None:
+            (tmp_path / "c.txt").write_bytes(bad)
+        cfg = write_json(tmp_path / "features.json", {
+            "corpora": [{"dataset_id": name, "path": f"{name}.txt"} for name in "abc"],
+            "pairs": [{"train": tr, "test": te} for tr in "abc" for te in "abc"],
+        })
+        outcomes = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"out{threads}"
+            code = main(["features", "--config", cfg, "--out", str(out), "--threads", threads])
+            outcomes.append((code, dir_bytes(out), capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (0 if bad is None else 1)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(feature_runs())
@@ -302,9 +322,7 @@ class TestConfigShape:
         out = tmp_path / "out"
         assert main(["experiment", "--config", cfg, "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ConfigError"
-        assert err["message"].startswith(f"{cfg}: {where}: ")
-        assert "unexpected keyword argument 'seed'" in err["message"]
+        assert (err["error"], err["message"]) == ("ConfigError", f"{cfg}: {where}: unknown key 'seed'")
         assert not out.exists()
 
     @pytest.mark.parametrize("extra", [
@@ -374,7 +392,10 @@ class TestConfigShape:
         ({"split": {"kind": "lolo", "held_out_langauge": "aar"}}, "split: unknown key 'held_out_langauge'"),
         ({"corpora": [{"dataset_id": "a", "pth": "a.txt"}]}, "corpora[0]: unknown key 'pth'"),
         ({"pairs": [{"train": "a", "tset": "b"}]}, "pairs[0]: unknown key 'tset'"),
-    ], ids=["repeats", "held_out_language", "corpus_path", "pair_test"])
+        ({"params": {"n_estimators": 8, "max_dpeth": 2}}, "params: unknown key 'max_dpeth'"),
+        ({"params": None, "regressor": "mf", "grid": [{}, {"latent_dim": 2, "iters": 5}]},
+         "grid[1]: unknown key 'iters'"),
+    ], ids=["repeats", "held_out_language", "corpus_path", "pair_test", "gbt_params", "mf_grid"])
     def test_misspelt_key(self, tmp_path, capsys, extra, match):
         cfg = write_experiment_fixture(tmp_path, config_extra=extra)
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -590,6 +611,21 @@ class TestExperimentCommand:
         repeated = records[0 if twice else 3].record_id
         message = f"{tmp_path / second}: duplicate record_id {repeated!r}, first given in {tmp_path / 'one.csv'}"
         assert (err["error"], err["message"]) == ("DuplicateId", message)
+
+    @pytest.mark.parametrize("key", ["records", "test_records"])
+    def test_records_file_without_records_named(self, tmp_path, capsys, key):
+        records, _, _ = synthetic_setup(12, seed=4)
+        save_records(records, str(tmp_path / "full.csv"))
+        save_records([], str(tmp_path / "empty.csv"))
+        # a header-only file after a full one, or alone
+        empty = {"records": ["full.csv", "empty.csv"], "test_records": "empty.csv"}[key]
+        cfg = write_json(tmp_path / "c.json", {
+            "records": "full.csv", "test_records": "full.csv", "feature_groups": ["proxy"], "regressor": "poly",
+            "split": {"kind": "cross_dataset"}, "repeats": 1, key: empty,
+        })
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == ("TooFewRecords", f"{tmp_path / 'empty.csv'}: no records")
 
     def test_lolo_split(self, tmp_path):
         cfg = write_experiment_fixture(tmp_path, config_extra={

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perfcast.errors
+from perfcast import pool
 from perfcast.errors import (
     DegenerateSplit,
     EmptyInput,
@@ -401,6 +402,16 @@ class TestRunExperiment:
         return ExperimentConfig(records=records, grid=grid, split=SplitSpec("random", ratio=0.7),
                                 feature_groups=("proxy",), seed=seed, **kw)
 
+    def test_each_units_cv_folds_drawn_once(self, monkeypatch):
+        draws = []
+        draw = perfcast.experiments.kfold_indices
+        monkeypatch.setattr(perfcast.experiments, "kfold_indices", lambda *args: draws.append(args) or draw(*args))
+        records, _, _ = synthetic_setup(40, seed=5)
+        config = ExperimentConfig(records=records, grid=[PolyParams(degree=1, alpha=0.1), PolyParams(degree=1)],
+                                  split=SplitSpec("lolo"), feature_groups=("proxy",), repeats=2, cv_folds=3, seed=1)
+        run_experiment(config, 1)
+        assert len(draws) == 2 * 5  # one per (repeat, LOLO unit), for the language check and the CV
+
     @pytest.mark.parametrize("seed", range(4))
     def test_mf_unseen_language_in_cv_fold_refused_before_any_fit(self, seed, monkeypatch):
         grid = [MfParams(latent_dim=1, iterations=2), MfParams(latent_dim=2, iterations=2)]
@@ -667,7 +678,7 @@ def all_subclasses(cls):
 
 
 class TestWorkers:
-    """(repeat, split unit) jobs over forked processes: the serial loop's result or error, and no process left."""
+    """(repeat, split unit) jobs over the worker pool: the serial loop's result or error, and workers that end."""
 
     @pytest.mark.parametrize("regressor", ["gbt", "poly", "mf"])
     @pytest.mark.parametrize("kind", ["random", "lolo", "unseen", "cross_dataset"])
@@ -707,22 +718,36 @@ class TestWorkers:
         back = pickle.loads(pickle.dumps(exc))
         assert (type(back), str(back), vars(back)) == (error, str(exc), vars(exc))
 
-    def test_no_process_outlives_the_call(self, monkeypatch):
+    def test_workers_stay_idle_until_close_or_an_interrupt(self, monkeypatch):
         records, _, _ = synthetic_setup(30, seed=17)
         config = gbt_config(records, SplitSpec("random", ratio=0.7), repeats=3, seed=0)
+
+        def idle_workers():
+            pids = [worker.pid for worker in pool._workers]
+            assert [os.waitpid(pid, os.WNOHANG) for pid in pids] == [(0, 0)] * len(pids)
+            return pids
+
         run_experiment(config, 3)
+        assert len(idle_workers()) == 2
+        pool.close()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        # set before the next map forks, so job 2 fails in worker 2
         monkeypatch.setattr(perfcast.experiments, "fit_model", fit_failing_at({2}))
         with pytest.raises(EmptyTrainingSet):
             run_experiment(config, 3)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        pids = idle_workers()
+        assert len(pids) == 2
+        with pytest.raises(EmptyTrainingSet):
+            run_experiment(config, 3)
+        assert idle_workers() == pids  # the same workers ran the second map
+        # job 0 runs in the caller, which sees this patch
         monkeypatch.setattr(perfcast.experiments, "fit_model", fit_failing_at({0}, KeyboardInterrupt))
         with pytest.raises(KeyboardInterrupt):
             run_experiment(config, 3)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert pool._workers == []
 
     def test_unflushed_stdout_written_once(self, capfd):
         records, _, _ = synthetic_setup(30, seed=18)
