@@ -41,6 +41,7 @@ from .experiments import (
     ExperimentConfig,
     ExperimentResult,
     SplitSpec,
+    check_protocol,
     run_ablation,
     run_experiment,
 )
@@ -48,7 +49,6 @@ from .fields import FIELD_TYPES, FieldType, from_json, read
 from .langdist import load_distance_table
 from .pool import map_jobs
 from .records import (
-    FEATURE_GROUPS,
     PerformanceRecord,
     build_design_matrix,
     build_schema,
@@ -162,29 +162,14 @@ class Config:
                 for name in _SIDES[self.side]:
                     if getattr(entry, name) is None:
                         raise ValueError(f"corpora[{i}]: {name} is missing")
-        if not self.feature_groups:
-            raise ValueError("feature_groups: at least one feature group must be enabled")
-        subsets = [("feature_groups", self.feature_groups)]
-        subsets += [(f"group_sets[{i}]", subset) for i, subset in enumerate(self.group_sets or ())]
-        for where, subset in subsets:
-            if not subset:
-                raise ValueError(f"{where}: feature-group subsets must be non-empty")
-            for group in subset:
-                if group not in FEATURE_GROUPS:
-                    raise ValueError(f"{where}: unknown feature group {group!r}")
         if self.regressor not in KINDS:
             raise ValueError(f"unknown regressor kind {self.regressor!r}")
-        if self.grid == []:
-            raise ValueError("grid: needs at least one hyperparameter set")
-        if self.repeats < 1:
-            raise ValueError(f"'repeats' must be >= 1, not {self.repeats!r}")
-        if self.cv_folds < 2:
-            raise ValueError(f"'cv_folds' must be >= 2, not {self.cv_folds!r}")
         if not 0 < self.lowess_frac <= 1:
             raise ValueError(f"'lowess_frac' must be a number in (0, 1], not {self.lowess_frac!r}")
         if self.report_format not in ("markdown", "csv"):
             raise ValueError(f"'report_format' must be 'markdown' or 'csv', not {self.report_format!r}")
-        self.candidates()  # a params or grid entry its class rejects, or a preset of another kind
+        # candidates() refuses a params or grid entry its class rejects, or a preset of another kind
+        check_protocol(self.candidates(), self, self.group_sets or ())
 
     def candidates(self) -> list[AnyParams]:
         """The hyperparameter sets to search: the grid, else params, else the preset, else the defaults.
@@ -246,8 +231,6 @@ def _check_command(path: str, command: str, cfg: Config) -> None:
                           " nor 'corpora'+'pairs' given")
     if matrix and "language" in cfg.feature_groups and cfg.language_distances is None:
         raise ConfigError(f"{path}: language feature group enabled but no 'language_distances' path given")
-    if command in ("experiment", "ablate") and cfg.split.kind == "cross_dataset" and not cfg.test_records:
-        raise ConfigError(f"{path}: a cross_dataset split needs 'test_records'")
     if command == "train" and len(cfg.candidates()) != 1:
         raise ConfigError(f"{path}: train expects exactly one hyperparameter set (preset or params)")
 

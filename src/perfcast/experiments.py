@@ -165,16 +165,8 @@ def kfold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
         raise ValueError("cv_folds must be >= 2")
     if n < k:
         raise TooFewRecords(f"need >= {k} records for {k}-fold CV, got {n}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    base, extra = divmod(n, k)
-    folds: list[np.ndarray] = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(perm[start:start + size])
-        start += size
-    return folds
+    # array_split gives the first n % k folds one index more than the rest
+    return np.array_split(np.random.default_rng(seed).permutation(n), k)
 
 
 def kfold_cv(
@@ -249,22 +241,38 @@ class ExperimentConfig:
     test_records: list[PerformanceRecord] | None = None
 
     def validate(self) -> None:
-        if not self.grid:
-            raise ValueError("config needs at least one hyperparameter candidate")
-        kinds = {params_kind(p) for p in self.grid}
-        if len(kinds) != 1:
-            raise ValueError(f"grid mixes regressor kinds: {sorted(kinds)}")
-        if not self.feature_groups:
-            raise ValueError("at least one feature group must be enabled")
-        for g in self.feature_groups:
-            if g not in FEATURE_GROUPS:
-                raise ValueError(f"unknown feature group {g!r}")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        if self.cv_folds < 2:
-            raise ValueError("cv_folds must be >= 2")
-        if self.split.kind == "cross_dataset" and self.test_records is None:
-            raise ValueError("cross_dataset split requires test_records")
+        check_protocol(self.grid, self)
+
+
+def check_protocol(grid: Sequence[AnyParams], settings, group_sets: Sequence[Sequence[str]] = ()) -> None:
+    """Raise ValueError naming the first setting of the protocol no experiment can run.
+
+    settings is an ExperimentConfig or the CLI's config: its split,
+    feature_groups, repeats, cv_folds and test_records are read; grid is the
+    hyperparameter candidates, and group_sets an ablation's feature-group
+    subsets. The library and the CLI refuse the same settings with the same
+    message, which the CLI prints after the config path.
+    """
+    if not grid:
+        raise ValueError("grid: needs at least one hyperparameter set")
+    kinds = sorted({params_kind(p) for p in grid})
+    if len(kinds) > 1:
+        raise ValueError(f"grid: mixes regressor kinds {kinds}")
+    if not settings.feature_groups:
+        raise ValueError("feature_groups: at least one feature group must be enabled")
+    for where, subset in [("feature_groups", settings.feature_groups),
+                          *((f"group_sets[{i}]", s) for i, s in enumerate(group_sets))]:
+        if not subset:
+            raise ValueError(f"{where}: feature-group subsets must be non-empty")
+        for group in subset:
+            if group not in FEATURE_GROUPS:
+                raise ValueError(f"{where}: unknown feature group {group!r}")
+    if settings.repeats < 1:
+        raise ValueError(f"'repeats' must be >= 1, not {settings.repeats!r}")
+    if settings.cv_folds < 2:
+        raise ValueError(f"'cv_folds' must be >= 2, not {settings.cv_folds!r}")
+    if settings.split.kind == "cross_dataset" and not settings.test_records:
+        raise ValueError("a cross_dataset split needs 'test_records'")
 
 
 @dataclass
@@ -448,12 +456,10 @@ def run_ablation(
     group_sets: Sequence[Sequence[str]] | None = None,
     workers: int = 0,
 ) -> dict[tuple[str, ...], ExperimentResult]:
-    """run_experiment once per feature-group subset, identical seeds and `workers` throughout."""
+    """run_experiment once per feature-group subset, identical seeds and `workers` throughout.
+
+    Every subset is checked, with the rest of the config, before the first fit.
+    """
     sets = tuple(tuple(s) for s in (group_sets if group_sets is not None else DEFAULT_ABLATION_SETS))
-    for s in sets:
-        if not s:
-            raise ValueError("feature-group subsets must be non-empty")
-    results: dict[tuple[str, ...], ExperimentResult] = {}
-    for s in sets:
-        results[s] = run_experiment(replace(config, feature_groups=s), workers)
-    return results
+    check_protocol(config.grid, config, sets)
+    return {s: run_experiment(replace(config, feature_groups=s), workers) for s in sets}

@@ -64,12 +64,10 @@ FIELD_TYPES: dict[str, FieldType] = {
     "list[float]": FieldType(_is_list, list, "float"),
     "list[dict]": FieldType(_is_list, list, "dict"),
     "tuple[float, ...]": FieldType(_is_list, tuple, "float"),
-    "tuple[int, ...]": FieldType(_is_list, tuple, "int"),
     "tuple[str, ...]": FieldType(_is_list, tuple, "str"),
     # a path or a list of paths, read as a tuple of paths
     "str | tuple[str, ...]": FieldType(lambda value: isinstance(value, (str, list)),
                                        lambda value: (value,) if isinstance(value, str) else tuple(value), "str"),
-    "list[tuple[int, ...]]": FieldType(_is_list, list, "tuple[int, ...]"),
     "list[tuple[str, ...]]": FieldType(_is_list, list, "tuple[str, ...]"),
     "np.ndarray": FieldType(_is_list, lambda items: np.array(items, dtype=np.float64), "float"),
     "dict[str, float]": FieldType(_is_object, dict, "float"),

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from perfcast.corpus import (
     tokenize,
     write_feature_csv,
 )
+from perfcast.experiments import ExperimentConfig, SplitSpec
 from perfcast.langdist import save_distance_table
 from perfcast.records import build_schema, proxy_roster, save_records
+from perfcast.regressors import GbtParams
 
 from conftest import synthetic_setup
 from oracles import oracle_dataset_features, oracle_read_corpus
@@ -254,7 +257,7 @@ class TestConfigShape:
 
     def test_train_rejects_a_pair_of_unknown_corpus_before_any_file(self, tmp_path, capsys):
         # dataset features come from the corpora when no dataset_features CSV is given
-        obj = json.loads(open(write_experiment_fixture(tmp_path)).read())
+        obj = json.loads(Path(write_experiment_fixture(tmp_path)).read_text())
         del obj["dataset_features"]
         cfg = write_json(tmp_path / "train.json", {**obj, "corpora": [{"dataset_id": "a", "path": "missing.txt"}],
                                                   "pairs": [{"train": "a", "test": "zz"}]})
@@ -286,7 +289,7 @@ class TestConfigShape:
          "train expects exactly one hyperparameter set (preset or params)"),
     ], ids=["records", "predict_model", "importance_model", "dataset_source", "language_source", "train_grid"])
     def test_command_needs_rejected_before_any_file(self, tmp_path, capsys, command, drop, extra, match):
-        obj = {**json.loads(open(write_experiment_fixture(tmp_path)).read()), **extra}
+        obj = {**json.loads(Path(write_experiment_fixture(tmp_path)).read_text()), **extra}
         cfg = write_json(tmp_path / "c.json", {k: v for k, v in obj.items() if k not in drop})
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
@@ -304,7 +307,7 @@ class TestConfigShape:
     ], ids=["no_repeats", "one_fold", "cross_dataset_without_test_records", "cross_dataset_empty_test_records",
             "empty_grid"])
     def test_experiment_settings_rejected_before_any_file(self, tmp_path, capsys, command, extra, match):
-        obj = {**json.loads(open(write_experiment_fixture(tmp_path)).read()), **extra}
+        obj = {**json.loads(Path(write_experiment_fixture(tmp_path)).read_text()), **extra}
         cfg = write_json(tmp_path / "c.json", {k: v for k, v in obj.items() if v is not None})
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
@@ -317,7 +320,7 @@ class TestConfigShape:
         ({"params": None, "grid": [{"degree": 1}, {"degree": 2, "seed": 0}]}, "grid[1]"),
     ], ids=["params", "grid"])
     def test_poly_params_have_no_seed(self, tmp_path, capsys, extra, where):
-        obj = {**json.loads(open(write_experiment_fixture(tmp_path)).read()), "regressor": "poly", **extra}
+        obj = {**json.loads(Path(write_experiment_fixture(tmp_path)).read_text()), "regressor": "poly", **extra}
         cfg = write_json(tmp_path / "c.json", {k: v for k, v in obj.items() if v is not None})
         out = tmp_path / "out"
         assert main(["experiment", "--config", cfg, "--out", str(out)]) == 1
@@ -332,7 +335,7 @@ class TestConfigShape:
          "corpora": [{"dataset_id": "a", "path": "missing.txt"}], "pairs": [{"train": "a", "test": "zz"}]},
     ], ids=["csv_corpora_without_pairs", "csv_unknown_corpus", "no_dataset_group"])
     def test_train_ignores_corpora_it_computes_no_features_from(self, tmp_path, extra):
-        obj = {**json.loads(open(write_experiment_fixture(tmp_path)).read()), **extra}
+        obj = {**json.loads(Path(write_experiment_fixture(tmp_path)).read_text()), **extra}
         cfg = write_json(tmp_path / "train.json", {k: v for k, v in obj.items() if v is not None})
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
@@ -349,7 +352,7 @@ class TestConfigShape:
     ], ids=["records_number", "records_list_number", "groups_number", "proxies_number", "regressor_list",
             "grid_number", "preset_list", "seed_float"])
     def test_train(self, tmp_path, capsys, extra, error, match):
-        obj = {**json.loads(open(write_experiment_fixture(tmp_path)).read()), **extra}
+        obj = {**json.loads(Path(write_experiment_fixture(tmp_path)).read_text()), **extra}
         cfg = write_json(tmp_path / "train.json", {k: v for k, v in obj.items() if v is not None})
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = json.loads(capsys.readouterr().err)
@@ -404,7 +407,7 @@ class TestConfigShape:
 
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_unknown_preset_message_is_plain(self, tmp_path, capsys, where):
-        obj = {**json.loads(open(write_experiment_fixture(tmp_path)).read()), "params": None}
+        obj = {**json.loads(Path(write_experiment_fixture(tmp_path)).read_text()), "params": None}
         if where == "config":
             obj["preset"] = "nope"
         cfg = write_json(tmp_path / "train.json", {k: v for k, v in obj.items() if v is not None})
@@ -813,6 +816,27 @@ def test_bad_feature_groups_rejected_before_any_file(tmp_path, capsys, feature_g
     assert err["error"] == "ConfigError"
     assert err["message"] == f"{cfg}: {match}"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra, library", [
+    ({"repeats": 0}, {"repeats": 0}),
+    ({"cv_folds": 1}, {"cv_folds": 1}),
+    ({"params": None, "grid": []}, {"grid": []}),
+    ({"feature_groups": []}, {"feature_groups": ()}),
+    ({"feature_groups": ["proxy", "lang"]}, {"feature_groups": ("proxy", "lang")}),
+    ({"split": {"kind": "cross_dataset"}}, {"split": SplitSpec("cross_dataset")}),
+    ({"split": {"kind": "cross_dataset"}, "test_records": []}, {"split": SplitSpec("cross_dataset"), "test_records": []}),
+], ids=["no_repeats", "one_fold", "empty_grid", "no_feature_groups", "unknown_feature_group",
+        "cross_dataset_without_test_records", "cross_dataset_empty_test_records"])
+def test_library_and_cli_refuse_a_setting_with_one_message(tmp_path, capsys, extra, library):
+    obj = {**json.loads(Path(write_experiment_fixture(tmp_path)).read_text()), **extra}
+    cfg = write_json(tmp_path / "c.json", {k: v for k, v in obj.items() if v is not None})
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    config = ExperimentConfig(**{"records": [], "grid": [GbtParams()], "split": SplitSpec("random", 0.7), **library})
+    with pytest.raises(ValueError) as exc:
+        config.validate()
+    assert err == {"error": "ConfigError", "message": f"{cfg}: {exc.value}"}
 
 
 class TestManifest:

@@ -482,12 +482,26 @@ class TestRunExperiment:
         result = run_experiment(poly_config(records, SplitSpec("lolo"), repeats=3, seed=0))
         assert len(calls) == 1 and len(result.per_repeat_rmse) == 3
 
+    @pytest.mark.parametrize("test_records", [None, []], ids=["none", "empty"])
+    def test_cross_dataset_without_test_records_refused_before_any_fit(self, monkeypatch, test_records):
+        fits = []
+        fit = perfcast.experiments.fit_model
+        monkeypatch.setattr(perfcast.experiments, "fit_model", lambda *a: fits.append(1) or fit(*a))
+        records, _, _ = synthetic_setup(20, seed=13)
+        config = poly_config(records, SplitSpec("cross_dataset"), repeats=1, test_records=test_records)
+        with pytest.raises(ValueError, match="a cross_dataset split needs 'test_records'"):
+            run_experiment(config, workers=1)
+        assert fits == []
+
     def test_validation(self):
         records, _, _ = synthetic_setup(10, seed=13)
         with pytest.raises(ValueError):
             poly_config(records, SplitSpec("random", ratio=0.7), repeats=0).validate()
         with pytest.raises(ValueError):
             poly_config(records, SplitSpec("random", ratio=0.7), cv_folds=1).validate()
+        with pytest.raises(ValueError) as exc:
+            poly_config(records, SplitSpec("random", ratio=0.7), grid=[PolyParams(), GbtParams()]).validate()
+        assert str(exc.value) == "grid: mixes regressor kinds ['gbt', 'poly']"
         with pytest.raises(ValueError):
             SplitSpec("random")  # missing ratio
         with pytest.raises(ValueError):
@@ -528,6 +542,21 @@ class TestAblation:
         )
         results = run_ablation(config, [("proxy",), ("language", "dataset")])
         assert results[("proxy",)].mean_rmse < results[("language", "dataset")].mean_rmse
+
+    def test_every_subset_checked_before_any_fit(self, monkeypatch):
+        fits = []
+        fit = perfcast.experiments.fit_model
+        monkeypatch.setattr(perfcast.experiments, "fit_model", lambda *a: fits.append(1) or fit(*a))
+        records, blocks, table = synthetic_setup(30, seed=3)
+        config = ExperimentConfig(
+            records=records, grid=[PolyParams(degree=1, alpha=0.1)],
+            split=SplitSpec("random", ratio=0.7), repeats=1, seed=5,
+            dataset_features=blocks, language_table=table,
+        )
+        with pytest.raises(ValueError) as exc:
+            run_ablation(config, [("proxy",), ("language", "dataset"), ("proxy", "lang")], workers=1)
+        assert str(exc.value) == "group_sets[2]: unknown feature group 'lang'"
+        assert fits == []
 
     def test_rejects_empty_subset(self):
         records, _, _ = synthetic_setup(10, seed=3)
