@@ -193,10 +193,8 @@ def kfold_cv(
 
     scores: list[float] = []
     for params in grid:
-        fold_rmse = [
-            rmse(predict_model(fit_model(with_seed(params, seed), train), val), val.targets)
-            for train, val in splits
-        ]
+        seeded = with_seed(params, seed)
+        fold_rmse = [rmse(predict_model(fit_model(seeded, train), val), val.targets) for train, val in splits]
         scores.append(float(np.mean(fold_rmse)))
 
     best = min(range(len(grid)), key=lambda i: (scores[i], i))

@@ -14,6 +14,9 @@ is coerced, and an absent optional key takes the field's default; the one
 leniency is a seen_by_estimated_model string, read like the CSV cell. Every
 record then has its task, corpus group, Joshi class and scores checked, and
 its id checked against the earlier lines'. Every error names file:line.
+Within one loaded file, equal cells of the string fields other than
+record_id, and equal JSONL proxy ids, are one shared str; strings are
+immutable, so only the memory a loaded file holds changes.
 """
 
 from __future__ import annotations
@@ -152,6 +155,13 @@ def _check_new_id(records: list[PerformanceRecord], lines: array, ids: set[str],
     ids.add(record_id)
 
 
+# The string fields whose values repeat from record to record. A loader keeps
+# one str per distinct value in a file and hands it to every record that
+# holds an equal value, so 8000 records with a few dozen distinct cells hold
+# a few dozen strings, not 64000. record_id is left out: ids are unique.
+_SHARED_FIELDS = ("task", "estimated_model", "train_dataset", "test_dataset", "src_lang", "tgt_lang",
+                  "metric_name", "corpus_group")
+
 _BOOLS = {"true": True, "1": True, "false": False, "0": False}
 
 
@@ -176,6 +186,8 @@ def load_records(path: str) -> list[PerformanceRecord]:
 def _load_records_csv(path: str) -> list[PerformanceRecord]:
     """One pass per row: unpack the cells, parse score, joshi_class, proxies and the boolean, then check."""
     records: list[PerformanceRecord] = []
+    shared: dict[str, str] = {}
+    share = shared.setdefault
     lines = array("l")
     ids: set[str] = set()
     bounds_of: dict[str, tuple[float, float]] = {}
@@ -218,9 +230,11 @@ def _load_records_csv(path: str) -> list[PerformanceRecord]:
                     if cell.strip():
                         raise ParseError(f"{path}:{lineno}: bad proxy score {cell.strip()!r}") from exc
                     proxies[proxy_id] = None
-            rec = PerformanceRecord(record_id, task, estimated_model, train_dataset, test_dataset, src_lang,
-                                    tgt_lang, metric_name, score, proxies, _parse_bool(seen, path, lineno),
-                                    corpus_group, joshi)
+            rec = PerformanceRecord(record_id, share(task, task), share(estimated_model, estimated_model),
+                                    share(train_dataset, train_dataset), share(test_dataset, test_dataset),
+                                    share(src_lang, src_lang), share(tgt_lang, tgt_lang),
+                                    share(metric_name, metric_name), score, proxies,
+                                    _parse_bool(seen, path, lineno), share(corpus_group, corpus_group), joshi)
             records.append(validate_record(rec, path, lineno, bounds_of))
             lines.append(lineno)
             _check_new_id(records, lines, ids, path)
@@ -233,6 +247,8 @@ def _load_records_jsonl(path: str) -> list[PerformanceRecord]:
     lines = array("l")
     ids: set[str] = set()
     bounds_of: dict[str, tuple[float, float]] = {}
+    shared: dict[str, str] = {}
+    share = shared.setdefault
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -240,9 +256,17 @@ def _load_records_jsonl(path: str) -> list[PerformanceRecord]:
                 continue
             try:
                 obj = json.loads(line)
-                seen = obj.get("seen_by_estimated_model") if isinstance(obj, dict) else None
-                if isinstance(seen, str):
-                    obj["seen_by_estimated_model"] = _parse_bool(seen, path, lineno)
+                if isinstance(obj, dict):
+                    seen = obj.get("seen_by_estimated_model")
+                    if isinstance(seen, str):
+                        obj["seen_by_estimated_model"] = _parse_bool(seen, path, lineno)
+                    for name in _SHARED_FIELDS:
+                        cell = obj.get(name)
+                        if isinstance(cell, str):
+                            obj[name] = share(cell, cell)
+                    proxies = obj.get("proxy_scores")
+                    if isinstance(proxies, dict):
+                        obj["proxy_scores"] = {share(key, key): value for key, value in proxies.items()}
                 rec = from_json(PerformanceRecord, obj)
             except ValueError as exc:  # json.JSONDecodeError is a ValueError
                 raise ParseError(f"{path}:{lineno}: bad record: {exc}") from exc
@@ -367,7 +391,7 @@ class DesignMatrix:
     rows: np.ndarray
     targets: np.ndarray
     row_ids: list[str]
-    languages: list[tuple[str, str]] | None = None  # (src_lang, tgt_lang) per row, for MF
+    languages: list[tuple[str, str]] | None = None  # (src_lang, tgt_lang) per row, for MF; equal pairs share a tuple
 
     @property
     def n(self) -> int:
@@ -397,7 +421,8 @@ def build_design_matrix(
     order, that needs it. The language block is resolved once per distinct
     (src_lang, tgt_lang) and the dataset block once per distinct
     (train_dataset, test_dataset); each record's row then copies them from a
-    table with one row per pair.
+    table with one row per pair. The matrix's languages hold one tuple per
+    distinct pair, which every row with that pair refers to.
     """
     n = len(records)
     rows = np.full((n, len(schema.columns)), np.nan, dtype=np.float64)
@@ -405,7 +430,8 @@ def build_design_matrix(
     lang_enabled = "language" in schema.groups
     data_enabled = "dataset" in schema.groups
 
-    # table row per distinct pair, the tables' rows, and each record's table row
+    # index per distinct pair, the tables' rows, and each record's index; the language
+    # pairs are indexed whether or not the block is enabled, as they fill languages
     lang_keys: dict[tuple[str, str], int] = {}
     data_keys: dict[tuple[str, str], int] = {}
     lang_table: list[list[float]] = []
@@ -413,12 +439,12 @@ def build_design_matrix(
     lang_of: list[int] = []
     data_of: list[int] = []
     for rec in records:
-        if lang_enabled:
-            key = (rec.src_lang, rec.tgt_lang)
-            if key not in lang_keys:
-                lang_keys[key] = len(lang_table)
+        key = (rec.src_lang, rec.tgt_lang)
+        if key not in lang_keys:
+            lang_keys[key] = len(lang_keys)
+            if lang_enabled:
                 lang_table.append(_language_row(rec, language_table))
-            lang_of.append(lang_keys[key])
+        lang_of.append(lang_keys[key])
         if data_enabled:
             key = (rec.train_dataset, rec.test_dataset)
             if key not in data_keys:
@@ -439,12 +465,13 @@ def build_design_matrix(
             scores = [rec.proxy_scores.get(proxy_id) for rec in records]
             rows[:, col_index[column]] = [np.nan if v is None else v for v in scores]
 
+    pairs = list(lang_keys)
     return DesignMatrix(
         schema=schema,
         rows=rows,
         targets=np.array([rec.score for rec in records], dtype=np.float64),
         row_ids=[rec.record_id for rec in records],
-        languages=[(rec.src_lang, rec.tgt_lang) for rec in records],
+        languages=[pairs[i] for i in lang_of],
     )
 
 

@@ -11,10 +11,12 @@ with nothing coerced, and any other key is an error; the params object is
 built by its own class, which checks its fields against the same table,
 and each tree by `_load_tree`.
 Checks that span fields follow: GBT node features within the feature
-names, one poly coefficient per term, equal lengths, MF factor shapes and
-bias languages. Floats survive the JSON round trip exactly (repr-based
-encoding), so a loaded model predicts bit-identically to the one that was
-saved. A file of another format_version, such as format 1, which also
+names, one GBT tree per params.n_estimators and one train_rmse entry per
+tree, one poly coefficient per term, equal lengths, MF factor shapes and
+bias languages. Every GBT and poly number must be finite, a train_rmse
+entry >= 0 and a poly std entry > 0; MF numbers are not checked yet.
+Floats survive the JSON round trip exactly (repr-based encoding), so a
+loaded model predicts bit-identically to the one that was saved. A file of another format_version, such as format 1, which also
 stored these derived fields, is rejected; retrain to replace it.
 """
 
@@ -141,17 +143,50 @@ def _same_lengths(**arrays) -> None:
         raise ParseError(f"lengths differ: {lengths}")
 
 
+# (what a value must be, the test of an array of values)
+_FINITE = ("finite", np.isfinite)
+_POSITIVE = ("finite and > 0", lambda values: np.isfinite(values) & (values > 0))
+_NON_NEGATIVE = ("finite and >= 0", lambda values: np.isfinite(values) & (values >= 0))
+
+
+def _require(name: str, value, rule: tuple = _FINITE) -> None:
+    """Raise ParseError naming the field, and the index of its first bad entry, unless every entry meets rule."""
+    what, test = rule
+    values = np.asarray(value, dtype=np.float64)
+    bad = np.flatnonzero(~test(values.reshape(-1)))
+    if bad.size:
+        i = int(bad[0])
+        where = name if values.ndim == 0 else f"{name}[{i}]"
+        raise ParseError(f"{where} must be {what}, not {float(values.reshape(-1)[i])!r}")
+
+
 def _check_across_fields(model: GbtModel | PolyModel | MfModel) -> None:
-    """Raise ParseError for fields of the right types that do not fit together."""
+    """Raise ParseError for fields of the right types that do not fit together or are not finite."""
     if isinstance(model, GbtModel):
+        _require("base_score", model.base_score)
+        if len(model.trees) != model.params.n_estimators:
+            raise ParseError(f"trees has {len(model.trees)} entries, but params.n_estimators is"
+                             f" {model.params.n_estimators}")
+        if len(model.train_rmse) != len(model.trees):
+            raise ParseError(f"train_rmse has {len(model.train_rmse)} entries, but there are {len(model.trees)} trees")
+        _require("train_rmse", model.train_rmse, _NON_NEGATIVE)
         n_features = len(model.feature_names)
         for t, tree in enumerate(model.trees):
             bad = np.flatnonzero(tree["feature"] >= n_features)
             if bad.size:
                 i = int(bad[0])
                 raise ParseError(f"trees[{t}]: node {i}: feature {tree['feature'][i]} outside [0, {n_features})")
+            for name in ("threshold", "weight", "gain"):
+                bad = np.flatnonzero(~np.isfinite(tree[name]))
+                if bad.size:
+                    i = int(bad[0])
+                    raise ParseError(f"trees[{t}]: node {i}: {name} must be finite, not {float(tree[name][i])!r}")
     elif isinstance(model, PolyModel):
         _same_lengths(impute=model.impute, mean=model.mean, std=model.std)
+        _require("intercept", model.intercept)
+        for name in ("coef", "impute", "mean"):
+            _require(name, getattr(model, name))
+        _require("std", model.std, _POSITIVE)
         n_terms = term_count(len(model.mean), model.params.degree)
         if len(model.coef) != n_terms:
             raise ParseError(f"coef has {len(model.coef)} entries, but degree {model.params.degree}"

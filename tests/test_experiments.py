@@ -227,6 +227,18 @@ class TestKfold:
         assert result.best_index == 0
         assert result.scores[0] == result.scores[1]
 
+    def test_seed_set_once_per_grid_point(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        m = matrix_from(rng.normal(size=(24, 2)), rng.normal(size=24))
+        grid = [GbtParams(n_estimators=2, max_depth=2), GbtParams(n_estimators=3, max_depth=1)]
+        seeded, fitted = [], []
+        with_seed, fit = perfcast.experiments.with_seed, perfcast.experiments.fit_model
+        monkeypatch.setattr(perfcast.experiments, "with_seed", lambda *a: seeded.append(a) or with_seed(*a))
+        monkeypatch.setattr(perfcast.experiments, "fit_model", lambda p, t: fitted.append(p) or fit(p, t))
+        kfold_cv(m, 4, grid, seed=7)
+        assert seeded == [(grid[0], 7), (grid[1], 7)]
+        assert fitted == [replace(grid[0], seed=7)] * 4 + [replace(grid[1], seed=7)] * 4
+
     def test_too_few_records(self):
         rng = np.random.default_rng(4)
         m = matrix_from(rng.normal(size=(5, 1)), rng.normal(size=5))

@@ -472,6 +472,37 @@ class TestModelFileValidation:
         obj["trees"][0] = []
         rejects_model_file(path, obj, "empty tree")
 
+    def test_non_finite_base_score(self, saved):
+        path, obj = saved
+        obj["base_score"] = float("nan")
+        rejects_model_file(path, obj, "base_score must be finite, not nan")
+
+    @pytest.mark.parametrize("trees, count", [([], 0), (None, 3)], ids=["none", "one_extra"])
+    def test_tree_count_other_than_n_estimators(self, saved, trees, count):
+        path, obj = saved
+        obj["trees"] = trees if trees is not None else obj["trees"] + obj["trees"][:1]
+        rejects_model_file(path, obj, f"trees has {count} entries, but params.n_estimators is 2")
+
+    def test_train_rmse_entry_per_tree(self, saved):
+        path, obj = saved
+        obj["train_rmse"] = [0.5]
+        rejects_model_file(path, obj, "train_rmse has 1 entries, but there are 2 trees")
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_bad_train_rmse(self, saved, value):
+        path, obj = saved
+        obj["train_rmse"][1] = value
+        rejects_model_file(path, obj, rf"train_rmse\[1\] must be finite and >= 0, not {value!r}")
+
+    @pytest.mark.parametrize("name, node, value", [
+        ("threshold", 0, float("inf")), ("weight", -1, float("nan")), ("gain", 0, float("-inf")),
+    ])
+    def test_non_finite_node_field(self, saved, name, node, value):
+        path, obj = saved
+        tree = obj["trees"][1]
+        tree[node][name] = value
+        rejects_model_file(path, obj, rf"trees\[1\]: node {node % len(tree)}: {name} must be finite, not {value!r}")
+
 
 @st.composite
 def forests(draw):

@@ -271,3 +271,20 @@ class TestModelFileValidation:
         path, obj = saved
         obj["std"].pop()
         rejects_model_file(path, obj, "lengths differ.*std")
+
+    def test_non_finite_intercept(self, saved):
+        path, obj = saved
+        obj["intercept"] = float("inf")
+        rejects_model_file(path, obj, "intercept must be finite, not inf")
+
+    @pytest.mark.parametrize("name", ["coef", "impute", "mean"])
+    def test_non_finite_entry(self, saved, name):
+        path, obj = saved
+        obj[name][1] = float("nan")
+        rejects_model_file(path, obj, rf"{name}\[1\] must be finite, not nan")
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+    def test_std_entry_not_finite_and_positive(self, saved, value):
+        path, obj = saved
+        obj["std"][2] = value
+        rejects_model_file(path, obj, rf"std\[2\] must be finite and > 0, not {value!r}")

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -188,6 +189,73 @@ class TestLoadSave:
             load_records(path)
 
 
+_CATEGORICAL = ("task", "estimated_model", "train_dataset", "test_dataset", "src_lang", "tgt_lang", "metric_name",
+                "corpus_group")
+
+
+class TestSharedCells:
+    """Within one loaded file, equal cells of the categorical fields are one str object."""
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_equal_cells_share_one_str(self, tmp_path, suffix):
+        path = str(tmp_path / f"records{suffix}")
+        records = [rec("r1"), rec("r2", score=12.5), rec("r3", tgt_lang="fra")]
+        if suffix == ".csv":
+            save_records(records, path)
+        else:
+            write_jsonl(records, path, ensure_ascii=True)
+        a, b, c = loaded = load_records(path)
+        assert loaded == records
+        for name in _CATEGORICAL:
+            assert getattr(a, name) is getattr(b, name), name
+        assert b.src_lang is c.src_lang and b.tgt_lang is not c.tgt_lang
+
+    def test_jsonl_proxy_ids_share_one_str(self, tmp_path):
+        path = str(tmp_path / "records.jsonl")
+        write_jsonl([rec("r1"), rec("r2")], path, ensure_ascii=True)
+        a, b = load_records(path)
+        for key_a, key_b in zip(a.proxy_scores, b.proxy_scores, strict=True):
+            assert key_a is key_b
+
+    def test_files_do_not_share(self, tmp_path):
+        first, second = str(tmp_path / "first.csv"), str(tmp_path / "second.csv")
+        save_records([rec("r1", estimated_model="large")], first)
+        save_records([rec("r1", estimated_model="large")], second)
+        (a,), (b,) = load_records(first), load_records(second)
+        assert a.estimated_model == b.estimated_model and a.estimated_model is not b.estimated_model
+
+    def test_loaded_record_memory_bound(self, tmp_path):
+        """2000 records of 14 columns, with the few distinct cells of a real table, keep at most 650 bytes each."""
+        rng = np.random.default_rng(3)
+        langs = ["deu", "fra", "spa", "jpn", "swh", "tam"]
+        datasets = [f"corpus{d}" for d in range(6)]
+        n = 2000
+        records = [
+            rec(f"cand{i:05d}", estimated_model="large", train_dataset=datasets[i % 6],
+                test_dataset=datasets[(i // 6) % 6], src_lang="eng", tgt_lang=langs[i % 5],
+                score=float(rng.uniform(0.0, 100.0)), seen_by_estimated_model=bool(i % 3),
+                proxy_scores={"medium": float(rng.uniform(0.0, 100.0)), "small": float(rng.uniform(0.0, 100.0))},
+                joshi_class=int(rng.integers(0, 6)))
+            for i in range(n)
+        ]
+        path = str(tmp_path / "candidates.csv")
+        save_records(records, path)
+        with open(path, newline="") as fh:
+            assert len(next(csv.reader(fh))) == 14
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_records(path)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert loaded == records
+        assert retained / n <= 650
+
+
 class TestAveraging:
     def test_mean(self):
         runs = [rec(f"r{i}", score=s, proxy_scores={"p0": s}) for i, s in enumerate((10.0, 12.0, 14.0))]
@@ -312,6 +380,14 @@ class TestDesignMatrix:
         sub = m.subset([4, 0, 2])
         assert sub.languages == [m.languages[i] for i in (4, 0, 2)]
         assert sub.row_ids == [m.row_ids[i] for i in (4, 0, 2)]
+
+    @pytest.mark.parametrize("groups", [("proxy",), ("language", "proxy")])
+    def test_equal_language_pairs_share_one_tuple(self, groups):
+        records, blocks, table = synthetic_setup(12, seed=9)  # target languages cycle with period 5
+        m = build_design_matrix(records, build_schema(groups, ["p0"]), blocks, table)
+        for matrix in (m, m.subset([10, 5, 7, 2, 0])):
+            equal = [(a, b) for a, b in itertools.combinations(matrix.languages, 2) if a == b]
+            assert equal and all(a is b for a, b in equal)
 
     def test_subset_without_language_pairs(self):
         m = build_design_matrix(synthetic_setup(3, seed=8)[0], build_schema(("proxy",), ["p0"]))
