@@ -246,9 +246,9 @@ def check_protocol(grid: Sequence[AnyParams], settings, group_sets: Sequence[Seq
     """Raise ValueError naming the first setting of the protocol no experiment can run.
 
     settings is an ExperimentConfig or the CLI's config: its split,
-    feature_groups, repeats, cv_folds and test_records are read; grid is the
-    hyperparameter candidates, and group_sets an ablation's feature-group
-    subsets. The library and the CLI refuse the same settings with the same
+    feature_groups, proxies, repeats, cv_folds and test_records are read;
+    grid is the hyperparameter candidates, and group_sets an ablation's
+    feature-group subsets. The library and the CLI refuse the same settings with the same
     message, which the CLI prints after the config path.
     """
     if not grid:
@@ -265,6 +265,8 @@ def check_protocol(grid: Sequence[AnyParams], settings, group_sets: Sequence[Seq
         for group in subset:
             if group not in FEATURE_GROUPS:
                 raise ValueError(f"{where}: unknown feature group {group!r}")
+        if "proxy" in subset and settings.proxies is not None and not settings.proxies:
+            raise ValueError(f"{where}: the proxy group is enabled, but 'proxies' is empty")
     if settings.repeats < 1:
         raise ValueError(f"'repeats' must be >= 1, not {settings.repeats!r}")
     if settings.cv_folds < 2:

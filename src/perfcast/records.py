@@ -22,7 +22,6 @@ immutable, so only the memory a loaded file holds changes.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 from array import array
@@ -33,7 +32,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import DATASET_FEATURE_COLUMNS, DatasetFeatureBlock
-from .errors import DuplicateId, KeyMismatch, MissingFeature, MissingPair, ParseError, RangeError, open_text
+from .errors import (
+    DuplicateId, KeyMismatch, MissingFeature, MissingPair, ParseError, RangeError, SchemaMismatch, open_text,
+)
 from .fields import from_json
 from .langdist import DISTANCE_KINDS, LanguageDistanceTable, language_features
 
@@ -354,9 +355,19 @@ class FeatureSchema:
         if len(set(self.columns)) != len(self.columns):
             raise ValueError("duplicate column names")
 
-    def fingerprint(self) -> str:
-        payload = ";".join(f"{c}|{g}" for c, g in zip(self.columns, self.groups))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    def check_columns(self, feature_names: tuple[str, ...]) -> None:
+        """Raise SchemaMismatch unless feature_names, a model's columns, are these columns.
+
+        The message names the first column that differs, or the two counts.
+        A model stores its columns only: build_schema fixes each column's
+        group from its name.
+        """
+        if self.columns == feature_names:
+            return
+        for j, (ours, theirs) in enumerate(zip(self.columns, feature_names)):
+            if ours != theirs:
+                raise SchemaMismatch(f"design matrix column {j} is {ours!r}, but the model's is {theirs!r}")
+        raise SchemaMismatch(f"the design matrix has {len(self.columns)} columns, but the model {len(feature_names)}")
 
 
 def build_schema(feature_groups: Sequence[str], proxies: Sequence[str] = ()) -> FeatureSchema:

@@ -31,12 +31,6 @@ def with_seed(params: AnyParams, seed: int) -> AnyParams:
     return replace(params, seed=seed) if hasattr(params, "seed") else params
 
 
-def _language_pairs(matrix: DesignMatrix) -> tuple[list[str], list[str]]:
-    if matrix.languages is None:
-        raise ValueError("matrix factorization requires per-record language pairs")
-    return [s for s, _ in matrix.languages], [t for _, t in matrix.languages]
-
-
 def check_languages(
     params: AnyParams,
     train_pairs: list[tuple[str, str]],
@@ -59,23 +53,15 @@ def check_languages(
             )
 
 
-# The solvers are looked up in this module's namespace at call time, so a
-# caller that rebinds e.g. `perfcast.regressors.gbt_fit` sees every fit.
+# Every solver is fit(matrix, params) and predict(model, matrix). The tables
+# are built on each call from this module's namespace, so a caller that
+# rebinds e.g. `perfcast.regressors.gbt_fit` sees every fit.
 def fit_model(params: AnyParams, matrix: DesignMatrix) -> AnyModel:
-    """Uniform fit entry point; MF reads the language pairs carried by the matrix."""
-    if isinstance(params, GbtParams):
-        return gbt_fit(matrix, params)
-    if isinstance(params, PolyParams):
-        return poly_fit(matrix, params)
-    return mf_fit(matrix, *_language_pairs(matrix), params)
+    return {GbtParams: gbt_fit, PolyParams: poly_fit, MfParams: mf_fit}[type(params)](matrix, params)
 
 
 def predict_model(model: AnyModel, matrix: DesignMatrix) -> np.ndarray:
-    if isinstance(model, GbtModel):
-        return gbt_predict(model, matrix)
-    if isinstance(model, PolyModel):
-        return poly_predict(model, matrix)
-    return mf_predict(model, matrix, *_language_pairs(matrix))
+    return {GbtModel: gbt_predict, PolyModel: poly_predict, MfModel: mf_predict}[type(model)](model, matrix)
 
 
 __all__ = [

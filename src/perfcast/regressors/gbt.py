@@ -106,7 +106,6 @@ class GbtModel:
     base_score: float
     trees: list[np.recarray]
     feature_names: tuple[str, ...]
-    fingerprint: str
     params: GbtParams
     train_rmse: list[float] = field(default_factory=list)
 
@@ -360,14 +359,13 @@ def gbt_fit(matrix: DesignMatrix, params: GbtParams) -> GbtModel:
         pred[leaf_rows] += params.eta * weights
         train_rmse.append(float(np.sqrt(np.mean((pred - y) ** 2))))
 
-    return GbtModel(base_score=base, trees=trees, feature_names=matrix.schema.columns,
-                    fingerprint=matrix.schema.fingerprint(), params=params, train_rmse=train_rmse)
+    return GbtModel(base_score=base, trees=trees, feature_names=matrix.schema.columns, params=params,
+                    train_rmse=train_rmse)
 
 
 def gbt_predict(model: GbtModel, matrix: DesignMatrix) -> np.ndarray:
     """base_score + eta * sum of routed leaf weights, missing cells following stored defaults."""
-    if matrix.schema.fingerprint() != model.fingerprint:
-        raise SchemaMismatch("design matrix schema does not match the fitted model")
+    matrix.schema.check_columns(model.feature_names)
     return predict_rows(model, matrix.rows)
 
 

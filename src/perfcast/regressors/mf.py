@@ -10,6 +10,7 @@ applies per-record updates with learning rate alpha / (1 + lr_decay * epoch),
 each parameter block regularized by its own beta. Requires genuinely
 two-dimensional records: at least two distinct sources and two distinct
 targets; English-centric data (one language pinned on a side) is rejected.
+Each row's (source, target) pair is the design matrix's `languages` entry.
 
 The SGD loop runs on Python floats, not numpy: an update touches vectors of
 latent_dim and context length (8 and about 18), where each numpy call would
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import LengthMismatch, NotManyToMany, SchemaMismatch, UnknownLanguage
+from ..errors import LengthMismatch, NotManyToMany, UnknownLanguage
 from ..fields import check_field_types
 from ..records import DesignMatrix
 from .poly import _apply_stats, impute_and_standardize
@@ -78,19 +79,20 @@ class MfModel:
     impute: np.ndarray
     mean: np.ndarray
     std: np.ndarray
-    fingerprint: str
+    feature_names: tuple[str, ...]
 
 
-def mf_fit(
-    matrix: DesignMatrix,
-    sources: Sequence[str],
-    targets: Sequence[str],
-    params: MfParams,
-) -> MfModel:
-    """Fit on records with language pairs; context rows come from the design matrix."""
+def _languages(matrix: DesignMatrix) -> tuple[list[str], list[str]]:
+    """The source and the target language of each row of the matrix."""
+    if matrix.languages is None:
+        raise ValueError("matrix factorization requires per-record language pairs")
+    return [s for s, _ in matrix.languages], [t for _, t in matrix.languages]
+
+
+def mf_fit(matrix: DesignMatrix, params: MfParams) -> MfModel:
+    """Fit on the matrix's language pairs, with its rows as the context."""
+    sources, targets = _languages(matrix)
     n = matrix.n
-    if n == 0 or len(sources) != n or len(targets) != n:
-        raise NotManyToMany("records, sources and targets must be non-empty and aligned")
     src_set = sorted(set(sources))
     tgt_set = sorted(set(targets))
     if len(src_set) < 2 or len(tgt_set) < 2:
@@ -157,7 +159,7 @@ def mf_fit(
         impute=impute,
         mean=mean,
         std=std,
-        fingerprint=matrix.schema.fingerprint(),
+        feature_names=matrix.schema.columns,
     )
 
 
@@ -188,17 +190,13 @@ def _evaluate(model: MfModel, sources: Sequence[str], targets: Sequence[str], C:
 
 def mf_predict_one(model: MfModel, source: str, target: str, context: np.ndarray) -> float:
     """Evaluate the model equation for one standardized context row."""
+    if context.size != len(model.theta):
+        raise LengthMismatch(f"the context has {context.size} cells, but the model {len(model.theta)} columns")
     return float(_evaluate(model, [source], [target], context.reshape(1, -1))[0])
 
 
-def mf_predict(
-    model: MfModel,
-    matrix: DesignMatrix,
-    sources: Sequence[str],
-    targets: Sequence[str],
-) -> np.ndarray:
-    if matrix.schema.fingerprint() != model.fingerprint:
-        raise SchemaMismatch("design matrix schema does not match the fitted model")
-    if len(sources) != matrix.n or len(targets) != matrix.n:
-        raise LengthMismatch(f"{matrix.n} design matrix rows, but {len(sources)} sources and {len(targets)} targets")
-    return _evaluate(model, sources, targets, _apply_stats(matrix.rows, model.impute, model.mean, model.std))
+def mf_predict(model: MfModel, matrix: DesignMatrix) -> np.ndarray:
+    """The model equation for each row, at the row's own language pair."""
+    matrix.schema.check_columns(model.feature_names)
+    C = _apply_stats(matrix.rows, model.impute, model.mean, model.std)
+    return _evaluate(model, *_languages(matrix), C)

@@ -44,7 +44,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from ..errors import EmptyTrainingSet, SchemaMismatch
+from ..errors import EmptyTrainingSet
 from ..fields import check_field_types
 from ..records import DesignMatrix
 
@@ -81,7 +81,7 @@ class PolyModel:
     impute: np.ndarray  # per-column training means substituted for missing (NaN) cells
     mean: np.ndarray
     std: np.ndarray
-    fingerprint: str
+    feature_names: tuple[str, ...]
     converged: bool
     n_sweeps: int
     objective_history: list[float] = field(default_factory=list)
@@ -222,7 +222,7 @@ def poly_fit(matrix: DesignMatrix, params: PolyParams) -> PolyModel:
         impute=impute,
         mean=mean,
         std=std,
-        fingerprint=matrix.schema.fingerprint(),
+        feature_names=matrix.schema.columns,
         converged=converged,
         n_sweeps=sweeps,
         objective_history=history,
@@ -230,7 +230,6 @@ def poly_fit(matrix: DesignMatrix, params: PolyParams) -> PolyModel:
 
 
 def poly_predict(model: PolyModel, matrix: DesignMatrix) -> np.ndarray:
-    if matrix.schema.fingerprint() != model.fingerprint:
-        raise SchemaMismatch("design matrix schema does not match the fitted model")
+    matrix.schema.check_columns(model.feature_names)
     Z = _apply_stats(matrix.rows, model.impute, model.mean, model.std)
     return _expand(Z, model.params.degree) @ model.coef + model.intercept

@@ -2,8 +2,10 @@
 
 A model file holds `format_version`, `kind` and every field of the model's
 dataclass but `objective_history`. Each fact is stored once, and nothing
-that predict or a report can derive is stored: a GBT model's eta is its
-params' eta and its gain totals are sums of the node gains
+that predict or a report can derive is stored: a model's columns are its
+`feature_names`, which predict compares with the design matrix's, and
+their groups follow from the names (build_schema); a GBT model's eta is
+its params' eta and its gain totals are sums of the node gains
 (gbt_gain_totals); a poly model's terms follow from its column count and
 degree (PolyModel.terms). It is read back through the field table of
 `perfcast.fields`, so every field must have its annotation's JSON type,
@@ -12,12 +14,16 @@ built by its own class, which checks its fields against the same table,
 and each tree by `_load_tree`.
 Checks that span fields follow: GBT node features within the feature
 names, one GBT tree per params.n_estimators and one train_rmse entry per
-tree, one poly coefficient per term, equal lengths, MF factor shapes and
-bias languages. Every GBT and poly number must be finite, a train_rmse
-entry >= 0 and a poly std entry > 0; MF numbers are not checked yet.
+tree, one poly coefficient per term, one poly or MF statistic (and MF
+theta entry) per feature name, MF factor shapes and bias languages. Every
+number must be finite, a train_rmse entry >= 0 and a std entry > 0.
+save_model runs the same checks before it opens the file, so a fit that
+diverged writes no file, and every file it writes loads.
 Floats survive the JSON round trip exactly (repr-based encoding), so a
-loaded model predicts bit-identically to the one that was saved. A file of another format_version, such as format 1, which also
-stored these derived fields, is rejected; retrain to replace it.
+loaded model predicts bit-identically to the one that was saved. A file of
+another format_version is rejected; retrain to replace it. Earlier formats
+also stored derived fields: format 2 a hash of the columns and their
+groups, and format 1 eta, the gain totals and the poly terms as well.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .gbt import NODE_DTYPE, GbtModel, GbtParams, make_tree
 from .mf import MfModel, MfParams
 from .poly import PolyModel, PolyParams, term_count
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # kind name -> (params class, model class)
 KINDS: dict[str, tuple[type, type]] = {
@@ -181,25 +187,33 @@ def _check_across_fields(model: GbtModel | PolyModel | MfModel) -> None:
                 if bad.size:
                     i = int(bad[0])
                     raise ParseError(f"trees[{t}]: node {i}: {name} must be finite, not {float(tree[name][i])!r}")
-    elif isinstance(model, PolyModel):
-        _same_lengths(impute=model.impute, mean=model.mean, std=model.std)
+        return
+    # poly and MF: one imputation and standardization statistic (and MF theta entry) per column
+    theta = {"theta": model.theta} if isinstance(model, MfModel) else {}
+    _same_lengths(feature_names=model.feature_names, impute=model.impute, mean=model.mean, std=model.std, **theta)
+    for name, value in (*theta.items(), ("impute", model.impute), ("mean", model.mean)):
+        _require(name, value)
+    _require("std", model.std, _POSITIVE)
+    if isinstance(model, PolyModel):
         _require("intercept", model.intercept)
-        for name in ("coef", "impute", "mean"):
-            _require(name, getattr(model, name))
-        _require("std", model.std, _POSITIVE)
+        _require("coef", model.coef)
         n_terms = term_count(len(model.mean), model.params.degree)
         if len(model.coef) != n_terms:
             raise ParseError(f"coef has {len(model.coef)} entries, but degree {model.params.degree}"
                              f" on {len(model.mean)} columns has {n_terms} terms")
-    else:
-        k = model.params.latent_dim
-        for name, factors in (("w", model.w), ("h", model.h)):
-            for lang, vector in factors.items():
-                if vector.shape != (k,):
-                    raise ParseError(f"{name}[{lang!r}] has shape {vector.shape}, latent_dim is {k}")
-        if model.b_s.keys() != model.w.keys() or model.b_t.keys() != model.h.keys():
-            raise ParseError("the languages of b_s/b_t do not match those of w/h")
-        _same_lengths(theta=model.theta, impute=model.impute, mean=model.mean, std=model.std)
+        return
+    _require("mu", model.mu)
+    k = model.params.latent_dim
+    for name, factors in (("w", model.w), ("h", model.h)):
+        for lang, vector in factors.items():
+            if vector.shape != (k,):
+                raise ParseError(f"{name}[{lang!r}] has shape {vector.shape}, latent_dim is {k}")
+            _require(f"{name}[{lang!r}]", vector)
+    if model.b_s.keys() != model.w.keys() or model.b_t.keys() != model.h.keys():
+        raise ParseError("the languages of b_s/b_t do not match those of w/h")
+    for name, biases in (("b_s", model.b_s), ("b_t", model.b_t)):
+        for lang, value in biases.items():
+            _require(f"{name}[{lang!r}]", value)
 
 
 def model_from_dict(obj: dict[str, Any]) -> GbtModel | PolyModel | MfModel:
@@ -219,8 +233,14 @@ def model_from_dict(obj: dict[str, Any]) -> GbtModel | PolyModel | MfModel:
 
 
 def save_model(model: GbtModel | PolyModel | MfModel, path: str) -> None:
+    """Write the model file; a model that load_model would refuse is a ParseError, and no file is written."""
+    obj = model_to_dict(model)
+    try:
+        _check_across_fields(model)
+    except ParseError as exc:
+        raise ParseError(f"{path}: not a valid model, not written: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True)
+        json.dump(obj, fh, sort_keys=True)
         fh.write("\n")
 
 

@@ -215,9 +215,9 @@ def test_criterion_06_mf_recovery():
     u = np.array([1.94, 1.98, 2.02, 2.06])
     v = np.array([1.93, 1.99, 2.03, 2.05])
     sources, targets, y = rank1_grid(u, v)
-    m = context_matrix(y)
-    model = mf_fit(m, sources, targets, get_preset("mf_default"))
-    pred = mf_predict(model, m, sources, targets)
+    m = context_matrix(y, sources, targets)
+    model = mf_fit(m, get_preset("mf_default"))
+    pred = mf_predict(model, m)
     train_rmse = float(np.sqrt(np.mean((pred - y) ** 2)))
     assert train_rmse < 1e-2, f"training RMSE {train_rmse}"
 
@@ -225,17 +225,16 @@ def test_criterion_06_mf_recovery():
     u2 = np.array([-2.0, -1.0, 1.0, 2.0])
     v2 = np.array([-1.5, -0.5, 0.5, 1.5])
     s2, t2, y2 = rank1_grid(u2, v2)
-    m2 = context_matrix(y2)
-    strong = mf_fit(m2, s2, t2, MfParams(latent_dim=2, alpha=0.05, beta_w=0.0, beta_h=0.0,
+    m2 = context_matrix(y2, s2, t2)
+    strong = mf_fit(m2, MfParams(latent_dim=2, alpha=0.05, beta_w=0.0, beta_h=0.0,
                                           beta_z=0.0, beta_s=0.0, beta_t=0.0,
                                           lr_decay=0.001, iterations=3000, seed=1))
-    pred2 = mf_predict(strong, m2, s2, t2)
+    pred2 = mf_predict(strong, m2)
     assert float(np.sqrt(np.mean((pred2 - y2) ** 2))) < 1e-2
 
     # English-centric shape: one language pinned as the source side
     with pytest.raises(NotManyToMany):
-        mf_fit(context_matrix([1.0, 2.0, 3.0]), ["eng"] * 3, ["deu", "fra", "ces"],
-               get_preset("mf_default"))
+        mf_fit(context_matrix([1.0, 2.0, 3.0], ["eng"] * 3, ["deu", "fra", "ces"]), get_preset("mf_default"))
     passed(6, "MF rank-1 recovery < 1e-2, NotManyToMany on English-centric")
 
 

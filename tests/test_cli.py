@@ -569,7 +569,7 @@ class TestExperimentCommand:
                      "--out", str(train_out)]) == 0
         model = json.loads((train_out / "model.json").read_text())
         schema = build_schema(("dataset", "proxy"), proxy_roster(records))
-        assert model["fingerprint"] == schema.fingerprint()
+        assert tuple(model["feature_names"]) == schema.columns
         manifest = json.loads((train_out / "manifest.json").read_text())
         assert str(tmp_path / "a.txt") in manifest["inputs"]
 
@@ -772,8 +772,7 @@ class TestMfCommand:
         from perfcast.records import build_design_matrix
 
         matrix = build_design_matrix(records, build_schema(("proxy",), ["p0"]))
-        expected = mf_predict(load_model(str(model_path)), matrix,
-                              [r.src_lang for r in records], [r.tgt_lang for r in records])
+        expected = mf_predict(load_model(str(model_path)), matrix)
         assert [float(line.split(",")[2]) for line in lines[1:]] == expected.tolist()
 
 
@@ -815,6 +814,21 @@ def test_bad_feature_groups_rejected_before_any_file(tmp_path, capsys, feature_g
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert err["message"] == f"{cfg}: {match}"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, extra, where", [
+    ("train", {}, "feature_groups"),
+    ("experiment", {}, "feature_groups"),
+    ("ablate", {"feature_groups": ["language", "dataset"], "group_sets": [["language"], ["dataset", "proxy"]]},
+     "group_sets[1]"),
+], ids=["train", "experiment", "ablate"])
+def test_empty_proxies_with_the_proxy_group_rejected_before_any_file(tmp_path, capsys, command, extra, where):
+    cfg = write_experiment_fixture(tmp_path, config_extra={"proxies": [], **extra})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConfigError",
+                   "message": f"{cfg}: {where}: the proxy group is enabled, but 'proxies' is empty"}
     assert not (tmp_path / "out").exists()
 
 

@@ -519,6 +519,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             SplitSpec("lolo", ratio=0.5)
 
+    def test_empty_proxies_refused_while_the_proxy_group_is_on(self, monkeypatch):
+        fits = []
+        fit = perfcast.experiments.fit_model
+        monkeypatch.setattr(perfcast.experiments, "fit_model", lambda *a: fits.append(1) or fit(*a))
+        records, blocks, table = synthetic_setup(20, seed=13)
+        config = poly_config(records, SplitSpec("random", ratio=0.7), repeats=1, proxies=[],
+                             dataset_features=blocks, language_table=table)
+        with pytest.raises(ValueError, match=r"^feature_groups: the proxy group is enabled, but 'proxies' is empty$"):
+            run_experiment(config, workers=1)
+        without_proxy = replace(config, feature_groups=("language", "dataset"))
+        without_proxy.validate()
+        with pytest.raises(ValueError, match=r"^group_sets\[1\]: the proxy group is enabled, but 'proxies' is empty$"):
+            run_ablation(without_proxy, [("language",), ("dataset", "proxy")], workers=1)
+        assert fits == []
+
 
 class TestAblation:
     def test_default_subsets(self):

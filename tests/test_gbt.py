@@ -268,10 +268,7 @@ class TestLeafWise:
 class TestPredict:
     def test_zero_tree_model_returns_base(self):
         schema = build_schema(("proxy",), ["f0"])
-        model = GbtModel(
-            base_score=7.5, trees=[], feature_names=schema.columns,
-            fingerprint=schema.fingerprint(), params=GbtParams(eta=0.3),
-        )
+        model = GbtModel(base_score=7.5, trees=[], feature_names=schema.columns, params=GbtParams(eta=0.3))
         m = matrix_from([[1.0], [2.0]], [0.0, 0.0])
         np.testing.assert_array_equal(gbt_predict(model, m), [7.5, 7.5])
 
@@ -279,7 +276,7 @@ class TestPredict:
         schema = build_schema(("proxy",), ["f0"])
         model = GbtModel(
             base_score=1.0, trees=[make_tree([(-1, 0.0, True, -1, -1, 5.0, 0.0)])],
-            feature_names=schema.columns, fingerprint=schema.fingerprint(), params=GbtParams(eta=0.1),
+            feature_names=schema.columns, params=GbtParams(eta=0.1),
         )
         np.testing.assert_allclose(predict_rows(model, np.array([[0.0]])), [1.5])
 
@@ -297,10 +294,14 @@ class TestPredict:
         m = matrix_from([[1.0], [2.0]], [1.0, 2.0])
         model = gbt_fit(m, plain_params())
         other = matrix_from([[1.0, 2.0], [2.0, 3.0]], [1.0, 2.0])
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(SchemaMismatch, match="^the design matrix has 2 columns, but the model 1$"):
             gbt_predict(model, other)
         with pytest.raises(SchemaMismatch):
             predict_rows(model, other.rows)
+        model.feature_names = ("proxy:f9",)
+        renamed = "^design matrix column 0 is 'proxy:f0', but the model's is 'proxy:f9'$"
+        with pytest.raises(SchemaMismatch, match=renamed):
+            gbt_predict(model, m)
 
 
 class TestImportance:
@@ -403,12 +404,26 @@ class TestModelFileValidation:
         path, obj = saved
         # a format 1 file also held eta and the gain totals
         obj.update(format_version=1, eta=obj["params"]["eta"], gain_totals=gbt_gain_totals(load_model(str(path))))
-        rejects_model_file(path, obj, r"unsupported format_version 1 \(expected 2\)")
+        rejects_model_file(path, obj, r"unsupported format_version 1 \(expected 3\)")
 
-    def test_format_2_stores_no_derived_field(self, saved):
+    def test_format_2_rejected(self, saved):
+        path, obj = saved
+        # a format 2 file also held a hash of the columns and their groups
+        obj.update(format_version=2, fingerprint="0123456789abcdef")
+        rejects_model_file(path, obj, r"unsupported format_version 2 \(expected 3\)")
+
+    def test_format_3_stores_no_derived_field(self, saved):
         _, obj = saved
-        assert sorted(obj) == ["base_score", "feature_names", "fingerprint", "format_version", "kind", "params",
-                               "train_rmse", "trees"]
+        assert sorted(obj) == ["base_score", "feature_names", "format_version", "kind", "params", "train_rmse", "trees"]
+
+    def test_renamed_feature_name_is_refused_by_predict(self, saved):
+        path, obj = saved
+        obj["feature_names"][1] = "proxy:renamed"
+        path.write_text(json.dumps(obj))
+        rng = np.random.default_rng(7)
+        m = matrix_from(rng.normal(size=(30, 2)), rng.normal(size=30))
+        with pytest.raises(SchemaMismatch, match="column 1 is 'proxy:f1', but the model's is 'proxy:renamed'"):
+            gbt_predict(load_model(str(path)), m)
 
     @pytest.mark.parametrize("version", [True, 1.0])
     def test_format_version_of_another_type(self, saved, version):

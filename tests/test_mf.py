@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfcast.errors import LengthMismatch, NotManyToMany, SchemaMismatch, UnknownLanguage
+from perfcast.errors import LengthMismatch, NotManyToMany, ParseError, SchemaMismatch, UnknownLanguage
 from perfcast.records import DesignMatrix, FeatureSchema, build_schema
 from perfcast.regressors import (
     MfParams,
@@ -25,12 +25,13 @@ from conftest import assert_round_trip, rejects_model_file
 from oracles import oracle_mf_sgd
 
 
-def context_matrix(y, n_context=1):
-    """Design matrix whose context columns are constant zero."""
+def context_matrix(y, sources, targets, n_context=1):
+    """Design matrix of the given language pairs whose context columns are constant zero."""
     schema = build_schema(("proxy",), [f"c{i}" for i in range(n_context)])
     n = len(y)
     rows = np.zeros((n, n_context))
-    return DesignMatrix(schema, rows, np.asarray(y, dtype=np.float64), [f"r{i}" for i in range(n)])
+    return DesignMatrix(schema, rows, np.asarray(y, dtype=np.float64), [f"r{i}" for i in range(n)],
+                        list(zip(sources, targets)))
 
 
 def rank1_grid(u, v, const=5.0):
@@ -56,27 +57,27 @@ class TestFit:
         sources = ["sa", "sa", "sb", "sb"]
         targets = ["ta", "tb", "ta", "tb"]
         y = [7.0, 7.0, 7.0, 7.0]
-        m = context_matrix(y)
-        model = mf_fit(m, sources, targets, no_reg_params(iterations=500))
-        pred = mf_predict(model, m, sources, targets)
+        m = context_matrix(y, sources, targets)
+        model = mf_fit(m, no_reg_params(iterations=500))
+        pred = mf_predict(model, m)
         np.testing.assert_allclose(pred, 7.0, atol=1e-3)
 
     def test_rank1_recovery_without_regularization(self):
         u = np.array([-2.0, -1.0, 1.0, 2.0])
         v = np.array([-1.5, -0.5, 0.5, 1.5])
         sources, targets, y = rank1_grid(u, v)
-        m = context_matrix(y)
-        model = mf_fit(m, sources, targets, no_reg_params())
-        pred = mf_predict(model, m, sources, targets)
+        m = context_matrix(y, sources, targets)
+        model = mf_fit(m, no_reg_params())
+        pred = mf_predict(model, m)
         assert float(np.sqrt(np.mean((pred - y) ** 2))) < 1e-2
 
     def test_rank1_recovery_with_default_preset(self):
         u = np.array([1.94, 1.98, 2.02, 2.06])
         v = np.array([1.93, 1.99, 2.03, 2.05])
         sources, targets, y = rank1_grid(u, v)
-        m = context_matrix(y)
-        model = mf_fit(m, sources, targets, get_preset("mf_default"))
-        pred = mf_predict(model, m, sources, targets)
+        m = context_matrix(y, sources, targets)
+        model = mf_fit(m, get_preset("mf_default"))
+        pred = mf_predict(model, m)
         assert float(np.sqrt(np.mean((pred - y) ** 2))) < 1e-2
 
     def test_english_centric_rejected(self):
@@ -84,11 +85,11 @@ class TestFit:
         targets = ["deu", "fra", "ces", "dan"]
         y = [1.0, 2.0, 3.0, 4.0]
         with pytest.raises(NotManyToMany):
-            mf_fit(context_matrix(y), sources, targets, no_reg_params())
+            mf_fit(context_matrix(y, sources, targets), no_reg_params())
 
     def test_single_cell_rejected(self):
         with pytest.raises(NotManyToMany):
-            mf_fit(context_matrix([7.0, 7.0]), ["sa", "sa"], ["ta", "ta"], no_reg_params())
+            mf_fit(context_matrix([7.0, 7.0], ["sa", "sa"], ["ta", "ta"]), no_reg_params())
 
     def test_context_weight_learned(self):
         # score depends only on the context feature
@@ -99,40 +100,40 @@ class TestFit:
         c = rng.uniform(-1, 1, size=(n, 1))
         y = 3.0 * c[:, 0] + 2.0
         schema = build_schema(("proxy",), ["c0"])
-        m = DesignMatrix(schema, c.copy(), y, [f"r{i}" for i in range(n)])
-        model = mf_fit(m, sources, targets, no_reg_params(latent_dim=0, iterations=1500))
-        pred = mf_predict(model, m, sources, targets)
+        m = DesignMatrix(schema, c.copy(), y, [f"r{i}" for i in range(n)], list(zip(sources, targets)))
+        model = mf_fit(m, no_reg_params(latent_dim=0, iterations=1500))
+        pred = mf_predict(model, m)
         assert float(np.sqrt(np.mean((pred - y) ** 2))) < 1e-2
 
     def test_latent_dim_zero_is_pure_bias_model(self):
         sources = ["sa", "sa", "sb", "sb"]
         targets = ["ta", "tb", "ta", "tb"]
         y = [1.0, 2.0, 3.0, 4.0]
-        m = context_matrix(y)
-        model = mf_fit(m, sources, targets, no_reg_params(latent_dim=0, iterations=200))
+        m = context_matrix(y, sources, targets)
+        model = mf_fit(m, no_reg_params(latent_dim=0, iterations=200))
         for s, t in zip(sources, targets):
             manual = model.mu + model.b_s[s] + model.b_t[t]
             assert mf_predict_one(model, s, t, np.zeros(1)) == manual
 
     def test_fit_model_needs_language_pairs(self):
         sources, targets, y = rank1_grid(np.array([1.0, 2.0]), np.array([1.0, 3.0]))
-        m = context_matrix(y)
-        with pytest.raises(ValueError, match="language pairs"):
-            fit_model(MfParams(iterations=5), m)
-        m.languages = list(zip(sources, targets))
+        m = context_matrix(y, sources, targets)
         params = MfParams(iterations=5)
-        np.testing.assert_array_equal(
-            mf_predict(fit_model(params, m), m, sources, targets),
-            mf_predict(mf_fit(m, sources, targets, params), m, sources, targets),
-        )
+        model = fit_model(params, m)
+        np.testing.assert_array_equal(mf_predict(model, m), mf_predict(mf_fit(m, params), m))
+        m.languages = None
+        with pytest.raises(ValueError, match="language pairs"):
+            fit_model(params, m)
+        with pytest.raises(ValueError, match="language pairs"):
+            mf_predict(model, m)
 
     def test_deterministic(self):
         u = np.array([1.0, 2.0, 3.0])
         v = np.array([0.5, 1.5, 2.5])
         sources, targets, y = rank1_grid(u, v)
-        m = context_matrix(y)
-        p1 = mf_predict(mf_fit(m, sources, targets, no_reg_params(iterations=50)), m, sources, targets)
-        p2 = mf_predict(mf_fit(m, sources, targets, no_reg_params(iterations=50)), m, sources, targets)
+        m = context_matrix(y, sources, targets)
+        p1 = mf_predict(mf_fit(m, no_reg_params(iterations=50)), m)
+        p2 = mf_predict(mf_fit(m, no_reg_params(iterations=50)), m)
         np.testing.assert_array_equal(p1, p2)
 
 
@@ -178,7 +179,7 @@ class TestSgdOracle:
     @given(mf_problems())
     def test_matches_numpy_per_record_updates(self, problem):
         matrix, sources, targets, params = problem
-        model = mf_fit(matrix, sources, targets, params)
+        model = mf_fit(matrix, params)
         Xs, _, mean, std = impute_and_standardize(matrix.rows)
         src_set, tgt_set = sorted(set(sources)), sorted(set(targets))
         W, H, b_s, b_t, theta, mu = oracle_mf_sgd(
@@ -198,7 +199,6 @@ class TestSgdOracle:
 
 class TestPredict:
     def _toy_model(self, mu=3.0, k=0, c_dim=1):
-        schema = build_schema(("proxy",), [f"c{i}" for i in range(c_dim)])
         return MfModel(
             params=MfParams(latent_dim=k),
             mu=mu,
@@ -210,7 +210,7 @@ class TestPredict:
             impute=np.zeros(c_dim),
             mean=np.zeros(c_dim),
             std=np.ones(c_dim),
-            fingerprint=schema.fingerprint(),
+            feature_names=tuple(f"c{i}" for i in range(c_dim)),
         )
 
     def test_zero_parameters_give_mu(self):
@@ -225,7 +225,6 @@ class TestPredict:
             mf_predict_one(model, "sa", "zz", np.zeros(1))
 
     def test_hand_evaluated_dot_product(self):
-        schema = build_schema(("proxy",), ["c0", "c1"])
         model = MfModel(
             params=MfParams(latent_dim=2),
             mu=1.0,
@@ -237,7 +236,7 @@ class TestPredict:
             impute=np.zeros(2),
             mean=np.zeros(2),
             std=np.ones(2),
-            fingerprint=schema.fingerprint(),
+            feature_names=("c0", "c1"),
         )
         context = np.array([2.0, 4.0])
         expected = 1.0 + 0.3 - 0.1 + (0.5 * 2.0 + -1.0 * 0.25) + (1.5 * 2.0 + -0.5 * 4.0)
@@ -247,7 +246,7 @@ class TestPredict:
     @given(mf_problems())
     def test_rows_sum_in_the_fits_order(self, problem):
         matrix, sources, targets, params = problem
-        model = mf_fit(matrix, sources, targets, params)
+        model = mf_fit(matrix, params)
         C = (np.where(np.isnan(matrix.rows), model.impute, matrix.rows) - model.mean) / model.std
         expected = []
         for s, t, c in zip(sources, targets, C.tolist()):
@@ -258,27 +257,28 @@ class TestPredict:
             for theta, x in zip(model.theta.tolist(), c):
                 tc += theta * x
             expected.append(model.mu + model.b_s[s] + model.b_t[t] + wh + tc)
-        pred = mf_predict(model, matrix, sources, targets)
+        pred = mf_predict(model, matrix)
         assert pred.tobytes() == np.array(expected).tobytes()
         assert [mf_predict_one(model, s, t, c) for s, t, c in zip(sources, targets, C)] == expected
 
-    def test_languages_of_another_length(self):
-        sources, targets, y = rank1_grid([1.0, 2.0, 3.0, 4.0], [1.0, 2.0])
-        m = context_matrix(y)
-        model = mf_fit(m, sources, targets, no_reg_params(iterations=10))
-        with pytest.raises(LengthMismatch, match="^8 design matrix rows, but 5 sources and 5 targets$"):
-            mf_predict(model, m, sources[:5], targets[:5])
-        with pytest.raises(LengthMismatch, match="8 sources and 9 targets"):
-            mf_predict(model, m, sources, targets + targets[:1])
+    @pytest.mark.parametrize("cells", [1, 3])
+    def test_context_of_another_length(self, cells):
+        model = self._toy_model(c_dim=2)
+        with pytest.raises(LengthMismatch, match=f"^the context has {cells} cells, but the model 2 columns$"):
+            mf_predict_one(model, "sa", "ta", np.zeros(cells))
 
     def test_schema_mismatch(self):
         sources = ["sa", "sa", "sb", "sb"]
         targets = ["ta", "tb", "ta", "tb"]
-        m = context_matrix([1.0, 2.0, 3.0, 4.0])
-        model = mf_fit(m, sources, targets, no_reg_params(iterations=10))
-        other = context_matrix([1.0, 2.0, 3.0, 4.0], n_context=2)
-        with pytest.raises(SchemaMismatch):
-            mf_predict(model, other, sources, targets)
+        m = context_matrix([1.0, 2.0, 3.0, 4.0], sources, targets)
+        model = mf_fit(m, no_reg_params(iterations=10))
+        other = context_matrix([1.0, 2.0, 3.0, 4.0], sources, targets, n_context=2)
+        with pytest.raises(SchemaMismatch, match="^the design matrix has 2 columns, but the model 1$"):
+            mf_predict(model, other)
+        model.feature_names = ("proxy:c9",)
+        renamed = "^design matrix column 0 is 'proxy:c0', but the model's is 'proxy:c9'$"
+        with pytest.raises(SchemaMismatch, match=renamed):
+            mf_predict(model, m)
 
 
 class TestSerialization:
@@ -286,22 +286,22 @@ class TestSerialization:
         u = np.array([1.0, 2.0, 3.0])
         v = np.array([0.5, 1.5, 2.5])
         sources, targets, y = rank1_grid(u, v)
-        m = context_matrix(y)
-        model = mf_fit(m, sources, targets, no_reg_params(iterations=100))
+        m = context_matrix(y, sources, targets)
+        model = mf_fit(m, no_reg_params(iterations=100))
         path = str(tmp_path / "model.json")
         save_model(model, path)
         loaded = load_model(path)
         np.testing.assert_array_equal(
-            mf_predict(loaded, m, sources, targets),
-            mf_predict(model, m, sources, targets),
+            mf_predict(loaded, m),
+            mf_predict(model, m),
         )
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(mf_problems())
     def test_round_trip_property(self, problem):
         matrix, sources, targets, params = problem
-        model = mf_fit(matrix, sources, targets, replace(params, iterations=min(params.iterations, 3)))
-        assert_round_trip(model, lambda m: mf_predict(m, matrix, sources, targets))
+        model = mf_fit(matrix, replace(params, iterations=min(params.iterations, 3)))
+        assert_round_trip(model, lambda m: mf_predict(m, matrix))
 
 
 class TestModelFileValidation:
@@ -309,7 +309,7 @@ class TestModelFileValidation:
     def saved(self, tmp_path):
         sources, targets, y = rank1_grid(np.array([1.0, 2.0]), np.array([0.5, 1.5]))
         path = tmp_path / "model.json"
-        save_model(mf_fit(context_matrix(y), sources, targets, no_reg_params(iterations=10)), str(path))
+        save_model(mf_fit(context_matrix(y, sources, targets), no_reg_params(iterations=10)), str(path))
         return path, json.loads(path.read_text())
 
     def test_source_factor_cut_short(self, saved):
@@ -331,3 +331,38 @@ class TestModelFileValidation:
         path, obj = saved
         obj["theta"].append(0.0)
         rejects_model_file(path, obj, "lengths differ.*theta")
+
+    def test_feature_names_and_column_statistics_lengths_differ(self, saved):
+        path, obj = saved
+        obj["feature_names"].append("proxy:c1")
+        rejects_model_file(path, obj, "lengths differ.*feature_names")
+
+    @pytest.mark.parametrize("where, value, match", [
+        (("mu",), float("inf"), r"mu must be finite, not inf"),
+        (("w", "s1", 1), float("nan"), r"w\['s1'\]\[1\] must be finite, not nan"),
+        (("h", "t0", 0), float("-inf"), r"h\['t0'\]\[0\] must be finite, not -inf"),
+        (("b_s", "s0"), float("nan"), r"b_s\['s0'\] must be finite, not nan"),
+        (("b_t", "t1"), float("inf"), r"b_t\['t1'\] must be finite, not inf"),
+        (("theta", 0), float("nan"), r"theta\[0\] must be finite, not nan"),
+        (("impute", 0), float("nan"), r"impute\[0\] must be finite, not nan"),
+        (("mean", 0), float("-inf"), r"mean\[0\] must be finite, not -inf"),
+        (("std", 0), float("inf"), r"std\[0\] must be finite and > 0, not inf"),
+        (("std", 0), 0.0, r"std\[0\] must be finite and > 0, not 0.0"),
+    ], ids=["mu", "w", "h", "b_s", "b_t", "theta", "impute", "mean", "std_not_finite", "std_zero"])
+    def test_bad_number(self, saved, where, value, match):
+        path, obj = saved
+        *keys, last = where
+        container = obj
+        for key in keys:
+            container = container[key]
+        container[last] = value
+        rejects_model_file(path, obj, match)
+
+    def test_diverged_fit_is_not_saved(self, tmp_path):
+        sources, targets, y = rank1_grid(np.array([-2.0, -1.0, 1.0, 2.0]), np.array([-1.5, -0.5, 0.5, 1.5]))
+        model = mf_fit(context_matrix(y, sources, targets), MfParams(latent_dim=2, alpha=50.0, iterations=50))
+        assert np.isnan(model.theta).all()
+        path = tmp_path / "model.json"
+        with pytest.raises(ParseError, match=r"model\.json: not a valid model, not written: theta\[0\] must be finite"):
+            save_model(model, str(path))
+        assert not path.exists()

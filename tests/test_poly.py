@@ -196,7 +196,7 @@ class TestPredict:
             impute=np.zeros(1),
             mean=np.zeros(1),
             std=np.ones(1),
-            fingerprint=schema.fingerprint(),
+            feature_names=schema.columns,
             converged=True,
             n_sweeps=0,
         )
@@ -222,8 +222,12 @@ class TestPredict:
         m = matrix_from([[1.0], [2.0]], [1.0, 2.0])
         model = poly_fit(m, PolyParams(degree=1))
         other = matrix_from([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0])
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(SchemaMismatch, match="^the design matrix has 2 columns, but the model 1$"):
             poly_predict(model, other)
+        model.feature_names = ("proxy:f9",)
+        renamed = "^design matrix column 0 is 'proxy:f0', but the model's is 'proxy:f9'$"
+        with pytest.raises(SchemaMismatch, match=renamed):
+            poly_predict(model, m)
 
 
 class TestSerialization:
@@ -261,9 +265,9 @@ class TestModelFileValidation:
         obj["coef"].pop()
         rejects_model_file(path, obj, "coef has 8 entries, but degree 2 on 3 columns has 9 terms")
 
-    def test_format_2_stores_no_terms_and_no_seed(self, saved):
+    def test_format_3_stores_no_terms_and_no_seed(self, saved):
         _, obj = saved
-        assert sorted(obj) == ["coef", "converged", "fingerprint", "format_version", "impute", "intercept", "kind",
+        assert sorted(obj) == ["coef", "converged", "feature_names", "format_version", "impute", "intercept", "kind",
                                "mean", "n_sweeps", "params", "std"]
         assert "seed" not in obj["params"]
 
@@ -271,6 +275,11 @@ class TestModelFileValidation:
         path, obj = saved
         obj["std"].pop()
         rejects_model_file(path, obj, "lengths differ.*std")
+
+    def test_feature_names_and_column_statistics_lengths_differ(self, saved):
+        path, obj = saved
+        obj["feature_names"].pop()
+        rejects_model_file(path, obj, "lengths differ.*feature_names")
 
     def test_non_finite_intercept(self, saved):
         path, obj = saved

@@ -14,7 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perfcast.corpus import DATASET_FEATURE_COLUMNS
-from perfcast.errors import DuplicateId, KeyMismatch, MissingFeature, ParseError, PerfcastError, RangeError
+from perfcast.errors import (
+    DuplicateId, KeyMismatch, MissingFeature, ParseError, PerfcastError, RangeError, SchemaMismatch,
+)
 from perfcast.records import (
     _BASE_COLUMNS,
     CORPUS_GROUPS,
@@ -302,11 +304,16 @@ class TestSchema:
         assert set(full.columns) - set(no_lang.columns) == set(DISTANCE_KINDS)
         assert no_lang.columns == full.columns[6:]
 
-    def test_fingerprint_tracks_schema(self):
-        a = build_schema(("proxy",), ["p0"])
-        b = build_schema(("proxy",), ["p1"])
-        assert a.fingerprint() != b.fingerprint()
-        assert a.fingerprint() == build_schema(("proxy",), ["p0"]).fingerprint()
+    def test_check_columns_names_the_first_difference(self):
+        schema = build_schema(("dataset", "proxy"), ["p0", "p1"])
+        schema.check_columns(build_schema(("dataset", "proxy"), ["p0", "p1"]).columns)
+        renamed = "^design matrix column 11 is 'proxy:p1', but the model's is 'proxy:p2'$"
+        with pytest.raises(SchemaMismatch, match=renamed):
+            schema.check_columns(build_schema(("dataset", "proxy"), ["p0", "p2"]).columns)
+        with pytest.raises(SchemaMismatch, match="^the design matrix has 12 columns, but the model 11$"):
+            schema.check_columns(schema.columns[:-1])
+        with pytest.raises(SchemaMismatch, match="^the design matrix has 12 columns, but the model 13$"):
+            schema.check_columns(schema.columns + ("proxy:p2",))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
