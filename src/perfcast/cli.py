@@ -32,11 +32,12 @@ from .corpus import (
     dataset_features,
     load_embeddings,
     load_feature_csv,
+    oriented,
     profile,
     read_corpus,
     write_feature_csv,
 )
-from .errors import ConfigError, DuplicateId, ParseError, PerfcastError, TooFewRecords, open_text
+from .errors import ConfigError, DuplicateId, MissingFeature, ParseError, PerfcastError, TooFewRecords, open_text
 from .experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -54,6 +55,7 @@ from .records import (
     build_schema,
     load_records,
     proxy_roster,
+    record_line,
 )
 from .regressors import (
     KINDS,
@@ -162,6 +164,12 @@ class Config:
                 for name in _SIDES[self.side]:
                     if getattr(entry, name) is None:
                         raise ValueError(f"corpora[{i}]: {name} is missing")
+        first_given: dict[tuple[str, str], int] = {}
+        for i, pair in enumerate(self.pairs):
+            key = (pair.train, pair.test)
+            if key in first_given:
+                raise ValueError(f"pairs[{i}]: repeated pair {key}, first given as pairs[{first_given[key]}]")
+            first_given[key] = i
         if self.regressor not in KINDS:
             raise ValueError(f"unknown regressor kind {self.regressor!r}")
         if not 0 < self.lowess_frac <= 1:
@@ -334,6 +342,26 @@ def _feature_sources(run: _Run, cfg: Config):
     return records, dataset_blocks, language_table
 
 
+def _located(run: _Run, cfg: Config, exc: MissingFeature) -> MissingFeature:
+    """exc, naming the record's file:line and the feature source that lacks its row.
+
+    The records files are read again, on this error path only.
+    """
+    where = ""
+    for path in map(run.resolve, (*cfg.records, *(cfg.test_records or ()))):
+        line = record_line(path, exc.record_id)
+        if line is not None:
+            where = f"{path}:{line}"
+            break
+    if exc.column.startswith("language"):
+        source = f"the language_distances file {run.resolve(cfg.language_distances)}"
+    elif cfg.dataset_features is not None:
+        source = f"the dataset_features CSV {run.resolve(cfg.dataset_features)}"
+    else:
+        source = f"the corpus pairs of {run.config_path}"
+    return MissingFeature(exc.record_id, exc.column, where, source)
+
+
 def _materialize_experiment(run: _Run, cfg: Config) -> ExperimentConfig:
     records, dataset_blocks, language_table = _feature_sources(run, cfg)
     return ExperimentConfig(
@@ -427,10 +455,12 @@ def _pair_features(profiles: dict, embeddings: dict, pair: tuple[str, str]):
 def _compute_feature_blocks(run: _Run, cfg: Config) -> list[tuple[str, str, object]]:
     """Profile the configured corpora, reading each file once, and compute one feature block per pair.
 
-    Every path is resolved and tracked here; the profiles, then the pair
-    blocks, are computed over --threads processes (perfcast.pool) and come
-    back in config order. _check_command has checked that every pair names
-    a corpora entry.
+    Every path is resolved and tracked here; the profiles, then the blocks
+    of the distinct unordered pairs, are computed over --threads processes
+    (perfcast.pool). Each unordered pair is computed in the order the config
+    first lists it, and a pair listed in the other order too is oriented()
+    from that block; the blocks come back in config order. _check_command
+    has checked that every pair names a corpora entry.
     """
     jobs = []
     for entry in cfg.corpora:
@@ -443,8 +473,18 @@ def _compute_feature_blocks(run: _Run, cfg: Config) -> list[tuple[str, str, obje
         embeddings = load_embeddings(run.track(run.resolve(cfg.embeddings)))
 
     pairs = [(pair.train, pair.test) for pair in cfg.pairs]
-    blocks = map_jobs(partial(_pair_features, profiles, embeddings), pairs, run.threads)
-    return [(train, test, block) for (train, test), block in zip(pairs, blocks)]
+    first: dict[frozenset, tuple[str, str]] = {}  # each unordered pair's first listing
+    for pair in pairs:
+        first.setdefault(frozenset(pair), pair)
+    listed = list(first.values())
+    computed = dict(zip(listed, map_jobs(partial(_pair_features, profiles, embeddings), listed, run.threads)))
+    blocks = []
+    for train, test in pairs:
+        block = computed.get((train, test))
+        if block is None:
+            block = oriented(computed[test, train], profiles[train], profiles[test])
+        blocks.append((train, test, block))
+    return blocks
 
 
 def _cmd_features(run: _Run, cfg: Config) -> None:
@@ -492,6 +532,7 @@ def _cmd_experiment(run: _Run, cfg: Config) -> None:
         scatter=scatter,
         fmt=cfg.report_format,
         lowess_frac=cfg.lowess_frac,
+        workers=run.threads,
     )
 
 
@@ -560,7 +601,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             cfg = replace(cfg, grid=None, params=None, preset=args.preset)
         _check_command(args.config, args.command, cfg)
         run = _Run(args.command, args.config, args.out, args.seed, args.threads)
-        _COMMANDS[args.command](run, cfg)
+        try:
+            _COMMANDS[args.command](run, cfg)
+        except MissingFeature as exc:  # raised by a design-matrix build, so cfg names the records
+            raise _located(run, cfg, exc) from exc
         run.write_manifest()
     except (PerfcastError, OSError, KeyError, ValueError) as exc:
         report = {"error": type(exc).__name__, "message": str(exc)}

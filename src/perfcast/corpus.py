@@ -10,6 +10,13 @@ A corpus file is read whole and tokenized once. The pairwise statistics are
 array sums over the two corpora's count vectors on the sorted union of their
 vocabularies. Every sum adds its terms left to right in token order, so the
 results are the same, to the bit, as a loop over the sorted vocabulary.
+
+Word overlap, JSD, TF-IDF cosine and embedding cosine are symmetric to the
+bit: each is built from commutative IEEE sums and products over that sorted
+union, the same terms in the same order whichever corpus comes first. So
+the block of (b, a) is the block of (a, b) with only the directional fields
+(train size, vocabulary, average length, both TTRs and the TTR distance)
+taken from the two profiles in the other order, which oriented() does.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
@@ -273,17 +280,33 @@ def dataset_features(
     """Assemble the full pairwise feature block for one (train, test) pair."""
     a, b = _pair_vectors(train.token_counts, test.token_counts)
     return DatasetFeatureBlock(
-        train_size=train.num_sentences,
-        vocab_size_train=train.vocab_size,
-        avg_sentence_length_train=train.avg_sentence_length,
+        **_directional(train, test),
         word_overlap=_overlap(a, b),
-        ttr_train=train.ttr,
-        ttr_test=test.ttr,
-        ttr_distance=ttr_distance(train.ttr, test.ttr),
         jsd=_jsd(a / train.total_tokens, b / test.total_tokens),
         tfidf_cosine=_tfidf_cosine(a, b),
         embedding_cosine=embedding_cosine(*embeddings) if embeddings is not None else None,
     )
+
+
+def oriented(block: DatasetFeatureBlock, train: DatasetProfile, test: DatasetProfile) -> DatasetFeatureBlock:
+    """The block of (train, test), given the block of either order of the pair.
+
+    The symmetric statistics are kept, bit for bit, and the directional
+    fields are taken from the two profiles, as dataset_features takes them.
+    """
+    return replace(block, **_directional(train, test))
+
+
+def _directional(train: DatasetProfile, test: DatasetProfile) -> dict:
+    """The fields of a feature block that change when train and test swap."""
+    return {
+        "train_size": train.num_sentences,
+        "vocab_size_train": train.vocab_size,
+        "avg_sentence_length_train": train.avg_sentence_length,
+        "ttr_train": train.ttr,
+        "ttr_test": test.ttr,
+        "ttr_distance": ttr_distance(train.ttr, test.ttr),
+    }
 
 
 # ---------------------------------------------------------------------------

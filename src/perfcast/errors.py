@@ -69,13 +69,22 @@ class KeyMismatch(PerfcastError):
 
 
 class MissingFeature(PerfcastError):
-    def __init__(self, record_id: str, column: str):
+    """A record's feature cell that no table gives; where is the record's file:line, source what lacks the row."""
+
+    def __init__(self, record_id: str, column: str, where: str = "", source: str = ""):
         self.record_id = record_id
         self.column = column
-        super().__init__(f"record {record_id!r}: feature column {column!r} is unresolvable")
+        self.where = where
+        self.source = source
+        message = f"record {record_id!r}: feature column {column!r} is unresolvable"
+        if where:
+            message = f"{where}: {message}"
+        if source:
+            message += f": not in {source}"
+        super().__init__(message)
 
     def __reduce__(self):  # args holds only the message; pickle rebuilds from the fields
-        return type(self), (self.record_id, self.column)
+        return type(self), (self.record_id, self.column, self.where, self.source)
 
 
 class SchemaMismatch(PerfcastError):

@@ -277,6 +277,24 @@ def _load_records_jsonl(path: str) -> list[PerformanceRecord]:
     return records
 
 
+def record_line(path: str, record_id: str) -> int | None:
+    """The line of a records file that gives record_id, numbered as load_records numbers it, or None.
+
+    It reads the file again, so it is for error messages only.
+    """
+    jsonl = path.endswith((".jsonl", ".json"))
+    with open_text(path, newline=None if jsonl else "") as fh:
+        if jsonl:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip() and json.loads(line).get("record_id") == record_id:
+                    return lineno
+        else:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if lineno > 1 and row and row[0] == record_id:
+                    return lineno
+    return None
+
+
 def save_records(records: Sequence[PerformanceRecord], path: str) -> None:
     """Write records as CSV with one proxy:<id> column per roster entry."""
     roster = proxy_roster(records)

@@ -2,6 +2,13 @@
 
 Outputs are plain CSV/markdown data files with stable ordering and fixed
 4-decimal float formatting; plotting is left to external tooling.
+
+The scatter's LOWESS trend is fitted in blocks of windows, and each block is
+one job of a single perfcast.pool map: block i runs in process i mod W, and
+the fitted values join in block order. A block's arithmetic does not depend
+on where it runs, so the trend is the same to the bit for every `workers`,
+and a one-block scatter, or workers=1, runs its blocks in the caller
+without forking.
 """
 
 from __future__ import annotations
@@ -10,12 +17,14 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import TooFewPoints, ZeroVariance
 from .experiments import ExperimentResult, rmse
+from .pool import map_jobs
 
 _FMT = "{:.4f}"
 
@@ -39,7 +48,7 @@ class ScatterSeries:
 _BLOCK_CELLS = 8192
 
 
-def lowess(points: Sequence[tuple[float, float]], frac: float = 0.5) -> list[float]:
+def lowess(points: Sequence[tuple[float, float]], frac: float = 0.5, workers: int = 0) -> list[float]:
     """Locally weighted linear smoothing, one pass, tricube weights.
 
     For each x_i the r = ceil(frac * n) nearest points (by |x - x_i|, ties by
@@ -58,6 +67,11 @@ def lowess(points: Sequence[tuple[float, float]], frac: float = 0.5) -> list[flo
     one O(n log n) sort per point. Each window is put in (distance, index)
     order before it is summed, the order of a full sort per point, so the
     fitted values are the same to the bit.
+
+    The two-pointer pass runs in the caller; the blocks run in `workers`
+    processes through perfcast.pool (0: one per CPU this process may run on;
+    never more than there are blocks), with the same fitted values for
+    every `workers`.
     """
     if not (0.0 < frac <= 1.0):
         raise ValueError(f"frac {frac} outside (0, 1]")
@@ -84,35 +98,38 @@ def lowess(points: Sequence[tuple[float, float]], frac: float = 0.5) -> list[flo
         start[p] = lo
         dmax[p] = max(xp - xl[lo], xl[lo + r - 1] - xp)
 
-    fitted = np.empty(n, dtype=np.float64)
-    window = np.arange(r)
     step = max(1, _BLOCK_CELLS // r)
-    for b in range(0, n, step):
-        block = slice(b, b + step)
-        xp = xs[block]
-        cols, d = _by_distance_then_index(xs, xp, start[block, None], window, order)
-        xw, yw = xs[cols], ys[cols]
-        scale = dmax[block]
-        flat_x = scale == 0.0
-        w = (1.0 - (d / np.where(flat_x, 1.0, scale)[:, None]) ** 3) ** 3
-        sw = w.sum(axis=1)
-        sx = (w * xw).sum(axis=1)
-        sy = (w * yw).sum(axis=1)
-        sxx = (w * xw * xw).sum(axis=1)
-        sxy = (w * xw * yw).sum(axis=1)
-        det = sw * sxx - sx * sx
-        singular = np.abs(det) <= 1e-12 * np.maximum(np.maximum(sw * sxx, sx * sx), 1e-300)
-        sw_safe = np.where(sw == 0.0, 1.0, sw)
-        slope = (sw * sxy - sx * sy) / np.where(singular, 1.0, det)
-        intercept = (sy - slope * sx) / sw_safe
-        out = np.where(singular, sy / sw_safe, intercept + slope * xp)
-        mean = flat_x | (sw == 0.0)
-        if mean.any():
-            out[mean] = yw[mean].mean(axis=1)
-        fitted[block] = out
+    blocks = [slice(b, b + step) for b in range(0, n, step)]
+    fitted = np.concatenate(map_jobs(partial(_fit_block, xs, ys, order, start, dmax, r), blocks, workers))
     result = np.empty(n, dtype=np.float64)
     result[order] = fitted
     return result.tolist()
+
+
+def _fit_block(xs: np.ndarray, ys: np.ndarray, order: np.ndarray, start: np.ndarray, dmax: np.ndarray, r: int,
+               block: slice) -> np.ndarray:
+    """The fitted values at the sorted points xs[block], from their windows' weighted sums."""
+    xp = xs[block]
+    cols, d = _by_distance_then_index(xs, xp, start[block, None], np.arange(r), order)
+    xw, yw = xs[cols], ys[cols]
+    scale = dmax[block]
+    flat_x = scale == 0.0
+    w = (1.0 - (d / np.where(flat_x, 1.0, scale)[:, None]) ** 3) ** 3
+    sw = w.sum(axis=1)
+    sx = (w * xw).sum(axis=1)
+    sy = (w * yw).sum(axis=1)
+    sxx = (w * xw * xw).sum(axis=1)
+    sxy = (w * xw * yw).sum(axis=1)
+    det = sw * sxx - sx * sx
+    singular = np.abs(det) <= 1e-12 * np.maximum(np.maximum(sw * sxx, sx * sx), 1e-300)
+    sw_safe = np.where(sw == 0.0, 1.0, sw)
+    slope = (sw * sxy - sx * sy) / np.where(singular, 1.0, det)
+    intercept = (sy - slope * sx) / sw_safe
+    out = np.where(singular, sy / sw_safe, intercept + slope * xp)
+    mean = flat_x | (sw == 0.0)
+    if mean.any():
+        out[mean] = yw[mean].mean(axis=1)
+    return out
 
 
 def _by_distance_then_index(xs: np.ndarray, xp: np.ndarray, first: np.ndarray, window: np.ndarray,
@@ -194,12 +211,14 @@ def emit_report(
     scatter: ScatterSeries | None = None,
     fmt: str = "markdown",
     lowess_frac: float = 0.5,
+    workers: int = 0,
 ) -> list[str]:
     """Write the report files into out_dir and return their paths.
 
     summary.csv always; summary.md additionally when fmt="markdown";
     groups_joshi.csv / groups_family.csv / scatter.csv when scatter data is
-    given; importance.csv when any result carries feature importances.
+    given; importance.csv when any result carries feature importances. The
+    scatter's LOWESS blocks run in `workers` processes, as in lowess().
     """
     if not results:
         raise ValueError("no results to report")
@@ -240,7 +259,7 @@ def emit_report(
         trues = [p.true for p in pts]
         preds = [p.pred for p in pts]
         try:
-            smoothed = lowess(list(zip(trues, preds)), frac=lowess_frac)
+            smoothed = lowess(list(zip(trues, preds)), frac=lowess_frac, workers=workers)
         except TooFewPoints:
             smoothed = [float("nan")] * len(pts)
         try:

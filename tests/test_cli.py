@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perfcast import cli
+from perfcast import cli, pool
 from perfcast.cli import main
 from perfcast.corpus import (
     EmbeddingSet,
+    dataset_features,
     jsd,
     load_feature_csv,
     profile,
@@ -124,11 +125,13 @@ class TestFeaturesCommand:
         assert (out / "manifest.json").exists()
 
     def test_each_corpus_file_read_and_profiled_once(self, tmp_path, monkeypatch):
-        reads, profiled = [], []
+        reads, profiled, computed = [], [], []
         monkeypatch.setattr(cli, "read_corpus", lambda path, mode: reads.append(os.path.basename(path))
                             or read_corpus(path, mode))
         monkeypatch.setattr(cli, "profile", lambda dataset_id, counts: profiled.append(dataset_id)
                             or profile(dataset_id, counts))
+        monkeypatch.setattr(cli, "dataset_features", lambda train, test, emb: computed.append(
+            (train.dataset_id, test.dataset_id)) or dataset_features(train, test, emb))
         for name in "abc":
             (tmp_path / f"{name}.txt").write_text(f"{name} shared words\nmore {name} text\n")
         cfg = write_json(tmp_path / "features.json", {
@@ -139,6 +142,8 @@ class TestFeaturesCommand:
         assert main(["features", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"]) == 0
         assert sorted(reads) == ["a.txt", "b.txt", "c.txt"]
         assert profiled == ["a", "b", "c"]  # nine pairs, three profiles
+        # six unordered pairs, each in the order first listed; the other three are oriented from them
+        assert computed == [("a", "a"), ("a", "b"), ("a", "c"), ("b", "b"), ("b", "c"), ("c", "c")]
         blocks = load_feature_csv(str(tmp_path / "out" / "features.csv"))
         texts = {name: [tokenize(line) for line in (tmp_path / f"{name}.txt").read_text().splitlines()] for name in "abc"}
         for (tr, te), block in blocks.items():
@@ -198,6 +203,40 @@ class TestFeaturesCommand:
             for tr, te in pairs
         ])
         assert (tmp / "out" / "features.csv").read_bytes() == (tmp / "expected.csv").read_bytes()
+
+    @pytest.mark.parametrize("listing", [
+        [("c1", "c0"), ("c2", "c0"), ("c2", "c1")],
+        [("c1", "c0"), ("c0", "c1"), ("c2", "c1"), ("c0", "c2"), ("c1", "c2"), ("c2", "c0")],
+        [("c0", "c0"), ("c2", "c2"), ("c1", "c1")],
+    ], ids=["one_direction", "both_directions", "self_pairs"])
+    @pytest.mark.parametrize("with_embeddings", [True, False], ids=["embeddings", "no_embeddings"])
+    def test_listed_pairs_match_per_pair_oracle(self, tmp_path, listing, with_embeddings):
+        rng = np.random.default_rng(len(listing))
+        words = [f"w{i}" for i in range(40)] + ["ΟΔΟΣ", "a_1"]
+        sentences, embeddings = {}, {}
+        for i in range(3):
+            dataset_id = f"c{i}"
+            lines = [" ".join(rng.choice(words[i * 5:], int(rng.integers(1, 12)))) for _ in range(30)]
+            (tmp_path / f"{dataset_id}.txt").write_text("\n".join(lines) + "\n")
+            sentences[dataset_id] = oracle_read_corpus(str(tmp_path / f"{dataset_id}.txt"))
+            embeddings[dataset_id] = EmbeddingSet(dataset_id, 37, tuple(rng.normal(size=37).tolist()))
+        config = {"corpora": [{"dataset_id": ds, "path": f"{ds}.txt"} for ds in sentences],
+                  "pairs": [{"train": tr, "test": te} for tr, te in listing]}
+        if with_embeddings:
+            (tmp_path / "emb.jsonl").write_text("".join(
+                json.dumps({"dataset_id": e.dataset_id, "dim": e.dim, "mean_vector": list(e.mean_vector)}) + "\n"
+                for e in embeddings.values()))
+            config["embeddings"] = "emb.jsonl"
+        cfg = write_json(tmp_path / "features.json", config)
+        write_feature_csv(str(tmp_path / "expected.csv"), [
+            (tr, te, oracle_dataset_features(sentences[tr], sentences[te],
+                                             (embeddings[tr], embeddings[te]) if with_embeddings else None))
+            for tr, te in listing
+        ])
+        for threads in ("1", "3"):
+            out = tmp_path / f"out{threads}"
+            assert main(["features", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+            assert (out / "features.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_side_switch(self, tmp_path):
         (tmp_path / "src.txt").write_text("alpha beta\n")
@@ -276,6 +315,18 @@ class TestConfigShape:
         assert main(["features", "--config", cfg, "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["message"]) == ("ConfigError", f"{cfg}: corpora[1]: repeated dataset_id 'x'")
+        assert not out.exists()
+
+    def test_repeated_pair_rejected_before_any_file(self, tmp_path, capsys):
+        # a repeated row in features.csv would be refused by every command that loads it
+        cfg = write_json(tmp_path / "f.json", {
+            "corpora": [{"dataset_id": "A", "path": "a.txt"}, {"dataset_id": "B", "path": "b.txt"}],
+            "pairs": [{"train": "A", "test": "B"}, {"train": "B", "test": "A"}, {"train": "A", "test": "B"}]})
+        out = tmp_path / "out"
+        assert main(["features", "--config", cfg, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == (
+            "ConfigError", f"{cfg}: pairs[2]: repeated pair ('A', 'B'), first given as pairs[0]")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, drop, extra, match", [
@@ -480,6 +531,30 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
         assert main(["experiment", "--config", cfg, "--out", str(out2), "--threads", "8"]) == 0
         assert dir_bytes(out1) == dir_bytes(out2)
+
+    def test_threads_flag_has_no_effect_on_a_scatter_of_several_blocks(self, tmp_path):
+        # LOLO predicts all 100 records, and at lowess_frac 1 their windows make 2 blocks
+        cfg = write_experiment_fixture(tmp_path, n=100, config_extra={"split": {"kind": "lolo"}, "repeats": 1,
+                                                                      "lowess_frac": 1.0})
+        out1, out3 = tmp_path / "o1", tmp_path / "o3"
+        assert main(["experiment", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
+        assert main(["experiment", "--config", cfg, "--out", str(out3), "--threads", "3"]) == 0
+        assert len((out1 / "scatter.csv").read_text().splitlines()) == 2 + 100
+        assert dir_bytes(out1) == dir_bytes(out3)
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_one_process_or_one_job_and_block_never_forks(self, tmp_path, monkeypatch, threads):
+        # one repeat of a random split is one job, and its 11 scatter points one block
+        cfg = write_experiment_fixture(tmp_path, config_extra={"repeats": 1})
+        pool.close()
+
+        def fail_to_fork():
+            raise OSError("fork refused by the test")
+
+        monkeypatch.setattr(os, "fork", fail_to_fork)
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+        assert len((out / "scatter.csv").read_text().splitlines()) == 2 + 11
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_experiment_fixture(tmp_path)
@@ -708,6 +783,61 @@ class TestTrainPredictImportance:
                    "--preset", "lgbm_default"])
         assert rc == 1
         assert "poly" in json.loads(capsys.readouterr().err)["message"]
+
+
+def drop_lines(path, *prefixes):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith(prefixes)))
+
+
+class TestMissingFeatureNamesItsSources:
+    """An unresolvable feature names the record's file:line and the input that lacks its row."""
+
+    def test_train_names_the_distance_file(self, tmp_path, capsys):
+        cfg = write_experiment_fixture(tmp_path)
+        drop_lines(tmp_path / "distances.csv", "eng,ewe,syntactic,")  # r0004, on records.csv line 6, is eng-ewe
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MissingFeature",
+            "message": f"{tmp_path / 'records.csv'}:6: record 'r0004': feature column 'language:syntactic' is"
+                       f" unresolvable: not in the language_distances file {tmp_path / 'distances.csv'}"}
+
+    def test_predict_names_the_jsonl_line_and_the_feature_csv(self, tmp_path, capsys):
+        cfg = json.loads(Path(write_experiment_fixture(tmp_path)).read_text())
+        assert main(["train", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "train")]) == 0
+        records, _, _ = synthetic_setup(36, seed=0)
+        lines = [json.dumps({**rec.__dict__}) for rec in records[:4]]
+        (tmp_path / "candidates.jsonl").write_text("\n" + "\n".join(lines) + "\n")  # r0003 on line 5
+        drop_lines(tmp_path / "features.csv", "tr3,te3,")
+        predict = write_json(tmp_path / "predict.json", {**cfg, "records": "candidates.jsonl",
+                                                         "model": "train/model.json"})
+        assert main(["predict", "--config", predict, "--out", str(tmp_path / "out")]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MissingFeature",
+            "message": f"{tmp_path / 'candidates.jsonl'}:5: record 'r0003': feature column 'dataset:(tr3,te3)' is"
+                       f" unresolvable: not in the dataset_features CSV {tmp_path / 'features.csv'}"}
+
+    def test_experiment_names_the_test_records_line_and_the_corpus_pairs(self, tmp_path, capsys):
+        (tmp_path / "a.txt").write_text("the quick brown fox\njumps over the dog\n")
+        (tmp_path / "b.txt").write_text("a different corpus entirely\nwith other words\n")
+        records, _, _ = synthetic_setup(14, seed=3)
+        records = [rec.__class__(**{**rec.__dict__, "train_dataset": "corpus-a", "test_dataset": "corpus-b"})
+                   for rec in records]
+        records[9].test_dataset = "corpus-a"  # the second test record, on test.csv line 3
+        save_records(records[:8], str(tmp_path / "train.csv"))
+        save_records(records[8:], str(tmp_path / "test.csv"))
+        cfg = write_json(tmp_path / "pipe.json", {
+            "records": "train.csv", "test_records": "test.csv",
+            "corpora": [{"dataset_id": "corpus-a", "path": "a.txt"}, {"dataset_id": "corpus-b", "path": "b.txt"}],
+            "pairs": [{"train": "corpus-a", "test": "corpus-b"}],
+            "feature_groups": ["dataset", "proxy"], "regressor": "poly", "params": {"degree": 1},
+            "split": {"kind": "cross_dataset"}, "repeats": 1, "seed": 2,
+        })
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MissingFeature",
+            "message": f"{tmp_path / 'test.csv'}:3: record 'r0009': feature column 'dataset:(corpus-a,corpus-a)' is"
+                       f" unresolvable: not in the corpus pairs of {cfg}"}
 
 
 def write_many_to_many_fixture(tmp_path):

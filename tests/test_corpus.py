@@ -20,6 +20,7 @@ from perfcast.corpus import (
     jsd,
     load_embeddings,
     load_feature_csv,
+    oriented,
     profile,
     read_corpus,
     tfidf_cosine,
@@ -360,6 +361,18 @@ class TestPairKernelBits:
             got = dataset_features(p1, p2)
             assert [repr(v) for v in got.as_row()] == [repr(v) for v in oracle_dataset_features(s1, s2).as_row()]
             assert (word_overlap(p1, p2), tfidf_cosine(p1, p2)) == (got.word_overlap, got.tfidf_cosine)
+
+    def test_reverse_pair_oriented_is_the_pair_bit_for_bit(self):
+        # the symmetric statistics of (b, a) are those of (a, b); only the directional fields change
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            s1, s2 = random_corpus(rng), random_corpus(rng)
+            p1, p2 = profile("d1", s1), profile("d2", s2)
+            dim = int(rng.integers(1, 40))
+            e1, e2 = (EmbeddingSet(d, dim, tuple(rng.normal(size=dim).tolist())) for d in ("d1", "d2"))
+            for emb in ((e1, e2), None):
+                reverse = dataset_features(p2, p1, None if emb is None else emb[::-1])
+                assert repr(oriented(reverse, p1, p2)) == repr(dataset_features(p1, p2, emb))
 
     def test_jsd_matches_dict_loop(self):
         rng = np.random.default_rng(31)

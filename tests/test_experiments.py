@@ -769,7 +769,8 @@ class TestWorkers:
     @pytest.mark.parametrize("error", sorted(all_subclasses(PerfcastError), key=lambda e: e.__name__),
                              ids=lambda e: e.__name__)
     def test_every_error_survives_pickling(self, error):
-        args = {"MissingPair": ("aar", "bel", ["syntactic", "genetic"]), "MissingFeature": ("r1", "proxy:p0")}
+        args = {"MissingPair": ("aar", "bel", ["syntactic", "genetic"]),
+                "MissingFeature": ("r1", "proxy:p0", "r.csv:3", "t.csv")}
         exc = error(*args.get(error.__name__, ("a message",)))
         back = pickle.loads(pickle.dumps(exc))
         assert (type(back), str(back), vars(back)) == (error, str(exc), vars(exc))

@@ -1,10 +1,13 @@
 import csv
+import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from perfcast import pool, report
 from perfcast.errors import TooFewPoints, ZeroVariance
 from perfcast.experiments import ExperimentResult
 from perfcast.report import (
@@ -94,6 +97,44 @@ class TestLowessWindows:
         x = rng.uniform(0, 100, n) if kind == "uniform" else rng.integers(0, 30, n).astype(float)
         points = list(zip(x, x + rng.normal(size=n)))
         assert lowess(points, frac) == oracle_lowess_per_point(points, frac)
+
+
+def blocks_of(n, frac):
+    """How many blocks of windows lowess fits for n points."""
+    return math.ceil(n / max(1, report._BLOCK_CELLS // math.ceil(frac * n)))
+
+
+def noisy_points(kind, n, seed):
+    """Points near y = x: x uniform on [0, 100), or integers 0-11, so with many ties."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 100, n) if kind == "uniform" else rng.integers(0, 12, n).astype(float)
+    return list(zip(x.tolist(), (x + rng.normal(size=n)).tolist()))
+
+
+def fail_to_fork():
+    raise OSError("fork refused by the test")
+
+
+class TestLowessBlocks:
+    """The blocks of windows run on the worker pool, and the fit is the same for every worker count."""
+
+    @pytest.mark.parametrize("kind, n, frac", [("uniform", 131, 0.5), ("integer", 150, 0.5), ("uniform", 400, 0.3),
+                                               ("integer", 95, 1.0)])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_workers_fit_what_one_process_fits(self, kind, n, frac, workers):
+        points = noisy_points(kind, n, seed=n)
+        assert blocks_of(n, frac) >= 2
+        assert lowess(points, frac, workers) == lowess(points, frac, 1) == oracle_lowess_per_point(points, frac)
+
+    def test_one_process_or_one_block_never_forks(self, monkeypatch):
+        pool.close()
+        monkeypatch.setattr(os, "fork", fail_to_fork)
+        big, small = noisy_points("uniform", 200, seed=1), noisy_points("uniform", 60, seed=2)
+        assert (blocks_of(200, 0.5), blocks_of(60, 0.5)) == (3, 1)
+        assert lowess(big, 0.5, 1) == oracle_lowess_per_point(big, 0.5)
+        assert lowess(small, 0.5, 3) == oracle_lowess_per_point(small, 0.5)
+        with pytest.raises(OSError, match="fork refused"):  # more blocks than one do reach the pool
+            lowess(big, 0.5, 3)
 
 
 class TestRSquared:
