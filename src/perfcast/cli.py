@@ -37,7 +37,9 @@ from .corpus import (
     read_corpus,
     write_feature_csv,
 )
-from .errors import ConfigError, DuplicateId, MissingFeature, ParseError, PerfcastError, TooFewRecords, open_text
+from .errors import (
+    ConfigError, DuplicateId, MissingFeature, ParseError, PerfcastError, TooFewRecords, numbered_rows, open_text,
+)
 from .experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -386,22 +388,19 @@ def _load_families(run: _Run, cfg: Config) -> dict[str, str]:
         return {}
     path = run.track(run.resolve(cfg.language_families))
     families: dict[str, str] = {}
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["lang", "family"]:
-            raise ParseError(f"{path}: expected header lang,family")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 cells, got {len(row)}")
-            lang, family = (cell.strip() for cell in row)
-            if not lang:
-                raise ParseError(f"{path}:{lineno}: empty language code")
-            if lang in families:
-                raise ParseError(f"{path}:{lineno}: repeated language {lang!r}")
-            families[lang] = family
+    first_line: dict[str, int] = {}
+    rows = numbered_rows(path, "csv")
+    header = next(rows, (1, None))[1]
+    if header is None or [h.strip() for h in header] != ["lang", "family"]:
+        raise ParseError(f"{path}:1: expected header lang,family")
+    for lineno, row in rows:
+        lang, family = (cell.strip() for cell in row)
+        if not lang:
+            raise ParseError(f"{path}:{lineno}: empty language code")
+        if lang in first_line:
+            raise ParseError(f"{path}:{lineno}: repeated language {lang!r}, first given on line {first_line[lang]}")
+        first_line[lang] = lineno
+        families[lang] = family
     return families
 
 

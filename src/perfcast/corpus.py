@@ -32,7 +32,7 @@ from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, EmptyCorpus, InvalidTTR, ParseError, RangeError, ZeroVector, open_text
+from .errors import DimMismatch, EmptyCorpus, InvalidTTR, ParseError, RangeError, ZeroVector, numbered_rows, open_text
 from .fields import from_json
 
 TokenizeMode = Literal["unicode_words", "pretokenized_whitespace"]
@@ -337,22 +337,16 @@ def load_embeddings(path: str) -> dict[str, EmbeddingSet]:
     """
     out: dict[str, EmbeddingSet] = {}
     first_line: dict[str, int] = {}
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                emb = from_json(EmbeddingSet, json.loads(line))
-            except ValueError as exc:  # json.JSONDecodeError is a ValueError
-                raise ParseError(f"{path}:{lineno}: bad embedding record: {exc}") from exc
-            key = emb.dataset_id
-            if key in first_line:
-                raise ParseError(
-                    f"{path}:{lineno}: duplicate dataset_id {key!r}, first given on line {first_line[key]}"
-                )
-            first_line[key] = lineno
-            out[key] = emb
+    for lineno, line in numbered_rows(path, "jsonl"):
+        try:
+            emb = from_json(EmbeddingSet, json.loads(line))
+        except ValueError as exc:  # json.JSONDecodeError is a ValueError
+            raise ParseError(f"{path}:{lineno}: bad embedding record: {exc}") from exc
+        key = emb.dataset_id
+        if key in first_line:
+            raise ParseError(f"{path}:{lineno}: duplicate dataset_id {key!r}, first given on line {first_line[key]}")
+        first_line[key] = lineno
+        out[key] = emb
     return out
 
 
@@ -394,40 +388,35 @@ def load_feature_csv(path: str) -> dict[tuple[str, str], DatasetFeatureBlock]:
     expected = ("train_dataset", "test_dataset") + DATASET_FEATURE_COLUMNS
     out: dict[tuple[str, str], DatasetFeatureBlock] = {}
     first_line: dict[tuple[str, str], int] = {}
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != expected:
-            raise ParseError(f"{path}: unexpected feature CSV header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(expected):
-                raise ParseError(f"{path}:{lineno}: expected {len(expected)} cells, got {len(row)}")
-            try:
-                block = DatasetFeatureBlock(
-                    train_size=int(row[2]),
-                    vocab_size_train=int(row[3]),
-                    avg_sentence_length_train=float(row[4]),
-                    word_overlap=float(row[5]),
-                    ttr_train=float(row[6]),
-                    ttr_test=float(row[7]),
-                    ttr_distance=float(row[8]),
-                    jsd=float(row[9]),
-                    tfidf_cosine=float(row[10]),
-                    embedding_cosine=float(row[11]) if row[11] != "" else None,
-                )
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            for name, value in zip(DATASET_FEATURE_COLUMNS, block.as_row()):
-                if value is not None and not math.isfinite(value):
-                    raise RangeError(f"{path}:{lineno}: non-finite {name} {value}")
-            for name, (interval, inside) in _FEATURE_RANGES.items():
-                if not inside(getattr(block, name)):
-                    raise RangeError(f"{path}:{lineno}: {name} {getattr(block, name)} outside {interval}")
-            key = (row[0], row[1])
-            if key in first_line:
-                raise ParseError(f"{path}:{lineno}: duplicate pair {key}, first given on line {first_line[key]}")
-            first_line[key] = lineno
-            out[key] = block
+    rows = numbered_rows(path, "csv")
+    header = next(rows, (1, None))[1]
+    if header is None or tuple(header) != expected:
+        raise ParseError(f"{path}:1: unexpected feature CSV header {header}")
+    for lineno, row in rows:
+        try:
+            block = DatasetFeatureBlock(
+                train_size=int(row[2]),
+                vocab_size_train=int(row[3]),
+                avg_sentence_length_train=float(row[4]),
+                word_overlap=float(row[5]),
+                ttr_train=float(row[6]),
+                ttr_test=float(row[7]),
+                ttr_distance=float(row[8]),
+                jsd=float(row[9]),
+                tfidf_cosine=float(row[10]),
+                embedding_cosine=float(row[11]) if row[11] != "" else None,
+            )
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        for name, value in zip(DATASET_FEATURE_COLUMNS, block.as_row()):
+            if value is not None and not math.isfinite(value):
+                raise RangeError(f"{path}:{lineno}: non-finite {name} {value}")
+        for name, (interval, inside) in _FEATURE_RANGES.items():
+            if not inside(getattr(block, name)):
+                raise RangeError(f"{path}:{lineno}: {name} {getattr(block, name)} outside {interval}")
+        key = (row[0], row[1])
+        if key in first_line:
+            raise ParseError(f"{path}:{lineno}: duplicate pair {key}, first given on line {first_line[key]}")
+        first_line[key] = lineno
+        out[key] = block
     return out

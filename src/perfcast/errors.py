@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the text-file opener that raises one.
+"""Exception types shared across the package, and the text-file readers that raise them.
 
 Every error raised by perfcast derives from :class:`PerfcastError`, so callers
 (and the CLI) can catch one base class.
@@ -7,7 +7,8 @@ Every error raised by perfcast derives from :class:`PerfcastError`, so callers
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, TextIO
+import csv
+from typing import Any, Iterator, Literal, TextIO
 
 
 class PerfcastError(Exception):
@@ -151,6 +152,43 @@ def open_text(path: str, newline: str | None = None) -> Iterator[TextIO]:
             raise _not_utf8(path, exc) from exc
 
 
+def numbered_rows(path: str, form: Literal["csv", "jsonl"]) -> Iterator[tuple[int, Any]]:
+    """Yield (line, row) for each non-blank row of a CSV or JSON-lines file: the one place inputs number lines.
+
+    line is the physical line the row starts on, counted from 1. "\\n", "\\r\\n"
+    and a lone "\\r" each end a line, a blank line is skipped but counted, and
+    a CSV row whose quoted cell spans lines is numbered by its first line.
+    A "jsonl" row is the line's text, stripped. A "csv" row is its list of
+    cells: the header, the first physical row, comes first as (1, header),
+    or nothing comes from an empty file, and a later row whose number of
+    cells is not the header's is a ParseError at file:line. Checking the
+    header is the caller's part. A byte that is not UTF-8 is a ParseError
+    at file:line.
+    """
+    with open_text(path, newline="" if form == "csv" else None) as fh:
+        if form == "jsonl":
+            line = 0
+            for text in fh:
+                line += 1
+                text = text.strip()
+                if text:
+                    yield line, text
+            return
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return
+        yield 1, header
+        width = len(header)
+        line = reader.line_num + 1
+        for row in reader:
+            if len(row) > 1 or (row and row[0].strip()):  # a blank line reads as no cell or one blank cell
+                if len(row) != width:
+                    raise ParseError(f"{path}:{line}: expected {width} cells, got {len(row)}")
+                yield line, row
+            line = reader.line_num + 1
+
+
 def _not_utf8(path: str, exc: UnicodeDecodeError) -> ParseError:
     # the reader decodes in chunks, so exc.start counts from a chunk's start: decode the whole file again
     with open(path, "rb") as fh:
@@ -159,5 +197,6 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> ParseError:
         data.decode("utf-8")
     except UnicodeDecodeError as whole:
         exc = whole
-    line = data.count(b"\n", 0, exc.start) + 1
-    return ParseError(f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+    # "\r\n", "\n" and a lone "\r" each end one line, as the readers split lines
+    ends = data.count(b"\n", 0, exc.start) + data.count(b"\r", 0, exc.start) - data.count(b"\r\n", 0, exc.start)
+    return ParseError(f"{path}:{ends + 1}: not UTF-8 text ({exc.reason} at byte {exc.start})")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
-from .errors import AsymmetryError, MissingPair, ParseError, RangeError, SelfDistanceNonzero, open_text
+from .errors import AsymmetryError, MissingPair, ParseError, RangeError, SelfDistanceNonzero, numbered_rows
 
 DISTANCE_KINDS = ("geographic", "genetic", "inventory", "syntactic", "phonological", "featural")
 
@@ -53,38 +53,33 @@ def load_distance_table(path: str) -> LanguageDistanceTable:
     when duplicate rows for the same pair and kind disagree.
     """
     entries: dict[tuple[str, str, str], float] = {}
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-            raise ParseError(f"{path}: expected header {','.join(CSV_HEADER)}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 cells, got {len(row)}")
-            lang_a, lang_b, kind, raw = (cell.strip() for cell in row)
-            if not lang_a or not lang_b:
-                raise ParseError(f"{path}:{lineno}: empty language code")
-            if kind not in DISTANCE_KINDS:
-                raise ParseError(f"{path}:{lineno}: unknown distance kind {kind!r}")
-            try:
-                value = float(raw)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad distance {raw!r}") from exc
-            if not (0.0 <= value <= 1.0):
-                raise RangeError(f"{path}:{lineno}: distance {value} outside [0, 1]")
-            if lang_a == lang_b:
-                if value != 0.0:
-                    raise SelfDistanceNonzero(f"{path}:{lineno}: self-distance ({lang_a}, {kind}) must be 0, got {value}")
-                continue
-            for key in ((lang_a, lang_b, kind), (lang_b, lang_a, kind)):
-                if key in entries and entries[key] != value:
-                    raise AsymmetryError(
-                        f"{path}:{lineno}: conflicting values for ({key[0]}, {key[1]}, {kind}): "
-                        f"{entries[key]} vs {value}"
-                    )
-                entries[key] = value
+    rows = numbered_rows(path, "csv")
+    header = next(rows, (1, None))[1]
+    if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
+        raise ParseError(f"{path}:1: expected header {','.join(CSV_HEADER)}, got {header}")
+    for lineno, row in rows:
+        lang_a, lang_b, kind, raw = (cell.strip() for cell in row)
+        if not lang_a or not lang_b:
+            raise ParseError(f"{path}:{lineno}: empty language code")
+        if kind not in DISTANCE_KINDS:
+            raise ParseError(f"{path}:{lineno}: unknown distance kind {kind!r}")
+        try:
+            value = float(raw)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad distance {raw!r}") from exc
+        if not (0.0 <= value <= 1.0):
+            raise RangeError(f"{path}:{lineno}: distance {value} outside [0, 1]")
+        if lang_a == lang_b:
+            if value != 0.0:
+                raise SelfDistanceNonzero(f"{path}:{lineno}: self-distance ({lang_a}, {kind}) must be 0, got {value}")
+            continue
+        for key in ((lang_a, lang_b, kind), (lang_b, lang_a, kind)):
+            if key in entries and entries[key] != value:
+                raise AsymmetryError(
+                    f"{path}:{lineno}: conflicting values for ({key[0]}, {key[1]}, {kind}): "
+                    f"{entries[key]} vs {value}"
+                )
+            entries[key] = value
     return LanguageDistanceTable(entries=entries)
 
 

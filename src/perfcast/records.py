@@ -33,7 +33,7 @@ import numpy as np
 
 from .corpus import DATASET_FEATURE_COLUMNS, DatasetFeatureBlock
 from .errors import (
-    DuplicateId, KeyMismatch, MissingFeature, MissingPair, ParseError, RangeError, SchemaMismatch, open_text,
+    DuplicateId, KeyMismatch, MissingFeature, MissingPair, ParseError, RangeError, SchemaMismatch, numbered_rows,
 )
 from .fields import from_json
 from .langdist import DISTANCE_KINDS, LanguageDistanceTable, language_features
@@ -192,53 +192,47 @@ def _load_records_csv(path: str) -> list[PerformanceRecord]:
     lines = array("l")
     ids: set[str] = set()
     bounds_of: dict[str, tuple[float, float]] = {}
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return []
-        header = [h.strip() for h in header]
-        if tuple(header[: len(_BASE_COLUMNS)]) != _BASE_COLUMNS:
-            raise ParseError(f"{path}: unexpected records header (first columns must be {','.join(_BASE_COLUMNS)})")
-        proxy_ids = []
-        for col in header[len(_BASE_COLUMNS):]:
-            if not col.startswith(PROXY_PREFIX):
-                raise ParseError(f"{path}: unexpected column {col!r} (proxy columns must start with {PROXY_PREFIX!r})")
-            proxy_ids.append(col[len(PROXY_PREFIX):])
-        width = len(header)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:  # a blank line reads as no cell or one blank cell; a header has 12 or more
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                raise ParseError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
-            (record_id, task, estimated_model, train_dataset, test_dataset, src_lang, tgt_lang, metric_name,
-             score, seen, corpus_group, joshi, *cells) = row
+    rows = numbered_rows(path, "csv")
+    header = next(rows, (1, None))[1]
+    if header is None:
+        return []
+    header = [h.strip() for h in header]
+    if tuple(header[: len(_BASE_COLUMNS)]) != _BASE_COLUMNS:
+        raise ParseError(f"{path}:1: unexpected records header (first columns must be {','.join(_BASE_COLUMNS)})")
+    proxy_ids = []
+    for col in header[len(_BASE_COLUMNS):]:
+        if not col.startswith(PROXY_PREFIX):
+            raise ParseError(f"{path}:1: unexpected column {col!r} (proxy columns must start with {PROXY_PREFIX!r})")
+        proxy_ids.append(col[len(PROXY_PREFIX):])
+    for lineno, row in rows:
+        (record_id, task, estimated_model, train_dataset, test_dataset, src_lang, tgt_lang, metric_name,
+         score, seen, corpus_group, joshi, *cells) = row
+        try:
+            score = float(score)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad score {score!r}") from exc
+        try:  # int() and float() ignore the whitespace round a number; a cell of whitespace alone is empty
+            joshi = int(joshi) if joshi else None
+        except ValueError as exc:
+            if joshi.strip():
+                raise ParseError(f"{path}:{lineno}: bad joshi_class {joshi.strip()!r}") from exc
+            joshi = None
+        proxies: dict[str, float | None] = {}
+        for proxy_id, cell in zip(proxy_ids, cells):
             try:
-                score = float(score)
+                proxies[proxy_id] = float(cell) if cell else None
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad score {score!r}") from exc
-            try:  # int() and float() ignore the whitespace round a number; a cell of whitespace alone is empty
-                joshi = int(joshi) if joshi else None
-            except ValueError as exc:
-                if joshi.strip():
-                    raise ParseError(f"{path}:{lineno}: bad joshi_class {joshi.strip()!r}") from exc
-                joshi = None
-            proxies: dict[str, float | None] = {}
-            for proxy_id, cell in zip(proxy_ids, cells):
-                try:
-                    proxies[proxy_id] = float(cell) if cell else None
-                except ValueError as exc:
-                    if cell.strip():
-                        raise ParseError(f"{path}:{lineno}: bad proxy score {cell.strip()!r}") from exc
-                    proxies[proxy_id] = None
-            rec = PerformanceRecord(record_id, share(task, task), share(estimated_model, estimated_model),
-                                    share(train_dataset, train_dataset), share(test_dataset, test_dataset),
-                                    share(src_lang, src_lang), share(tgt_lang, tgt_lang),
-                                    share(metric_name, metric_name), score, proxies,
-                                    _parse_bool(seen, path, lineno), share(corpus_group, corpus_group), joshi)
-            records.append(validate_record(rec, path, lineno, bounds_of))
-            lines.append(lineno)
-            _check_new_id(records, lines, ids, path)
+                if cell.strip():
+                    raise ParseError(f"{path}:{lineno}: bad proxy score {cell.strip()!r}") from exc
+                proxies[proxy_id] = None
+        rec = PerformanceRecord(record_id, share(task, task), share(estimated_model, estimated_model),
+                                share(train_dataset, train_dataset), share(test_dataset, test_dataset),
+                                share(src_lang, src_lang), share(tgt_lang, tgt_lang),
+                                share(metric_name, metric_name), score, proxies,
+                                _parse_bool(seen, path, lineno), share(corpus_group, corpus_group), joshi)
+        records.append(validate_record(rec, path, lineno, bounds_of))
+        lines.append(lineno)
+        _check_new_id(records, lines, ids, path)
     return records
 
 
@@ -250,48 +244,42 @@ def _load_records_jsonl(path: str) -> list[PerformanceRecord]:
     bounds_of: dict[str, tuple[float, float]] = {}
     shared: dict[str, str] = {}
     share = shared.setdefault
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if isinstance(obj, dict):
-                    seen = obj.get("seen_by_estimated_model")
-                    if isinstance(seen, str):
-                        obj["seen_by_estimated_model"] = _parse_bool(seen, path, lineno)
-                    for name in _SHARED_FIELDS:
-                        cell = obj.get(name)
-                        if isinstance(cell, str):
-                            obj[name] = share(cell, cell)
-                    proxies = obj.get("proxy_scores")
-                    if isinstance(proxies, dict):
-                        obj["proxy_scores"] = {share(key, key): value for key, value in proxies.items()}
-                rec = from_json(PerformanceRecord, obj)
-            except ValueError as exc:  # json.JSONDecodeError is a ValueError
-                raise ParseError(f"{path}:{lineno}: bad record: {exc}") from exc
-            records.append(validate_record(rec, path, lineno, bounds_of))
-            lines.append(lineno)
-            _check_new_id(records, lines, ids, path)
+    for lineno, line in numbered_rows(path, "jsonl"):
+        try:
+            obj = json.loads(line)
+            if isinstance(obj, dict):
+                seen = obj.get("seen_by_estimated_model")
+                if isinstance(seen, str):
+                    obj["seen_by_estimated_model"] = _parse_bool(seen, path, lineno)
+                for name in _SHARED_FIELDS:
+                    cell = obj.get(name)
+                    if isinstance(cell, str):
+                        obj[name] = share(cell, cell)
+                proxies = obj.get("proxy_scores")
+                if isinstance(proxies, dict):
+                    obj["proxy_scores"] = {share(key, key): value for key, value in proxies.items()}
+            rec = from_json(PerformanceRecord, obj)
+        except ValueError as exc:  # json.JSONDecodeError is a ValueError
+            raise ParseError(f"{path}:{lineno}: bad record: {exc}") from exc
+        records.append(validate_record(rec, path, lineno, bounds_of))
+        lines.append(lineno)
+        _check_new_id(records, lines, ids, path)
     return records
 
 
 def record_line(path: str, record_id: str) -> int | None:
-    """The line of a records file that gives record_id, numbered as load_records numbers it, or None.
+    """The physical line a records file gives record_id on, or None.
 
-    It reads the file again, so it is for error messages only.
+    It reads the file again through numbered_rows, as load_records does, so
+    the line agrees with the loader's; it is for error messages only.
     """
     jsonl = path.endswith((".jsonl", ".json"))
-    with open_text(path, newline=None if jsonl else "") as fh:
-        if jsonl:
-            for lineno, line in enumerate(fh, start=1):
-                if line.strip() and json.loads(line).get("record_id") == record_id:
-                    return lineno
-        else:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if lineno > 1 and row and row[0] == record_id:
-                    return lineno
+    rows = numbered_rows(path, "jsonl" if jsonl else "csv")
+    if not jsonl:
+        next(rows, None)  # the header
+    for lineno, row in rows:
+        if (json.loads(row).get("record_id") if jsonl else row[0]) == record_id:
+            return lineno
     return None
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -759,7 +760,9 @@ def oracle_mf_sgd(C: np.ndarray, y: np.ndarray, src_of, tgt_of, n_src: int, n_tg
 
 
 # The records CSV reader that the one-pass reader replaced, with the checks it called, kept as
-# written. Its record checks name no file or line, and it does not look for repeated ids.
+# written but for its line numbers. Its record checks name no file or line, and it does not look
+# for repeated ids. It finds each row's physical line by counting line ends and quotes in the raw
+# text, not through the csv module's line count.
 
 
 def _check_score(record_id: str, metric_name: str, score: float) -> None:
@@ -795,14 +798,36 @@ def _parse_bool(raw: str, context: str) -> bool:
     raise ParseError(f"{context}: bad boolean {raw!r}")
 
 
+def csv_rows_by_line(text: str) -> list[tuple[int, list[str]]]:
+    """Each CSV row of text, blank ones too, with the physical line it starts on.
+
+    The text is cut at every line end ("\\r\\n", "\\n" or a lone "\\r"), and a
+    line joins the next while the row so far holds an odd number of quotes,
+    that is while a quoted cell is open.
+    """
+    parts = re.split(r"(\r\n|\r|\n)", text)  # line, end, line, end, ..., text after the last end
+    lines = ["".join(parts[i:i + 2]) for i in range(0, len(parts), 2)]
+    if lines[-1] == "":
+        lines.pop()
+    rows: list[tuple[int, list[str]]] = []
+    pending: list[str] = []
+    for number, line in enumerate(lines, start=1):
+        pending.append(line)
+        if "".join(pending).count('"') % 2 == 0:
+            rows.append((number - len(pending) + 1, next(csv.reader(pending), [])))
+            pending = []
+    if pending:
+        rows.append((len(lines) - len(pending) + 1, next(csv.reader(pending), [])))
+    return rows
+
+
 def oracle_load_records_csv(path: str) -> list[PerformanceRecord]:
     records: list[PerformanceRecord] = []
     with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        rows = csv_rows_by_line(fh.read())
+        if not rows:
             return []
-        header = [h.strip() for h in header]
+        header = [h.strip() for h in rows[0][1]]
         if tuple(header[: len(_BASE_COLUMNS)]) != _BASE_COLUMNS:
             raise ParseError(f"{path}: unexpected records header (first columns must be {','.join(_BASE_COLUMNS)})")
         proxy_ids = []
@@ -810,7 +835,7 @@ def oracle_load_records_csv(path: str) -> list[PerformanceRecord]:
             if not col.startswith(PROXY_PREFIX):
                 raise ParseError(f"{path}: unexpected column {col!r} (proxy columns must start with {PROXY_PREFIX!r})")
             proxy_ids.append(col[len(PROXY_PREFIX):])
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows[1:]:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(header):

@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import json
 import os
 from pathlib import Path
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perfcast import cli, pool
+from perfcast import cli, errors, pool
 from perfcast.cli import main
 from perfcast.corpus import (
     EmbeddingSet,
@@ -22,11 +25,11 @@ from perfcast.corpus import (
 )
 from perfcast.experiments import ExperimentConfig, SplitSpec
 from perfcast.langdist import save_distance_table
-from perfcast.records import build_schema, proxy_roster, save_records
+from perfcast.records import build_schema, load_records, proxy_roster, save_records
 from perfcast.regressors import GbtParams
 
 from conftest import synthetic_setup
-from oracles import oracle_dataset_features, oracle_read_corpus
+from oracles import csv_rows_by_line, oracle_dataset_features, oracle_read_corpus
 
 
 def write_json(path, obj):
@@ -474,9 +477,10 @@ class TestLanguageFamilies:
     @pytest.mark.parametrize("body, match", [
         ("aar,family-0\nbel\n", ":3: expected 2 cells, got 1"),
         ("aar,family-0,extra\n", ":2: expected 2 cells, got 3"),
-        ("aar,family-0\nbel,family-1\naar,family-1\n", ":4: repeated language 'aar'"),
+        ("aar,family-0\nbel,family-1\naar,family-1\n", ":4: repeated language 'aar', first given on line 2"),
         (",family-0\n", ":2: empty language code"),
-    ], ids=["short_row", "long_row", "repeated_language", "empty_language"])
+        ('"aar\nx",family-0\n\nbel\n', ":5: expected 2 cells, got 1"),
+    ], ids=["short_row", "long_row", "repeated_language", "empty_language", "after_a_quoted_line_break"])
     def test_bad_row_is_a_parse_error_at_its_line(self, tmp_path, capsys, body, match):
         cfg = write_experiment_fixture(tmp_path)
         (tmp_path / "families.csv").write_text("lang,family\n" + body)
@@ -802,6 +806,16 @@ class TestMissingFeatureNamesItsSources:
             "message": f"{tmp_path / 'records.csv'}:6: record 'r0004': feature column 'language:syntactic' is"
                        f" unresolvable: not in the language_distances file {tmp_path / 'distances.csv'}"}
 
+    def test_train_names_the_physical_line_after_a_quoted_line_break(self, tmp_path, capsys):
+        cfg = write_experiment_fixture(tmp_path)
+        records = load_records(str(tmp_path / "records.csv"))
+        records[1].estimated_model = "big\nmodel"  # r0001 spans lines 3 and 4, so r0004 starts on line 7
+        save_records(records, str(tmp_path / "records.csv"))
+        drop_lines(tmp_path / "distances.csv", "eng,ewe,syntactic,")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert json.loads(capsys.readouterr().err)["message"].startswith(
+            f"{tmp_path / 'records.csv'}:7: record 'r0004': feature column 'language:syntactic' is unresolvable")
+
     def test_predict_names_the_jsonl_line_and_the_feature_csv(self, tmp_path, capsys):
         cfg = json.loads(Path(write_experiment_fixture(tmp_path)).read_text())
         assert main(["train", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "train")]) == 0
@@ -838,6 +852,68 @@ class TestMissingFeatureNamesItsSources:
             "error": "MissingFeature",
             "message": f"{tmp_path / 'test.csv'}:3: record 'r0009': feature column 'dataset:(corpus-a,corpus-a)' is"
                        f" unresolvable: not in the corpus pairs of {cfg}"}
+
+
+CSV_INPUTS = ("records.csv", "features.csv", "distances.csv", "families.csv")
+
+
+def edit_one_line(data, text):
+    """text with one line deleted, repeated, blanked, or with a line break put into one of its cells."""
+    lines = text.splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    end = lines[i][len(lines[i].rstrip("\r\n")):]
+    edit = data.draw(st.sampled_from(["delete", "repeat", "blank", "break"]), label="edit")
+    if edit == "delete":
+        del lines[i]
+    elif edit == "repeat":
+        lines.insert(i, lines[i])
+    elif edit == "blank":
+        lines[i] = end
+    else:
+        cells = next(csv.reader([lines[i]]))
+        j = data.draw(st.integers(0, len(cells) - 1), label="cell")
+        k = data.draw(st.integers(0, len(cells[j])), label="at")
+        cells[j] = cells[j][:k] + "\n" + cells[j][k:]
+        buffer = io.StringIO()
+        csv.writer(buffer).writerow(cells)  # its "\r\n" line end makes the writer quote a cell holding "\n"
+        lines[i] = buffer.getvalue()[:-2] + end
+    return "".join(lines)
+
+
+class TestOneLineEdits:
+    """Any one-line edit to a CSV input ends `experiment` in outputs or in one typed error at file:line."""
+
+    @pytest.fixture(scope="class")
+    def fixture(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("edits")
+        return tmp_path, write_experiment_fixture(tmp_path)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_exit_is_outputs_or_one_located_error(self, fixture, data):
+        tmp_path, cfg = fixture
+        path = tmp_path / data.draw(st.sampled_from(CSV_INPUTS), label="file")
+        original = path.read_bytes()
+        edited = edit_one_line(data, original.decode())
+        path.write_bytes(edited.encode())
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(stderr):
+                code = main(["experiment", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"])
+        finally:
+            path.write_bytes(original)
+        assert code in (0, 1)
+        if code == 0:
+            return
+        [line] = stderr.getvalue().splitlines()
+        report = json.loads(line)
+        kind = getattr(errors, report["error"], None)
+        assert isinstance(kind, type) and issubclass(kind, errors.PerfcastError), report
+        if kind in (errors.ParseError, errors.RangeError, errors.DuplicateId):
+            where, _, _ = report["message"].partition(": ")
+            file, _, number = where.rpartition(":")
+            assert file == str(path), report
+            assert int(number) in [start for start, _ in csv_rows_by_line(edited)], report
 
 
 def write_many_to_many_fixture(tmp_path):

@@ -507,6 +507,10 @@ class TestFileIo:
         path = self.write_edited_feature_csv(tmp_path, {}, copies=2)
         with pytest.raises(PerfcastError, match=r"features.csv:3: duplicate pair \('d1', 'd2'\), first given on line 2"):
             load_feature_csv(path)
+        header, row, _ = Path(path).read_text().splitlines()
+        Path(path).write_text("\n".join([header, '"d\n0"' + row[len("d1"):], row, row]) + "\n")  # lines 2-3 one row
+        with pytest.raises(PerfcastError, match=r"features.csv:5: duplicate pair \('d1', 'd2'\), first given on line 4"):
+            load_feature_csv(path)
 
     def test_embedding_jsonl(self, tmp_path):
         path = tmp_path / "emb.jsonl"

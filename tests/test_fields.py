@@ -274,9 +274,9 @@ def test_readme_config_table_lists_every_config_field():
     assert re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE) == [f.name for f in fields(Config)]
 
 
-def write_bad_utf8(path) -> str:
-    """A file whose second line holds the byte 0xff, which no UTF-8 text contains."""
-    path.write_bytes(b"first line\n\xff second line\n")
+def write_bad_utf8(path, end=b"\n") -> str:
+    """A file whose second line holds the byte 0xff, which no UTF-8 text contains; end ends each line."""
+    path.write_bytes(b"first line" + end + b"\xff second line" + end)
     return str(path)
 
 
@@ -292,17 +292,18 @@ def write_bad_utf8(path) -> str:
     ("families.csv", None),
 ])
 def test_undecodable_file_is_a_parse_error_at_its_line(tmp_path, capsys, name, load):
-    if load is not None:
-        path = write_bad_utf8(tmp_path / name)
-        with pytest.raises(ParseError) as exc:
-            load(path)
-        message = str(exc.value)
-    else:
-        config = write_experiment_fixture(tmp_path)
-        path = config if name == "config.json" else str(tmp_path / name)
-        write_bad_utf8(tmp_path / name)
-        assert main(["experiment", "--config", config, "--out", str(tmp_path / "out")]) == 1
-        report = json.loads(capsys.readouterr().err)
-        assert report["error"] == "ParseError"
-        message = report["message"]
-    assert message.startswith(f"{path}:2: not UTF-8 text")
+    for end in (b"\n", b"\r\n", b"\r"):  # each ends one line
+        if load is not None:
+            path = write_bad_utf8(tmp_path / name, end)
+            with pytest.raises(ParseError) as exc:
+                load(path)
+            message = str(exc.value)
+        else:
+            config = write_experiment_fixture(tmp_path)
+            path = config if name == "config.json" else str(tmp_path / name)
+            write_bad_utf8(tmp_path / name, end)
+            assert main(["experiment", "--config", config, "--out", str(tmp_path / "out")]) == 1
+            report = json.loads(capsys.readouterr().err)
+            assert report["error"] == "ParseError"
+            message = report["message"]
+        assert message.startswith(f"{path}:2: not UTF-8 text"), end

@@ -68,9 +68,17 @@ class TestLoad:
         assert table.lookup("fra", "eng", "genetic") == 0.2
 
     def test_malformed_rows(self, tmp_path):
-        for rows in (["eng,fra,genetic"], ["eng,fra,bogus,0.2"], ["eng,fra,genetic,abc"], [",fra,genetic,0.2"]):
-            with pytest.raises(ParseError):
-                load_distance_table(write_table(tmp_path, rows))
+        for rows, message in [
+            (["eng,fra,genetic"], ":2: expected 4 cells, got 3"),
+            (["eng,fra,bogus,0.2"], ":2: unknown distance kind 'bogus'"),
+            (["eng,fra,genetic,abc"], ":2: bad distance 'abc'"),
+            ([",fra,genetic,0.2"], ":2: empty language code"),
+            (['"e\nng",fra,genetic,0.2', "", "eng,fra,genetic,abc"], ":5: bad distance 'abc'"),  # a row on lines 2-3
+        ]:
+            path = write_table(tmp_path, rows)
+            with pytest.raises(ParseError) as exc:
+                load_distance_table(path)
+            assert str(exc.value) == path + message
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "h.csv"

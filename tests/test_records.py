@@ -560,7 +560,7 @@ class TestLoadSaveProperties:
 
 
 # Cells of a records CSV row: valid values, some with whitespace round them, and faulty ones
-TEXT = st.sampled_from(["m", "large", "a,b", 'q"t', " sp ", "ü"])
+TEXT = st.sampled_from(["m", "large", "a,b", 'q"t', " sp ", "ü", "big\nmodel"])  # a quoted cell may span lines
 METRIC_SCORES = {"spbleu": st.floats(0.0, 100.0), "SpBLEU": st.floats(0.0, 100.0), "accuracy": st.floats(0.0, 1.0),
                  "synthetic": FINITE}
 PADDED = st.sampled_from(["{}", " {}", "{} ", "\t{} ", "\u00a0{}\u2003"])
@@ -635,8 +635,8 @@ def records_csv_lines(data, faults):
         row = [cells[name] for name in header]
         row = row + [""] if cells.get("width") == 1 else row[:-1] if cells.get("width") == -1 else row
         buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="").writerow(row)
-        lines.append(buffer.getvalue())
+        csv.writer(buffer).writerow(row)  # its "\r\n" line end makes the writer quote a cell holding "\n"
+        lines.append(buffer.getvalue()[:-2])
     lines.extend(data.draw(st.lists(BLANK, max_size=2)))
     return [",".join(header)] + lines
 
@@ -652,22 +652,25 @@ def oracle_outcome(path, lines, terminator):
     The oracle reads the file cut after each line in turn. The first cut it
     rejects, or the first whose last record repeats an id, gives the error:
     the oracle's, prefixed with its file:line where the oracle named none,
-    or a DuplicateId naming both lines.
+    or a DuplicateId naming both lines. A line of lines that holds a quoted
+    line break spans two physical lines, and the file:line is the first.
     """
     records, first_line = [], {}
+    starts = list(itertools.accumulate((1 + line.count("\n") for line in lines), initial=1))
     for n in range(1, len(lines) + 1):
         write_lines(path, lines[:n], terminator)
         try:
             cut = oracle_load_records_csv(path)
         except PerfcastError as exc:
-            where = f"{path}:{n}: "
+            where = f"{path}:{starts[n - 1]}: "
             return type(exc), str(exc) if str(exc).startswith(where) else where + str(exc)
         if len(cut) > len(records):
             record_id = cut[-1].record_id
             if record_id in first_line:
                 first = first_line[record_id]
-                return DuplicateId, f"{path}:{n}: duplicate record_id {record_id!r}, first given on line {first}"
-            first_line[record_id] = n
+                return DuplicateId, (f"{path}:{starts[n - 1]}: duplicate record_id {record_id!r},"
+                                     f" first given on line {first}")
+            first_line[record_id] = starts[n - 1]
         records = cut
     return records
 
