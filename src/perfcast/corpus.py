@@ -38,7 +38,17 @@ from .fields import from_json
 TokenizeMode = Literal["unicode_words", "pretokenized_whitespace"]
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
-_ASCII_WS_RE = re.compile(r"[ \t\n\r\f\v]+")
+_NOT_ASCII_WS_RE = re.compile(r"[^ \t\n\r\f\v]+")
+
+# read_corpus counts once per distinct whitespace-separated chunk only where
+# at most this share of the chunks are distinct, first in a sample of the
+# text's first characters and then in the whole text; elsewhere it tokenizes
+# every token. 20% is about where counting per chunk stops paying when every
+# distinct chunk needs the regex. A sample sees a larger share than the whole
+# text does, since distinct chunks grow slower than the text (Heaps' law), so
+# a text that fails the sample is never split whole. See README "Corpora".
+_MAX_DISTINCT_CHUNK_SHARE = 0.2
+_CHUNK_SAMPLE_CHARS = 65536
 
 # Fixed column order of the pairwise feature CSV; missing values are empty cells.
 DATASET_FEATURE_COLUMNS = (
@@ -68,7 +78,7 @@ def tokenize(text: str, mode: TokenizeMode = "unicode_words") -> list[str]:
     if mode == "unicode_words":
         return _WORD_RE.findall(text.lower())
     if mode == "pretokenized_whitespace":
-        return [t for t in _ASCII_WS_RE.split(text) if t]
+        return _NOT_ASCII_WS_RE.findall(text)
     raise ValueError(f"unknown tokenize mode: {mode!r}")
 
 
@@ -316,18 +326,44 @@ def _directional(train: DatasetProfile, test: DatasetProfile) -> dict:
 def read_corpus(path: str, mode: TokenizeMode = "unicode_words") -> CorpusCounts:
     """Count the sentences and tokens of a UTF-8, one-sentence-per-line corpus file.
 
-    The file is read whole and tokenized once. A sentence is a line after
-    universal-newline translation ("\\r" and "\\r\\n" become "\\n"): each "\\n"
-    ends one, and text after the last "\\n" is one more. Other characters
-    that str.splitlines breaks at (\\x0b, \\x0c, \\x85, \\u2028, ...) do not end
-    a sentence.
+    The file is read whole. A sentence is a line after universal-newline
+    translation ("\\r" and "\\r\\n" become "\\n"): each "\\n" ends one, and text
+    after the last "\\n" is one more. Other characters that str.splitlines
+    breaks at (\\x0b, \\x0c, \\x85, \\u2028, ...) do not end a sentence.
+
+    The counts are those of Counter(tokenize(text, mode)), in the same
+    first-seen order. In unicode_words mode the lowered text is cut at
+    Unicode whitespace, which \\w never matches, so each token lies inside
+    one whitespace-separated chunk. Where the chunks repeat enough (see
+    _MAX_DISTINCT_CHUNK_SHARE), each distinct chunk is tokenized once and
+    its tokens are counted as often as the chunk occurs.
     """
     with open_text(path) as fh:
         text = fh.read()
     num_sentences = text.count("\n")
     if text and not text.endswith("\n"):
         num_sentences += 1
-    return CorpusCounts(num_sentences, Counter(tokenize(text, mode)))
+    if mode != "unicode_words":
+        return CorpusCounts(num_sentences, Counter(tokenize(text, mode)))
+    text = text.lower()
+    sample = Counter(text[:_CHUNK_SAMPLE_CHARS].split())
+    if len(sample) <= _MAX_DISTINCT_CHUNK_SHARE * sample.total():
+        chunk_counts = Counter(text.split())
+        if len(chunk_counts) <= _MAX_DISTINCT_CHUNK_SHARE * chunk_counts.total():
+            return CorpusCounts(num_sentences, _count_chunk_tokens(chunk_counts))
+    return CorpusCounts(num_sentences, Counter(_WORD_RE.findall(text)))
+
+
+def _count_chunk_tokens(chunk_counts: Counter[str]) -> Counter[str]:
+    """The \\w+ tokens of lowered chunks, each token counted as often as its chunk, in first-seen order."""
+    counts: Counter[str] = Counter()
+    for chunk, n in chunk_counts.items():
+        if chunk.isalnum():  # every character is \w, so the chunk is one token
+            counts[chunk] += n
+        else:
+            for token in _WORD_RE.findall(chunk):
+                counts[token] += n
+    return counts
 
 
 def load_embeddings(path: str) -> dict[str, EmbeddingSet]:

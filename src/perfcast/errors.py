@@ -144,8 +144,11 @@ class ConfigError(PerfcastError):
 
 @contextlib.contextmanager
 def open_text(path: str, newline: str | None = None) -> Iterator[TextIO]:
-    """Open a UTF-8 text file to read; a byte that is not UTF-8 raises ParseError at file:line."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
+    """Open a UTF-8 text file to read, dropping a leading byte-order mark.
+
+    A byte that is not UTF-8 raises ParseError at file:line.
+    """
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

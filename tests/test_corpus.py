@@ -3,12 +3,14 @@ import os
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from perfcast import corpus as corpus_module
 from perfcast.corpus import (
     CorpusCounts,
     DatasetFeatureBlock,
@@ -306,8 +308,12 @@ class TestDatasetFeatures:
 
 
 # Line breaks that universal newlines translate and ones that only str.splitlines breaks at, word and
-# punctuation characters, and Greek capitals, whose lowering depends on the letters around them.
-CORPUS_TEXT = st.text(st.sampled_from(list("ab_1é ,.!\t\n\r\x0b\x0c\x1c\x85\u2028ΟΔΣ")), max_size=40)
+# punctuation characters, and Greek capitals, whose lowering depends on the letters around them. Then the
+# characters where cutting at whitespace, str.isalnum and \w could disagree: "_" (\w, not alphanumeric), a
+# no-break space (Unicode whitespace, not ASCII), a zero-width space and a byte-order mark (neither
+# whitespace nor \w), a combining acute accent (not \w), "²" (a digit) and "İ" (two code points lowered).
+CORPUS_TEXT = st.text(st.sampled_from(list("ab_1é ,.!\t\n\r\x0b\x0c\x1c\x85\u2028ΟΔΣ\xa0\u200b\ufeff\u0301²İ")),
+                      max_size=40)
 
 
 def write_corpus(path, text: str) -> str:
@@ -328,20 +334,39 @@ class TestReadCorpus:
     @example(["a\x0bb\x0cb\x85a\u2028b\x1cc\n"], "pretokenized_whitespace")
     @example(["ΟΔΟΣ\nΣ a"], "unicode_words")
     @example(["", ""], "unicode_words")
+    @example(["b_1 a,\xa0İ² e\u0301\u200bé\n\ufeff!"], "unicode_words")  # every chunk distinct
+    @example(["a, a. a\nA!"], "unicode_words")  # one word, four chunks
+    @example(["b_1, a\nb_1, a"], "unicode_words")  # a chunk of two tokens, twice
     def test_whole_file_counts_match_per_line_reader(self, tmp_path_factory, texts, mode):
         tmp = tmp_path_factory.mktemp("corpus")
         paths = [write_corpus(tmp / f"{i}.txt", text) for i, text in enumerate(texts)]
-        counts = sum((read_corpus(path, mode) for path in paths), CorpusCounts())  # a concat entry's files
         sentences = [sent for path in paths for sent in oracle_read_corpus(path, mode)]
-        assert len(counts) == counts.num_sentences == len(sentences)
         expected = Counter(tok for sent in sentences for tok in sent)
-        assert list(counts.counts.items()) == list(expected.items())  # same counts, first-seen order
+        # every token tokenized, the counting read_corpus picks, every text counted per distinct chunk
+        for share in (0.0, corpus_module._MAX_DISTINCT_CHUNK_SHARE, 1.0):
+            with mock.patch.object(corpus_module, "_MAX_DISTINCT_CHUNK_SHARE", share):
+                counts = sum((read_corpus(path, mode) for path in paths), CorpusCounts())  # a concat entry's files
+            assert len(counts) == counts.num_sentences == len(sentences)
+            assert list(counts.counts.items()) == list(expected.items()), share  # same counts, first-seen order
         if sum(expected.values()):
             assert profile("d", counts) == profile("d", sentences)
         else:
             for corpus in (counts, sentences):
                 with pytest.raises(EmptyCorpus):
                     profile("d", corpus)
+
+    def test_counts_per_distinct_chunk_only_where_chunks_repeat(self, tmp_path):
+        repeated = "The cat, the dog.\n" * 5000
+        distinct = " ".join(f"w{i}," for i in range(20000))
+        late = "The cat.\n" * 10000 + distinct  # its sample repeats, the whole text does not
+        for name, text, per_chunk in (("repeated", repeated, True), ("distinct", distinct, False),
+                                      ("late", late, False)):
+            path = write_corpus(tmp_path / f"{name}.txt", text)
+            with mock.patch.object(corpus_module, "_count_chunk_tokens",
+                                   wraps=corpus_module._count_chunk_tokens) as count_chunk_tokens:
+                counts = read_corpus(path)
+            assert count_chunk_tokens.called == per_chunk, name
+            assert list(counts.counts.items()) == list(Counter(tokenize(text)).items()), name
 
 
 def random_counts(rng) -> dict[str, int]:

@@ -3,6 +3,7 @@
 import contextlib
 import functools
 import io
+import itertools
 import json
 import math
 import operator
@@ -33,7 +34,7 @@ from perfcast.regressors import (
     model_to_dict,
 )
 
-from test_cli import write_experiment_fixture
+from test_cli import dir_bytes, write_experiment_fixture
 
 TABLE_READ = (PerformanceRecord, EmbeddingSet, GbtParams, PolyParams, MfParams, GbtModel, PolyModel, MfModel,
               Config, CorpusEntry, PairEntry)
@@ -274,9 +275,12 @@ def test_readme_config_table_lists_every_config_field():
     assert re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE) == [f.name for f in fields(Config)]
 
 
-def write_bad_utf8(path, end=b"\n") -> str:
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark that spreadsheet programs write
+
+
+def write_bad_utf8(path, end=b"\n", start=b"") -> str:
     """A file whose second line holds the byte 0xff, which no UTF-8 text contains; end ends each line."""
-    path.write_bytes(b"first line" + end + b"\xff second line" + end)
+    path.write_bytes(start + b"first line" + end + b"\xff second line" + end)
     return str(path)
 
 
@@ -292,18 +296,41 @@ def write_bad_utf8(path, end=b"\n") -> str:
     ("families.csv", None),
 ])
 def test_undecodable_file_is_a_parse_error_at_its_line(tmp_path, capsys, name, load):
-    for end in (b"\n", b"\r\n", b"\r"):  # each ends one line
+    for end, start in itertools.product((b"\n", b"\r\n", b"\r"), (b"", BOM)):  # each ends one line
         if load is not None:
-            path = write_bad_utf8(tmp_path / name, end)
+            path = write_bad_utf8(tmp_path / name, end, start)
             with pytest.raises(ParseError) as exc:
                 load(path)
             message = str(exc.value)
         else:
             config = write_experiment_fixture(tmp_path)
             path = config if name == "config.json" else str(tmp_path / name)
-            write_bad_utf8(tmp_path / name, end)
+            write_bad_utf8(tmp_path / name, end, start)
             assert main(["experiment", "--config", config, "--out", str(tmp_path / "out")]) == 1
             report = json.loads(capsys.readouterr().err)
             assert report["error"] == "ParseError"
             message = report["message"]
-        assert message.startswith(f"{path}:2: not UTF-8 text"), end
+        assert message.startswith(f"{path}:2: not UTF-8 text"), (end, start)
+
+
+def test_leading_byte_order_mark_is_dropped(tmp_path):
+    """Every input may start with a UTF-8 byte-order mark and reads as the same file without it."""
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.mkdir()
+    marked.mkdir()
+    write_experiment_fixture(plain)  # records, features, distances and families CSVs
+    for kind, (name, _, doc) in documents().items():
+        (plain / f"{kind}.{name}").write_text(json.dumps(doc) + "\n")
+    (plain / "corpus.txt").write_text("ΟΔΟΣ a_b, c\nC\tb\n")
+    for path in plain.iterdir():
+        (marked / path.name).write_bytes(BOM + path.read_bytes())
+    loads = {"records.csv": load_records, "features.csv": load_feature_csv, "distances.csv": load_distance_table,
+             **{f"{kind}.{name}": load for kind, (name, load, _) in documents().items()}}
+    for name, load in loads.items():
+        assert repr(load(str(marked / name))) == repr(load(str(plain / name))), name
+    for mode in ("unicode_words", "pretokenized_whitespace"):
+        got, want = (read_corpus(str(where / "corpus.txt"), mode) for where in (marked, plain))
+        assert (len(got), list(got.counts.items())) == (len(want), list(want.counts.items())), mode
+    for where in (plain, marked):
+        assert main(["experiment", "--config", str(where / "config.json"), "--out", str(where / "out")]) == 0
+    assert dir_bytes(marked / "out") == dir_bytes(plain / "out")
