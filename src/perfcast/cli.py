@@ -38,7 +38,8 @@ from .corpus import (
     write_feature_csv,
 )
 from .errors import (
-    ConfigError, DuplicateId, MissingFeature, ParseError, PerfcastError, TooFewRecords, numbered_rows, open_text,
+    ConfigError, DuplicateId, MissingFeature, NoProxies, ParseError, PerfcastError, TooFewRecords, numbered_rows,
+    open_text,
 )
 from .experiments import (
     ExperimentConfig,
@@ -604,6 +605,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             _COMMANDS[args.command](run, cfg)
         except MissingFeature as exc:  # raised by a design-matrix build, so cfg names the records
             raise _located(run, cfg, exc) from exc
+        except NoProxies as exc:  # raised by build_schema when neither cfg nor its records name a proxy
+            paths = ", ".join(map(run.resolve, (*cfg.records, *(cfg.test_records or ()))))
+            raise NoProxies(f"{args.config}: {exc}: neither the config nor the records ({paths}) name one") from exc
         run.write_manifest()
     except (PerfcastError, OSError, KeyError, ValueError) as exc:
         report = {"error": type(exc).__name__, "message": str(exc)}

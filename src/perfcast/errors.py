@@ -65,8 +65,8 @@ class DuplicateId(PerfcastError):
     pass
 
 
-class KeyMismatch(PerfcastError):
-    pass
+class NoProxies(PerfcastError):
+    """The proxy feature group is enabled, but no proxy id is named or found in the records."""
 
 
 class MissingFeature(PerfcastError):

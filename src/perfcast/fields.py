@@ -8,11 +8,13 @@ entry checks and converts each item in turn. Nothing is coerced: an int
 takes an integer but not a bool, a float any real number but not a bool, a
 bool only true or false and a str only a string.
 
-check_field_types holds a constructed params object to the checks, and
-from_json builds a dataclass from a JSON object through the checks and
-conversions, so the CLI config, the params it names, the records of a JSONL
-file, the lines of an embeddings file and the fields of a model file follow
-one set of rules. A key that names no field is an error, never ignored.
+check_field_types holds a constructed params object to the checks, read
+checks and converts one JSON value, and from_json builds a dataclass from a
+JSON object through read, so the CLI config, the params it names, the lines
+of an embeddings file and the fields of a model file follow one set of
+rules. The records of a JSONL file follow it too: perfcast.records reads
+each of their fields through read. A key that names no field is an error,
+never ignored.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Performance records, proxy-run averaging, and design-matrix assembly.
+"""Performance records and design-matrix assembly.
 
 A PerformanceRecord is one observed (model, train set, test set, language
 pair) -> score outcome plus the proxy scores observed on the same setup.
@@ -8,15 +8,17 @@ proxy. Missing proxy scores and missing embedding cosines stay NaN, not
 imputed, at this layer: NaN is the one marker of a missing cell.
 
 A records file is a CSV with one proxy:<id> column per proxy, or JSONL with
-one JSON object per line. A JSONL line is read through the field table of
+one JSON object per line. Each format is a row decoder that yields a row's
+fields, already parsed. A JSONL line is read through the field table of
 `perfcast.fields`, so each value must have its field's JSON type, nothing
 is coerced, and an absent optional key takes the field's default; the one
-leniency is a seen_by_estimated_model string, read like the CSV cell. Every
-record then has its task, corpus group, Joshi class and scores checked, and
-its id checked against the earlier lines'. Every error names file:line.
-Within one loaded file, equal cells of the string fields other than
-record_id, and equal JSONL proxy ids, are one shared str; strings are
-immutable, so only the memory a loaded file holds changes.
+leniency is a seen_by_estimated_model string, read like the CSV cell.
+load_records is the one loop that builds every record from its fields,
+checks its task, corpus group, Joshi class and scores, and checks its id
+against the earlier lines'. Every error names file:line. Within one loaded
+file, equal cells of the string fields other than record_id, and equal
+JSONL proxy ids, are one shared str; strings are immutable, so only the
+memory a loaded file holds changes.
 """
 
 from __future__ import annotations
@@ -25,17 +27,17 @@ import csv
 import json
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields
 from math import isfinite
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .corpus import DATASET_FEATURE_COLUMNS, DatasetFeatureBlock
 from .errors import (
-    DuplicateId, KeyMismatch, MissingFeature, MissingPair, ParseError, RangeError, SchemaMismatch, numbered_rows,
+    DuplicateId, MissingFeature, MissingPair, NoProxies, ParseError, RangeError, SchemaMismatch, numbered_rows,
 )
-from .fields import from_json
+from .fields import read
 from .langdist import DISTANCE_KINDS, LanguageDistanceTable, language_features
 
 TASKS = ("mt", "intent", "slot")
@@ -65,21 +67,6 @@ _BASE_COLUMNS = (
     "tgt_lang",
     "metric_name",
     "score",
-    "seen_by_estimated_model",
-    "corpus_group",
-    "joshi_class",
-)
-
-# Fields that must agree across runs being averaged (record_id excluded:
-# repeated runs naturally carry distinct ids).
-_KEY_FIELDS = (
-    "task",
-    "estimated_model",
-    "train_dataset",
-    "test_dataset",
-    "src_lang",
-    "tgt_lang",
-    "metric_name",
     "seen_by_estimated_model",
     "corpus_group",
     "joshi_class",
@@ -156,13 +143,6 @@ def _check_new_id(records: list[PerformanceRecord], lines: array, ids: set[str],
     ids.add(record_id)
 
 
-# The string fields whose values repeat from record to record. A loader keeps
-# one str per distinct value in a file and hands it to every record that
-# holds an equal value, so 8000 records with a few dozen distinct cells hold
-# a few dozen strings, not 64000. record_id is left out: ids are unique.
-_SHARED_FIELDS = ("task", "estimated_model", "train_dataset", "test_dataset", "src_lang", "tgt_lang",
-                  "metric_name", "corpus_group")
-
 _BOOLS = {"true": True, "1": True, "false": False, "0": False}
 
 
@@ -178,24 +158,52 @@ def _parse_bool(raw: str, path: str, lineno: int) -> bool:
 def load_records(path: str) -> list[PerformanceRecord]:
     """Load records from CSV (proxy:<id> columns) or JSONL (proxy_scores object).
 
-    Every error names the file and line, and a repeated record_id is a
-    DuplicateId at the line that repeats it.
+    The one loop over a file's decoded rows: each record is built with its
+    repeated strings shared, checked by validate_record, and its id checked
+    against the earlier lines'. Every error names the file and line, and a
+    repeated record_id is a DuplicateId at the line that repeats it.
     """
-    return _load_records_jsonl(path) if path.endswith((".jsonl", ".json")) else _load_records_csv(path)
-
-
-def _load_records_csv(path: str) -> list[PerformanceRecord]:
-    """One pass per row: unpack the cells, parse score, joshi_class, proxies and the boolean, then check."""
     records: list[PerformanceRecord] = []
-    shared: dict[str, str] = {}
-    share = shared.setdefault
     lines = array("l")
     ids: set[str] = set()
     bounds_of: dict[str, tuple[float, float]] = {}
+    # one str per distinct value of the fields that repeat from record to record, so 8000 records with
+    # a few dozen distinct cells hold a few dozen strings, not 64000; record_id is left out: ids are unique
+    shared: dict[str, str] = {}
+    share = shared.setdefault
+    for lineno, (record_id, task, estimated_model, train_dataset, test_dataset, src_lang, tgt_lang, metric_name,
+                 score, proxies, seen, corpus_group, joshi) in _record_rows(path):
+        rec = PerformanceRecord(record_id, share(task, task), share(estimated_model, estimated_model),
+                                share(train_dataset, train_dataset), share(test_dataset, test_dataset),
+                                share(src_lang, src_lang), share(tgt_lang, tgt_lang),
+                                share(metric_name, metric_name), score, proxies, seen,
+                                share(corpus_group, corpus_group), joshi)
+        records.append(validate_record(rec, path, lineno, bounds_of))
+        lines.append(lineno)
+        _check_new_id(records, lines, ids, path)
+    return records
+
+
+def record_line(path: str, record_id: str) -> int | None:
+    """The physical line a records file gives record_id on, or None.
+
+    It decodes the file again as load_records does, so the line agrees with
+    the loader's; it is for error messages only.
+    """
+    return next((lineno for lineno, row in _record_rows(path) if row[0] == record_id), None)
+
+
+def _record_rows(path: str) -> Iterator[tuple[int, Sequence]]:
+    """Each record's (line, fields in PerformanceRecord order), decoded from a CSV or a JSONL file."""
+    return _jsonl_rows(path) if path.endswith((".jsonl", ".json")) else _csv_rows(path)
+
+
+def _csv_rows(path: str) -> Iterator[tuple[int, tuple]]:
+    """Check the header, then per row parse score, joshi_class, the proxy cells and the boolean, in that order."""
     rows = numbered_rows(path, "csv")
     header = next(rows, (1, None))[1]
     if header is None:
-        return []
+        return
     header = [h.strip() for h in header]
     if tuple(header[: len(_BASE_COLUMNS)]) != _BASE_COLUMNS:
         raise ParseError(f"{path}:1: unexpected records header (first columns must be {','.join(_BASE_COLUMNS)})")
@@ -225,62 +233,50 @@ def _load_records_csv(path: str) -> list[PerformanceRecord]:
                 if cell.strip():
                     raise ParseError(f"{path}:{lineno}: bad proxy score {cell.strip()!r}") from exc
                 proxies[proxy_id] = None
-        rec = PerformanceRecord(record_id, share(task, task), share(estimated_model, estimated_model),
-                                share(train_dataset, train_dataset), share(test_dataset, test_dataset),
-                                share(src_lang, src_lang), share(tgt_lang, tgt_lang),
-                                share(metric_name, metric_name), score, proxies,
-                                _parse_bool(seen, path, lineno), share(corpus_group, corpus_group), joshi)
-        records.append(validate_record(rec, path, lineno, bounds_of))
-        lines.append(lineno)
-        _check_new_id(records, lines, ids, path)
-    return records
+        yield lineno, (record_id, task, estimated_model, train_dataset, test_dataset, src_lang, tgt_lang,
+                       metric_name, score, proxies, _parse_bool(seen, path, lineno), corpus_group, joshi)
 
 
-def _load_records_jsonl(path: str) -> list[PerformanceRecord]:
-    """One JSON object per line, read by from_json; a string seen_by_estimated_model is read as in the CSV."""
-    records: list[PerformanceRecord] = []
-    lines = array("l")
-    ids: set[str] = set()
-    bounds_of: dict[str, tuple[float, float]] = {}
-    shared: dict[str, str] = {}
-    share = shared.setdefault
+# Each record field's name, annotation and the value an absent JSONL key takes (MISSING: the key is
+# required), read once at import rather than through dataclasses.fields on every line. proxy_scores'
+# default is one empty dict, which _jsonl_rows copies like any other proxy map.
+_JSON_FIELDS = tuple((f.name, f.type, f.default if f.default_factory is MISSING else f.default_factory())
+                     for f in fields(PerformanceRecord))
+_JSON_NAMES = frozenset(name for name, _, _ in _JSON_FIELDS)
+_PROXIES = [name for name, _, _ in _JSON_FIELDS].index("proxy_scores")
+
+
+def _jsonl_rows(path: str) -> Iterator[tuple[int, list]]:
+    """Read each line's JSON object through the field table of perfcast.fields.
+
+    A string seen_by_estimated_model is read first, as in the CSV; then a key
+    that names no field, and each field in order, is checked. Equal proxy ids
+    of the file are one shared str.
+    """
+    proxy_ids: dict[str, str] = {}
+    share = proxy_ids.setdefault
     for lineno, line in numbered_rows(path, "jsonl"):
         try:
             obj = json.loads(line)
-            if isinstance(obj, dict):
-                seen = obj.get("seen_by_estimated_model")
-                if isinstance(seen, str):
-                    obj["seen_by_estimated_model"] = _parse_bool(seen, path, lineno)
-                for name in _SHARED_FIELDS:
-                    cell = obj.get(name)
-                    if isinstance(cell, str):
-                        obj[name] = share(cell, cell)
-                proxies = obj.get("proxy_scores")
-                if isinstance(proxies, dict):
-                    obj["proxy_scores"] = {share(key, key): value for key, value in proxies.items()}
-            rec = from_json(PerformanceRecord, obj)
+            if not isinstance(obj, dict):
+                raise ValueError(f"a PerformanceRecord must be a JSON object, not {obj!r}")
+            seen = obj.get("seen_by_estimated_model")
+            if isinstance(seen, str):
+                obj["seen_by_estimated_model"] = _parse_bool(seen, path, lineno)
+            if not _JSON_NAMES.issuperset(obj):
+                raise ValueError(f"unknown key {next(key for key in obj if key not in _JSON_NAMES)!r}")
+            values = []
+            for name, annotation, default in _JSON_FIELDS:
+                if name in obj:
+                    values.append(read(annotation, obj[name], name))
+                elif default is MISSING:
+                    raise ValueError(f"{name} is missing")
+                else:
+                    values.append(default)
         except ValueError as exc:  # json.JSONDecodeError is a ValueError
             raise ParseError(f"{path}:{lineno}: bad record: {exc}") from exc
-        records.append(validate_record(rec, path, lineno, bounds_of))
-        lines.append(lineno)
-        _check_new_id(records, lines, ids, path)
-    return records
-
-
-def record_line(path: str, record_id: str) -> int | None:
-    """The physical line a records file gives record_id on, or None.
-
-    It reads the file again through numbered_rows, as load_records does, so
-    the line agrees with the loader's; it is for error messages only.
-    """
-    jsonl = path.endswith((".jsonl", ".json"))
-    rows = numbered_rows(path, "jsonl" if jsonl else "csv")
-    if not jsonl:
-        next(rows, None)  # the header
-    for lineno, row in rows:
-        if (json.loads(row).get("record_id") if jsonl else row[0]) == record_id:
-            return lineno
-    return None
+        values[_PROXIES] = {share(key, key): value for key, value in values[_PROXIES].items()}
+        yield lineno, values
 
 
 def save_records(records: Sequence[PerformanceRecord], path: str) -> None:
@@ -319,29 +315,6 @@ def proxy_roster(records: Iterable[PerformanceRecord]) -> list[str]:
     for rec in records:
         ids.update(rec.proxy_scores.keys())
     return sorted(ids)
-
-
-def average_proxy_scores(runs: Sequence[PerformanceRecord]) -> PerformanceRecord:
-    """Collapse repeated runs of one setup into a single averaged record.
-
-    The score and each proxy score become the arithmetic mean over the runs
-    where they are present; a proxy missing in every run stays missing.
-    """
-    if not runs:
-        raise KeyMismatch("no runs to average")
-    first = runs[0]
-    for other in runs[1:]:
-        for field_name in _KEY_FIELDS:
-            if getattr(other, field_name) != getattr(first, field_name):
-                raise KeyMismatch(
-                    f"runs disagree on {field_name}: {getattr(first, field_name)!r} vs {getattr(other, field_name)!r}"
-                )
-    score = math.fsum(r.score for r in runs) / len(runs)
-    proxies: dict[str, float | None] = {}
-    for proxy_id in proxy_roster(runs):
-        present = [r.proxy_scores[proxy_id] for r in runs if r.proxy_scores.get(proxy_id) is not None]
-        proxies[proxy_id] = math.fsum(present) / len(present) if present else None
-    return replace(first, score=score, proxy_scores=proxies)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +367,7 @@ def build_schema(feature_groups: Sequence[str], proxies: Sequence[str] = ()) -> 
         groups.extend(["dataset"] * len(DATASET_FEATURE_COLUMNS))
     if "proxy" in enabled:
         if not proxies:
-            raise ValueError("proxy group enabled but no proxies supplied")
+            raise NoProxies("proxy group enabled but no proxies supplied")
         columns.extend(PROXY_PREFIX + p for p in proxies)
         groups.extend(["proxy"] * len(proxies))
     return FeatureSchema(columns=tuple(columns), groups=tuple(groups))

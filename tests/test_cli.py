@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import os
+import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -854,15 +856,30 @@ class TestMissingFeatureNamesItsSources:
                        f" unresolvable: not in the corpus pairs of {cfg}"}
 
 
+class TestProxyGroupWithoutProxies:
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    def test_names_the_config_and_the_records(self, tmp_path, capsys, command):
+        cfg = write_experiment_fixture(tmp_path, config_extra={"feature_groups": ["proxy"]})
+        records = load_records(str(tmp_path / "records.csv"))
+        for rec in records:
+            rec.proxy_scores.clear()
+        save_records(records, str(tmp_path / "records.csv"))  # no proxy: column
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "NoProxies",
+            "message": f"{cfg}: proxy group enabled but no proxies supplied: neither the config nor the records"
+                       f" ({tmp_path / 'records.csv'}) name one"}
+
+
 CSV_INPUTS = ("records.csv", "features.csv", "distances.csv", "families.csv")
 
 
-def edit_one_line(data, text):
-    """text with one line deleted, repeated, blanked, or with a line break put into one of its cells."""
+def edit_one_line(data, text, edits=("delete", "repeat", "blank", "break")):
+    """text with one line deleted, repeated, blanked, or with a line break put into one of its CSV cells."""
     lines = text.splitlines(keepends=True)
     i = data.draw(st.integers(0, len(lines) - 1), label="line")
     end = lines[i][len(lines[i].rstrip("\r\n")):]
-    edit = data.draw(st.sampled_from(["delete", "repeat", "blank", "break"]), label="edit")
+    edit = data.draw(st.sampled_from(edits), label="edit")
     if edit == "delete":
         del lines[i]
     elif edit == "repeat":
@@ -881,30 +898,54 @@ def edit_one_line(data, text):
 
 
 class TestOneLineEdits:
-    """Any one-line edit to a CSV input ends `experiment` in outputs or in one typed error at file:line."""
+    """Any one-line edit to a CSV input or JSONL records ends `experiment` in outputs or a typed error at file:line."""
 
     @pytest.fixture(scope="class")
     def fixture(self, tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("edits")
-        return tmp_path, write_experiment_fixture(tmp_path)
+        cfg = write_experiment_fixture(tmp_path)
+        records = load_records(str(tmp_path / "records.csv"))
+        (tmp_path / "records.jsonl").write_text("".join(json.dumps(asdict(rec)) + "\n" for rec in records))
+        config = json.loads(Path(cfg).read_text())
+        return tmp_path, cfg, write_json(tmp_path / "jsonl.json", {**config, "records": "records.jsonl"})
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_exit_is_outputs_or_one_located_error(self, fixture, data):
-        tmp_path, cfg = fixture
+        tmp_path, cfg, _ = fixture
         path = tmp_path / data.draw(st.sampled_from(CSV_INPUTS), label="file")
+        edited = edit_one_line(data, path.read_bytes().decode())
+        self.check_exit(cfg, path, edited, [start for start, _ in csv_rows_by_line(edited)])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_jsonl_records_exit_is_outputs_or_one_located_error(self, fixture, data):
+        tmp_path, _, cfg = fixture
+        path = tmp_path / "records.jsonl"
+        edited = edit_one_line(data, path.read_bytes().decode(), edits=("delete", "repeat", "blank"))
+        lines = edited.splitlines()
+        located = self.check_exit(cfg, path, edited, [i for i, line in enumerate(lines, 1) if line.strip()])
+        named = re.search(r"record(?:_id)? '([^']*)'", located[1]) if located else None
+        if named:  # the line named holds the record named
+            assert f'"record_id": "{named[1]}"' in lines[located[0] - 1], located
+
+    @staticmethod
+    def check_exit(cfg, path, edited, row_lines):
+        """Run `experiment` with path holding edited; a located error must name path and one of row_lines.
+
+        Returns the line and the message of a located error, or None.
+        """
         original = path.read_bytes()
-        edited = edit_one_line(data, original.decode())
         path.write_bytes(edited.encode())
         stderr = io.StringIO()
         try:
             with contextlib.redirect_stderr(stderr):
-                code = main(["experiment", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"])
+                code = main(["experiment", "--config", cfg, "--out", str(path.parent / "out"), "--threads", "1"])
         finally:
             path.write_bytes(original)
         assert code in (0, 1)
         if code == 0:
-            return
+            return None
         [line] = stderr.getvalue().splitlines()
         report = json.loads(line)
         kind = getattr(errors, report["error"], None)
@@ -913,7 +954,9 @@ class TestOneLineEdits:
             where, _, _ = report["message"].partition(": ")
             file, _, number = where.rpartition(":")
             assert file == str(path), report
-            assert int(number) in [start for start, _ in csv_rows_by_line(edited)], report
+            assert int(number) in row_lines, report
+            return int(number), report["message"]
+        return None
 
 
 def write_many_to_many_fixture(tmp_path):

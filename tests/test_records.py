@@ -7,6 +7,7 @@ import re
 import tempfile
 import tracemalloc
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from perfcast.corpus import DATASET_FEATURE_COLUMNS
 from perfcast.errors import (
-    DuplicateId, KeyMismatch, MissingFeature, ParseError, PerfcastError, RangeError, SchemaMismatch,
+    DuplicateId, MissingFeature, NoProxies, ParseError, PerfcastError, RangeError, SchemaMismatch,
 )
 from perfcast.records import (
     _BASE_COLUMNS,
@@ -24,11 +25,11 @@ from perfcast.records import (
     PROXY_PREFIX,
     TASKS,
     PerformanceRecord,
-    average_proxy_scores,
     build_design_matrix,
     build_schema,
     load_records,
     proxy_roster,
+    record_line,
     save_records,
 )
 from perfcast.langdist import DISTANCE_KINDS, language_features
@@ -258,34 +259,23 @@ class TestSharedCells:
         assert retained / n <= 650
 
 
-class TestAveraging:
-    def test_mean(self):
-        runs = [rec(f"r{i}", score=s, proxy_scores={"p0": s}) for i, s in enumerate((10.0, 12.0, 14.0))]
-        merged = average_proxy_scores(runs)
-        assert merged.score == 12.0
-        assert merged.proxy_scores["p0"] == 12.0
-        assert merged.record_id == "r0"
+class TestRecordLine:
+    """record_line gives the physical line each record starts on, as the loader numbers it."""
 
-    def test_single_run_identity(self):
-        r = rec()
-        assert average_proxy_scores([r]) == r
+    def test_csv_with_a_blank_line_and_a_quoted_line_break(self, tmp_path):
+        path = tmp_path / "records.csv"
+        save_records([rec("a"), rec("b", estimated_model="big\nmodel"), rec("c"), rec("d")], str(path))
+        path.write_bytes(path.read_bytes().replace(b"\r\nc,", b"\r\n\r\nc,"))  # b spans lines 3-4, line 5 is blank
+        assert [record_line(str(path), record_id) for record_id in "abcd"] == [2, 3, 6, 7]
+        assert record_line(str(path), "e") is None
 
-    def test_partial_proxy_presence(self):
-        runs = [
-            rec("a", proxy_scores={"p0": 4.0}),
-            rec("b", proxy_scores={"p0": 6.0}),
-            rec("c", proxy_scores={"p0": None}),
-        ]
-        merged = average_proxy_scores(runs)
-        assert merged.proxy_scores["p0"] == 5.0
-
-    def test_all_missing_stays_missing(self):
-        runs = [rec("a", proxy_scores={"p0": None}), rec("b", proxy_scores={"p0": None})]
-        assert average_proxy_scores(runs).proxy_scores["p0"] is None
-
-    def test_key_mismatch(self):
-        with pytest.raises(KeyMismatch):
-            average_proxy_scores([rec("a"), rec("b", tgt_lang="fra")])
+    def test_jsonl_with_blank_lines(self, tmp_path):
+        path = str(tmp_path / "records.jsonl")
+        write_jsonl([rec("a"), rec("b"), rec("c")], path, ensure_ascii=True)
+        a, b, c = Path(path).read_text().splitlines()
+        Path(path).write_text(f"\n{a}\n\n{b}\n  \n{c}\n\n")
+        assert [record_line(path, record_id) for record_id in "abc"] == [2, 4, 6]
+        assert record_line(path, "d") is None
 
 
 class TestSchema:
@@ -318,6 +308,10 @@ class TestSchema:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             build_schema((), [])
+
+    def test_proxy_group_without_proxies_is_no_proxies(self):
+        with pytest.raises(NoProxies, match="^proxy group enabled but no proxies supplied$"):
+            build_schema(("language", "proxy"), [])
 
 
 class TestDesignMatrix:
