@@ -532,7 +532,6 @@ def _cmd_experiment(run: _Run, cfg: Config) -> None:
         scatter=scatter,
         fmt=cfg.report_format,
         lowess_frac=cfg.lowess_frac,
-        workers=run.threads,
     )
 
 
@@ -609,7 +608,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             paths = ", ".join(map(run.resolve, (*cfg.records, *(cfg.test_records or ()))))
             raise NoProxies(f"{args.config}: {exc}: neither the config nor the records ({paths}) name one") from exc
         run.write_manifest()
-    except (PerfcastError, OSError, KeyError, ValueError) as exc:
+    except (PerfcastError, OSError) as exc:
         report = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(report), file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ import numpy as np
 from ..errors import UnknownLanguage
 from ..records import DesignMatrix
 from .gbt import GbtModel, GbtParams, gbt_fit, gbt_gain_totals, gbt_importance, gbt_predict
-from .mf import MfModel, MfParams, mf_fit, mf_predict, mf_predict_one
+from .mf import MfModel, MfParams, mf_fit, mf_predict
 from .poly import PolyModel, PolyParams, poly_fit, poly_predict
 from .presets import PRESETS, get_preset
 from .serialize import KIND_OF, KINDS, load_model, model_from_dict, model_to_dict, save_model
@@ -66,7 +66,7 @@ def predict_model(model: AnyModel, matrix: DesignMatrix) -> np.ndarray:
 
 __all__ = [
     "GbtModel", "GbtParams", "gbt_fit", "gbt_gain_totals", "gbt_importance", "gbt_predict",
-    "MfModel", "MfParams", "mf_fit", "mf_predict", "mf_predict_one",
+    "MfModel", "MfParams", "mf_fit", "mf_predict",
     "PolyModel", "PolyParams", "poly_fit", "poly_predict",
     "PRESETS", "get_preset", "load_model", "save_model", "model_to_dict", "model_from_dict",
     "KINDS", "check_languages", "fit_model", "predict_model", "params_kind", "with_seed",

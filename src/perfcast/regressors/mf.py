@@ -31,11 +31,10 @@ polynomial regressor, with statistics from the training split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from ..errors import LengthMismatch, NotManyToMany, UnknownLanguage
+from ..errors import NotManyToMany, UnknownLanguage
 from ..fields import check_field_types
 from ..records import DesignMatrix
 from .poly import _apply_stats, impute_and_standardize
@@ -163,12 +162,15 @@ def mf_fit(matrix: DesignMatrix, params: MfParams) -> MfModel:
     )
 
 
-def _evaluate(model: MfModel, sources: Sequence[str], targets: Sequence[str], C: np.ndarray) -> np.ndarray:
-    """The model equation for each row of standardized contexts C, in the fit's summation order.
+def mf_predict(model: MfModel, matrix: DesignMatrix) -> np.ndarray:
+    """The model equation for each row, at the row's own language pair, in the fit's summation order.
 
     mu + b_s + b_t + w . h + theta . c as one numpy expression over the
     rows, each dot product summed from 0.0 in index order as the fit's err is.
     """
+    matrix.schema.check_columns(model.feature_names)
+    C = _apply_stats(matrix.rows, model.impute, model.mean, model.std)
+    sources, targets = _languages(matrix)
     for source, target in zip(sources, targets):
         if source not in model.w:
             raise UnknownLanguage(f"source language {source!r} was not seen during fit")
@@ -186,17 +188,3 @@ def _evaluate(model: MfModel, sources: Sequence[str], targets: Sequence[str], C:
     b_s = np.array([model.b_s[s] for s in sources], dtype=np.float64)
     b_t = np.array([model.b_t[t] for t in targets], dtype=np.float64)
     return model.mu + b_s + b_t + wh + tc
-
-
-def mf_predict_one(model: MfModel, source: str, target: str, context: np.ndarray) -> float:
-    """Evaluate the model equation for one standardized context row."""
-    if context.size != len(model.theta):
-        raise LengthMismatch(f"the context has {context.size} cells, but the model {len(model.theta)} columns")
-    return float(_evaluate(model, [source], [target], context.reshape(1, -1))[0])
-
-
-def mf_predict(model: MfModel, matrix: DesignMatrix) -> np.ndarray:
-    """The model equation for each row, at the row's own language pair."""
-    matrix.schema.check_columns(model.feature_names)
-    C = _apply_stats(matrix.rows, model.impute, model.mean, model.std)
-    return _evaluate(model, *_languages(matrix), C)

@@ -2,13 +2,6 @@
 
 Outputs are plain CSV/markdown data files with stable ordering and fixed
 4-decimal float formatting; plotting is left to external tooling.
-
-The scatter's LOWESS trend is fitted in blocks of windows, and each block is
-one job of a single perfcast.pool map: block i runs in process i mod W, and
-the fitted values join in block order. A block's arithmetic does not depend
-on where it runs, so the trend is the same to the bit for every `workers`,
-and a one-block scatter, or workers=1, runs its blocks in the caller
-without forking.
 """
 
 from __future__ import annotations
@@ -17,14 +10,12 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import TooFewPoints, ZeroVariance
 from .experiments import ExperimentResult, rmse
-from .pool import map_jobs
 
 _FMT = "{:.4f}"
 
@@ -48,30 +39,24 @@ class ScatterSeries:
 _BLOCK_CELLS = 8192
 
 
-def lowess(points: Sequence[tuple[float, float]], frac: float = 0.5, workers: int = 0) -> list[float]:
+def lowess(points: Sequence[tuple[float, float]], frac: float = 0.5) -> list[float]:
     """Locally weighted linear smoothing, one pass, tricube weights.
 
     For each x_i the r = ceil(frac * n) nearest points (by |x - x_i|, ties by
-    index) form the neighborhood; distances are normalized by the largest
-    one, dmax, and weighted by (1 - d^3)^3 before an ordinary weighted linear
-    fit. Degenerate neighborhoods (zero spread or zero total weight) fall back
-    to the neighborhood mean; when dmax is 0 that is the mean over the first r
-    points with x equal to x_i, by index.
+    x, then by index) form the neighborhood; distances are normalized by the
+    largest one, dmax, and weighted by (1 - d^3)^3 before an ordinary weighted
+    linear fit. Degenerate neighborhoods (zero spread or zero total weight)
+    fall back to the neighborhood mean; when dmax is 0 that is the mean over
+    the first r points with x equal to x_i, by index.
 
     The r nearest points of x_i are a contiguous window of the points sorted
     by (x, index) (Cleveland, JASA 1979), and the window moves right as x_i
     does, so one two-pointer pass over the sorted points finds every window
-    and its dmax. Points at distance dmax weigh exactly 0, so which of them a
-    window holds changes no sum. The weighted sums are taken over blocks of
+    and its dmax. The weighted sums are taken in window order over blocks of
     windows as (points, r) arrays, which makes the cost O(n * r) rather than
-    one O(n log n) sort per point. Each window is put in (distance, index)
-    order before it is summed, the order of a full sort per point, so the
-    fitted values are the same to the bit.
-
-    The two-pointer pass runs in the caller; the blocks run in `workers`
-    processes through perfcast.pool (0: one per CPU this process may run on;
-    never more than there are blocks), with the same fitted values for
-    every `workers`.
+    one O(n log n) sort per point. They are moments of u = x - x_i, so the
+    local line is fitted around x_i and its value there, the fitted value,
+    keeps its digits however narrow the window is next to |x_i|.
     """
     if not (0.0 < frac <= 1.0):
         raise ValueError(f"frac {frac} outside (0, 1]")
@@ -98,59 +83,29 @@ def lowess(points: Sequence[tuple[float, float]], frac: float = 0.5, workers: in
         start[p] = lo
         dmax[p] = max(xp - xl[lo], xl[lo + r - 1] - xp)
 
+    fitted = np.empty(n, dtype=np.float64)
     step = max(1, _BLOCK_CELLS // r)
-    blocks = [slice(b, b + step) for b in range(0, n, step)]
-    fitted = np.concatenate(map_jobs(partial(_fit_block, xs, ys, order, start, dmax, r), blocks, workers))
+    for b in range(0, n, step):
+        block = slice(b, b + step)
+        cols = start[block, None] + np.arange(r)
+        u, yw = xs[cols] - xs[block, None], ys[cols]
+        scale = dmax[block]
+        flat_x = scale == 0.0
+        w = (1.0 - (np.abs(u) / np.where(flat_x, 1.0, scale)[:, None]) ** 3) ** 3
+        wu = w * u
+        sw, su, sy = w.sum(axis=1), wu.sum(axis=1), (w * yw).sum(axis=1)
+        suu, suy = (wu * u).sum(axis=1), (wu * yw).sum(axis=1)
+        det = sw * suu - su * su
+        singular = np.abs(det) <= 1e-12 * np.maximum(np.maximum(sw * suu, su * su), 1e-300)
+        sw_safe = np.where(sw == 0.0, 1.0, sw)
+        out = np.where(singular, sy / sw_safe, (sy * suu - su * suy) / np.where(singular, 1.0, det))
+        mean = flat_x | (sw == 0.0)
+        if mean.any():
+            out[mean] = yw[mean].mean(axis=1)
+        fitted[block] = out
     result = np.empty(n, dtype=np.float64)
     result[order] = fitted
     return result.tolist()
-
-
-def _fit_block(xs: np.ndarray, ys: np.ndarray, order: np.ndarray, start: np.ndarray, dmax: np.ndarray, r: int,
-               block: slice) -> np.ndarray:
-    """The fitted values at the sorted points xs[block], from their windows' weighted sums."""
-    xp = xs[block]
-    cols, d = _by_distance_then_index(xs, xp, start[block, None], np.arange(r), order)
-    xw, yw = xs[cols], ys[cols]
-    scale = dmax[block]
-    flat_x = scale == 0.0
-    w = (1.0 - (d / np.where(flat_x, 1.0, scale)[:, None]) ** 3) ** 3
-    sw = w.sum(axis=1)
-    sx = (w * xw).sum(axis=1)
-    sy = (w * yw).sum(axis=1)
-    sxx = (w * xw * xw).sum(axis=1)
-    sxy = (w * xw * yw).sum(axis=1)
-    det = sw * sxx - sx * sx
-    singular = np.abs(det) <= 1e-12 * np.maximum(np.maximum(sw * sxx, sx * sx), 1e-300)
-    sw_safe = np.where(sw == 0.0, 1.0, sw)
-    slope = (sw * sxy - sx * sy) / np.where(singular, 1.0, det)
-    intercept = (sy - slope * sx) / sw_safe
-    out = np.where(singular, sy / sw_safe, intercept + slope * xp)
-    mean = flat_x | (sw == 0.0)
-    if mean.any():
-        out[mean] = yw[mean].mean(axis=1)
-    return out
-
-
-def _by_distance_then_index(xs: np.ndarray, xp: np.ndarray, first: np.ndarray, window: np.ndarray,
-                            index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The windows xs[first + window] as positions ordered by (|xs - xp|, index of the position), and those distances.
-
-    Distance falls then rises along a window of sorted xs, so a stable sort by
-    it is a cheap merge that leaves equal distances in x order; where a row has
-    equal distances, a second sort by (distance rank, index) puts them in
-    index order.
-    """
-    cols = first + np.argsort(np.abs(xs[first + window] - xp[:, None]), axis=1, kind="stable")
-    d = np.abs(xs[cols] - xp[:, None])
-    if (d[:, 1:] == d[:, :-1]).any():
-        key = np.zeros(d.shape, dtype=np.int64)
-        np.cumsum(d[:, 1:] != d[:, :-1], axis=1, out=key[:, 1:])
-        key *= len(xs)
-        key += index[cols]
-        cols = np.take_along_axis(cols, np.argsort(key, axis=1, kind="stable"), axis=1)
-        d = np.abs(xs[cols] - xp[:, None])
-    return cols, d
 
 
 def r_squared(predictions: Sequence[float], targets: Sequence[float]) -> float:
@@ -211,14 +166,12 @@ def emit_report(
     scatter: ScatterSeries | None = None,
     fmt: str = "markdown",
     lowess_frac: float = 0.5,
-    workers: int = 0,
 ) -> list[str]:
     """Write the report files into out_dir and return their paths.
 
     summary.csv always; summary.md additionally when fmt="markdown";
     groups_joshi.csv / groups_family.csv / scatter.csv when scatter data is
-    given; importance.csv when any result carries feature importances. The
-    scatter's LOWESS blocks run in `workers` processes, as in lowess().
+    given; importance.csv when any result carries feature importances.
     """
     if not results:
         raise ValueError("no results to report")
@@ -259,7 +212,7 @@ def emit_report(
         trues = [p.true for p in pts]
         preds = [p.pred for p in pts]
         try:
-            smoothed = lowess(list(zip(trues, preds)), frac=lowess_frac, workers=workers)
+            smoothed = lowess(list(zip(trues, preds)), frac=lowess_frac)
         except TooFewPoints:
             smoothed = [float("nan")] * len(pts)
         try:

@@ -12,6 +12,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -639,7 +640,11 @@ def oracle_lowess(x: np.ndarray, y: np.ndarray, frac: float) -> np.ndarray:
 
 
 def oracle_lowess_per_point(points, frac: float = 0.5) -> list[float]:
-    """report.lowess with one full (distance, index) sort per point, summing each neighborhood in that order."""
+    """report.lowess with one full sort per point.
+
+    Each neighborhood is the r nearest by (distance, x, index), summed in
+    (x, index) order as moments of u = x - x_i.
+    """
     if not (0.0 < frac <= 1.0):
         raise ValueError(f"frac {frac} outside (0, 1]")
     n = len(points)
@@ -648,33 +653,56 @@ def oracle_lowess_per_point(points, frac: float = 0.5) -> list[float]:
     if n < 2 or np.unique(x).size < 2:
         raise TooFewPoints("lowess needs >= 2 points with distinct x")
     r = int(math.ceil(frac * n))
+    index = np.arange(n)
     fitted = np.empty(n, dtype=np.float64)
     for i in range(n):
-        d = np.abs(x - x[i])
-        order = np.lexsort((np.arange(n), d))[:r]
-        dn = d[order]
-        dmax = dn[-1] if dn.size else 0.0
+        near = np.lexsort((index, x, np.abs(x - x[i])))[:r]
+        near = near[np.lexsort((near, x[near]))]
+        u, ys = x[near] - x[i], y[near]
+        dn = np.abs(u)
+        dmax = dn.max()
         if dmax == 0.0:
-            fitted[i] = float(np.mean(y[order]))
+            fitted[i] = float(np.mean(ys))
             continue
         w = (1.0 - (dn / dmax) ** 3) ** 3
         sw = float(w.sum())
         if sw == 0.0:
-            fitted[i] = float(np.mean(y[order]))
+            fitted[i] = float(np.mean(ys))
             continue
-        xs, ys = x[order], y[order]
-        sx = float((w * xs).sum())
+        su = float((w * u).sum())
         sy = float((w * ys).sum())
-        sxx = float((w * xs * xs).sum())
-        sxy = float((w * xs * ys).sum())
-        det = sw * sxx - sx * sx
-        if abs(det) <= 1e-12 * max(sw * sxx, sx * sx, 1e-300):
+        suu = float((w * u * u).sum())
+        suy = float((w * u * ys).sum())
+        det = sw * suu - su * su
+        if abs(det) <= 1e-12 * max(sw * suu, su * su, 1e-300):
             fitted[i] = sy / sw
             continue
-        slope = (sw * sxy - sx * sy) / det
-        intercept = (sy - slope * sx) / sw
-        fitted[i] = intercept + slope * x[i]
+        fitted[i] = (sy * suu - su * suy) / det
     return fitted.tolist()
+
+
+def oracle_lowess_exact(points, frac: float = 0.5) -> list[Fraction]:
+    """The lowess fit in rational arithmetic: exact tricube weights and an exact weighted line at each x_i.
+
+    Each neighborhood is the r nearest by (distance, x, index), as in
+    report.lowess; a neighborhood without spread gives its weighted mean.
+    """
+    x = [Fraction(px) for px, _ in points]
+    y = [Fraction(py) for _, py in points]
+    n = len(points)
+    r = int(math.ceil(frac * n))
+    fitted = []
+    for xi in x:
+        near = sorted(range(n), key=lambda j: (abs(x[j] - xi), x[j], j))[:r]
+        u = [x[j] - xi for j in near]
+        dmax = max(abs(uj) for uj in u)
+        w = [(1 - (abs(uj) / dmax) ** 3) ** 3 if dmax else Fraction(1) for uj in u]
+        sw, su, sy = sum(w), sum(wj * uj for wj, uj in zip(w, u)), sum(wj * y[j] for wj, j in zip(w, near))
+        suu = sum(wj * uj * uj for wj, uj in zip(w, u))
+        suy = sum(wj * uj * y[j] for wj, uj, j in zip(w, u, near))
+        det = sw * suu - su * su
+        fitted.append((sy * suu - su * suy) / det if det else sy / sw)
+    return fitted
 
 
 def oracle_build_design_matrix(records, schema, dataset_features=None, language_table=None) -> DesignMatrix:

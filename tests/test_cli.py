@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perfcast import cli, errors, pool
+from perfcast import cli, errors, pool, report
 from perfcast.cli import main
 from perfcast.corpus import (
     EmbeddingSet,
@@ -66,6 +66,13 @@ def write_experiment_fixture(tmp_path, n=36, seed=0, config_extra=None, **synth_
     if config_extra:
         cfg.update(config_extra)
     return write_json(tmp_path / "config.json", cfg)
+
+
+def write_embeddings(path, embeddings):
+    """The embeddings file of `features`: one JSON object per EmbeddingSet, a line each."""
+    path.write_text("".join(
+        json.dumps({"dataset_id": e.dataset_id, "dim": e.dim, "mean_vector": list(e.mean_vector)}) + "\n"
+        for e in embeddings))
 
 
 def dir_bytes(path, skip=("manifest.json",)):
@@ -192,9 +199,7 @@ class TestFeaturesCommand:
                                      for sent in oracle_read_corpus(str(tmp / f"{dataset_id}.{name}"))]
             if vectors[i] is not None:
                 embeddings.append(EmbeddingSet(dataset_id, 2, vectors[i]))
-        (tmp / "emb.jsonl").write_text("".join(
-            json.dumps({"dataset_id": e.dataset_id, "dim": e.dim, "mean_vector": list(e.mean_vector)}) + "\n"
-            for e in embeddings))
+        write_embeddings(tmp / "emb.jsonl", embeddings)
         pairs = [(tr["dataset_id"], te["dataset_id"]) for tr in entries for te in entries]
         cfg = write_json(tmp / "features.json", {
             "corpora": entries, "side": side, "embeddings": "emb.jsonl",
@@ -228,9 +233,7 @@ class TestFeaturesCommand:
         config = {"corpora": [{"dataset_id": ds, "path": f"{ds}.txt"} for ds in sentences],
                   "pairs": [{"train": tr, "test": te} for tr, te in listing]}
         if with_embeddings:
-            (tmp_path / "emb.jsonl").write_text("".join(
-                json.dumps({"dataset_id": e.dataset_id, "dim": e.dim, "mean_vector": list(e.mean_vector)}) + "\n"
-                for e in embeddings.values()))
+            write_embeddings(tmp_path / "emb.jsonl", embeddings.values())
             config["embeddings"] = "emb.jsonl"
         cfg = write_json(tmp_path / "features.json", config)
         write_feature_csv(str(tmp_path / "expected.csv"), [
@@ -561,6 +564,33 @@ class TestExperimentCommand:
         out = tmp_path / "out"
         assert main(["experiment", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
         assert len((out / "scatter.csv").read_text().splitlines()) == 2 + 11
+
+    def test_one_job_and_a_scatter_of_several_blocks_never_fork(self, tmp_path, monkeypatch):
+        # one repeat of a random split is one job, and at lowess_frac 1 its 96 scatter points make 2 blocks
+        cfg = write_experiment_fixture(tmp_path, n=120, config_extra={"split": {"kind": "random", "ratio": 0.2},
+                                                                      "repeats": 1, "lowess_frac": 1.0})
+        pool.close()
+
+        def fail_to_fork():
+            raise OSError("fork refused by the test")
+
+        monkeypatch.setattr(os, "fork", fail_to_fork)
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", cfg, "--out", str(out), "--threads", "3"]) == 0
+        assert len((out / "scatter.csv").read_text().splitlines()) == 2 + 96
+        assert 96 > report._BLOCK_CELLS // 96  # more points than one block of windows holds
+
+    @pytest.mark.parametrize("error", [KeyError, ValueError])
+    def test_an_internal_error_is_raised_not_reported(self, tmp_path, monkeypatch, capsys, error):
+        cfg = write_experiment_fixture(tmp_path, config_extra={"repeats": 1})
+
+        def broken(*args, **kwargs):
+            raise error("internal")
+
+        monkeypatch.setattr(cli, "emit_report", broken)
+        with pytest.raises(error, match="internal"):
+            main(["experiment", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"])
+        assert capsys.readouterr().err == ""
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_experiment_fixture(tmp_path)
@@ -898,7 +928,7 @@ def edit_one_line(data, text, edits=("delete", "repeat", "blank", "break")):
 
 
 class TestOneLineEdits:
-    """Any one-line edit to a CSV input or JSONL records ends `experiment` in outputs or a typed error at file:line."""
+    """Any one-line edit to a CSV or JSONL input ends its command in outputs or a typed error at file:line."""
 
     @pytest.fixture(scope="class")
     def fixture(self, tmp_path_factory):
@@ -929,9 +959,30 @@ class TestOneLineEdits:
         if named:  # the line named holds the record named
             assert f'"record_id": "{named[1]}"' in lines[located[0] - 1], located
 
+    @pytest.fixture(scope="class")
+    def features_fixture(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("embedding_edits")
+        for name in "abcde":
+            (tmp_path / f"{name}.txt").write_text(f"{name} shared words\nmore {name} text\n")
+        embeddings = [EmbeddingSet(name, 2, (1.0, float(i))) for i, name in enumerate("abcde")]
+        write_embeddings(tmp_path / "emb.jsonl", embeddings)
+        return tmp_path, write_json(tmp_path / "features.json", {
+            "corpora": [{"dataset_id": name, "path": f"{name}.txt"} for name in "abcde"], "embeddings": "emb.jsonl",
+            "pairs": [{"train": tr, "test": te} for tr in "abcde" for te in "abcde"],
+        })
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_jsonl_embeddings_exit_is_outputs_or_one_located_error(self, features_fixture, data):
+        tmp_path, cfg = features_fixture
+        path = tmp_path / "emb.jsonl"
+        edited = edit_one_line(data, path.read_bytes().decode(), edits=("delete", "repeat", "blank"))
+        row_lines = [i for i, line in enumerate(edited.splitlines(), 1) if line.strip()]
+        self.check_exit(cfg, path, edited, row_lines, command="features")
+
     @staticmethod
-    def check_exit(cfg, path, edited, row_lines):
-        """Run `experiment` with path holding edited; a located error must name path and one of row_lines.
+    def check_exit(cfg, path, edited, row_lines, command="experiment"):
+        """Run command with path holding edited; a located error must name path and one of row_lines.
 
         Returns the line and the message of a located error, or None.
         """
@@ -940,7 +991,7 @@ class TestOneLineEdits:
         stderr = io.StringIO()
         try:
             with contextlib.redirect_stderr(stderr):
-                code = main(["experiment", "--config", cfg, "--out", str(path.parent / "out"), "--threads", "1"])
+                code = main([command, "--config", cfg, "--out", str(path.parent / "out"), "--threads", "1"])
         finally:
             path.write_bytes(original)
         assert code in (0, 1)

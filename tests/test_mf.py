@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfcast.errors import LengthMismatch, NotManyToMany, ParseError, SchemaMismatch, UnknownLanguage
+from perfcast.errors import NotManyToMany, ParseError, SchemaMismatch, UnknownLanguage
 from perfcast.records import DesignMatrix, FeatureSchema, build_schema
 from perfcast.regressors import (
     MfParams,
@@ -15,7 +15,6 @@ from perfcast.regressors import (
     load_model,
     mf_fit,
     mf_predict,
-    mf_predict_one,
     save_model,
 )
 from perfcast.regressors.mf import MfModel
@@ -32,6 +31,13 @@ def context_matrix(y, sources, targets, n_context=1):
     rows = np.zeros((n, n_context))
     return DesignMatrix(schema, rows, np.asarray(y, dtype=np.float64), [f"r{i}" for i in range(n)],
                         list(zip(sources, targets)))
+
+
+def one_row(columns, source, target, context):
+    """A one-row design matrix of the given columns: the language pair and the context cells, as given."""
+    schema = FeatureSchema(columns=tuple(columns), groups=("proxy",) * len(columns))
+    return DesignMatrix(schema, np.asarray(context, dtype=np.float64).reshape(1, -1), np.zeros(1), ["r0"],
+                        [(source, target)])
 
 
 def rank1_grid(u, v, const=5.0):
@@ -113,7 +119,7 @@ class TestFit:
         model = mf_fit(m, no_reg_params(latent_dim=0, iterations=200))
         for s, t in zip(sources, targets):
             manual = model.mu + model.b_s[s] + model.b_t[t]
-            assert mf_predict_one(model, s, t, np.zeros(1)) == manual
+            assert mf_predict(model, one_row(model.feature_names, s, t, [0.0]))[0] == manual
 
     def test_fit_model_needs_language_pairs(self):
         sources, targets, y = rank1_grid(np.array([1.0, 2.0]), np.array([1.0, 3.0]))
@@ -215,14 +221,14 @@ class TestPredict:
 
     def test_zero_parameters_give_mu(self):
         model = self._toy_model(mu=3.0)
-        assert mf_predict_one(model, "sa", "ta", np.zeros(1)) == 3.0
+        assert mf_predict(model, one_row(model.feature_names, "sa", "ta", [0.0]))[0] == 3.0
 
     def test_unknown_language(self):
         model = self._toy_model()
         with pytest.raises(UnknownLanguage):
-            mf_predict_one(model, "zz", "ta", np.zeros(1))
+            mf_predict(model, one_row(model.feature_names, "zz", "ta", [0.0]))
         with pytest.raises(UnknownLanguage):
-            mf_predict_one(model, "sa", "zz", np.zeros(1))
+            mf_predict(model, one_row(model.feature_names, "sa", "zz", [0.0]))
 
     def test_hand_evaluated_dot_product(self):
         model = MfModel(
@@ -240,7 +246,8 @@ class TestPredict:
         )
         context = np.array([2.0, 4.0])
         expected = 1.0 + 0.3 - 0.1 + (0.5 * 2.0 + -1.0 * 0.25) + (1.5 * 2.0 + -0.5 * 4.0)
-        assert mf_predict_one(model, "sa", "ta", context) == pytest.approx(expected, abs=1e-15)
+        pred = mf_predict(model, one_row(model.feature_names, "sa", "ta", context))
+        assert pred[0] == pytest.approx(expected, abs=1e-15)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(mf_problems())
@@ -259,13 +266,13 @@ class TestPredict:
             expected.append(model.mu + model.b_s[s] + model.b_t[t] + wh + tc)
         pred = mf_predict(model, matrix)
         assert pred.tobytes() == np.array(expected).tobytes()
-        assert [mf_predict_one(model, s, t, c) for s, t, c in zip(sources, targets, C)] == expected
 
     @pytest.mark.parametrize("cells", [1, 3])
     def test_context_of_another_length(self, cells):
         model = self._toy_model(c_dim=2)
-        with pytest.raises(LengthMismatch, match=f"^the context has {cells} cells, but the model 2 columns$"):
-            mf_predict_one(model, "sa", "ta", np.zeros(cells))
+        columns = [f"c{i}" for i in range(cells)]
+        with pytest.raises(SchemaMismatch, match=f"^the design matrix has {cells} columns, but the model 2$"):
+            mf_predict(model, one_row(columns, "sa", "ta", np.zeros(cells)))
 
     def test_schema_mismatch(self):
         sources = ["sa", "sa", "sb", "sb"]

@@ -1,6 +1,8 @@
 import csv
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from perfcast.report import (
     scatter_from_predictions,
 )
 
-from oracles import oracle_lowess, oracle_lowess_per_point
+from oracles import oracle_lowess, oracle_lowess_exact, oracle_lowess_per_point
 
 
 def result(mean=1.0, std=0.1, importance=None):
@@ -82,8 +84,20 @@ def lowess_inputs(draw):
     return points, frac
 
 
+def noisy_points(kind, n, seed):
+    """Points near y = x: x uniform on [0, 100), or integers 0-11, so with many ties."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 100, n) if kind == "uniform" else rng.integers(0, 12, n).astype(float)
+    return list(zip(x.tolist(), (x + rng.normal(size=n)).tolist()))
+
+
+def blocks_of(n, frac):
+    """How many blocks of windows lowess fits for n points."""
+    return math.ceil(n / max(1, report._BLOCK_CELLS // math.ceil(frac * n)))
+
+
 class TestLowessWindows:
-    """The windowed lowess against one full (distance, index) sort per point."""
+    """The windowed lowess against one full sort per point."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(lowess_inputs())
@@ -98,25 +112,14 @@ class TestLowessWindows:
         points = list(zip(x, x + rng.normal(size=n)))
         assert lowess(points, frac) == oracle_lowess_per_point(points, frac)
 
-
-def blocks_of(n, frac):
-    """How many blocks of windows lowess fits for n points."""
-    return math.ceil(n / max(1, report._BLOCK_CELLS // math.ceil(frac * n)))
-
-
-def noisy_points(kind, n, seed):
-    """Points near y = x: x uniform on [0, 100), or integers 0-11, so with many ties."""
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0, 100, n) if kind == "uniform" else rng.integers(0, 12, n).astype(float)
-    return list(zip(x.tolist(), (x + rng.normal(size=n)).tolist()))
-
-
-def fail_to_fork():
-    raise OSError("fork refused by the test")
+    @pytest.mark.parametrize("kind, n, frac", [("uniform", 200, 0.5), ("uniform", 60, 0.5)])
+    def test_fixed_inputs(self, kind, n, frac):
+        points = noisy_points(kind, n, seed=n)
+        assert lowess(points, frac) == oracle_lowess_per_point(points, frac)
 
 
 class TestLowessBlocks:
-    """The blocks of windows run on the worker pool, and the fit is the same for every worker count."""
+    """Inputs of several blocks of windows, fitted by threads at once: lowess keeps no state across calls."""
 
     @pytest.mark.parametrize("kind, n, frac", [("uniform", 131, 0.5), ("integer", 150, 0.5), ("uniform", 400, 0.3),
                                                ("integer", 95, 1.0)])
@@ -124,17 +127,33 @@ class TestLowessBlocks:
     def test_workers_fit_what_one_process_fits(self, kind, n, frac, workers):
         points = noisy_points(kind, n, seed=n)
         assert blocks_of(n, frac) >= 2
-        assert lowess(points, frac, workers) == lowess(points, frac, 1) == oracle_lowess_per_point(points, frac)
+        with ThreadPoolExecutor(max_workers=workers) as threads:
+            fits = list(threads.map(lambda _: lowess(points, frac), range(workers)))
+        assert fits == [lowess(points, frac)] * workers
+        assert fits[0] == oracle_lowess_per_point(points, frac)
 
-    def test_one_process_or_one_block_never_forks(self, monkeypatch):
-        pool.close()
-        monkeypatch.setattr(os, "fork", fail_to_fork)
-        big, small = noisy_points("uniform", 200, seed=1), noisy_points("uniform", 60, seed=2)
-        assert (blocks_of(200, 0.5), blocks_of(60, 0.5)) == (3, 1)
-        assert lowess(big, 0.5, 1) == oracle_lowess_per_point(big, 0.5)
-        assert lowess(small, 0.5, 3) == oracle_lowess_per_point(small, 0.5)
-        with pytest.raises(OSError, match="fork refused"):  # more blocks than one do reach the pool
-            lowess(big, 0.5, 3)
+
+class TestLowessPrecision:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_narrow_windows_far_from_zero_keep_their_digits(self, seed):
+        # windows of 4 points within about 0.05 of each other, at |x| up to 50
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-50, 50, 80)
+        points = list(zip(x.tolist(), (x + rng.normal(size=80)).tolist()))
+        for got, exact in zip(lowess(points, 0.05), oracle_lowess_exact(points, 0.05)):
+            assert abs(Fraction(got) - exact) <= Fraction(1, 10 ** 13) * abs(exact), (got, float(exact))
+
+
+def fail_to_fork():
+    raise OSError("fork refused by the test")
+
+
+def test_many_blocks_fit_in_the_caller(monkeypatch):
+    pool.close()
+    monkeypatch.setattr(os, "fork", fail_to_fork)
+    points = noisy_points("uniform", 200, seed=1)
+    assert blocks_of(200, 0.5) == 3
+    assert lowess(points, 0.5) == oracle_lowess_per_point(points, 0.5)
 
 
 class TestRSquared:
