@@ -226,7 +226,7 @@ def _check_command(path: str, command: str, cfg: Config) -> None:
     if command in ("predict", "importance") and cfg.model is None:
         raise ConfigError(f"{path}: {command} config needs 'model'")
     matrix = command in _MATRIX_COMMANDS
-    if matrix and cfg.records is None:
+    if matrix and not cfg.records:  # absent, or an empty list
         raise ConfigError(f"{path}: config is missing 'records'")
     dataset_group = matrix and "dataset" in cfg.feature_groups and cfg.dataset_features is None
     if command == "features" or (dataset_group and cfg.corpora):
@@ -589,9 +589,10 @@ _PARSER = _build_parser()
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
-    if args.threads < 0:
-        print(json.dumps({"error": "ConfigError", "message": "--threads must be >= 0"}), file=sys.stderr)
-        return 2
+    for flag in ("threads", "seed"):  # a bad --seed is refused here, or replace() below raises a bare ValueError
+        if (getattr(args, flag) or 0) < 0:
+            print(json.dumps({"error": "ConfigError", "message": f"--{flag} must be >= 0"}), file=sys.stderr)
+            return 2
     try:
         cfg = _read_config(args.config)
         if args.seed is not None:

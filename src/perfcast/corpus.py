@@ -6,9 +6,12 @@ distance, Jensen-Shannon divergence, TF-IDF cosine) and the cosine between
 precomputed mean sentence embeddings. Embeddings are never computed here,
 only ingested.
 
-A corpus file is read whole and tokenized once. The pairwise statistics are
-array sums over the two corpora's count vectors on the sorted union of their
-vocabularies. Every sum adds its terms left to right in token order, so the
+A corpus file is read whole and tokenized once. dataset_features puts the
+two corpora's token counts on the sorted union of their vocabularies, as two
+aligned float64 vectors, and computes each pair statistic from them with one
+public function: word_overlap(a, b) and tfidf_cosine(a, b) take the count
+vectors, jsd(p, q) the probability vectors (the counts over each corpus's
+token total). Every sum adds its terms left to right in token order, so the
 results are the same, to the bit, as a loop over the sorted vocabulary.
 
 Word overlap, JSD, TF-IDF cosine and embedding cosine are symmetric to the
@@ -111,21 +114,6 @@ class DatasetProfile:
 
 
 @dataclass(frozen=True)
-class TokenDistribution:
-    """Normalized unigram distribution; probabilities sum to 1 within 1e-9."""
-
-    probs: dict[str, float]
-
-    def __post_init__(self):
-        for tok, p in self.probs.items():
-            if p < 0:
-                raise ValueError(f"negative probability for token {tok!r}")
-        total = math.fsum(self.probs.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-
-
-@dataclass(frozen=True)
 class EmbeddingSet:
     """Mean sentence embedding of one dataset, ingested from upstream tooling."""
 
@@ -195,7 +183,8 @@ def _ordered_sum(terms: np.ndarray) -> float:
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
-def _overlap(a: np.ndarray, b: np.ndarray) -> float:
+def word_overlap(a: np.ndarray, b: np.ndarray) -> float:
+    """|T1 n T2| / (|T1| + |T2|) of two count vectors on one vocabulary; in [0, 0.5], 0.5 iff T1 = T2."""
     in_a, in_b = a > 0.0, b > 0.0
     return int(np.count_nonzero(in_a & in_b)) / (int(np.count_nonzero(in_a)) + int(np.count_nonzero(in_b)))
 
@@ -209,7 +198,15 @@ def _kl_to_mixture(x: np.ndarray, m: np.ndarray) -> float:
     return _ordered_sum(x * logs)
 
 
-def _jsd(p: np.ndarray, q: np.ndarray) -> float:
+def jsd(p: np.ndarray, q: np.ndarray) -> float:
+    """Jensen-Shannon divergence, base 2, of two probability vectors on one sorted vocabulary. Range [0, 1].
+
+    A token absent from one side has probability 0 there and adds 0 to that
+    side's KL term; the mixture M is strictly positive wherever either side
+    is. Each KL sum runs in vocabulary order, so the result is symmetric in
+    (p, q). The sum is clamped to [0, 1], since rounding can carry disjoint
+    supports to 1 + 2.2e-16.
+    """
     m = 0.5 * (p + q)
     return min(1.0, max(0.0, 0.5 * (_kl_to_mixture(p, m) + _kl_to_mixture(q, m))))
 
@@ -219,7 +216,13 @@ def _jsd(p: np.ndarray, q: np.ndarray) -> float:
 _IDF_ONE_DOCUMENT = math.log(3.0 / 2.0) + 1.0
 
 
-def _tfidf_cosine(a: np.ndarray, b: np.ndarray) -> float:
+def tfidf_cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of the TF-IDF vectors of two count vectors on one vocabulary.
+
+    Each corpus is one document in a two-document collection; tf is the raw
+    count and idf(t) = ln((1+N)/(1+df(t))) + 1 with N = 2 (smoothed, as
+    scikit-learn's TfidfVectorizer, so shared terms keep nonzero weight).
+    """
     idf = np.where((a > 0.0) & (b > 0.0), 1.0, _IDF_ONE_DOCUMENT)
     v1, v2 = a * idf, b * idf
     norm1, norm2 = _ordered_sum(v1 * v1), _ordered_sum(v2 * v2)
@@ -228,46 +231,12 @@ def _tfidf_cosine(a: np.ndarray, b: np.ndarray) -> float:
     return _ordered_sum(v1 * v2) / math.sqrt(norm1 * norm2)
 
 
-def word_overlap(p1: DatasetProfile, p2: DatasetProfile) -> float:
-    """|T1 n T2| / (|T1| + |T2|); in [0, 0.5], 0.5 iff vocabularies coincide."""
-    return _overlap(*_pair_vectors(p1.token_counts, p2.token_counts))
-
-
 def ttr_distance(ttr_train: float, ttr_test: float) -> float:
     """(1 - ttr_train/ttr_test)^2. Asymmetric: numerator is the training TTR."""
     for v in (ttr_train, ttr_test):
         if not (0.0 < v <= 1.0):
             raise InvalidTTR(f"TTR {v} outside (0, 1]")
     return (1.0 - ttr_train / ttr_test) ** 2
-
-
-def token_distribution(p: DatasetProfile) -> TokenDistribution:
-    total = p.total_tokens
-    return TokenDistribution({tok: c / total for tok, c in p.token_counts.items()})
-
-
-def jsd(p: TokenDistribution, q: TokenDistribution) -> float:
-    """Jensen-Shannon divergence, base 2, over the union vocabulary. Range [0, 1].
-
-    Tokens absent from one distribution have probability 0 there and contribute
-    0 to that side's KL term; the mixture M is strictly positive wherever
-    either distribution is. Each KL sum runs in sorted token order, so the
-    result is symmetric in (p, q) and independent of dict insertion order.
-    The sum is clamped to [0, 1], since rounding can carry disjoint
-    vocabularies to 1 + 2.2e-16.
-    """
-    return _jsd(*_pair_vectors(p.probs, q.probs))
-
-
-def tfidf_cosine(p1: DatasetProfile, p2: DatasetProfile) -> float:
-    """Cosine of the two datasets' TF-IDF vectors.
-
-    Each dataset is one document in a two-document collection over the union
-    vocabulary; tf is the raw count and idf(t) = ln((1+N)/(1+df(t))) + 1 with
-    N = 2 (smoothed, as scikit-learn's TfidfVectorizer, so shared terms keep
-    nonzero weight).
-    """
-    return _tfidf_cosine(*_pair_vectors(p1.token_counts, p2.token_counts))
 
 
 def embedding_cosine(a: EmbeddingSet, b: EmbeddingSet) -> float:
@@ -291,9 +260,9 @@ def dataset_features(
     a, b = _pair_vectors(train.token_counts, test.token_counts)
     return DatasetFeatureBlock(
         **_directional(train, test),
-        word_overlap=_overlap(a, b),
-        jsd=_jsd(a / train.total_tokens, b / test.total_tokens),
-        tfidf_cosine=_tfidf_cosine(a, b),
+        word_overlap=word_overlap(a, b),
+        jsd=jsd(a / train.total_tokens, b / test.total_tokens),
+        tfidf_cosine=tfidf_cosine(a, b),
         embedding_cosine=embedding_cosine(*embeddings) if embeddings is not None else None,
     )
 

@@ -71,16 +71,6 @@ def rmse(predictions: Sequence[float], targets: Sequence[float]) -> float:
     return float(np.sqrt(np.mean((p - t) ** 2)))
 
 
-def iqm(values: Sequence[float]) -> float:
-    """Interquartile mean: drop floor(n/4) smallest and largest, average the rest."""
-    if len(values) == 0:
-        raise EmptyInput("iqm of empty list")
-    ordered = sorted(values)
-    drop = len(ordered) // 4
-    kept = ordered[drop: len(ordered) - drop]
-    return math.fsum(kept) / len(kept)
-
-
 # ---------------------------------------------------------------------------
 # Splits
 # ---------------------------------------------------------------------------
@@ -246,7 +236,7 @@ def check_protocol(grid: Sequence[AnyParams], settings, group_sets: Sequence[Seq
     """Raise ValueError naming the first setting of the protocol no experiment can run.
 
     settings is an ExperimentConfig or the CLI's config: its split,
-    feature_groups, proxies, repeats, cv_folds and test_records are read;
+    feature_groups, proxies, repeats, cv_folds, seed and test_records are read;
     grid is the hyperparameter candidates, and group_sets an ablation's
     feature-group subsets. The library and the CLI refuse the same settings with the same
     message, which the CLI prints after the config path.
@@ -271,6 +261,8 @@ def check_protocol(grid: Sequence[AnyParams], settings, group_sets: Sequence[Seq
         raise ValueError(f"'repeats' must be >= 1, not {settings.repeats!r}")
     if settings.cv_folds < 2:
         raise ValueError(f"'cv_folds' must be >= 2, not {settings.cv_folds!r}")
+    if settings.seed is not None and settings.seed < 0:
+        raise ValueError(f"'seed' must be >= 0, not {settings.seed!r}")
     if settings.split.kind == "cross_dataset" and not settings.test_records:
         raise ValueError("a cross_dataset split needs 'test_records'")
 

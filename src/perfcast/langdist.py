@@ -36,9 +36,6 @@ class LanguageFeatureBlock:
 class LanguageDistanceTable:
     entries: dict[tuple[str, str, str], float] = field(default_factory=dict)
 
-    def languages(self) -> list[str]:
-        return sorted({lang for key in self.entries for lang in key[:2]})
-
     def lookup(self, lang_a: str, lang_b: str, kind: str) -> float | None:
         if lang_a == lang_b:
             return 0.0

@@ -61,6 +61,8 @@ class GbtParams:
             raise ValueError("n_estimators must be >= 1")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (0.0 < self.subsample <= 1.0) or not (0.0 < self.colsample_bytree <= 1.0):
             raise ValueError("subsample and colsample_bytree must be in (0, 1]")
         if self.reg_alpha < 0 or self.reg_lambda < 0 or self.gamma < 0:

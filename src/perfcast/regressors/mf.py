@@ -61,6 +61,8 @@ class MfParams:
             raise ValueError("alpha must be > 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("beta_w", "beta_h", "beta_z", "beta_s", "beta_t", "lr_decay"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

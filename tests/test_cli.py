@@ -17,11 +17,9 @@ from perfcast.cli import main
 from perfcast.corpus import (
     EmbeddingSet,
     dataset_features,
-    jsd,
     load_feature_csv,
     profile,
     read_corpus,
-    token_distribution,
     tokenize,
     write_feature_csv,
 )
@@ -159,7 +157,7 @@ class TestFeaturesCommand:
         blocks = load_feature_csv(str(tmp_path / "out" / "features.csv"))
         texts = {name: [tokenize(line) for line in (tmp_path / f"{name}.txt").read_text().splitlines()] for name in "abc"}
         for (tr, te), block in blocks.items():
-            assert block.jsd == jsd(token_distribution(profile(tr, texts[tr])), token_distribution(profile(te, texts[te])))
+            assert block.jsd == oracle_dataset_features(texts[tr], texts[te]).jsd
 
     @pytest.mark.parametrize("bad", [None, b"", b"ok\n\xff\n"], ids=["none", "empty", "not_utf8"])
     def test_same_output_for_every_thread_count(self, tmp_path, capsys, bad):
@@ -339,6 +337,8 @@ class TestConfigShape:
 
     @pytest.mark.parametrize("command, drop, extra, match", [
         ("train", ["records"], {}, "config is missing 'records'"),
+        ("train", [], {"records": []}, "config is missing 'records'"),
+        ("experiment", [], {"records": []}, "config is missing 'records'"),
         ("predict", [], {}, "predict config needs 'model'"),
         ("importance", [], {}, "importance config needs 'model'"),
         ("experiment", ["dataset_features"], {},
@@ -346,7 +346,8 @@ class TestConfigShape:
         ("ablate", ["language_distances"], {}, "language feature group enabled but no 'language_distances' path given"),
         ("train", ["params"], {"grid": [{"max_depth": 2}, {"max_depth": 3}]},
          "train expects exactly one hyperparameter set (preset or params)"),
-    ], ids=["records", "predict_model", "importance_model", "dataset_source", "language_source", "train_grid"])
+    ], ids=["records", "train_empty_records", "experiment_empty_records", "predict_model", "importance_model",
+            "dataset_source", "language_source", "train_grid"])
     def test_command_needs_rejected_before_any_file(self, tmp_path, capsys, command, drop, extra, match):
         obj = {**json.loads(Path(write_experiment_fixture(tmp_path)).read_text()), **extra}
         cfg = write_json(tmp_path / "c.json", {k: v for k, v in obj.items() if k not in drop})
@@ -354,6 +355,23 @@ class TestConfigShape:
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["message"]) == ("ConfigError", f"{cfg}: {match}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, extra, match", [
+        ("train", ["--seed", "-1"], {}, "--seed must be >= 0"),
+        ("train", [], {"params": {"n_estimators": 8, "seed": -1}}, "params: seed must be >= 0"),
+        ("experiment", [], {"seed": -3}, "'seed' must be >= 0, not -3"),
+    ], ids=["train_flag", "train_params", "experiment_config"])
+    def test_negative_seed_rejected_before_any_file(self, tmp_path, capsys, command, flags, extra, match):
+        # numpy's default_rng refuses a negative seed with a bare ValueError, so no fit may reach it
+        obj = {**json.loads(Path(write_experiment_fixture(tmp_path)).read_text()), **extra}
+        cfg = write_json(tmp_path / "c.json", obj)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) in (1, 2)
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert issubclass(getattr(errors, err["error"]), errors.PerfcastError)
+        assert err["message"].endswith(match), err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["experiment", "ablate"])
@@ -1140,8 +1158,9 @@ def test_empty_proxies_with_the_proxy_group_rejected_before_any_file(tmp_path, c
     ({"feature_groups": ["proxy", "lang"]}, {"feature_groups": ("proxy", "lang")}),
     ({"split": {"kind": "cross_dataset"}}, {"split": SplitSpec("cross_dataset")}),
     ({"split": {"kind": "cross_dataset"}, "test_records": []}, {"split": SplitSpec("cross_dataset"), "test_records": []}),
+    ({"seed": -3}, {"seed": -3}),
 ], ids=["no_repeats", "one_fold", "empty_grid", "no_feature_groups", "unknown_feature_group",
-        "cross_dataset_without_test_records", "cross_dataset_empty_test_records"])
+        "cross_dataset_without_test_records", "cross_dataset_empty_test_records", "negative_seed"])
 def test_library_and_cli_refuse_a_setting_with_one_message(tmp_path, capsys, extra, library):
     obj = {**json.loads(Path(write_experiment_fixture(tmp_path)).read_text()), **extra}
     cfg = write_json(tmp_path / "c.json", {k: v for k, v in obj.items() if v is not None})

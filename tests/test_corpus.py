@@ -16,7 +16,7 @@ from perfcast.corpus import (
     DatasetFeatureBlock,
     DATASET_FEATURE_COLUMNS,
     EmbeddingSet,
-    TokenDistribution,
+    _pair_vectors,
     dataset_features,
     embedding_cosine,
     jsd,
@@ -39,6 +39,7 @@ from oracles import (
     oracle_profile,
     oracle_read_corpus,
     oracle_sorted_jsd,
+    oracle_sorted_tfidf_cosine,
     oracle_tfidf_cosine,
     oracle_ttr_distance,
     oracle_word_overlap,
@@ -56,6 +57,11 @@ def random_corpus(rng, max_tokens=50):
         sentences.append([alphabet[int(rng.integers(0, len(alphabet)))] for _ in range(size)])
         remaining -= size
     return sentences
+
+
+def pair(p1, p2):
+    """The two profiles' count vectors on the sorted union of their vocabularies, as dataset_features aligns them."""
+    return _pair_vectors(p1.token_counts, p2.token_counts)
 
 
 class TestTokenize:
@@ -126,25 +132,25 @@ class TestProfile:
 class TestWordOverlap:
     def test_identical(self):
         p = profile("d", [["a", "b"]])
-        assert word_overlap(p, p) == 0.5
+        assert word_overlap(*pair(p, p)) == 0.5
 
     def test_disjoint(self):
         p1 = profile("d1", [["a", "b"]])
         p2 = profile("d2", [["c", "d"]])
-        assert word_overlap(p1, p2) == 0.0
+        assert word_overlap(*pair(p1, p2)) == 0.0
 
     def test_partial(self):
         p1 = profile("d1", [["a", "b", "c"]])
         p2 = profile("d2", [["b", "c", "d", "e"]])
-        assert word_overlap(p1, p2) == pytest.approx(2 / 7, abs=1e-15)
+        assert word_overlap(*pair(p1, p2)) == pytest.approx(2 / 7, abs=1e-15)
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             p1 = profile("d1", random_corpus(rng))
             p2 = profile("d2", random_corpus(rng))
-            v = word_overlap(p1, p2)
-            assert v == word_overlap(p2, p1)
+            v = word_overlap(*pair(p1, p2))
+            assert v == word_overlap(*pair(p2, p1))
             assert 0.0 <= v <= 0.5
 
 
@@ -172,66 +178,65 @@ class TestTtrDistance:
             assert ttr_distance(float(a), float(b)) >= 0.0
 
 
+def probability_jsd(p: dict[str, float], q: dict[str, float]) -> float:
+    """jsd of two token-probability maps, on the sorted union of their tokens."""
+    return jsd(*_pair_vectors(p, q))
+
+
 class TestJsd:
     def test_identical_zero(self):
-        p = TokenDistribution({"a": 0.3, "b": 0.7})
-        assert jsd(p, p) == 0.0
+        p = {"a": 0.3, "b": 0.7}
+        assert probability_jsd(p, p) == 0.0
 
     def test_disjoint_is_one(self):
-        p = TokenDistribution({"a": 0.4, "b": 0.6})
-        q = TokenDistribution({"c": 0.5, "d": 0.5})
-        assert abs(jsd(p, q) - 1.0) < 1e-12
+        p = {"a": 0.4, "b": 0.6}
+        q = {"c": 0.5, "d": 0.5}
+        assert abs(probability_jsd(p, q) - 1.0) < 1e-12
 
     def test_disjoint_never_exceeds_one(self):
         # unclamped, these disjoint distributions sum to 1.0000000000000002
-        p = TokenDistribution({"a0": 0.12013046230989173, "a1": 0.6520607201434465, "a2": 0.22780881754666185})
-        q = TokenDistribution({
+        p = {"a0": 0.12013046230989173, "a1": 0.6520607201434465, "a2": 0.22780881754666185}
+        q = {
             "b0": 0.2030687646362296, "b1": 0.11234180615501056, "b2": 0.2583441887464679,
             "b3": 0.3982466569873878, "b4": 0.02799858347490424,
-        })
-        assert jsd(p, q) <= 1.0
-        assert jsd(q, p) <= 1.0
-        assert abs(jsd(p, q) - 1.0) < 1e-12
+        }
+        assert probability_jsd(p, q) <= 1.0
+        assert probability_jsd(q, p) <= 1.0
+        assert abs(probability_jsd(p, q) - 1.0) < 1e-12
 
     def test_half_point_mass(self):
-        p = TokenDistribution({"x": 0.5, "y": 0.5})
-        q = TokenDistribution({"x": 1.0})
-        assert jsd(p, q) == pytest.approx(0.31127812445913283, abs=1e-15)
+        p = {"x": 0.5, "y": 0.5}
+        q = {"x": 1.0}
+        assert probability_jsd(p, q) == pytest.approx(0.31127812445913283, abs=1e-15)
 
     def test_zero_implies_equal(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             raw = rng.uniform(0.05, 1.0, size=4)
             probs = raw / raw.sum()
-            p = TokenDistribution({f"t{i}": float(v) for i, v in enumerate(probs)})
+            p = {f"t{i}": float(v) for i, v in enumerate(probs)}
             bumped = probs.copy()
             bumped[0] += 0.01
             bumped[1] -= 0.01
-            q = TokenDistribution({f"t{i}": float(v) for i, v in enumerate(bumped)})
-            assert jsd(p, q) > 1e-9
-
-    def test_distribution_validation(self):
-        with pytest.raises(ValueError):
-            TokenDistribution({"a": 0.5, "b": 0.6})
-        with pytest.raises(ValueError):
-            TokenDistribution({"a": -0.1, "b": 1.1})
+            q = {f"t{i}": float(v) for i, v in enumerate(bumped)}
+            assert probability_jsd(p, q) > 1e-9
 
 
 class TestTfidfCosine:
     def test_identical(self):
         p = profile("d", [["a", "a", "b", "c"]])
-        assert abs(tfidf_cosine(p, p) - 1.0) < 1e-12
+        assert abs(tfidf_cosine(*pair(p, p)) - 1.0) < 1e-12
 
     def test_disjoint(self):
         p1 = profile("d1", [["a", "b"]])
         p2 = profile("d2", [["c", "d"]])
-        assert tfidf_cosine(p1, p2) == 0.0
+        assert tfidf_cosine(*pair(p1, p2)) == 0.0
 
     def test_fixture(self):
         p1 = profile("d1", [["a", "a", "b"]])
         p2 = profile("d2", [["a", "c"]])
         expected = 0.47433070649719394  # frozen from the brute-force oracle
-        assert tfidf_cosine(p1, p2) == pytest.approx(expected, abs=1e-15)
+        assert tfidf_cosine(*pair(p1, p2)) == pytest.approx(expected, abs=1e-15)
         assert oracle_tfidf_cosine(p1.token_counts, p2.token_counts) == pytest.approx(expected, abs=1e-15)
 
     def test_symmetric(self):
@@ -239,7 +244,7 @@ class TestTfidfCosine:
         for _ in range(30):
             p1 = profile("d1", random_corpus(rng))
             p2 = profile("d2", random_corpus(rng))
-            assert tfidf_cosine(p1, p2) == pytest.approx(tfidf_cosine(p2, p1), abs=1e-15)
+            assert tfidf_cosine(*pair(p1, p2)) == pytest.approx(tfidf_cosine(*pair(p2, p1)), abs=1e-15)
 
 
 class TestEmbeddingCosine:
@@ -385,7 +390,7 @@ class TestPairKernelBits:
             p1, p2 = profile("d1", s1), profile("d2", s2)
             got = dataset_features(p1, p2)
             assert [repr(v) for v in got.as_row()] == [repr(v) for v in oracle_dataset_features(s1, s2).as_row()]
-            assert (word_overlap(p1, p2), tfidf_cosine(p1, p2)) == (got.word_overlap, got.tfidf_cosine)
+            assert (word_overlap(*pair(p1, p2)), tfidf_cosine(*pair(p1, p2))) == (got.word_overlap, got.tfidf_cosine)
 
     def test_reverse_pair_oriented_is_the_pair_bit_for_bit(self):
         # the symmetric statistics of (b, a) are those of (a, b); only the directional fields change
@@ -405,7 +410,13 @@ class TestPairKernelBits:
             c1, c2 = random_counts(rng), random_counts(rng)
             p = {t: c / sum(c1.values()) for t, c in c1.items()}
             q = {t: c / sum(c2.values()) for t, c in c2.items()}
-            assert repr(jsd(TokenDistribution(p), TokenDistribution(q))) == repr(oracle_sorted_jsd(p, q))
+            assert repr(probability_jsd(p, q)) == repr(oracle_sorted_jsd(p, q))
+
+    def test_tfidf_cosine_matches_dict_loop(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            c1, c2 = random_counts(rng), random_counts(rng)
+            assert repr(tfidf_cosine(*_pair_vectors(c1, c2))) == repr(oracle_sorted_tfidf_cosine(c1, c2))
 
 
 TTR = st.sampled_from([5e-324, 1.0]) | st.floats(0.0, 1.0, exclude_min=True)

@@ -24,7 +24,6 @@ from perfcast.experiments import (
     DEFAULT_ABLATION_SETS,
     ExperimentConfig,
     SplitSpec,
-    iqm,
     kfold_cv,
     rmse,
     run_ablation,
@@ -262,19 +261,6 @@ class TestMetrics:
             rmse([1.0], [1.0, 2.0])
         with pytest.raises(EmptyInput):
             rmse([], [])
-
-    def test_iqm_trivials(self):
-        assert iqm([1, 2, 3, 4]) == 2.5
-        assert iqm(list(range(1, 9))) == 4.5
-        assert iqm([7.0] * 11) == 7.0
-        assert iqm([5.0]) == 5.0
-
-    def test_iqm_ignores_outliers(self):
-        assert iqm([1000.0, 2.0, 3.0, -50.0]) == 2.5
-
-    def test_iqm_empty(self):
-        with pytest.raises(EmptyInput):
-            iqm([])
 
 
 def many_to_many_records(langs, per_pair, seed):

@@ -31,3 +31,11 @@ def test_fit_and_predict_call_the_solvers_bound_at_call_time(monkeypatch, kind, 
     assert fit_matrix is matrix and fit_params is params
     assert predict_model_arg is model and predict_matrix is matrix
     assert pred.shape == (matrix.n,)
+
+
+@pytest.mark.parametrize("params_cls", [GbtParams, MfParams], ids=["gbt", "mf"])
+def test_a_seeded_kind_refuses_a_negative_seed(params_cls):
+    # numpy's default_rng takes no negative seed, so the fit would fail with numpy's own ValueError
+    assert params_cls(seed=0).seed == 0
+    with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+        params_cls(seed=-1)
