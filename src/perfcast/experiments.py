@@ -46,6 +46,7 @@ from .regressors import (
     GbtModel,
     check_languages,
     fit_model,
+    fitted_from,
     gbt_gain_totals,
     params_kind,
     predict_model,
@@ -170,22 +171,30 @@ def kfold_cv(
     """Seeded k-fold grid search; ties break to the earlier grid point.
 
     folds, when given, are the folds kfold_indices(matrix.n, k, seed) draws,
-    which the caller has drawn already.
+    which the caller has drawn already. The search runs fold by fold; within
+    a fold, each grid point in grid order is read off a model fitted earlier
+    on that fold when fitted_from can (equal params, or a GBT grid point a
+    longer or deeper fit determines), and fitted otherwise. Only one fold's
+    models are held at a time.
     """
     if not grid:
         raise ValueError("empty hyperparameter grid")
     if folds is None:
         folds = kfold_indices(matrix.n, k, seed)
-    splits = [
-        (matrix.subset(np.concatenate([folds[j] for j in range(k) if j != i])), matrix.subset(folds[i]))
-        for i in range(k)
-    ]
+    seeded = [with_seed(params, seed) for params in grid]
 
-    scores: list[float] = []
-    for params in grid:
-        seeded = with_seed(params, seed)
-        fold_rmse = [rmse(predict_model(fit_model(seeded, train), val), val.targets) for train, val in splits]
-        scores.append(float(np.mean(fold_rmse)))
+    fold_rmse: list[list[float]] = [[] for _ in grid]  # per grid point, in fold order
+    for i in range(k):
+        train = matrix.subset(np.concatenate([folds[j] for j in range(k) if j != i]))
+        val = matrix.subset(folds[i])
+        fitted = []  # this fold's fits, in grid order
+        for params, rmses in zip(seeded, fold_rmse):
+            model = next(filter(None, (fitted_from(params, fit) for fit in fitted)), None)
+            if model is None:
+                model = fit_model(params, train)
+                fitted.append(model)
+            rmses.append(rmse(predict_model(model, val), val.targets))
+    scores = [float(np.mean(rmses)) for rmses in fold_rmse]
 
     best = min(range(len(grid)), key=lambda i: (scores[i], i))
     return CvResult(best_index=best, best_params=grid[best], scores=scores)

@@ -35,7 +35,8 @@ import numpy as np
 
 from .corpus import DATASET_FEATURE_COLUMNS, DatasetFeatureBlock
 from .errors import (
-    DuplicateId, MissingFeature, MissingPair, NoProxies, ParseError, RangeError, SchemaMismatch, numbered_rows,
+    DuplicateId, EmptyTrainingSet, MissingFeature, MissingPair, NoProxies, ParseError, RangeError, SchemaMismatch,
+    numbered_rows,
 )
 from .fields import read
 from .langdist import DISTANCE_KINDS, LanguageDistanceTable, language_features
@@ -396,6 +397,20 @@ class DesignMatrix:
             row_ids=[self.row_ids[i] for i in idx],
             languages=None if self.languages is None else [self.languages[i] for i in idx],
         )
+
+    def training_targets(self) -> np.ndarray:
+        """The targets, which every regressor's fit reads through this check.
+
+        No rows is EmptyTrainingSet; a target that is not finite is a
+        RangeError naming the first such row.
+        """
+        if self.n == 0:
+            raise EmptyTrainingSet("cannot fit on an empty design matrix")
+        bad = np.flatnonzero(~np.isfinite(self.targets))
+        if bad.size:
+            i = int(bad[0])
+            raise RangeError(f"row {self.row_ids[i]!r}: target {float(self.targets[i])!r} is not finite")
+        return self.targets
 
 
 def build_design_matrix(

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import UnknownLanguage
 from ..records import DesignMatrix
-from .gbt import GbtModel, GbtParams, gbt_fit, gbt_gain_totals, gbt_importance, gbt_predict
+from .gbt import GbtModel, GbtParams, gbt_fit, gbt_gain_totals, gbt_importance, gbt_predict, tree_depth
 from .mf import MfModel, MfParams, mf_fit, mf_predict
 from .poly import PolyModel, PolyParams, poly_fit, poly_predict
 from .presets import PRESETS, get_preset
@@ -53,6 +53,38 @@ def check_languages(
             )
 
 
+def fitted_from(params: AnyParams, model: AnyModel) -> AnyModel | None:
+    """The model fit_model(params, m) returns, given model = fit_model(model.params, m); None if only a fit can tell.
+
+    Equal params give the model itself. GBT params that differ from the
+    model's in n_estimators, max_depth or both give its first
+    params.n_estimators trees and train_rmse entries, if it has that many:
+    each tree's row and column draws come from the seeded stream in tree
+    order, and neither draw nor the gradients of earlier trees read the
+    count. A depth_wise fit searches each level the same way under every
+    cap, so if its deepest kept tree has t levels of splits, it is the fit
+    under any cap >= t; but if t reached the model's cap, the cap may have
+    stopped the growth, and a higher cap needs a fit. leaf_wise picks its
+    next split across levels, so its trees are never shared across
+    max_depth.
+    """
+    if params == model.params:
+        return model
+    fit = model.params
+    if not (isinstance(params, GbtParams) and isinstance(model, GbtModel)) or params.n_estimators > fit.n_estimators:
+        return None
+    if vars(params) | {"n_estimators": fit.n_estimators, "max_depth": fit.max_depth} != vars(fit):
+        return None
+    trees = model.trees[: params.n_estimators]
+    if params.max_depth != fit.max_depth:
+        if params.growth != "depth_wise":
+            return None
+        t = max(map(tree_depth, trees))
+        if t > params.max_depth or (params.max_depth > fit.max_depth and t >= fit.max_depth):
+            return None
+    return GbtModel(model.base_score, trees, model.feature_names, params, model.train_rmse[: params.n_estimators])
+
+
 # Every solver is fit(matrix, params) and predict(model, matrix). The tables
 # are built on each call from this module's namespace, so a caller that
 # rebinds e.g. `perfcast.regressors.gbt_fit` sees every fit.
@@ -69,5 +101,5 @@ __all__ = [
     "MfModel", "MfParams", "mf_fit", "mf_predict",
     "PolyModel", "PolyParams", "poly_fit", "poly_predict",
     "PRESETS", "get_preset", "load_model", "save_model", "model_to_dict", "model_from_dict",
-    "KINDS", "check_languages", "fit_model", "predict_model", "params_kind", "with_seed",
+    "KINDS", "check_languages", "fit_model", "fitted_from", "predict_model", "params_kind", "with_seed",
 ]

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import EmptyTrainingSet, NoSplits, SchemaMismatch
+from ..errors import NoSplits, SchemaMismatch
 from ..fields import check_field_types
 from ..records import DesignMatrix
 
@@ -310,6 +310,22 @@ def _grow_tree(
     return tree, np.concatenate(rows), np.repeat(weights, [r.size for r in rows])
 
 
+def tree_depth(tree: np.recarray) -> int:
+    """The most splits on a path from the root to a leaf; a tree that is one leaf has depth 0.
+
+    Every child's id exceeds its parent's (_grow_tree; serialize._load_tree
+    refuses any other tree), so one pass in id order reaches each node after
+    all of its parents.
+    """
+    nodes = tree.view(np.ndarray)
+    depth = [0] + [-1] * (len(nodes) - 1)  # -1: no path from the root reaches the node
+    for i, (feature, left, right) in enumerate(zip(*(nodes[f].tolist() for f in ("feature", "left", "right")))):
+        if feature >= 0 and depth[i] >= 0:
+            depth[left] = max(depth[left], depth[i] + 1)
+            depth[right] = max(depth[right], depth[i] + 1)
+    return max(depth)
+
+
 def _tree_predict(tree: np.recarray, X: np.ndarray) -> np.ndarray:
     """Route all rows to their leaves, one level per pass; a NaN cell takes its node's default direction."""
     nodes = tree.view(np.ndarray)  # a recarray attribute lookup costs microseconds
@@ -334,12 +350,8 @@ def _tree_predict(tree: np.recarray, X: np.ndarray) -> np.ndarray:
 
 def gbt_fit(matrix: DesignMatrix, params: GbtParams) -> GbtModel:
     """Fit a boosted forest on the design matrix, its NaN cells taken as missing."""
-    X, y = matrix.rows, matrix.targets
+    X, y = matrix.rows, matrix.training_targets()
     n, d = X.shape
-    if n == 0:
-        raise EmptyTrainingSet("cannot fit on an empty design matrix")
-    if not np.all(np.isfinite(y)):
-        raise EmptyTrainingSet("targets must be finite")
 
     base = float(np.mean(y))
     pred = np.full(n, base, dtype=np.float64)

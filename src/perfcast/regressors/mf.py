@@ -92,6 +92,7 @@ def _languages(matrix: DesignMatrix) -> tuple[list[str], list[str]]:
 
 def mf_fit(matrix: DesignMatrix, params: MfParams) -> MfModel:
     """Fit on the matrix's language pairs, with its rows as the context."""
+    y = matrix.training_targets()
     sources, targets = _languages(matrix)
     n = matrix.n
     src_set = sorted(set(sources))
@@ -101,7 +102,6 @@ def mf_fit(matrix: DesignMatrix, params: MfParams) -> MfModel:
             f"need >= 2 distinct source and target languages, got {len(src_set)} source / {len(tgt_set)} target"
         )
 
-    y = matrix.targets
     Xs, impute, mean, std = impute_and_standardize(matrix.rows)
     C = (Xs - mean) / std
     k = params.latent_dim

@@ -44,7 +44,6 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from ..errors import EmptyTrainingSet
 from ..fields import check_field_types
 from ..records import DesignMatrix
 
@@ -162,9 +161,7 @@ def _objective(r: np.ndarray, beta: np.ndarray, params: PolyParams) -> float:
 
 
 def poly_fit(matrix: DesignMatrix, params: PolyParams) -> PolyModel:
-    if matrix.n == 0:
-        raise EmptyTrainingSet("cannot fit on an empty design matrix")
-    y = matrix.targets
+    y = matrix.training_targets()
     Xs, impute, mean, std = impute_and_standardize(matrix.rows)
     Z = (Xs - mean) / std
     P = _expand(Z, params.degree)

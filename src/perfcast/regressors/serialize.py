@@ -14,9 +14,11 @@ built by its own class, which checks its fields against the same table,
 and each tree by `_load_tree`.
 Checks that span fields follow: GBT node features within the feature
 names, one GBT tree per params.n_estimators and one train_rmse entry per
-tree, one poly coefficient per term, one poly or MF statistic (and MF
-theta entry) per feature name, MF factor shapes and bias languages. Every
-number must be finite, a train_rmse entry >= 0 and a std entry > 0.
+tree, no tree deeper than params.max_depth and, under leaf_wise growth,
+none with more than params.num_leaves leaves, one poly coefficient per
+term, one poly or MF statistic (and MF theta entry) per feature name, MF
+factor shapes and bias languages. Every number must be finite, a
+train_rmse entry >= 0 and a std entry > 0.
 save_model runs the same checks before it opens the file, so a fit that
 diverged writes no file, and every file it writes loads.
 Floats survive the JSON round trip exactly (repr-based encoding), so a
@@ -38,7 +40,7 @@ import numpy as np
 
 from ..errors import ParseError, open_text
 from ..fields import FIELD_TYPES, FieldType, check_keys, from_json
-from .gbt import NODE_DTYPE, GbtModel, GbtParams, make_tree
+from .gbt import NODE_DTYPE, GbtModel, GbtParams, make_tree, tree_depth
 from .mf import MfModel, MfParams
 from .poly import PolyModel, PolyParams, term_count
 
@@ -176,7 +178,7 @@ def _check_across_fields(model: GbtModel | PolyModel | MfModel) -> None:
         if len(model.train_rmse) != len(model.trees):
             raise ParseError(f"train_rmse has {len(model.train_rmse)} entries, but there are {len(model.trees)} trees")
         _require("train_rmse", model.train_rmse, _NON_NEGATIVE)
-        n_features = len(model.feature_names)
+        n_features, params = len(model.feature_names), model.params
         for t, tree in enumerate(model.trees):
             bad = np.flatnonzero(tree["feature"] >= n_features)
             if bad.size:
@@ -187,6 +189,12 @@ def _check_across_fields(model: GbtModel | PolyModel | MfModel) -> None:
                 if bad.size:
                     i = int(bad[0])
                     raise ParseError(f"trees[{t}]: node {i}: {name} must be finite, not {float(tree[name][i])!r}")
+            depth = tree_depth(tree)
+            if depth > params.max_depth:
+                raise ParseError(f"trees[{t}] has depth {depth}, but params.max_depth is {params.max_depth}")
+            leaves = int(np.count_nonzero(tree["feature"] < 0))
+            if params.growth == "leaf_wise" and leaves > params.num_leaves:
+                raise ParseError(f"trees[{t}] has {leaves} leaves, but params.num_leaves is {params.num_leaves}")
         return
     # poly and MF: one imputation and standardization statistic (and MF theta entry) per column
     theta = {"theta": model.theta} if isinstance(model, MfModel) else {}

@@ -31,11 +31,11 @@ from perfcast.errors import (
     TooFewRecords,
 )
 from perfcast.experiments import (
+    CvResult,
     ExperimentConfig,
     ExperimentResult,
     _filtered_records,
     _params_dict,
-    kfold_cv,
     kfold_indices,
     rmse,
 )
@@ -980,6 +980,24 @@ def oracle_split_cross_dataset(
     return list(train_records), list(test_records)
 
 
+def oracle_kfold_cv(matrix: DesignMatrix, k: int, grid, seed: int) -> CvResult:
+    """Grid search one grid point at a time, fitting it afresh on every fold; ties break to the earlier point."""
+    if not grid:
+        raise ValueError("empty hyperparameter grid")
+    folds = kfold_indices(matrix.n, k, seed)
+    splits = [
+        (matrix.subset(np.concatenate([folds[j] for j in range(k) if j != i])), matrix.subset(folds[i]))
+        for i in range(k)
+    ]
+    scores: list[float] = []
+    for params in grid:
+        seeded = with_seed(params, seed)
+        fold_rmse = [rmse(predict_model(fit_model(seeded, train), val), val.targets) for train, val in splits]
+        scores.append(float(np.mean(fold_rmse)))
+    best = min(range(len(grid)), key=lambda i: (scores[i], i))
+    return CvResult(best_index=best, best_params=grid[best], scores=scores)
+
+
 def _oracle_split_units(config: ExperimentConfig, records, seed: int):
     """Each unit is (label, train_records, test_records); labels are LOLO languages."""
     kind = config.split.kind
@@ -1067,7 +1085,7 @@ def oracle_run_experiment(config: ExperimentConfig) -> ExperimentResult:
             if len(config.grid) == 1:
                 best = config.grid[0]
             else:
-                cv = kfold_cv(m_train, config.cv_folds, config.grid, seed_r)
+                cv = oracle_kfold_cv(m_train, config.cv_folds, config.grid, seed_r)
                 best = cv.best_params
                 cv_scores[label or "all"] = cv.scores
             model = fit_model(with_seed(best, seed_r), m_train)

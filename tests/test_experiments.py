@@ -34,11 +34,11 @@ from perfcast.experiments import (
     split_unseen,
 )
 import perfcast.experiments
-from perfcast.records import PerformanceRecord
-from perfcast.regressors import GbtParams, MfParams, PolyParams
+from perfcast.records import PerformanceRecord, build_design_matrix, build_schema, proxy_roster
+from perfcast.regressors import GbtParams, MfParams, PolyParams, get_preset
 
 from conftest import LANGS, make_language_table, synthetic_setup
-from oracles import oracle_rmse, oracle_run_experiment
+from oracles import oracle_kfold_cv, oracle_rmse, oracle_run_experiment
 from test_gbt import matrix_from
 
 
@@ -236,13 +236,125 @@ class TestKfold:
         monkeypatch.setattr(perfcast.experiments, "fit_model", lambda p, t: fitted.append(p) or fit(p, t))
         kfold_cv(m, 4, grid, seed=7)
         assert seeded == [(grid[0], 7), (grid[1], 7)]
-        assert fitted == [replace(grid[0], seed=7)] * 4 + [replace(grid[1], seed=7)] * 4
+        assert fitted == [replace(grid[0], seed=7), replace(grid[1], seed=7)] * 4  # fold by fold
 
     def test_too_few_records(self):
         rng = np.random.default_rng(4)
         m = matrix_from(rng.normal(size=(5, 1)), rng.normal(size=5))
         with pytest.raises(TooFewRecords):
             kfold_cv(m, 10, [PolyParams(degree=1)], seed=0)
+
+
+def counting_fits(monkeypatch):
+    """The params of every fit_model call perfcast.experiments makes from now on, in call order."""
+    fitted, fit = [], perfcast.experiments.fit_model
+    monkeypatch.setattr(perfcast.experiments, "fit_model", lambda p, m: fitted.append(p) or fit(p, m))
+    return fitted
+
+
+def shallow_gbt_matrix():
+    """40 rows, a tenth of their cells missing.
+
+    Under min_child_samples=8 a node needs 16 rows to split, so a tree fitted
+    on a CV fold's training side stops by depth 2.
+    """
+    rng = np.random.default_rng(8)
+    return matrix_from(rng.normal(size=(40, 3)), rng.normal(size=40), rng.uniform(size=(40, 3)) < 0.1)
+
+
+class TestSharedFits:
+    """kfold_cv reads a grid point off an earlier fit on the same fold when fitted_from can, and scores as before."""
+
+    def test_lolo_gbt_cv_shape_makes_15_fits_not_25(self, monkeypatch):
+        # 5 LOLO units x (2 folds x 1 fit + the refit): the depth-3 point is read off each depth-5 CV fit
+        records, blocks, table = synthetic_setup(100, seed=3, n_proxies=2)
+        base = replace(get_preset("mt_english_m2m100"), n_estimators=2)
+        config = ExperimentConfig(records=records, grid=[base, replace(base, max_depth=3)], split=SplitSpec("lolo"),
+                                  repeats=1, cv_folds=2, seed=3, dataset_features=blocks, language_table=table)
+        expected = oracle_run_experiment(config)
+        fitted = counting_fits(monkeypatch)
+        got = run_experiment(config, workers=1)
+        assert len(fitted) == 15
+        assert {p.max_depth for p in fitted} == {5}
+        assert repr(got) == repr(expected)
+
+    def test_longest_n_estimators_first_costs_one_fit_per_fold(self, monkeypatch):
+        m = shallow_gbt_matrix()
+        grid = [GbtParams(n_estimators=n, max_depth=3, subsample=0.8, colsample_bytree=0.7) for n in (6, 4, 1)]
+        expected = oracle_kfold_cv(m, 4, grid, seed=2)
+        fitted = counting_fits(monkeypatch)
+        assert repr(kfold_cv(m, 4, grid, seed=2)) == repr(expected)
+        assert fitted == [replace(grid[0], seed=2)] * 4
+        fitted.clear()
+        assert kfold_cv(m, 4, grid[::-1], seed=2).scores == expected.scores[::-1]
+        assert len(fitted) == 12  # a shorter forest does not determine a longer one
+
+    @pytest.mark.parametrize("growth, fits", [("depth_wise", 3), ("leaf_wise", 6)])
+    def test_leaf_wise_never_shares_across_max_depth(self, monkeypatch, growth, fits):
+        m = shallow_gbt_matrix()
+        base = GbtParams(n_estimators=3, max_depth=6, min_child_samples=8, growth=growth,
+                         num_leaves=4 if growth == "leaf_wise" else None)
+        grid = [base, replace(base, max_depth=4)]
+        expected = oracle_kfold_cv(m, 3, grid, seed=1)
+        fitted = counting_fits(monkeypatch)
+        assert repr(kfold_cv(m, 3, grid, seed=1)) == repr(expected)
+        assert len(fitted) == fits
+
+    def test_equal_points_share_one_fit_per_fold(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        m = matrix_from(rng.normal(size=(20, 2)), rng.normal(size=20))
+        grid = [PolyParams(degree=1, alpha=0.1), PolyParams(degree=2), PolyParams(degree=1, alpha=0.1)]
+        expected = oracle_kfold_cv(m, 4, grid, seed=0)
+        fitted = counting_fits(monkeypatch)
+        assert repr(kfold_cv(m, 4, grid, seed=0)) == repr(expected)
+        assert fitted == grid[:2] * 4
+
+
+@st.composite
+def cv_cases(draw, regressor):
+    """(matrix, k, grid, seed) for kfold_cv: grids that repeat points and, for GBT, vary n_estimators and max_depth.
+
+    The draws come from a numpy generator seeded by hypothesis. GBT matrices
+    have missing cells, and their floors let trees stop short of the cap.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if regressor == "mf":
+        records = many_to_many_records(LANGS[:int(rng.integers(3, 5))], int(rng.integers(3, 5)), int(rng.integers(99)))
+        matrix = build_design_matrix(records, build_schema(("proxy",), proxy_roster(records)))
+        base = MfParams(latent_dim=int(rng.integers(1, 3)), iterations=int(rng.integers(2, 8)))
+        points = [base, replace(base, alpha=0.02), replace(base, iterations=base.iterations + 1)]
+    else:
+        n, d = int(rng.integers(12, 41)), int(rng.integers(1, 5))
+        X = rng.normal(size=(n, d))
+        X[:, 0] = rng.choice([-1.0, 0.0, 2.0], n)  # tied values
+        matrix = matrix_from(X, rng.normal(scale=3.0, size=n), rng.uniform(size=(n, d)) < 0.15)
+        if regressor == "poly":
+            base = PolyParams(degree=int(rng.integers(1, 3)), alpha=float(rng.choice([0.01, 0.1, 1.0])),
+                              max_iterations=30)
+            points = [base, replace(base, alpha=base.alpha * 10), replace(base, degree=3 - base.degree)]
+        else:
+            growth = str(rng.choice(["depth_wise", "leaf_wise"]))
+            base = GbtParams(
+                eta=0.3, min_child_samples=int(rng.choice([1, 2, 4, 8])), growth=growth,
+                subsample=float(rng.choice([0.6, 1.0])), colsample_bytree=float(rng.choice([0.5, 1.0])),
+                num_leaves=int(rng.integers(2, 9)) if growth == "leaf_wise" else None,
+            )
+            points = [replace(base, n_estimators=int(rng.integers(1, 6)), max_depth=int(rng.integers(1, 7)))
+                      for _ in range(4)]
+            points.append(replace(points[0], reg_lambda=0.5))
+    grid = [points[i] for i in rng.integers(len(points), size=int(rng.integers(1, 6)))]
+    return matrix, int(rng.integers(2, 5)), grid, int(rng.integers(0, 100))
+
+
+class TestKfoldMatchesOracle:
+    """kfold_cv against the grid-major search that fits every grid point on every fold."""
+
+    @pytest.mark.parametrize("regressor", ["gbt", "poly", "mf"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_same_result(self, regressor, data):
+        matrix, k, grid, seed = data.draw(cv_cases(regressor))
+        assert repr(kfold_cv(matrix, k, grid, seed)) == repr(oracle_kfold_cv(matrix, k, grid, seed))
 
 
 class TestMetrics:

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from perfcast.records import DesignMatrix, build_schema
 from perfcast.regressors import (
     GbtModel,
     GbtParams,
+    fitted_from,
     gbt_fit,
     gbt_gain_totals,
     gbt_importance,
@@ -20,7 +22,7 @@ from perfcast.regressors import (
     load_model,
     save_model,
 )
-from perfcast.regressors.gbt import NODE_DTYPE, _column_cells, _split_search, make_tree, predict_rows
+from perfcast.regressors.gbt import NODE_DTYPE, _column_cells, _split_search, make_tree, predict_rows, tree_depth
 
 from conftest import rejects_model_file
 from oracles import oracle_best_depth1_split, oracle_best_split, oracle_forest_predict, oracle_gbt_fit
@@ -34,6 +36,14 @@ def matrix_from(X, y, mask=None):
     if mask is not None:
         rows[mask] = np.nan
     return DesignMatrix(schema, rows, y, [f"r{i}" for i in range(len(y))])
+
+
+def depth_of(tree, node_id=0, depth=0):
+    """The depth of the subtree at node_id, by recursion from it."""
+    node = tree[node_id]
+    if node.feature < 0:
+        return depth
+    return max(depth_of(tree, node.left, depth + 1), depth_of(tree, node.right, depth + 1))
 
 
 def plain_params(**kw):
@@ -244,13 +254,6 @@ class TestLeafWise:
         y = rng.normal(size=64)
         params = GbtParams(n_estimators=1, growth="leaf_wise", num_leaves=60, max_depth=2, eta=1.0, seed=0)
         model = gbt_fit(matrix_from(X, y), params)
-
-        def depth_of(tree, node_id=0, depth=0):
-            node = tree[node_id]
-            if node.feature < 0:
-                return depth
-            return max(depth_of(tree, node.left, depth + 1), depth_of(tree, node.right, depth + 1))
-
         assert depth_of(model.trees[0]) <= 2
 
     def test_max_bin_caps_thresholds(self):
@@ -509,6 +512,20 @@ class TestModelFileValidation:
         obj["train_rmse"][1] = value
         rejects_model_file(path, obj, rf"train_rmse\[1\] must be finite and >= 0, not {value!r}")
 
+    def test_tree_deeper_than_max_depth(self, saved):
+        path, obj = saved
+        obj["params"]["max_depth"] = 1
+        rejects_model_file(path, obj, r"trees\[0\] has depth 2, but params.max_depth is 1")
+
+    def test_leaf_wise_tree_with_more_than_num_leaves(self, tmp_path):
+        rng = np.random.default_rng(29)
+        m = matrix_from(rng.normal(size=(40, 3)), rng.normal(size=40))
+        path = tmp_path / "model.json"
+        save_model(gbt_fit(m, GbtParams(n_estimators=2, growth="leaf_wise", num_leaves=4)), str(path))
+        obj = json.loads(path.read_text())
+        obj["params"]["num_leaves"] = 3
+        rejects_model_file(path, obj, r"trees\[0\] has 4 leaves, but params.num_leaves is 3")
+
     @pytest.mark.parametrize("name, node, value", [
         ("threshold", 0, float("inf")), ("weight", -1, float("nan")), ("gain", 0, float("-inf")),
     ])
@@ -672,3 +689,47 @@ class TestGrowerProperties:
         assert [tree.tobytes() for tree in model.trees] == [tree.tobytes() for tree in trees]
         assert gbt_gain_totals(model) == gain_totals
         assert model.train_rmse == train_rmse
+
+
+class TestFittedFrom:
+    """fitted_from reads a forest off a fit only where the fit with the other params would give that forest."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(grower_cases(), st.data())
+    def test_a_forest_read_off_a_fit_is_that_fit(self, case, data):
+        m, params = case
+        model = gbt_fit(m, params)
+        assert [tree_depth(tree) for tree in model.trees] == [depth_of(tree) for tree in model.trees]
+        deepest = max(map(tree_depth, model.trees))
+        other = replace(
+            params, n_estimators=data.draw(st.integers(1, params.n_estimators + 1)),
+            max_depth=data.draw(st.sampled_from([max(deepest, 1), deepest + 1, params.max_depth + 1, 1])),
+        )
+        got = fitted_from(other, model)
+        # a cap no tree reached, or the same cap, keeps depth_wise trees
+        same_trees = other.max_depth == params.max_depth or (
+            params.growth == "depth_wise" and other.max_depth == max(deepest, 1))
+        if other.n_estimators <= params.n_estimators and same_trees:
+            assert got is not None
+        if params.growth == "leaf_wise" and other.max_depth != params.max_depth:
+            assert got is None
+        if got is None:
+            return
+        fit = gbt_fit(m, other)
+        assert got.params == other
+        assert [tree.tobytes() for tree in got.trees] == [tree.tobytes() for tree in fit.trees]
+        assert (got.base_score, got.train_rmse) == (fit.base_score, fit.train_rmse)
+        assert got.feature_names == fit.feature_names
+        with tempfile.TemporaryDirectory() as tmp:
+            save_model(got, os.path.join(tmp, "model.json"))
+
+    def test_equal_params_give_the_model_itself(self):
+        rng = np.random.default_rng(3)
+        model = gbt_fit(matrix_from(rng.normal(size=(20, 2)), rng.normal(size=20)), GbtParams(n_estimators=2))
+        assert fitted_from(GbtParams(n_estimators=2), model) is model
+
+    def test_other_settings_need_a_fit(self):
+        rng = np.random.default_rng(3)
+        model = gbt_fit(matrix_from(rng.normal(size=(20, 2)), rng.normal(size=20)), GbtParams(n_estimators=3))
+        for other in (GbtParams(n_estimators=2, eta=0.2), GbtParams(n_estimators=2, seed=1), GbtParams(n_estimators=4)):
+            assert fitted_from(other, model) is None

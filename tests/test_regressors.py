@@ -1,9 +1,10 @@
-"""The regressor-kind dispatch: fit_model and predict_model."""
+"""The regressor-kind dispatch: fit_model and predict_model, and the checks every fit shares."""
 
 import numpy as np
 import pytest
 
 import perfcast.regressors as regressors
+from perfcast.errors import EmptyTrainingSet, RangeError
 from perfcast.regressors import GbtParams, MfParams, PolyParams, fit_model, predict_model
 
 from test_mf import context_matrix, rank1_grid
@@ -39,3 +40,21 @@ def test_a_seeded_kind_refuses_a_negative_seed(params_cls):
     assert params_cls(seed=0).seed == 0
     with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
         params_cls(seed=-1)
+
+
+@pytest.mark.parametrize("params", [GbtParams(n_estimators=2), PolyParams(degree=1), MfParams(iterations=2)],
+                         ids=["gbt", "poly", "mf"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_a_target_that_is_not_finite_is_refused_naming_its_row(params, value):
+    # poly and MF used to fit such targets into a nan intercept or mu
+    sources, targets, y = rank1_grid(np.arange(1.0, 5.0), np.arange(1.0, 6.0))
+    y[[7, 12]] = value, -np.inf
+    with pytest.raises(RangeError, match=rf"^row 'r7': target {value!r} is not finite$"):
+        fit_model(params, context_matrix(y, sources, targets))
+
+
+@pytest.mark.parametrize("params", [GbtParams(n_estimators=2), PolyParams(degree=1), MfParams(iterations=2)],
+                         ids=["gbt", "poly", "mf"])
+def test_a_matrix_without_rows_is_an_empty_training_set(params):
+    with pytest.raises(EmptyTrainingSet, match="^cannot fit on an empty design matrix$"):
+        fit_model(params, context_matrix([], [], []))
