@@ -172,10 +172,9 @@ def kfold_cv(
 
     folds, when given, are the folds kfold_indices(matrix.n, k, seed) draws,
     which the caller has drawn already. The search runs fold by fold; within
-    a fold, each grid point in grid order is read off a model fitted earlier
-    on that fold when fitted_from can (equal params, or a GBT grid point a
-    longer or deeper fit determines), and fitted otherwise. Only one fold's
-    models are held at a time.
+    a fold, each grid point in grid order is read off the previous point's
+    model when fitted_from can, and fitted otherwise; a fit starts only
+    once the previous model is dropped, so at most one model is held.
     """
     if not grid:
         raise ValueError("empty hyperparameter grid")
@@ -187,12 +186,11 @@ def kfold_cv(
     for i in range(k):
         train = matrix.subset(np.concatenate([folds[j] for j in range(k) if j != i]))
         val = matrix.subset(folds[i])
-        fitted = []  # this fold's fits, in grid order
+        model = None  # the previous grid point's model on this fold
         for params, rmses in zip(seeded, fold_rmse):
-            model = next(filter(None, (fitted_from(params, fit) for fit in fitted)), None)
+            model = None if model is None else fitted_from(params, model)
             if model is None:
                 model = fit_model(params, train)
-                fitted.append(model)
             rmses.append(rmse(predict_model(model, val), val.targets))
     scores = [float(np.mean(rmses)) for rmses in fold_rmse]
 

@@ -53,36 +53,25 @@ def check_languages(
             )
 
 
-def fitted_from(params: AnyParams, model: AnyModel) -> AnyModel | None:
+def fitted_from(params: AnyParams, model: AnyModel) -> GbtModel | None:
     """The model fit_model(params, m) returns, given model = fit_model(model.params, m); None if only a fit can tell.
 
-    Equal params give the model itself. GBT params that differ from the
-    model's in n_estimators, max_depth or both give its first
-    params.n_estimators trees and train_rmse entries, if it has that many:
-    each tree's row and column draws come from the seeded stream in tree
-    order, and neither draw nor the gradients of earlier trees read the
-    count. A depth_wise fit searches each level the same way under every
-    cap, so if its deepest kept tree has t levels of splits, it is the fit
-    under any cap >= t; but if t reached the model's cap, the cap may have
-    stopped the growth, and a higher cap needs a fit. leaf_wise picks its
-    next split across levels, so its trees are never shared across
-    max_depth.
+    Only depth_wise GBT params that equal the model's apart from max_depth
+    are read off a fit. Depth-wise growth searches each level the same way
+    under every cap, and neither the row and column draws nor the gradients
+    read the cap, so if the fit's deepest tree has t levels of splits, its
+    trees are the fit under any cap >= t; but if t reached the fit's cap,
+    the cap may have stopped the growth, and a higher cap needs a fit.
     """
-    if params == model.params:
-        return model
+    if not (isinstance(params, GbtParams) and isinstance(model, GbtModel)) or params.growth != "depth_wise":
+        return None
     fit = model.params
-    if not (isinstance(params, GbtParams) and isinstance(model, GbtModel)) or params.n_estimators > fit.n_estimators:
+    if replace(params, max_depth=fit.max_depth) != fit:
         return None
-    if vars(params) | {"n_estimators": fit.n_estimators, "max_depth": fit.max_depth} != vars(fit):
+    t = max(map(tree_depth, model.trees))
+    if t > params.max_depth or (params.max_depth > fit.max_depth and t >= fit.max_depth):
         return None
-    trees = model.trees[: params.n_estimators]
-    if params.max_depth != fit.max_depth:
-        if params.growth != "depth_wise":
-            return None
-        t = max(map(tree_depth, trees))
-        if t > params.max_depth or (params.max_depth > fit.max_depth and t >= fit.max_depth):
-            return None
-    return GbtModel(model.base_score, trees, model.feature_names, params, model.train_rmse[: params.n_estimators])
+    return replace(model, params=params)
 
 
 # Every solver is fit(matrix, params) and predict(model, matrix). The tables

@@ -263,7 +263,7 @@ def shallow_gbt_matrix():
 
 
 class TestSharedFits:
-    """kfold_cv reads a grid point off an earlier fit on the same fold when fitted_from can, and scores as before."""
+    """kfold_cv reads a grid point off the previous point's model on the same fold when fitted_from can."""
 
     def test_lolo_gbt_cv_shape_makes_15_fits_not_25(self, monkeypatch):
         # 5 LOLO units x (2 folds x 1 fit + the refit): the depth-3 point is read off each depth-5 CV fit
@@ -278,41 +278,23 @@ class TestSharedFits:
         assert {p.max_depth for p in fitted} == {5}
         assert repr(got) == repr(expected)
 
-    def test_longest_n_estimators_first_costs_one_fit_per_fold(self, monkeypatch):
-        m = shallow_gbt_matrix()
-        grid = [GbtParams(n_estimators=n, max_depth=3, subsample=0.8, colsample_bytree=0.7) for n in (6, 4, 1)]
-        expected = oracle_kfold_cv(m, 4, grid, seed=2)
-        fitted = counting_fits(monkeypatch)
-        assert repr(kfold_cv(m, 4, grid, seed=2)) == repr(expected)
-        assert fitted == [replace(grid[0], seed=2)] * 4
-        fitted.clear()
-        assert kfold_cv(m, 4, grid[::-1], seed=2).scores == expected.scores[::-1]
-        assert len(fitted) == 12  # a shorter forest does not determine a longer one
-
-    @pytest.mark.parametrize("growth, fits", [("depth_wise", 3), ("leaf_wise", 6)])
-    def test_leaf_wise_never_shares_across_max_depth(self, monkeypatch, growth, fits):
+    @pytest.mark.parametrize("growth, between, fits", [
+        ("depth_wise", [], 3), ("leaf_wise", [], 6), ("depth_wise", [dict(eta=0.2)], 9),
+    ])
+    def test_only_depth_wise_shares_and_only_with_the_point_before(self, monkeypatch, growth, between, fits):
         m = shallow_gbt_matrix()
         base = GbtParams(n_estimators=3, max_depth=6, min_child_samples=8, growth=growth,
                          num_leaves=4 if growth == "leaf_wise" else None)
-        grid = [base, replace(base, max_depth=4)]
+        grid = [base] + [replace(base, **kw) for kw in between] + [replace(base, max_depth=4)]
         expected = oracle_kfold_cv(m, 3, grid, seed=1)
         fitted = counting_fits(monkeypatch)
         assert repr(kfold_cv(m, 3, grid, seed=1)) == repr(expected)
         assert len(fitted) == fits
 
-    def test_equal_points_share_one_fit_per_fold(self, monkeypatch):
-        rng = np.random.default_rng(6)
-        m = matrix_from(rng.normal(size=(20, 2)), rng.normal(size=20))
-        grid = [PolyParams(degree=1, alpha=0.1), PolyParams(degree=2), PolyParams(degree=1, alpha=0.1)]
-        expected = oracle_kfold_cv(m, 4, grid, seed=0)
-        fitted = counting_fits(monkeypatch)
-        assert repr(kfold_cv(m, 4, grid, seed=0)) == repr(expected)
-        assert fitted == grid[:2] * 4
-
 
 @st.composite
 def cv_cases(draw, regressor):
-    """(matrix, k, grid, seed) for kfold_cv: grids that repeat points and, for GBT, vary n_estimators and max_depth.
+    """(matrix, k, grid, seed) for kfold_cv: grids that repeat points and, for GBT, vary max_depth and more.
 
     The draws come from a numpy generator seeded by hypothesis. GBT matrices
     have missing cells, and their floors let trees stop short of the cap.
@@ -335,13 +317,12 @@ def cv_cases(draw, regressor):
         else:
             growth = str(rng.choice(["depth_wise", "leaf_wise"]))
             base = GbtParams(
-                eta=0.3, min_child_samples=int(rng.choice([1, 2, 4, 8])), growth=growth,
-                subsample=float(rng.choice([0.6, 1.0])), colsample_bytree=float(rng.choice([0.5, 1.0])),
+                n_estimators=int(rng.integers(1, 5)), eta=0.3, min_child_samples=int(rng.choice([1, 2, 4, 8])),
+                growth=growth, subsample=float(rng.choice([0.6, 1.0])), colsample_bytree=float(rng.choice([0.5, 1.0])),
                 num_leaves=int(rng.integers(2, 9)) if growth == "leaf_wise" else None,
             )
-            points = [replace(base, n_estimators=int(rng.integers(1, 6)), max_depth=int(rng.integers(1, 7)))
-                      for _ in range(4)]
-            points.append(replace(points[0], reg_lambda=0.5))
+            points = [replace(base, max_depth=int(depth)) for depth in rng.integers(1, 7, size=3)]
+            points += [replace(points[0], n_estimators=base.n_estimators + 1), replace(points[0], reg_lambda=0.5)]
     grid = [points[i] for i in rng.integers(len(points), size=int(rng.integers(1, 6)))]
     return matrix, int(rng.integers(2, 5)), grid, int(rng.integers(0, 100))
 

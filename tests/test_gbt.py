@@ -14,12 +14,14 @@ from perfcast.records import DesignMatrix, build_schema
 from perfcast.regressors import (
     GbtModel,
     GbtParams,
+    PolyParams,
     fitted_from,
     gbt_fit,
     gbt_gain_totals,
     gbt_importance,
     gbt_predict,
     load_model,
+    poly_fit,
     save_model,
 )
 from perfcast.regressors.gbt import NODE_DTYPE, _column_cells, _split_search, make_tree, predict_rows, tree_depth
@@ -702,17 +704,15 @@ class TestFittedFrom:
         assert [tree_depth(tree) for tree in model.trees] == [depth_of(tree) for tree in model.trees]
         deepest = max(map(tree_depth, model.trees))
         other = replace(
-            params, n_estimators=data.draw(st.integers(1, params.n_estimators + 1)),
+            params, n_estimators=data.draw(st.sampled_from([params.n_estimators] * 3 + [params.n_estimators + 1, 1])),
             max_depth=data.draw(st.sampled_from([max(deepest, 1), deepest + 1, params.max_depth + 1, 1])),
         )
         got = fitted_from(other, model)
-        # a cap no tree reached, or the same cap, keeps depth_wise trees
-        same_trees = other.max_depth == params.max_depth or (
-            params.growth == "depth_wise" and other.max_depth == max(deepest, 1))
-        if other.n_estimators <= params.n_estimators and same_trees:
-            assert got is not None
-        if params.growth == "leaf_wise" and other.max_depth != params.max_depth:
-            assert got is None
+        # a depth_wise fit gives the forest of each cap from its deepest tree up, and of every cap above its own
+        # when no tree reached that
+        caps = range(max(deepest, 1), params.max_depth + 1 if deepest == params.max_depth else other.max_depth + 1)
+        assert (got is not None) == (
+            params.growth == "depth_wise" and other.n_estimators == params.n_estimators and other.max_depth in caps)
         if got is None:
             return
         fit = gbt_fit(m, other)
@@ -723,13 +723,13 @@ class TestFittedFrom:
         with tempfile.TemporaryDirectory() as tmp:
             save_model(got, os.path.join(tmp, "model.json"))
 
-    def test_equal_params_give_the_model_itself(self):
-        rng = np.random.default_rng(3)
-        model = gbt_fit(matrix_from(rng.normal(size=(20, 2)), rng.normal(size=20)), GbtParams(n_estimators=2))
-        assert fitted_from(GbtParams(n_estimators=2), model) is model
-
     def test_other_settings_need_a_fit(self):
         rng = np.random.default_rng(3)
-        model = gbt_fit(matrix_from(rng.normal(size=(20, 2)), rng.normal(size=20)), GbtParams(n_estimators=3))
-        for other in (GbtParams(n_estimators=2, eta=0.2), GbtParams(n_estimators=2, seed=1), GbtParams(n_estimators=4)):
+        m = matrix_from(rng.normal(size=(20, 2)), rng.normal(size=20))
+        model = gbt_fit(m, GbtParams(n_estimators=3))
+        for other in (GbtParams(n_estimators=2), GbtParams(n_estimators=4), GbtParams(n_estimators=3, eta=0.2),
+                      GbtParams(n_estimators=3, seed=1), PolyParams(degree=1)):
             assert fitted_from(other, model) is None
+        leaf_wise = GbtParams(n_estimators=3, growth="leaf_wise", num_leaves=4)
+        for fit in (gbt_fit(m, leaf_wise), poly_fit(m, PolyParams(degree=1))):
+            assert fitted_from(fit.params, fit) is None  # not even for its own params
