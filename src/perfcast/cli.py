@@ -9,8 +9,9 @@ Subcommands:
     importance  serialized model -> feature-importance CSV
 
 Every run writes a manifest.json recording the config hash, input file
-digests, tool version, master seed and timestamps. All other outputs are
-byte-deterministic for a fixed config and seed.
+digests, tool version, numpy version and BLAS build, master seed and
+timestamps. All other outputs are byte-deterministic for a fixed config and
+seed.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Sequence, get_args
+
+import numpy as np
 
 from . import __version__
 from .corpus import (
@@ -276,12 +279,25 @@ class _Run:
             "config": self.config_path,
             "config_sha256": self.inputs[self.config_path],
             "inputs": dict(sorted(self.inputs.items())),
+            "numpy_version": np.__version__,
+            "blas": _blas_name(),
             "master_seed": self.seed,
             "threads": self.threads,
             "started_at": self.started,
             "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
         _write_json(os.path.join(self.out_dir, "manifest.json"), manifest)
+
+
+def _blas_name() -> str:
+    """The name of the BLAS numpy was built with, or "unknown" where numpy cannot say.
+
+    np.show_config takes mode= from numpy 1.25; numpy 1.24 raises TypeError.
+    """
+    try:
+        return str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
+    except (TypeError, KeyError):
+        return "unknown"
 
 
 def _write_json(path: str, obj: Any) -> None:

@@ -3,7 +3,15 @@
 One boosting engine, two growth policies: depth_wise splits every node
 level by level up to max_depth; leaf_wise repeatedly splits the highest-gain
 leaf until num_leaves. Split search is exact greedy over sorted unique
-values (optionally capped by quantile binning via max_bin). As in XGBoost's
+values, each threshold the midpoint of two neighbours. max_bin caps the
+candidates per node, like XGBoost's local proposals (section 3.2): a node's
+column with more than max_bin distinct non-missing values is cut only at its
+quantiles i / max_bin (i = 1 .. max_bin - 1) by numpy's linear rule, each
+threshold the quantile value itself, and quantiles that fall between the
+same two neighbouring values are merged into the first. LightGBM instead
+bins each feature once per fit. Where a node's column holds both -0.0 and
+0.0, a zero threshold's sign follows their stable sort order, which may
+differ from np.quantile's; no comparison tells the two apart. As in XGBoost's
 column blocks (Chen & Guestrin, KDD 2016, section 4.1), each column's rows
 are sorted by value once per fit. Nodes are searched in batches: a whole
 level for depth_wise, the two children of each split for leaf_wise. A
@@ -145,6 +153,49 @@ def _column_cells(X: np.ndarray, g: np.ndarray, by_value: np.ndarray, in_rows: n
     return row_ids, np.append(X[row_ids, np.array(cols)[:, None]], np.nan), np.append(g[row_ids], 0.0)
 
 
+def _bin(sv: np.ndarray, boundary: np.ndarray, n_nm: np.ndarray, max_bin: int) -> np.ndarray | None:
+    """Cap the candidates of each (node, column) of the block with more than max_bin distinct values, in one pass.
+
+    sv and n_nm are _split_search's: each (node, column)'s finite non-missing
+    values sorted at the front of its positions, and their count n.
+    boundary marks each position i whose cell is below the next. A capped
+    pair keeps only the boundaries that its quantiles q = i / max_bin
+    (i = 1 .. max_bin - 1) fall on, each by np.quantile's linear rule:
+    virtual index (n - 1) * q between positions lower and lower + 1, with
+    fraction t, and the lerp of their values lo and hi that takes
+    lo + (hi - lo) * t below t = 0.5 and hi - (hi - lo) * (1 - t) from it.
+    Its left count, the cells below it (np.searchsorted's side="left"), is
+    lower + 1 where it exceeds lo and the start of lo's run of equal values
+    otherwise. Quantiles that share a left count share a boundary, and the
+    first of them is its threshold. A node's values sorted stably keep the
+    order of -0.0 and 0.0 that np.quantile's partition may change, so a zero
+    threshold's sign can differ from it, which no comparison sees.
+
+    Updates boundary in place and returns the thresholds indexed like it,
+    NaN at the boundaries that keep their midpoint; None, allocating nothing
+    sized by max_bin, when no pair is capped.
+    """
+    b, c = np.nonzero(boundary.sum(axis=2) >= max_bin)  # more than max_bin distinct values
+    if b.size == 0:
+        return None
+    values, n = sv[b, c], n_nm[b, c][:, None]  # (pair, position) and (pair, 1)
+    index = (n - 1) * (np.arange(1, max_bin) / max_bin)  # (pair, quantile); q < 1, so index < n - 1
+    lower = np.floor(index).astype(np.intp)
+    flat = lower + np.arange(0, values.size, values.shape[1])[:, None]  # lower's index in values.ravel()
+    t, lo, hi = index - lower, values.take(flat), values.take(flat + 1)
+    q = np.where(t >= 0.5, hi - (hi - lo) * (1 - t), lo + (hi - lo) * t)
+    run_start = np.zeros(values.shape, dtype=np.intp)  # the first position of each position's run of equal values
+    run_start[:, 1:] = np.maximum.accumulate(np.arange(1, values.shape[1]) * boundary[b, c], axis=1)
+    count = np.where(q > lo, lower + 1, run_start.take(flat))
+    keep = count > 0  # a quantile is at most the largest value, so every count is below n
+    keep[:, 1:] &= count[:, 1:] != count[:, :-1]  # count is nondecreasing, so this keeps the first at a position
+    pair = np.nonzero(keep)[0]
+    cuts = np.full(boundary.shape, np.nan)
+    cuts[b[pair], c[pair], count[keep] - 1] = q[keep]
+    boundary[b, c] = ~np.isnan(cuts[b, c])
+    return cuts
+
+
 def _split_search(
     X: np.ndarray, cells: tuple[np.ndarray, ...], batch: list[np.ndarray], cols: Sequence[int], params: GbtParams
 ) -> list[_Split | None]:
@@ -196,18 +247,8 @@ def _split_search(
     # candidate i puts the first i + 1 sorted non-missing cells on the left
     cl = np.arange(1, m)
     boundary = sv[:, :, :-1] < sv[:, :, 1:]  # False next to a NaN cell
-    binned = {}  # (node, column, position) -> quantile threshold
-    if params.max_bin is not None:
-        for b, c in zip(*np.nonzero(boundary.sum(axis=2) + 1 > params.max_bin)):
-            vs = sv[b, c, : n_nm[b, c]]
-            qs = np.quantile(vs, np.arange(1, params.max_bin) / params.max_bin)
-            left_counts = np.searchsorted(vs, qs, side="left")
-            keep = (left_counts > 0) & (left_counts < vs.size)
-            # left_counts is nondecreasing, so this keeps the first quantile per position
-            counts, first = np.unique(left_counts[keep], return_index=True)
-            boundary[b, c] = False
-            boundary[b, c, counts - 1] = True
-            binned.update(((b, c, p), q) for p, q in zip(counts - 1, qs[keep][first]))
+    # no (node, column) has more distinct values than the m - 1 rows of the largest node
+    cuts = None if params.max_bin is None or params.max_bin >= m - 1 else _bin(sv, boundary, n_nm, params.max_bin)
 
     # Candidates are (node, column, direction, position) with floor rows on
     # each side: direction 0 sends the missing cells left, 1 sends them
@@ -235,10 +276,10 @@ def _split_search(
     best_c, direction, position = np.unravel_index(best, (k, 2, m - 1))
     for b in np.flatnonzero(gain > 0.0):
         rows, c, p = nodes[b], best_c[b], position[b]
-        threshold = float(binned.get((b, c, p), 0.5 * (sv[b, c, p] + sv[b, c, p + 1])))
+        threshold = 0.5 * (sv[b, c, p] + sv[b, c, p + 1]) if cuts is None or np.isnan(cuts[b, c, p]) else cuts[b, c, p]
         default_left = bool(direction[b] == 0)
         left_rows, right_rows = _partition(X, rows, cols[c], threshold, default_left)
-        out[search[b]] = _Split(float(gain[b]), cols[c], threshold, default_left, left_rows, right_rows)
+        out[search[b]] = _Split(float(gain[b]), cols[c], float(threshold), default_left, left_rows, right_rows)
     return out
 
 

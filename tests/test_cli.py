@@ -1184,3 +1184,14 @@ class TestManifest:
         assert {"config.json", "records.csv", "features.csv", "distances.csv", "families.csv"} <= tracked
         for digest in manifest["inputs"].values():
             assert len(digest) == 64
+
+    def test_records_the_numpy_version_and_blas_name(self, tmp_path, monkeypatch):
+        cfg = write_experiment_fixture(tmp_path)
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        # numpy 1.24's show_config takes no mode, so the call raises TypeError
+        for show_config, expected in ((np.show_config, blas), (lambda: None, "unknown")):
+            monkeypatch.setattr(cli.np, "show_config", show_config)
+            out = tmp_path / f"out-{expected}"
+            assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert (manifest["numpy_version"], manifest["blas"]) == (np.__version__, expected)

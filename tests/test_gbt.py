@@ -693,6 +693,102 @@ class TestGrowerProperties:
         assert model.train_rmse == train_rmse
 
 
+@st.composite
+def binned_batches(draw):
+    """A block of 1 to 4 disjoint nodes whose columns hold from a few to about 200 distinct values, and max_bin 2-40.
+
+    So one batch mixes (node, column) pairs that are binned with pairs that
+    are not. As in split_nodes, the draws come from a numpy generator seeded
+    by hypothesis. No cell is -0.0 (see TestSignedZeroBins).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(4, 251))
+    d = int(rng.integers(1, 6))
+    X = np.empty((n, d))
+    for j in range(d):
+        kind = rng.choice(["distinct", "scaled", "rounded", "integers", "tied", "part"],
+                          p=[0.2, 0.2, 0.15, 0.15, 0.1, 0.2])
+        if kind == "scaled":  # neighbours of unlike magnitude, whose difference rounds, so lerp's two sides differ
+            X[:, j] = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, n)
+        elif kind == "rounded":  # + 0.0 turns a rounded -0.0 into 0.0
+            X[:, j] = np.round(rng.normal(size=n), 1) + 0.0
+        elif kind == "integers":
+            X[:, j] = rng.integers(0, int(rng.integers(2, 80)), n)
+        else:
+            X[:, j] = rng.choice([-1.0, 0.0, 0.5, 2.0], n) if kind == "tied" else rng.normal(size=n)
+        X[(kind == "part") & (rng.random(n) < 0.3), j] = np.nan
+    g = rng.choice([-1.0, 1.0], n) if rng.random() < 0.3 else rng.normal(scale=3.0, size=n)
+    # each row joins one of the nodes or none; the rows of no node are in the cells or not
+    node_of = rng.integers(0, int(rng.integers(1, 5)) + 1, n)
+    batch = [rows for rows in (np.flatnonzero(node_of == b) for b in range(node_of.max())) if rows.size]
+    in_rows = (node_of < node_of.max()) | (rng.random(n) < 0.5)
+    cols = sorted(rng.choice(d, int(rng.integers(1, d + 1)), replace=False).tolist())
+    params = GbtParams(
+        min_child_weight=float(rng.choice([0.0, 1.0, 2.5])),
+        min_child_samples=int(rng.choice([0, 1, 2, 5])),
+        gamma=float(rng.choice([0.0, 0.5])),
+        reg_lambda=float(rng.choice([1.0, 0.0])),
+        reg_alpha=float(rng.choice([0.0, 0.2])),
+        # max_bin 2 and 4 put a quantile at index (n - 1) / 2, whose lerp fraction is 0.5 for an even n
+        max_bin=int(rng.choice([2, 4])) if rng.random() < 0.3 else int(rng.integers(2, 41)),
+    )
+    return X, g, batch, in_rows, cols, params
+
+
+class TestBinnedBatchProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(binned_batches())
+    def test_each_node_of_a_binned_batch_matches_the_oracle(self, case):
+        X, g, batch, in_rows, cols, params = case
+        cells = _column_cells(X, g, np.argsort(X.T, axis=1, kind="stable"), in_rows, cols)
+        for rows, got in zip(batch, _split_search(X, cells, batch, cols, params), strict=True):
+            expected = oracle_best_split(X, np.isnan(X), g, np.ones(X.shape[0]), rows, cols, params)
+            if expected is None:
+                assert got is None
+                continue
+            assert got is not None
+            assert (got.gain, got.feature, got.threshold, got.default_left) == (
+                expected["gain"], expected["feature"], expected["threshold"], expected["default_left"]
+            )
+            np.testing.assert_array_equal(got.left_rows, expected["left_rows"])
+            np.testing.assert_array_equal(got.right_rows, expected["right_rows"])
+
+
+class TestSignedZeroBins:
+    """Binned columns that hold both -0.0 and 0.0.
+
+    The split search takes each node's quantiles from its values sorted
+    stably, where np.quantile partitions them and may swap a -0.0 with a
+    0.0. So a zero threshold's sign may differ from the per-node oracle's,
+    and nothing else may: every comparison treats -0.0 as 0.0.
+    """
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_trees_differ_at_most_in_a_zero_thresholds_sign(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 120
+        X = np.round(rng.normal(scale=1.5, size=(n, 3)))
+        X[X == 0.0] = rng.choice([-0.0, 0.0], np.count_nonzero(X == 0.0))
+        y = rng.normal(size=n) + X[:, 0]
+        X[rng.random((n, 3)) < 0.1] = np.nan
+        m = matrix_from(X, y)
+        params = GbtParams(n_estimators=3, eta=0.5, max_depth=4, min_child_weight=0.0, reg_lambda=0.1,
+                           subsample=0.8, max_bin=int(rng.integers(2, 6)), seed=seed)
+        model = gbt_fit(m, params)
+        trees, gain_totals, train_rmse = oracle_gbt_fit(m, params)
+        for got, expected in zip(model.trees, trees, strict=True):
+            for name in NODE_DTYPE.names:
+                if name != "threshold":
+                    assert got[name].tobytes() == expected[name].tobytes()
+            moved = got.threshold.view(np.int64) != expected.threshold.view(np.int64)
+            assert (got.threshold[moved] == 0.0).all() and (expected.threshold[moved] == 0.0).all()
+        assert (gbt_gain_totals(model), model.train_rmse) == (gain_totals, train_rmse)
+        oracle_model = replace(model, trees=trees)
+        expected = oracle_forest_predict(oracle_model, m.rows, np.isnan(m.rows))
+        assert predict_rows(model, m.rows).tobytes() == expected.tobytes()
+        assert oracle_forest_predict(model, m.rows, np.isnan(m.rows)).tobytes() == expected.tobytes()
+
+
 class TestFittedFrom:
     """fitted_from reads a forest off a fit only where the fit with the other params would give that forest."""
 
