@@ -29,6 +29,11 @@ G^2/(n+lambda)] - gamma, with the leaf numerator soft-thresholded by reg_alpha;
 leaf weight -soft(G, alpha) / (n + lambda). min_child_weight and
 min_child_samples both bound a child's row count: each child keeps at least
 max(min_child_weight, min_child_samples) rows.
+
+A fitted forest is one node table, every tree's nodes in tree order, and
+the node count of each tree. Child ids are local to their tree, so tree t
+is the slice of its tree_sizes[t] rows, and the first k trees are the rows
+of tree_sizes[:k].
 """
 
 from __future__ import annotations
@@ -90,34 +95,43 @@ class GbtParams:
 # per default direction (missing cells left, then right): 1 where they join the left side; reversed, the right
 _TO_LEFT = np.array([1, 0])
 
-# A tree is one array of these, one row per node in left-first id order, with
-# feature -1 marking a leaf. Aligned, so predict's per-field gathers read
-# naturally aligned values.
+# A tree is one array of these, one row per node in id order, with feature -1
+# marking a leaf, whose children are -1. Aligned, so predict's per-field
+# gathers read naturally aligned values.
 NODE_DTYPE = np.dtype(
     [("feature", np.int64), ("threshold", np.float64), ("default_left", np.bool_), ("left", np.int64),
      ("right", np.int64), ("weight", np.float64), ("gain", np.float64)],
     align=True,
 )
+NodeTable = np.ndarray  # of NODE_DTYPE
 
 
-def make_tree(nodes: Sequence[tuple]) -> np.recarray:
-    """A tree from node tuples ordered as the fields of NODE_DTYPE, with zeroed padding bytes.
+def make_tree(nodes: Sequence[tuple]) -> NodeTable:
+    """A node table from node tuples ordered as the fields of NODE_DTYPE, with zeroed padding bytes.
 
-    np.array would leave the aligned dtype's padding uninitialized, so equal
-    trees could differ under tobytes().
+    np.array and np.concatenate would leave the aligned dtype's padding
+    unset, so equal tables could differ under tobytes().
     """
-    tree = np.zeros(len(nodes), dtype=NODE_DTYPE)
-    tree[:] = nodes
-    return tree.view(np.recarray)
+    table = np.zeros(len(nodes), dtype=NODE_DTYPE)
+    table[:] = nodes
+    return table
 
 
 @dataclass
 class GbtModel:
+    """A forest: nodes holds every tree's nodes in tree order, tree_sizes the node count of each tree."""
+
     base_score: float
-    trees: list[np.recarray]
+    nodes: NodeTable
+    tree_sizes: list[int]
     feature_names: tuple[str, ...]
     params: GbtParams
     train_rmse: list[float] = field(default_factory=list)
+
+    @property
+    def trees(self) -> list[NodeTable]:
+        """Each tree's view of nodes, its child ids local to it."""
+        return np.split(self.nodes, np.cumsum(self.tree_sizes)[:-1]) if self.tree_sizes else []
 
 
 def _soft(g: np.ndarray | float, alpha: float):
@@ -292,8 +306,9 @@ def _partition(X: np.ndarray, rows: np.ndarray, feature: int, threshold: float, 
 
 def _grow_tree(
     X: np.ndarray, g: np.ndarray, by_value: np.ndarray, in_rows: np.ndarray, cols: Sequence[int], params: GbtParams
-) -> tuple[np.recarray, np.ndarray, np.ndarray]:
-    """One tree grown on the rows in_rows marks; returns it, every row of X, and the weight of each row's leaf.
+) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+    """One tree grown on the rows in_rows marks; returns its node tuples in id order, every row of X, and the
+    weight of each row's leaf.
 
     by_value holds X's rows in each column's value order (see _column_cells).
     depth_wise searches each level's nodes in one batch; leaf_wise searches
@@ -347,29 +362,26 @@ def _grow_tree(
     weights = -_soft(g_sums, params.reg_alpha) / (counts + params.reg_lambda)
     nodes.update((ids[i], (-1, 0.0, True, -1, -1, weight, 0.0)) for i, weight in zip(leaves, weights))
     rows = [np.concatenate((node_rows[i], out_rows[i])) for i in leaves]
-    tree = make_tree([nodes[j] for j in range(len(nodes))])
-    return tree, np.concatenate(rows), np.repeat(weights, [r.size for r in rows])
+    return [nodes[j] for j in range(len(nodes))], np.concatenate(rows), np.repeat(weights, [r.size for r in rows])
 
 
-def tree_depth(tree: np.recarray) -> int:
+def tree_depth(tree: NodeTable) -> int:
     """The most splits on a path from the root to a leaf; a tree that is one leaf has depth 0.
 
-    Every child's id exceeds its parent's (_grow_tree; serialize._load_tree
-    refuses any other tree), so one pass in id order reaches each node after
+    Every child's id exceeds its parent's (_grow_tree; the model file checks
+    refuse any other tree), so one pass in id order reaches each node after
     all of its parents.
     """
-    nodes = tree.view(np.ndarray)
-    depth = [0] + [-1] * (len(nodes) - 1)  # -1: no path from the root reaches the node
-    for i, (feature, left, right) in enumerate(zip(*(nodes[f].tolist() for f in ("feature", "left", "right")))):
+    depth = [0] + [-1] * (len(tree) - 1)  # -1: no path from the root reaches the node
+    for i, (feature, left, right) in enumerate(zip(*(tree[f].tolist() for f in ("feature", "left", "right")))):
         if feature >= 0 and depth[i] >= 0:
             depth[left] = max(depth[left], depth[i] + 1)
             depth[right] = max(depth[right], depth[i] + 1)
     return max(depth)
 
 
-def _tree_predict(tree: np.recarray, X: np.ndarray) -> np.ndarray:
+def _tree_predict(nodes: NodeTable, X: np.ndarray) -> np.ndarray:
     """Route all rows to their leaves, one level per pass; a NaN cell takes its node's default direction."""
-    nodes = tree.view(np.ndarray)  # a recarray attribute lookup costs microseconds
     feature, threshold, default_left = nodes["feature"], nodes["threshold"], nodes["default_left"]
     # child[2 * node + go_left]; a leaf is its own child, so rows that reached one stay
     ids = np.arange(len(nodes))
@@ -397,8 +409,7 @@ def gbt_fit(matrix: DesignMatrix, params: GbtParams) -> GbtModel:
     base = float(np.mean(y))
     pred = np.full(n, base, dtype=np.float64)
     rng = np.random.default_rng(params.seed)
-    trees: list[np.recarray] = []
-    train_rmse: list[float] = []
+    nodes, tree_sizes, train_rmse = [], [], []  # every tree's node tuples, each tree's node count
 
     n_sub = max(1, int(round(params.subsample * n)))
     n_cols = max(1, int(round(params.colsample_bytree * d)))
@@ -410,12 +421,13 @@ def gbt_fit(matrix: DesignMatrix, params: GbtParams) -> GbtModel:
         cols = list(range(d)) if n_cols >= d else sorted(rng.permutation(d)[:n_cols].tolist())
         g = pred - y
         tree, leaf_rows, weights = _grow_tree(X, g, by_value, in_tree, cols, params)
-        trees.append(tree)
+        nodes.extend(tree)
+        tree_sizes.append(len(tree))
         pred[leaf_rows] += params.eta * weights
         train_rmse.append(float(np.sqrt(np.mean((pred - y) ** 2))))
 
-    return GbtModel(base_score=base, trees=trees, feature_names=matrix.schema.columns, params=params,
-                    train_rmse=train_rmse)
+    return GbtModel(base_score=base, nodes=make_tree(nodes), tree_sizes=tree_sizes,
+                    feature_names=matrix.schema.columns, params=params, train_rmse=train_rmse)
 
 
 def gbt_predict(model: GbtModel, matrix: DesignMatrix) -> np.ndarray:
@@ -440,14 +452,14 @@ def predict_rows(model: GbtModel, rows: np.ndarray) -> np.ndarray:
 def gbt_gain_totals(model: GbtModel) -> dict[str, float]:
     """Total split gain per feature name, in feature order; a feature no node splits on is absent.
 
-    Each tree's split nodes are visited in the order of their left child's
-    id. The grower hands a split's two children the next two ids, so that
-    is the order in which it made the splits, and each total is the float
-    that a running sum kept during the fit would hold.
+    Trees are visited in order, and each tree's split nodes in the order of
+    their left child's id. The grower hands a split's two children the next
+    two ids, so that is the order in which it made the splits, and each
+    total is the float that a running sum kept during the fit would hold.
     """
     totals: dict[int, float] = {}
     for tree in model.trees:
-        splits = np.sort(tree.view(np.ndarray)[tree["feature"] >= 0], order="left")
+        splits = np.sort(tree[tree["feature"] >= 0], order="left")
         for feature, gain in zip(splits["feature"].tolist(), splits["gain"].tolist()):
             totals[feature] = totals.get(feature, 0.0) + gain
     return {model.feature_names[f]: total for f, total in sorted(totals.items())}

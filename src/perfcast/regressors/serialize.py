@@ -7,31 +7,35 @@ that predict or a report can derive is stored: a model's columns are its
 their groups follow from the names (build_schema); a GBT model's eta is
 its params' eta and its gain totals are sums of the node gains
 (gbt_gain_totals); a poly model's terms follow from its column count and
-degree (PolyModel.terms). It is read back through the field table of
-`perfcast.fields`, so every field must have its annotation's JSON type,
+degree (PolyModel.terms). A GBT forest is its node table, stored as one
+object of seven equal-length lists, one per NODE_DTYPE field, with the
+child ids local to each tree, and `tree_sizes`, the node count of each
+tree. It is read back through the field table of `perfcast.fields`, so
+every field, and every node column, must have its annotation's JSON type,
 with nothing coerced, and any other key is an error; the params object is
-built by its own class, which checks its fields against the same table,
-and each tree by `_load_tree`.
-Checks that span fields follow: GBT node features within the feature
-names, one GBT tree per params.n_estimators and one train_rmse entry per
-tree, no tree deeper than params.max_depth and, under leaf_wise growth,
-none with more than params.num_leaves leaves, one poly coefficient per
-term, one poly or MF statistic (and MF theta entry) per feature name, MF
-factor shapes and bias languages. Every number must be finite, a
-train_rmse entry >= 0 and a std entry > 0.
+built by its own class, which checks its fields against the same table.
+Checks that span fields follow: one GBT tree per params.n_estimators, each
+of at least one node, and one train_rmse entry per tree; each node's
+feature -1 (a leaf, whose children are -1) or within the feature names,
+and each split node's children after it within its tree; no tree deeper
+than params.max_depth and, under leaf_wise growth, none with more than
+params.num_leaves leaves; one poly coefficient per term, one poly or MF
+statistic (and MF theta entry) per feature name, MF factor shapes and bias
+languages. Every number must be finite, a train_rmse entry >= 0 and a std
+entry > 0. A node error names `trees[t]: node i`, i the tree-local id.
 save_model runs the same checks before it opens the file, so a fit that
 diverged writes no file, and every file it writes loads.
 Floats survive the JSON round trip exactly (repr-based encoding), so a
 loaded model predicts bit-identically to the one that was saved. A file of
 another format_version is rejected; retrain to replace it. Earlier formats
-also stored derived fields: format 2 a hash of the columns and their
-groups, and format 1 eta, the gain totals and the poly terms as well.
+stored a GBT forest as one list of node objects per tree (format 3) and
+also derived fields: format 2 a hash of the columns and their groups, and
+format 1 eta, the gain totals and the poly terms as well.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import asdict, fields, is_dataclass
 from functools import partial
 from typing import Any
@@ -44,7 +48,7 @@ from .gbt import NODE_DTYPE, GbtModel, GbtParams, make_tree, tree_depth
 from .mf import MfModel, MfParams
 from .poly import PolyModel, PolyParams, term_count
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # kind name -> (params class, model class)
 KINDS: dict[str, tuple[type, type]] = {
@@ -64,8 +68,8 @@ def _to_json(value):
     """A field value as the JSON value the field table reads back."""
     if is_dataclass(value):
         return asdict(value)
-    if isinstance(value, np.recarray):
-        return [dict(zip(NODE_DTYPE.names, row)) for row in value.tolist()]
+    if isinstance(value, np.ndarray) and value.dtype.names:  # a node table, one list per field
+        return {name: value[name].tolist() for name in value.dtype.names}
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, dict):
@@ -86,69 +90,37 @@ def model_to_dict(model: GbtModel | PolyModel | MfModel) -> dict[str, Any]:
     return out
 
 
-# Each node field's check, in NODE_DTYPE order: the array itself would
-# truncate a fractional index and read the string "false" as True.
-_NODE_CHECKS = [FIELD_TYPES[{"i": "int", "f": "float", "b": "bool"}[NODE_DTYPE[name].kind]].check
-                for name in NODE_DTYPE.names]
-
-
-def _load_tree(nodes: list) -> np.recarray:
-    """The tree of one node list in a model file.
-
-    Rejects a node that is not an object whose keys are exactly the
-    NODE_DTYPE fields or whose values have the wrong JSON type, and an
-    internal node whose child index does not lie between its own index and
-    the end of the tree. The grower appends both children after their
-    parent, so in every tree it writes each child index exceeds its
-    parent's. That rules out cycles and bounds the passes of the
-    level-by-level predict.
-    """
-    names, values = set(NODE_DTYPE.names), operator.itemgetter(*NODE_DTYPE.names)
-    rows = []
-    for i, node in enumerate(nodes):
-        if not isinstance(node, dict):
-            raise ValueError(f"node {i}: {node!r} is not a JSON object")
-        if node.keys() != names:
-            raise ValueError(f"node {i}: keys {sorted(node)} are not {sorted(names)}")
-        rows.append(values(node))
-        for name, value, check in zip(NODE_DTYPE.names, rows[-1], _NODE_CHECKS):
-            if not check(value):
-                raise ValueError(f"node {i}: {name} {value!r} is not of type {NODE_DTYPE[name]}")
-    tree = make_tree(rows)
-    n = len(tree)
-    if n == 0:
-        raise ValueError("empty tree")
-    left, right, ids = tree["left"], tree["right"], np.arange(n)
-    bad_left = (left <= ids) | (left >= n)
-    bad = np.flatnonzero((tree["feature"] >= 0) & (bad_left | (right <= ids) | (right >= n)))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"node {i}: child {left[i] if bad_left[i] else right[i]} outside ({i}, {n})")
-    return tree
-
-
 def _params(cls, value: dict):
     """A params object of class cls, built by cls from a JSON object; a key cls has no field for is a ValueError."""
     check_keys(cls, value)
     return cls(**value)
 
 
-# The field table sits below the regressors, so the annotations only models
-# use are added to it here: a params object, built by its own class (which
-# checks its fields against the table) so that {"eta": 1} keeps its bytes,
-# and trees, each built by _load_tree.
-FIELD_TYPES.update({
-    params_cls.__name__: FieldType(lambda value: isinstance(value, dict), partial(_params, params_cls))
-    for params_cls, _ in KINDS.values()
-})
-FIELD_TYPES["np.recarray"] = FieldType(lambda value: isinstance(value, list), _load_tree)
-FIELD_TYPES["list[np.recarray]"] = FieldType(lambda value: isinstance(value, list), list, "np.recarray")
-
-
 def _same_lengths(**arrays) -> None:
     lengths = {name: len(value) for name, value in arrays.items()}
     if len(set(lengths.values())) > 1:
         raise ParseError(f"lengths differ: {lengths}")
+
+
+def _node_table(columns: dict[str, list]) -> np.ndarray:
+    """The node table of a model file's nodes object, one list per NODE_DTYPE field, each of one length."""
+    _same_lengths(**columns)
+    return make_tree(list(zip(*(columns[name] for name in NODE_DTYPE.names))))
+
+
+# The field table sits below the regressors, so the annotations only models
+# use are added to it here: a params object, built by its own class (which
+# checks its fields against the table) so that {"eta": 1} keeps its bytes,
+# and a node table, whose columns the table reads as lists of their fields'
+# types (the array itself would truncate a fractional index and read the
+# string "false" as True).
+FIELD_TYPES.update({
+    params_cls.__name__: FieldType(lambda value: isinstance(value, dict), partial(_params, params_cls))
+    for params_cls, _ in KINDS.values()
+})
+FIELD_TYPES["NodeTable"] = FieldType(lambda value: isinstance(value, dict), _node_table, keys={
+    name: {"i": "list[int]", "f": "list[float]", "b": "list[bool]"}[NODE_DTYPE[name].kind] for name in NODE_DTYPE.names
+})
 
 
 # (what a value must be, the test of an array of values)
@@ -168,34 +140,52 @@ def _require(name: str, value, rule: tuple = _FINITE) -> None:
         raise ParseError(f"{where} must be {what}, not {float(values.reshape(-1)[i])!r}")
 
 
+def _check_forest(model: GbtModel) -> None:
+    """Raise ParseError for a forest whose fields do not fit together; a node's error names trees[t]: node i."""
+    _require("base_score", model.base_score)
+    sizes, nodes, params = model.tree_sizes, model.nodes, model.params
+    if len(sizes) != params.n_estimators:
+        raise ParseError(f"trees has {len(sizes)} entries, but params.n_estimators is {params.n_estimators}")
+    if len(model.train_rmse) != len(sizes):
+        raise ParseError(f"train_rmse has {len(model.train_rmse)} entries, but there are {len(sizes)} trees")
+    _require("train_rmse", model.train_rmse, _NON_NEGATIVE)
+    empty = [t for t, size in enumerate(sizes) if size < 1]
+    if empty:
+        raise ParseError(f"tree_sizes[{empty[0]}] must be >= 1 (no empty tree), not {sizes[empty[0]]}")
+    if sum(sizes) != len(nodes):
+        raise ParseError(f"tree_sizes sum to {sum(sizes)}, but nodes has {len(nodes)} entries")
+    tree_of = np.repeat(np.arange(len(sizes)), sizes)
+    size = np.asarray(sizes)[tree_of]
+    node = np.arange(len(nodes)) - (np.cumsum(sizes) - sizes)[tree_of]  # each node's id in its tree
+
+    def refuse(bad: np.ndarray, what) -> None:
+        """Raise naming the first node bad marks, and what(its index in nodes, its id), unless bad marks none."""
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            k = int(hits[0])
+            raise ParseError(f"trees[{tree_of[k]}]: node {node[k]}: {what(k, node[k])}")
+
+    feature, left, right, n_features = nodes["feature"], nodes["left"], nodes["right"], len(model.feature_names)
+    refuse((feature < -1) | (feature >= n_features), lambda k, i: f"feature {feature[k]} outside [-1, {n_features})")
+    leaf = feature == -1
+    refuse(leaf & ((left != -1) | (right != -1)), lambda k, i: f"leaf children ({left[k]}, {right[k]}) are not -1")
+    bad_left = (left <= node) | (left >= size)
+    refuse(~leaf & (bad_left | (right <= node) | (right >= size)),
+           lambda k, i: f"child {left[k] if bad_left[k] else right[k]} outside ({i}, {size[k]})")
+    for name in ("threshold", "weight", "gain"):
+        refuse(~np.isfinite(nodes[name]), lambda k, i: f"{name} must be finite, not {float(nodes[name][k])!r}")
+    leaves = np.bincount(tree_of[leaf], minlength=len(sizes)).tolist()
+    for t, depth in enumerate(map(tree_depth, model.trees)):
+        if depth > params.max_depth:
+            raise ParseError(f"trees[{t}] has depth {depth}, but params.max_depth is {params.max_depth}")
+        if params.growth == "leaf_wise" and leaves[t] > params.num_leaves:
+            raise ParseError(f"trees[{t}] has {leaves[t]} leaves, but params.num_leaves is {params.num_leaves}")
+
+
 def _check_across_fields(model: GbtModel | PolyModel | MfModel) -> None:
     """Raise ParseError for fields of the right types that do not fit together or are not finite."""
     if isinstance(model, GbtModel):
-        _require("base_score", model.base_score)
-        if len(model.trees) != model.params.n_estimators:
-            raise ParseError(f"trees has {len(model.trees)} entries, but params.n_estimators is"
-                             f" {model.params.n_estimators}")
-        if len(model.train_rmse) != len(model.trees):
-            raise ParseError(f"train_rmse has {len(model.train_rmse)} entries, but there are {len(model.trees)} trees")
-        _require("train_rmse", model.train_rmse, _NON_NEGATIVE)
-        n_features, params = len(model.feature_names), model.params
-        for t, tree in enumerate(model.trees):
-            bad = np.flatnonzero(tree["feature"] >= n_features)
-            if bad.size:
-                i = int(bad[0])
-                raise ParseError(f"trees[{t}]: node {i}: feature {tree['feature'][i]} outside [0, {n_features})")
-            for name in ("threshold", "weight", "gain"):
-                bad = np.flatnonzero(~np.isfinite(tree[name]))
-                if bad.size:
-                    i = int(bad[0])
-                    raise ParseError(f"trees[{t}]: node {i}: {name} must be finite, not {float(tree[name][i])!r}")
-            depth = tree_depth(tree)
-            if depth > params.max_depth:
-                raise ParseError(f"trees[{t}] has depth {depth}, but params.max_depth is {params.max_depth}")
-            leaves = int(np.count_nonzero(tree["feature"] < 0))
-            if params.growth == "leaf_wise" and leaves > params.num_leaves:
-                raise ParseError(f"trees[{t}] has {leaves} leaves, but params.num_leaves is {params.num_leaves}")
-        return
+        return _check_forest(model)
     # poly and MF: one imputation and standardization statistic (and MF theta entry) per column
     theta = {"theta": model.theta} if isinstance(model, MfModel) else {}
     _same_lengths(feature_names=model.feature_names, impute=model.impute, mean=model.mean, std=model.std, **theta)
@@ -247,9 +237,8 @@ def save_model(model: GbtModel | PolyModel | MfModel, path: str) -> None:
         _check_across_fields(model)
     except ParseError as exc:
         raise ParseError(f"{path}: not a valid model, not written: {exc}") from exc
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
+    with open(path, "w", encoding="utf-8") as fh:  # json.dump would encode in Python, not in C
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def load_model(path: str) -> GbtModel | PolyModel | MfModel:

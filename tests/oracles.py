@@ -435,7 +435,7 @@ def oracle_grow_tree(
     cols: Sequence[int],
     params: GbtParams,
     gain_out: dict[int, float],
-) -> np.recarray:
+) -> np.ndarray:
     """The recursive per-node grower that the level-batched one replaced, kept as written."""
     # node tuples in NODE_DTYPE field order; a split reserves its children's ids
     nodes: list[tuple | None] = [None]
@@ -522,10 +522,10 @@ def oracle_forest_predict(model, rows: np.ndarray, missing: np.ndarray) -> np.nd
 
     def walk(tree, row, miss):
         node = tree[0]
-        while node.feature >= 0:
-            go_left = node.default_left if miss[node.feature] else row[node.feature] < node.threshold
-            node = tree[node.left if go_left else node.right]
-        return node.weight
+        while node["feature"] >= 0:
+            go_left = node["default_left"] if miss[node["feature"]] else row[node["feature"]] < node["threshold"]
+            node = tree[node["left"] if go_left else node["right"]]
+        return node["weight"]
 
     expected = np.full(len(rows), model.base_score)
     for tree in model.trees:

@@ -160,8 +160,8 @@ def test_criterion_04_gbt_correctness():
         )
         root = model.trees[0][0]
         _, feat, thr = oracle_best_depth1_split(X, y)
-        assert root.feature == feat
-        assert root.threshold == thr
+        assert root["feature"] == feat
+        assert root["threshold"] == thr
 
     # (b) training RMSE non-increasing per round on 20 random datasets
     for seed in range(20):
@@ -179,8 +179,8 @@ def test_criterion_04_gbt_correctness():
     model = gbt_fit(m, GbtParams(n_estimators=1, max_depth=1, eta=1.0,
                                  reg_lambda=0.0, reg_alpha=0.0, gamma=0.0))
     root = model.trees[0][0]
-    assert root.threshold == 2.5
-    assert root.gain == 2.0
+    assert root["threshold"] == 2.5
+    assert root["gain"] == 2.0
     assert gbt_predict(model, m).tolist() == [1.0, 1.0, 3.0, 3.0]
 
     elapsed = time.monotonic() - start

@@ -45,6 +45,7 @@ PARAMS = (GbtParams, PolyParams, MfParams)
 def test_every_field_has_a_table_entry(cls):
     assert [f"{f.name}: {f.type}" for f in fields(cls) if f.type not in FIELD_TYPES] == []
     assert [name for name, ftype in FIELD_TYPES.items() if ftype.items not in (None, *FIELD_TYPES)] == []
+    assert [name for name, ftype in FIELD_TYPES.items() if set((ftype.keys or {}).values()) - set(FIELD_TYPES)] == []
 
 
 @functools.cache
@@ -112,8 +113,6 @@ def location(path: tuple) -> str:
     field, *rest = path
     if field == "params" and rest:  # the params class checks its own fields
         return f"params: {rest[0]}"
-    if field == "trees" and len(rest) >= 2:  # _load_tree names nodes and node fields
-        return " ".join([f"trees[{rest[0]}]: node {rest[1]}:", *map(str, rest[2:])])
     return field + "".join(f"[{key!r}]" for key in rest)
 
 

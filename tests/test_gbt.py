@@ -43,9 +43,36 @@ def matrix_from(X, y, mask=None):
 def depth_of(tree, node_id=0, depth=0):
     """The depth of the subtree at node_id, by recursion from it."""
     node = tree[node_id]
-    if node.feature < 0:
+    if node["feature"] < 0:
         return depth
-    return max(depth_of(tree, node.left, depth + 1), depth_of(tree, node.right, depth + 1))
+    return max(depth_of(tree, node["left"], depth + 1), depth_of(tree, node["right"], depth + 1))
+
+
+def padding(table):
+    """The bytes of each row of a node table that no NODE_DTYPE field covers."""
+    fields = set()
+    for dtype, offset in (NODE_DTYPE.fields[name][:2] for name in NODE_DTYPE.names):
+        fields.update(range(offset, offset + dtype.itemsize))
+    columns = [b for b in range(NODE_DTYPE.itemsize) if b not in fields]
+    assert columns  # the aligned dtype has padding after default_left
+    return np.frombuffer(table.tobytes(), np.uint8).reshape(len(table), -1)[:, columns]
+
+
+def derived(model):
+    """The model that fitted_from reads off a depth_wise model for its deepest tree's depth as max_depth."""
+    other = replace(model.params, max_depth=max(1, max(map(tree_depth, model.trees))))
+    return fitted_from(other, model)
+
+
+def round_trip(model, tmp):
+    """The model loaded back from its saved file, after checking that saving it again writes the same bytes."""
+    first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
+    save_model(model, first)
+    loaded = load_model(first)
+    save_model(loaded, second)
+    with open(first, "rb") as a, open(second, "rb") as b:
+        assert a.read() == b.read()
+    return loaded
 
 
 def plain_params(**kw):
@@ -64,10 +91,10 @@ class TestFitBasics:
         m = matrix_from([[1.0], [2.0], [3.0], [4.0]], [1.0, 1.0, 3.0, 3.0])
         model = gbt_fit(m, plain_params())
         root = model.trees[0][0]
-        assert root.feature == 0
-        assert root.threshold == 2.5
-        assert root.gain == 2.0
-        leaves = {model.trees[0][root.left].weight, model.trees[0][root.right].weight}
+        assert root["feature"] == 0
+        assert root["threshold"] == 2.5
+        assert root["gain"] == 2.0
+        leaves = {model.trees[0][root["left"]]["weight"], model.trees[0][root["right"]]["weight"]}
         assert leaves == {-1.0, 1.0}  # base_score 2.0 shifted to predictions 1 and 3
         np.testing.assert_array_equal(gbt_predict(model, m), [1.0, 1.0, 3.0, 3.0])
 
@@ -94,8 +121,8 @@ class TestFitBasics:
             model = gbt_fit(matrix_from(X, y), plain_params(min_child_weight=0.0))
             root = model.trees[0][0]
             _, feat, thr = oracle_best_depth1_split(X, y)
-            assert root.feature == feat
-            assert root.threshold == pytest.approx(thr, abs=0.0)
+            assert root["feature"] == feat
+            assert root["threshold"] == pytest.approx(thr, abs=0.0)
 
     def test_training_rmse_non_increasing(self):
         rng = np.random.default_rng(13)
@@ -114,8 +141,8 @@ class TestFitBasics:
         X2 = X.copy()
         X2[:, 1] = np.exp(X2[:, 1])  # strictly monotone transform of one column
         model_b = gbt_fit(matrix_from(X2, y), params)
-        feats_a = [[n.feature for n in tree] for tree in model_a.trees]
-        feats_b = [[n.feature for n in tree] for tree in model_b.trees]
+        feats_a = [[n["feature"] for n in tree] for tree in model_a.trees]
+        feats_b = [[n["feature"] for n in tree] for tree in model_b.trees]
         assert feats_a == feats_b
         assert model_a.train_rmse == model_b.train_rmse
 
@@ -144,12 +171,12 @@ class TestFitBasics:
         # each side would carry hessian 1 < 2, so no split is admissible
         m = matrix_from([[1.0], [2.0]], [0.0, 10.0])
         model = gbt_fit(m, plain_params(min_child_weight=2.0))
-        assert model.trees[0][0].feature < 0
+        assert model.trees[0][0]["feature"] < 0
 
     def test_min_child_samples(self):
         m = matrix_from([[1.0], [2.0], [3.0], [4.0]], [1.0, 1.0, 3.0, 3.0])
         model = gbt_fit(m, plain_params(min_child_samples=3))
-        assert model.trees[0][0].feature < 0
+        assert model.trees[0][0]["feature"] < 0
 
     @pytest.mark.parametrize("growth", ["depth_wise", "leaf_wise"])
     def test_min_child_weight_is_a_row_count_floor(self, growth):
@@ -182,21 +209,21 @@ class TestFitBasics:
         # the first half of the rows (rounded up) target 0 and the rest 10: one clean cut
         y = np.where(np.arange(n_rows) < (n_rows + 1) // 2, 0.0, 10.0)
         model = gbt_fit(matrix_from(np.arange(n_rows, dtype=float)[:, None], y), plain_params(**floor))
-        assert (model.trees[0][0].feature >= 0) == splits
+        assert (model.trees[0][0]["feature"] >= 0) == splits
 
     def test_level_of_nodes_at_exactly_twice_the_floor_splits(self):
         # a 6/6 root cut, then both 6-row children cut 3/3 in one level
         m = matrix_from(np.arange(12, dtype=float)[:, None], np.repeat([0.0, 10.0, 100.0, 110.0], 3))
         model = gbt_fit(m, plain_params(max_depth=2, min_child_samples=3))
         tree = model.trees[0]
-        assert tree.feature.tolist() == [0, 0, 0, -1, -1, -1, -1]
-        assert tree.threshold[:3].tolist() == [5.5, 2.5, 8.5]
+        assert tree["feature"].tolist() == [0, 0, 0, -1, -1, -1, -1]
+        assert tree["threshold"][:3].tolist() == [5.5, 2.5, 8.5]
         np.testing.assert_array_equal(gbt_predict(model, m), m.targets)
 
     def test_gamma_blocks_low_gain_splits(self):
         m = matrix_from([[1.0], [2.0], [3.0], [4.0]], [1.0, 1.0, 3.0, 3.0])
         model = gbt_fit(m, plain_params(gamma=3.0))  # best gain is 2.0
-        assert model.trees[0][0].feature < 0
+        assert model.trees[0][0]["feature"] < 0
 
     def test_depth_wise_respects_max_depth(self):
         rng = np.random.default_rng(59)
@@ -206,9 +233,9 @@ class TestFitBasics:
 
         def depth_of(tree, node_id=0, depth=0):
             node = tree[node_id]
-            if node.feature < 0:
+            if node["feature"] < 0:
                 return depth
-            return max(depth_of(tree, node.left, depth + 1), depth_of(tree, node.right, depth + 1))
+            return max(depth_of(tree, node["left"], depth + 1), depth_of(tree, node["right"], depth + 1))
 
         for tree in model.trees:
             assert depth_of(tree) <= 3
@@ -225,14 +252,14 @@ class TestMissingValues:
         m = matrix_from(X, y, mask)
         model = gbt_fit(m, plain_params())
         root = model.trees[0][0]
-        assert not root.default_left
+        assert not root["default_left"]
         fresh = np.array([[np.nan]])
         np.testing.assert_allclose(predict_rows(model, fresh), [3.0])
 
     def test_no_missing_defaults_left(self):
         m = matrix_from([[1.0], [2.0], [3.0], [4.0]], [1.0, 1.0, 3.0, 3.0])
         model = gbt_fit(m, plain_params())
-        assert model.trees[0][0].default_left
+        assert model.trees[0][0]["default_left"]
 
 
 class TestLeafWise:
@@ -243,7 +270,7 @@ class TestLeafWise:
         params = GbtParams(n_estimators=3, growth="leaf_wise", num_leaves=5, max_depth=10, eta=0.5, seed=0)
         model = gbt_fit(matrix_from(X, y), params)
         for tree in model.trees:
-            leaves = sum(1 for n in tree if n.feature < 0)
+            leaves = sum(1 for n in tree if n["feature"] < 0)
             assert 1 <= leaves <= 5
 
     def test_requires_num_leaves(self):
@@ -264,23 +291,24 @@ class TestLeafWise:
         y = (X[:, 0] > 0).astype(float)
         model = gbt_fit(matrix_from(X, y), plain_params(max_bin=4))
         root = model.trees[0][0]
-        assert root.feature >= 0
+        assert root["feature"] >= 0
         # candidates are the 3 interior quartiles of the feature values
         quartiles = np.quantile(X[:, 0], [0.25, 0.5, 0.75])
-        assert any(abs(root.threshold - q) < 1e-12 for q in quartiles)
+        assert any(abs(root["threshold"] - q) < 1e-12 for q in quartiles)
 
 
 class TestPredict:
     def test_zero_tree_model_returns_base(self):
         schema = build_schema(("proxy",), ["f0"])
-        model = GbtModel(base_score=7.5, trees=[], feature_names=schema.columns, params=GbtParams(eta=0.3))
+        model = GbtModel(base_score=7.5, nodes=make_tree([]), tree_sizes=[], feature_names=schema.columns,
+                         params=GbtParams(eta=0.3))
         m = matrix_from([[1.0], [2.0]], [0.0, 0.0])
         np.testing.assert_array_equal(gbt_predict(model, m), [7.5, 7.5])
 
     def test_single_leaf_weight_scaled_by_eta(self):
         schema = build_schema(("proxy",), ["f0"])
         model = GbtModel(
-            base_score=1.0, trees=[make_tree([(-1, 0.0, True, -1, -1, 5.0, 0.0)])],
+            base_score=1.0, nodes=make_tree([(-1, 0.0, True, -1, -1, 5.0, 0.0)]), tree_sizes=[1],
             feature_names=schema.columns, params=GbtParams(eta=0.1),
         )
         np.testing.assert_allclose(predict_rows(model, np.array([[0.0]])), [1.5])
@@ -331,9 +359,9 @@ class TestImportance:
         totals = {}
         for tree in model.trees:
             for node in tree:
-                if node.feature >= 0:
-                    name = model.feature_names[node.feature]
-                    totals[name] = totals.get(name, 0.0) + node.gain
+                if node["feature"] >= 0:
+                    name = model.feature_names[node["feature"]]
+                    totals[name] = totals.get(name, 0.0) + node["gain"]
         total = sum(totals.values())
         expected = {k: v / total for k, v in totals.items()}
         got = gbt_importance(model)
@@ -355,16 +383,36 @@ class TestSerialization:
         y = rng.normal(size=40)
         mask = rng.uniform(size=X.shape) < 0.2
         m = matrix_from(X, y, mask)
-        model = gbt_fit(m, GbtParams(n_estimators=8, max_depth=3, subsample=0.8, seed=4))
-        path = str(tmp_path / "model.json")
-        save_model(model, path)
-        loaded = load_model(path)
-        np.testing.assert_array_equal(gbt_predict(loaded, m), gbt_predict(model, m))
-        assert [t.tobytes() for t in loaded.trees] == [t.tobytes() for t in model.trees]
-        with open(path) as fh:
-            obj = json.load(fh)
+        for growth, max_bin in ((g, b) for g in ("depth_wise", "leaf_wise") for b in (None, 4)):
+            params = GbtParams(n_estimators=8, max_depth=3, subsample=0.8, seed=4, growth=growth, max_bin=max_bin,
+                               num_leaves=5 if growth == "leaf_wise" else None)
+            model = gbt_fit(m, params)
+            models = [model, round_trip(model, str(tmp_path))]
+            if growth == "depth_wise":
+                models.append(round_trip(derived(model), str(tmp_path)))
+            for other in models[1:]:
+                np.testing.assert_array_equal(gbt_predict(other, m), gbt_predict(model, m))
+                assert other.nodes.tobytes() == model.nodes.tobytes()
+                assert other.tree_sizes == model.tree_sizes
+                assert [t.tobytes() for t in other.trees] == [t.tobytes() for t in model.trees]
+            assert not padding(models[1].nodes).any()
+        obj = json.loads((tmp_path / "first.json").read_text())
         assert obj["kind"] == "gbt"
         assert obj["params"]["n_estimators"] == 8
+        assert obj["tree_sizes"] == model.tree_sizes
+        assert {name: len(column) for name, column in obj["nodes"].items()} == dict.fromkeys(
+            NODE_DTYPE.names, len(model.nodes))
+
+    def test_fitted_table_has_zero_padding(self):
+        rng = np.random.default_rng(59)
+        m = matrix_from(rng.normal(size=(120, 4)), rng.normal(size=120), rng.uniform(size=(120, 4)) < 0.1)
+        params = GbtParams(n_estimators=50, max_depth=4, eta=0.3, subsample=0.8, seed=2)
+        junk = np.full(1 << 16, 0xAB, dtype=np.uint8)  # freed nonzero memory for the table to land in
+        del junk
+        model = gbt_fit(m, params)
+        assert len(model.nodes) == sum(model.tree_sizes) > 1000
+        assert not padding(model.nodes).any()
+        assert gbt_fit(m, params).nodes.tobytes() == model.nodes.tobytes()
 
     def test_integer_eta_round_trips_byte_stable(self, tmp_path):
         m = matrix_from([[1.0], [2.0], [3.0], [4.0]], [1.0, 1.0, 3.0, 3.0])
@@ -381,14 +429,14 @@ class TestSerialization:
         first = make_tree(nodes).tobytes()
         junk = np.full(len(first), 0xAB, dtype=np.uint8)  # freed nonzero memory for the next tree to land in
         del junk
-        second = make_tree(nodes).tobytes()
-        assert first == second
-        fields = set()
-        for dtype, offset in (NODE_DTYPE.fields[name][:2] for name in NODE_DTYPE.names):
-            fields.update(range(offset, offset + dtype.itemsize))
-        padding = [b for b in range(NODE_DTYPE.itemsize) if b not in fields]
-        assert padding  # the aligned dtype has padding after default_left
-        assert not np.frombuffer(second, np.uint8).reshape(len(nodes), -1)[:, padding].any()
+        second = make_tree(nodes)
+        assert first == second.tobytes()
+        assert not padding(second).any()
+
+
+def at(obj, t, i):
+    """The index in a model file's node columns of node i of tree t."""
+    return sum(obj["tree_sizes"][:t]) + i % obj["tree_sizes"][t]
 
 
 class TestModelFileValidation:
@@ -409,17 +457,27 @@ class TestModelFileValidation:
         path, obj = saved
         # a format 1 file also held eta and the gain totals
         obj.update(format_version=1, eta=obj["params"]["eta"], gain_totals=gbt_gain_totals(load_model(str(path))))
-        rejects_model_file(path, obj, r"unsupported format_version 1 \(expected 3\)")
+        rejects_model_file(path, obj, r"unsupported format_version 1 \(expected 4\)")
 
     def test_format_2_rejected(self, saved):
         path, obj = saved
         # a format 2 file also held a hash of the columns and their groups
         obj.update(format_version=2, fingerprint="0123456789abcdef")
-        rejects_model_file(path, obj, r"unsupported format_version 2 \(expected 3\)")
+        rejects_model_file(path, obj, r"unsupported format_version 2 \(expected 4\)")
 
-    def test_format_3_stores_no_derived_field(self, saved):
+    def test_format_3_rejected(self, saved):
+        path, obj = saved
+        # a format 3 file held each tree as a list of node objects
+        columns, sizes = obj.pop("nodes"), obj.pop("tree_sizes")
+        nodes = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        obj.update(format_version=3, trees=[nodes[sum(sizes[:t]) : sum(sizes[: t + 1])] for t in range(len(sizes))])
+        rejects_model_file(path, obj, r"unsupported format_version 3 \(expected 4\)")
+
+    def test_format_4_stores_no_derived_field(self, saved):
         _, obj = saved
-        assert sorted(obj) == ["base_score", "feature_names", "format_version", "kind", "params", "train_rmse", "trees"]
+        assert sorted(obj) == ["base_score", "feature_names", "format_version", "kind", "nodes", "params",
+                               "train_rmse", "tree_sizes"]
+        assert sorted(obj["nodes"]) == sorted(NODE_DTYPE.names)
 
     def test_renamed_feature_name_is_refused_by_predict(self, saved):
         path, obj = saved
@@ -447,40 +505,61 @@ class TestModelFileValidation:
 
     def test_child_pointing_back_at_its_node(self, saved):
         path, obj = saved
-        root = obj["trees"][0][0]
-        assert root["feature"] >= 0
-        root["left"] = 0
-        rejects_model_file(path, obj, "node 0: child 0")
+        assert obj["nodes"]["feature"][at(obj, 0, 0)] >= 0
+        obj["nodes"]["left"][at(obj, 0, 0)] = 0
+        rejects_model_file(path, obj, r"trees\[0\]: node 0: child 0 outside \(0, ")
 
     def test_child_past_the_tree(self, saved):
         path, obj = saved
-        obj["trees"][1][0]["right"] = len(obj["trees"][1])
-        rejects_model_file(path, obj, "node 0: child")
+        obj["nodes"]["right"][at(obj, 1, 0)] = obj["tree_sizes"][1]
+        rejects_model_file(path, obj, r"trees\[1\]: node 0: child")
 
     def test_feature_out_of_range(self, saved):
         path, obj = saved
-        obj["trees"][0][0]["feature"] = len(obj["feature_names"])
-        rejects_model_file(path, obj, "feature 2 outside")
+        obj["nodes"]["feature"][at(obj, 0, 0)] = len(obj["feature_names"])
+        rejects_model_file(path, obj, r"trees\[0\]: node 0: feature 2 outside")
+
+    def test_leaf_feature_below_minus_one(self, saved):
+        path, obj = saved
+        i = obj["tree_sizes"][1] - 1  # the last node is a leaf
+        assert obj["nodes"]["feature"][at(obj, 1, i)] == -1
+        obj["nodes"]["feature"][at(obj, 1, i)] = -5
+        rejects_model_file(path, obj, rf"trees\[1\]: node {i}: feature -5 outside \[-1, 2\)")
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_leaf_with_a_child(self, saved, side):
+        path, obj = saved
+        i = obj["tree_sizes"][0] - 1
+        assert obj["nodes"]["feature"][at(obj, 0, i)] == -1
+        obj["nodes"][side][at(obj, 0, i)] = 0
+        children = "(0, -1)" if side == "left" else "(-1, 0)"
+        rejects_model_file(path, obj, rf"trees\[0\]: node {i}: leaf children \{children[:-1]}\) are not -1")
 
     def test_node_missing_a_field(self, saved):
         path, obj = saved
-        del obj["trees"][0][1]["gain"]
-        rejects_model_file(path, obj, "node 1: keys")
+        del obj["nodes"]["gain"]
+        rejects_model_file(path, obj, r"nodes: keys \['default_left', 'feature', 'left', 'right', 'threshold', 'weight'\]")
 
     def test_node_with_an_unknown_field(self, saved):
         path, obj = saved
-        obj["trees"][1][0]["depth"] = 0
-        rejects_model_file(path, obj, "node 0: keys")
+        obj["nodes"]["depth"] = [0] * len(obj["nodes"]["gain"])
+        rejects_model_file(path, obj, r"nodes: keys \['default_left', 'depth', ")
+
+    def test_node_columns_of_unequal_length(self, saved):
+        path, obj = saved
+        obj["nodes"]["gain"].pop()
+        n = len(obj["nodes"]["feature"])
+        rejects_model_file(path, obj, rf"lengths differ: {{'feature': {n}, .*'gain': {n - 1}}}")
 
     def test_fractional_node_index(self, saved):
         path, obj = saved
-        obj["trees"][0][0]["feature"] = 0.5
-        rejects_model_file(path, obj, "node 0: feature 0.5 is not of type int64")
+        obj["nodes"]["feature"][0] = 0.5
+        rejects_model_file(path, obj, r"nodes\['feature'\]\[0\] must be of type int, not 0.5")
 
     def test_string_default_direction(self, saved):
         path, obj = saved
-        obj["trees"][0][2]["default_left"] = "false"
-        rejects_model_file(path, obj, "node 2: default_left 'false' is not of type bool")
+        obj["nodes"]["default_left"][2] = "false"
+        rejects_model_file(path, obj, r"nodes\['default_left'\]\[2\] must be of type bool, not 'false'")
 
     def test_param_of_wrong_type(self, saved):
         path, obj = saved
@@ -489,8 +568,17 @@ class TestModelFileValidation:
 
     def test_empty_tree(self, saved):
         path, obj = saved
-        obj["trees"][0] = []
-        rejects_model_file(path, obj, "empty tree")
+        for column in obj["nodes"].values():
+            del column[: obj["tree_sizes"][0]]
+        obj["tree_sizes"][0] = 0
+        rejects_model_file(path, obj, r"tree_sizes\[0\] must be >= 1 \(no empty tree\), not 0")
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_tree_sizes_that_do_not_sum_to_the_node_count(self, saved, change):
+        path, obj = saved
+        obj["tree_sizes"][1] += change
+        total = sum(obj["tree_sizes"])
+        rejects_model_file(path, obj, f"tree_sizes sum to {total}, but nodes has {total - change} entries")
 
     def test_non_finite_base_score(self, saved):
         path, obj = saved
@@ -500,7 +588,12 @@ class TestModelFileValidation:
     @pytest.mark.parametrize("trees, count", [([], 0), (None, 3)], ids=["none", "one_extra"])
     def test_tree_count_other_than_n_estimators(self, saved, trees, count):
         path, obj = saved
-        obj["trees"] = trees if trees is not None else obj["trees"] + obj["trees"][:1]
+        if trees is not None:
+            obj["tree_sizes"], obj["nodes"] = trees, {name: [] for name in obj["nodes"]}
+        else:  # tree 0 again
+            size = obj["tree_sizes"][0]
+            obj["tree_sizes"].append(size)
+            obj["nodes"] = {name: column + column[:size] for name, column in obj["nodes"].items()}
         rejects_model_file(path, obj, f"trees has {count} entries, but params.n_estimators is 2")
 
     def test_train_rmse_entry_per_tree(self, saved):
@@ -533,9 +626,9 @@ class TestModelFileValidation:
     ])
     def test_non_finite_node_field(self, saved, name, node, value):
         path, obj = saved
-        tree = obj["trees"][1]
-        tree[node][name] = value
-        rejects_model_file(path, obj, rf"trees\[1\]: node {node % len(tree)}: {name} must be finite, not {value!r}")
+        obj["nodes"][name][at(obj, 1, node)] = value
+        i = node % obj["tree_sizes"][1]
+        rejects_model_file(path, obj, rf"trees\[1\]: node {i}: {name} must be finite, not {value!r}")
 
 
 @st.composite
@@ -573,13 +666,13 @@ class TestTreeFormatProperties:
         expected = oracle_forest_predict(model, m.rows, np.isnan(m.rows))
         np.testing.assert_array_equal(predict_rows(model, m.rows), expected)
         with tempfile.TemporaryDirectory() as tmp:
-            first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
-            save_model(model, first)
-            loaded = load_model(first)
-            save_model(loaded, second)
-            with open(first, "rb") as a, open(second, "rb") as b:
-                assert a.read() == b.read()
-        np.testing.assert_array_equal(gbt_predict(loaded, m), gbt_predict(model, m))
+            models = [round_trip(model, tmp)]
+            if params.growth == "depth_wise":
+                models.append(round_trip(derived(model), tmp))
+        for other in models:
+            np.testing.assert_array_equal(gbt_predict(other, m), gbt_predict(model, m))
+            assert other.nodes.tobytes() == model.nodes.tobytes()
+            assert other.tree_sizes == model.tree_sizes
 
 
 @st.composite
@@ -780,10 +873,10 @@ class TestSignedZeroBins:
             for name in NODE_DTYPE.names:
                 if name != "threshold":
                     assert got[name].tobytes() == expected[name].tobytes()
-            moved = got.threshold.view(np.int64) != expected.threshold.view(np.int64)
-            assert (got.threshold[moved] == 0.0).all() and (expected.threshold[moved] == 0.0).all()
+            moved = got["threshold"].view(np.int64) != expected["threshold"].view(np.int64)
+            assert (got["threshold"][moved] == 0.0).all() and (expected["threshold"][moved] == 0.0).all()
         assert (gbt_gain_totals(model), model.train_rmse) == (gain_totals, train_rmse)
-        oracle_model = replace(model, trees=trees)
+        oracle_model = replace(model, nodes=make_tree([node for tree in trees for node in tree.tolist()]))
         expected = oracle_forest_predict(oracle_model, m.rows, np.isnan(m.rows))
         assert predict_rows(model, m.rows).tobytes() == expected.tobytes()
         assert oracle_forest_predict(model, m.rows, np.isnan(m.rows)).tobytes() == expected.tobytes()

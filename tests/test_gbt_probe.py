@@ -21,3 +21,11 @@ def test_prints_each_fits_times_and_the_binned_over_unbinned_ratios(capsys):
     for name, ratios in report["binned_over_unbinned"].items():
         for max_bin, ratio in ratios.items():  # of unrounded medians
             assert ratio == pytest.approx(scaled[name][max_bin] / scaled[name]["None"], rel=0.01, abs=1e-3)
+
+
+def test_prints_the_size_and_save_and_load_seconds_of_the_m2m100_model_file(capsys):
+    assert gbt_probe.main(["--records", "40", "--repeats", "2", "--m2m-trees", "3", "--lgbm-trees", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["save_s"] > 0.0 and report["load_s"] > 0.0
+    assert gbt_probe.main(["--records", "40", "--repeats", "1", "--m2m-trees", "6", "--lgbm-trees", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["model_bytes"] > report["model_bytes"] > 0  # the same 3 trees and 3 more

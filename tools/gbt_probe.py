@@ -13,7 +13,10 @@ line: the sizes, each fit's median scaled CPU, scaled wall and measured
 wall seconds, and each binned fit's median scaled wall seconds over the
 same preset's unbinned fit. max_bin 32 is what the cli_pipeline benchmark
 trains with; 255 is LightGBM's default. lgbm_default itself sets 200000,
-which bins no column of a few hundred records.
+which bins no column of a few hundred records. It then saves the unbinned
+mt_english_m2m100 fit R times and loads the file back R times, and also
+prints the file's size, model_bytes, and the median scaled wall seconds of
+one save_model, save_s, and of one load_model, load_s.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import argparse
 import json
 import statistics
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,6 +37,7 @@ from gen import english_centric  # noqa: E402
 from perfcast.records import build_design_matrix, build_schema, proxy_roster  # noqa: E402
 from perfcast.regressors.gbt import gbt_fit  # noqa: E402
 from perfcast.regressors.presets import get_preset  # noqa: E402
+from perfcast.regressors.serialize import load_model, save_model  # noqa: E402
 from speed import Meter  # noqa: E402
 
 MAX_BINS = (None, 32, 255)
@@ -56,11 +61,18 @@ def main(argv: list[str]) -> int:
             for name, n in trees.items() for max_bin in MAX_BINS}
     meter = Meter()
     seconds: dict[tuple, list[tuple[float, float, float]]] = {fit: [] for fit in fits}
+    models = {}
     for _ in range(args.repeats):
         for fit, params in fits.items():
-            _, wall_s, cpu_s, measured_s = meter.measure(lambda: gbt_fit(matrix, params))
+            models[fit], wall_s, cpu_s, measured_s = meter.measure(lambda: gbt_fit(matrix, params))
             seconds[fit].append((cpu_s, wall_s, measured_s))
     medians = {fit: [statistics.median(run[k] for run in runs) for k in range(3)] for fit, runs in seconds.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "model.json")
+        model = models["mt_english_m2m100", None]
+        save_s = statistics.median(meter.measure(lambda: save_model(model, path))[1] for _ in range(args.repeats))
+        load_s = statistics.median(meter.measure(lambda: load_model(path))[1] for _ in range(args.repeats))
+        model_bytes = Path(path).stat().st_size
 
     def by_fit(k: int) -> dict:
         return {name: {str(max_bin): round(medians[name, max_bin][k], 6) for max_bin in MAX_BINS} for name in trees}
@@ -76,6 +88,9 @@ def main(argv: list[str]) -> int:
         "median_wall_s": by_fit(2),
         "binned_over_unbinned": {name: {str(max_bin): round(medians[name, max_bin][1] / medians[name, None][1], 3)
                                         for max_bin in MAX_BINS[1:]} for name in trees},
+        "model_bytes": model_bytes,
+        "save_s": round(save_s, 6),
+        "load_s": round(load_s, 6),
     }))
     return 0
 
