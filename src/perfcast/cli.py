@@ -76,7 +76,7 @@ from .regressors import (
     save_model,
     with_seed,
 )
-from .report import ScatterSeries, emit_report, scatter_from_predictions
+from .report import ScatterPoint, emit_report
 
 
 def _sha256(path: str) -> str:
@@ -430,12 +430,15 @@ def _record_language(rec: PerformanceRecord) -> str:
 
 
 def _scatter_for(records: Sequence[PerformanceRecord], result: ExperimentResult,
-                 families: dict[str, str]) -> ScatterSeries:
-    info = {}
-    for rec in records:
+                 families: dict[str, str]) -> list[ScatterPoint]:
+    """Each prediction's point, labelled from its record: language, Joshi class and family."""
+    by_id = {rec.record_id: rec for rec in records}
+    points = []
+    for rid, true, pred in result.predictions:
+        rec = by_id[rid]
         lang = _record_language(rec)
-        info[rec.record_id] = (lang, rec.joshi_class, families.get(lang, ""))
-    return scatter_from_predictions(result.predictions, info)
+        points.append(ScatterPoint(rid, true, pred, lang, rec.joshi_class, families.get(lang, "")))
+    return points
 
 
 def _result_json(result: ExperimentResult) -> dict:
@@ -616,7 +619,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.preset is not None:  # the flag replaces the config's hyperparameters
             cfg = replace(cfg, grid=None, params=None, preset=args.preset)
         _check_command(args.config, args.command, cfg)
-        run = _Run(args.command, args.config, args.out, args.seed, args.threads)
+        run = _Run(args.command, args.config, args.out, cfg.seed, args.threads)
         try:
             _COMMANDS[args.command](run, cfg)
         except MissingFeature as exc:  # raised by a design-matrix build, so cfg names the records

@@ -145,8 +145,7 @@ def split_cross_dataset(
 
 @dataclass
 class CvResult:
-    best_index: int
-    best_params: AnyParams
+    best_index: int  # into the grid
     scores: list[float]  # mean validation RMSE per grid point, in grid order
 
 
@@ -195,7 +194,7 @@ def kfold_cv(
     scores = [float(np.mean(rmses)) for rmses in fold_rmse]
 
     best = min(range(len(grid)), key=lambda i: (scores[i], i))
-    return CvResult(best_index=best, best_params=grid[best], scores=scores)
+    return CvResult(best_index=best, scores=scores)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +362,7 @@ def _run_unit(grid: list[AnyParams], matrix: DesignMatrix, job) -> _UnitResult:
         best = grid[0]
     else:
         cv = kfold_cv(m_train, len(folds), grid, seed, folds=folds)
-        best, scores = cv.best_params, cv.scores
+        best, scores = grid[cv.best_index], cv.scores
     model = fit_model(with_seed(best, seed), m_train)
     pred = predict_model(model, m_test)
     return _UnitResult(

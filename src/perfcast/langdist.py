@@ -18,21 +18,6 @@ CSV_HEADER = ("lang_a", "lang_b", "kind", "distance")
 
 
 @dataclass(frozen=True)
-class LanguageFeatureBlock:
-    """Six distances for one language pair, in DISTANCE_KINDS order."""
-
-    geographic: float
-    genetic: float
-    inventory: float
-    syntactic: float
-    phonological: float
-    featural: float
-
-    def as_row(self) -> list[float]:
-        return [getattr(self, k) for k in DISTANCE_KINDS]
-
-
-@dataclass(frozen=True)
 class LanguageDistanceTable:
     entries: dict[tuple[str, str, str], float] = field(default_factory=dict)
 
@@ -94,16 +79,13 @@ def save_distance_table(table: LanguageDistanceTable, path: str) -> None:
             writer.writerow((a, b, kind, repr(value)))
 
 
-def language_features(table: LanguageDistanceTable, ls: str, lt: str) -> LanguageFeatureBlock:
-    """Six distances for (ls, lt), in fixed kind order; self-pairs are all zero."""
-    values: dict[str, float] = {}
-    missing: list[str] = []
-    for kind in DISTANCE_KINDS:
-        v = table.lookup(ls, lt, kind)
-        if v is None:
-            missing.append(kind)
-        else:
-            values[kind] = v
+def language_features(table: LanguageDistanceTable, ls: str, lt: str) -> list[float]:
+    """The six distances for (ls, lt), in DISTANCE_KINDS order; self-pairs are all zero.
+
+    Raises MissingPair naming every kind the table lacks for the pair.
+    """
+    values = [table.lookup(ls, lt, kind) for kind in DISTANCE_KINDS]
+    missing = [kind for kind, value in zip(DISTANCE_KINDS, values) if value is None]
     if missing:
         raise MissingPair(ls, lt, missing)
-    return LanguageFeatureBlock(**values)
+    return values

@@ -324,14 +324,16 @@ def proxy_roster(records: Iterable[PerformanceRecord]) -> list[str]:
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Ordered, grouped column names; order is deterministic across runs."""
+    """Ordered column names; order is deterministic across runs.
+
+    A column's group follows from its name: a DISTANCE_KINDS name is a
+    language column, a DATASET_FEATURE_COLUMNS name a dataset column, and a
+    name with the proxy: prefix a proxy column.
+    """
 
     columns: tuple[str, ...]
-    groups: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.columns) != len(self.groups):
-            raise ValueError("columns and groups must be parallel")
         if len(set(self.columns)) != len(self.columns):
             raise ValueError("duplicate column names")
 
@@ -339,8 +341,8 @@ class FeatureSchema:
         """Raise SchemaMismatch unless feature_names, a model's columns, are these columns.
 
         The message names the first column that differs, or the two counts.
-        A model stores its columns only: build_schema fixes each column's
-        group from its name.
+        A model stores its columns only, as each column's group follows from
+        its name.
         """
         if self.columns == feature_names:
             return
@@ -359,19 +361,15 @@ def build_schema(feature_groups: Sequence[str], proxies: Sequence[str] = ()) -> 
         if g not in FEATURE_GROUPS:
             raise ValueError(f"unknown feature group {g!r}")
     columns: list[str] = []
-    groups: list[str] = []
     if "language" in enabled:
         columns.extend(DISTANCE_KINDS)
-        groups.extend(["language"] * len(DISTANCE_KINDS))
     if "dataset" in enabled:
         columns.extend(DATASET_FEATURE_COLUMNS)
-        groups.extend(["dataset"] * len(DATASET_FEATURE_COLUMNS))
     if "proxy" in enabled:
         if not proxies:
             raise NoProxies("proxy group enabled but no proxies supplied")
         columns.extend(PROXY_PREFIX + p for p in proxies)
-        groups.extend(["proxy"] * len(proxies))
-    return FeatureSchema(columns=tuple(columns), groups=tuple(groups))
+    return FeatureSchema(columns=tuple(columns))
 
 
 @dataclass
@@ -432,8 +430,8 @@ def build_design_matrix(
     n = len(records)
     rows = np.full((n, len(schema.columns)), np.nan, dtype=np.float64)
     col_index = {c: j for j, c in enumerate(schema.columns)}
-    lang_enabled = "language" in schema.groups
-    data_enabled = "dataset" in schema.groups
+    lang_enabled = any(name in col_index for name in DISTANCE_KINDS)
+    data_enabled = any(name in col_index for name in DATASET_FEATURE_COLUMNS)
 
     # index per distinct pair, the tables' rows, and each record's index; the language
     # pairs are indexed whether or not the block is enabled, as they fill languages
@@ -464,8 +462,8 @@ def build_design_matrix(
         if enabled:
             block = np.array(table, dtype=np.float64).reshape(len(table), len(names))
             rows[:, [col_index[name] for name in names]] = block[np.array(index, dtype=np.intp)]
-    for column, group in zip(schema.columns, schema.groups):
-        if group == "proxy":
+    for column in schema.columns:
+        if column.startswith(PROXY_PREFIX):
             proxy_id = column[len(PROXY_PREFIX):]
             scores = [rec.proxy_scores.get(proxy_id) for rec in records]
             rows[:, col_index[column]] = [np.nan if v is None else v for v in scores]
@@ -485,7 +483,7 @@ def _language_row(rec: PerformanceRecord, table: LanguageDistanceTable | None) -
     if table is None:
         raise MissingFeature(rec.record_id, "language (no distance table supplied)")
     try:
-        return language_features(table, rec.src_lang, rec.tgt_lang).as_row()
+        return language_features(table, rec.src_lang, rec.tgt_lang)
     except MissingPair as exc:
         raise MissingFeature(rec.record_id, f"language:{'+'.join(exc.kinds)}") from exc
 

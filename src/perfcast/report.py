@@ -30,11 +30,6 @@ class ScatterPoint:
     language_family: str = ""
 
 
-@dataclass(frozen=True)
-class ScatterSeries:
-    points: tuple[ScatterPoint, ...]
-
-
 # Points per block of the weighted sums, as (points, r) arrays of about this many cells.
 _BLOCK_CELLS = 8192
 
@@ -121,19 +116,6 @@ def r_squared(predictions: Sequence[float], targets: Sequence[float]) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def scatter_from_predictions(
-    predictions: Sequence[tuple[str, float, float]],
-    record_info: dict[str, tuple[str, int | None, str]] | None = None,
-) -> ScatterSeries:
-    """Attach (language, joshi_class, family) labels, keyed by record_id."""
-    info = record_info or {}
-    pts = []
-    for rid, true, pred in predictions:
-        language, joshi, family = info.get(rid, ("", None, ""))
-        pts.append(ScatterPoint(rid, true, pred, language, joshi, family))
-    return ScatterSeries(points=tuple(pts))
-
-
 def _grouped_rmse(points: Sequence[ScatterPoint], key) -> list[tuple[str, int, float]]:
     groups: dict[str, list[ScatterPoint]] = {}
     for p in points:
@@ -163,80 +145,66 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence], comme
 def emit_report(
     results: Sequence[tuple[str, ExperimentResult]],
     out_dir: str,
-    scatter: ScatterSeries | None = None,
+    scatter: Sequence[ScatterPoint] | None = None,
     fmt: str = "markdown",
     lowess_frac: float = 0.5,
-) -> list[str]:
-    """Write the report files into out_dir and return their paths.
+) -> None:
+    """Write the report files into out_dir.
 
     summary.csv always; summary.md additionally when fmt="markdown";
-    groups_joshi.csv / groups_family.csv / scatter.csv when scatter data is
-    given; importance.csv when any result carries feature importances.
+    groups_joshi.csv / groups_family.csv / scatter.csv when scatter points
+    are given; importance.csv when any result carries feature importances.
     """
     if not results:
         raise ValueError("no results to report")
     if fmt not in ("markdown", "csv"):
         raise ValueError(f"unknown report format {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
-    written: list[str] = []
 
     rows = [
         (label, _FMT.format(res.mean_rmse), _FMT.format(res.std_rmse), len(res.per_repeat_rmse))
         for label, res in results
     ]
-    path = os.path.join(out_dir, "summary.csv")
-    _write_csv(path, ("configuration", "mean_rmse", "std_rmse", "repeats"), rows)
-    written.append(path)
+    _write_csv(os.path.join(out_dir, "summary.csv"), ("configuration", "mean_rmse", "std_rmse", "repeats"), rows)
     if fmt == "markdown":
-        path = os.path.join(out_dir, "summary.md")
         lines = [
             "| Configuration | RMSE (mean ± std) | Repeats |",
             "|---|---|---|",
         ]
         lines += [f"| {label} | {m} ± {s} | {k} |" for label, m, s, k in rows]
-        _write_lines(path, lines)
-        written.append(path)
+        _write_lines(os.path.join(out_dir, "summary.md"), lines)
 
-    if scatter is not None and scatter.points:
-        pts = scatter.points
-        path = os.path.join(out_dir, "groups_joshi.csv")
-        joshi_rows = _grouped_rmse(pts, lambda p: "unknown" if p.joshi_class is None else str(p.joshi_class))
-        _write_csv(path, ("joshi_class", "count", "rmse"), [(g, c, _FMT.format(v)) for g, c, v in joshi_rows])
-        written.append(path)
+    if scatter:
+        joshi_rows = _grouped_rmse(scatter, lambda p: "unknown" if p.joshi_class is None else str(p.joshi_class))
+        _write_csv(os.path.join(out_dir, "groups_joshi.csv"), ("joshi_class", "count", "rmse"),
+                   [(g, c, _FMT.format(v)) for g, c, v in joshi_rows])
+        family_rows = _grouped_rmse(scatter, lambda p: p.language_family or "unknown")
+        _write_csv(os.path.join(out_dir, "groups_family.csv"), ("language_family", "count", "rmse"),
+                   [(g, c, _FMT.format(v)) for g, c, v in family_rows])
 
-        path = os.path.join(out_dir, "groups_family.csv")
-        family_rows = _grouped_rmse(pts, lambda p: p.language_family or "unknown")
-        _write_csv(path, ("language_family", "count", "rmse"), [(g, c, _FMT.format(v)) for g, c, v in family_rows])
-        written.append(path)
-
-        trues = [p.true for p in pts]
-        preds = [p.pred for p in pts]
+        trues = [p.true for p in scatter]
+        preds = [p.pred for p in scatter]
         try:
             smoothed = lowess(list(zip(trues, preds)), frac=lowess_frac)
         except TooFewPoints:
-            smoothed = [float("nan")] * len(pts)
+            smoothed = [float("nan")] * len(scatter)
         try:
             r2_text = _FMT.format(r_squared(preds, trues))
         except ZeroVariance:
             r2_text = "nan"
-        path = os.path.join(out_dir, "scatter.csv")
         _write_csv(
-            path,
+            os.path.join(out_dir, "scatter.csv"),
             ("record_id", "true", "pred", "lowess", "language", "joshi_class", "language_family"),
             (
                 (p.record_id, _FMT.format(p.true), _FMT.format(p.pred), _FMT.format(s), p.language,
                  p.joshi_class, p.language_family)
-                for p, s in zip(pts, smoothed)
+                for p, s in zip(scatter, smoothed)
             ),
             comment=f"r_squared={r2_text} lowess_frac={_FMT.format(lowess_frac)}",
         )
-        written.append(path)
 
     importance = next((res.importance for _, res in results if res.importance), None)
     if importance:
-        path = os.path.join(out_dir, "importance.csv")
         ordered = sorted(importance.items(), key=lambda kv: (-kv[1], kv[0]))
-        _write_csv(path, ("feature", "importance"), [(name, _FMT.format(value)) for name, value in ordered])
-        written.append(path)
-
-    return written
+        _write_csv(os.path.join(out_dir, "importance.csv"), ("feature", "importance"),
+                   [(name, _FMT.format(value)) for name, value in ordered])

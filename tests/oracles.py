@@ -713,9 +713,10 @@ def oracle_build_design_matrix(records, schema, dataset_features=None, language_
     targets = np.empty(n, dtype=np.float64)
     col_index = {c: j for j, c in enumerate(schema.columns)}
 
-    lang_enabled = "language" in schema.groups
-    data_enabled = "dataset" in schema.groups
-    proxy_cols = [(c, c[len(PROXY_PREFIX):]) for c, g in zip(schema.columns, schema.groups) if g == "proxy"]
+    # a column's group follows from its name
+    lang_enabled = not col_index.keys().isdisjoint(DISTANCE_KINDS)
+    data_enabled = not col_index.keys().isdisjoint(DATASET_FEATURE_COLUMNS)
+    proxy_cols = [(c, c[len(PROXY_PREFIX):]) for c in schema.columns if c.startswith(PROXY_PREFIX)]
 
     for i, rec in enumerate(records):
         targets[i] = rec.score
@@ -723,10 +724,10 @@ def oracle_build_design_matrix(records, schema, dataset_features=None, language_
             if language_table is None:
                 raise MissingFeature(rec.record_id, "language (no distance table supplied)")
             try:
-                block = language_features(language_table, rec.src_lang, rec.tgt_lang)
+                distances = language_features(language_table, rec.src_lang, rec.tgt_lang)
             except MissingPair as exc:
                 raise MissingFeature(rec.record_id, f"language:{'+'.join(exc.kinds)}") from exc
-            for kind, value in zip(DISTANCE_KINDS, block.as_row()):
+            for kind, value in zip(DISTANCE_KINDS, distances):
                 rows[i, col_index[kind]] = value
         if data_enabled:
             if dataset_features is None:
@@ -995,7 +996,7 @@ def oracle_kfold_cv(matrix: DesignMatrix, k: int, grid, seed: int) -> CvResult:
         fold_rmse = [rmse(predict_model(fit_model(seeded, train), val), val.targets) for train, val in splits]
         scores.append(float(np.mean(fold_rmse)))
     best = min(range(len(grid)), key=lambda i: (scores[i], i))
-    return CvResult(best_index=best, best_params=grid[best], scores=scores)
+    return CvResult(best_index=best, scores=scores)
 
 
 def _oracle_split_units(config: ExperimentConfig, records, seed: int):
@@ -1086,7 +1087,7 @@ def oracle_run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 best = config.grid[0]
             else:
                 cv = oracle_kfold_cv(m_train, config.cv_folds, config.grid, seed_r)
-                best = cv.best_params
+                best = config.grid[cv.best_index]
                 cv_scores[label or "all"] = cv.scores
             model = fit_model(with_seed(best, seed_r), m_train)
             pred = predict_model(model, m_test)

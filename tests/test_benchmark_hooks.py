@@ -16,6 +16,8 @@ import perfcast.corpus as corpus
 import perfcast.experiments as experiments
 from perfcast.corpus import profile
 
+from test_cli import write_experiment_fixture
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
@@ -57,3 +59,21 @@ def test_a_traced_pair_records_its_statistic_spans():
     assert [(name, parent) for name, _, _, parent, _ in tracer.spans] == [
         ("corpus.dataset_features", -1), ("corpus.jsd", 0), ("corpus.tfidf_cosine", 0)]
     assert repr(traced) == repr(corpus.dataset_features(train, test))
+
+
+def test_a_traced_experiment_records_its_report_spans(tmp_path):
+    cfg = write_experiment_fixture(tmp_path)
+    out = tmp_path / "out"
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.active, tracer.op = True, 0
+        assert cli.main(["experiment", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    finally:
+        tracer.uninstall()
+    names = [name for name, _, _, _, _ in tracer.spans]
+    assert names.count("report.emit_report") == 1
+    emit = names.index("report.emit_report")
+    assert [parent for name, _, _, parent, _ in tracer.spans if name == "report.lowess"] == [emit]
+    data_rows = len((out / "scatter.csv").read_text(encoding="utf-8").splitlines()) - 2  # less comment and header
+    assert data_rows > 0 and tracer.counts["report.points"] == data_rows

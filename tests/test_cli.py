@@ -1,10 +1,11 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from perfcast.langdist import save_distance_table
 from perfcast.records import build_schema, load_records, proxy_roster, save_records
 from perfcast.regressors import GbtParams
 
-from conftest import synthetic_setup
+from conftest import make_language_table, synthetic_setup
 from oracles import csv_rows_by_line, oracle_dataset_features, oracle_read_corpus
 
 
@@ -535,6 +536,38 @@ class TestExperimentCommand:
         results = json.loads((out / "results.json").read_text())
         assert len(results["per_repeat_rmse"]) == 2
         assert results["mean_rmse"] == pytest.approx(np.mean(results["per_repeat_rmse"]))
+
+    def test_scatter_rows_are_labelled_from_their_records(self, tmp_path):
+        """A row's language is the record's non-English side, else its tgt_lang; its family may be absent."""
+        langs = ("eng", "aar", "bel", "ces")
+        records, _, _ = synthetic_setup(48, seed=2)
+        records = [replace(rec, src_lang=src, tgt_lang=tgt, joshi_class=None if i % 5 == 0 else rec.joshi_class)
+                   for i, (rec, (src, tgt)) in enumerate(zip(records, itertools.cycle(itertools.product(langs, langs))))]
+        save_records(records, str(tmp_path / "records.csv"))
+        save_distance_table(make_language_table(langs[1:], seed=3), str(tmp_path / "distances.csv"))
+        families = {"aar": "afroasiatic", "bel": "slavic", "eng": "germanic"}  # ces has no family
+        (tmp_path / "families.csv").write_text("lang,family\n" + "".join(f"{l},{f}\n" for l, f in families.items()))
+        cfg = write_json(tmp_path / "config.json", {
+            "records": "records.csv", "language_distances": "distances.csv", "language_families": "families.csv",
+            "feature_groups": ["language", "proxy"], "regressor": "gbt", "params": {"n_estimators": 4},
+            "split": {"kind": "random", "ratio": 0.5}, "repeats": 1, "seed": 1,
+        })
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "scatter.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh.readlines()[1:]))
+        assert len(rows) == 24
+        by_id = {rec.record_id: rec for rec in records}
+        sides = set()
+        for row in rows:
+            rec = by_id[row["record_id"]]
+            sides.add((rec.src_lang == "eng", rec.tgt_lang == "eng", rec.joshi_class is None))
+            language = rec.src_lang if rec.tgt_lang == "eng" and rec.src_lang != "eng" else rec.tgt_lang
+            joshi = "" if rec.joshi_class is None else str(rec.joshi_class)
+            assert (row["language"], row["joshi_class"], row["language_family"]) == (
+                language, joshi, families.get(language, "")), row
+        assert {s[:2] for s in sides} == {(True, False), (False, True), (True, True), (False, False)}
+        assert any(s[2] for s in sides) and any(row["language"] == "ces" for row in rows)
 
     def test_chosen_params_carry_no_seed(self, tmp_path):
         # the params say seed 0, but repeat r fits with the config seed 4 plus r
@@ -1184,6 +1217,13 @@ class TestManifest:
         assert {"config.json", "records.csv", "features.csv", "distances.csv", "families.csv"} <= tracked
         for digest in manifest["inputs"].values():
             assert len(digest) == 64
+
+    @pytest.mark.parametrize("seed", [7, None])
+    def test_records_the_config_seed_when_no_flag_is_given(self, tmp_path, seed):
+        cfg = write_experiment_fixture(tmp_path, config_extra={"seed": seed})
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["master_seed"] == seed
 
     def test_records_the_numpy_version_and_blas_name(self, tmp_path, monkeypatch):
         cfg = write_experiment_fixture(tmp_path)

@@ -54,7 +54,7 @@ def documents() -> dict[str, tuple[str, object, dict]]:
     rng = np.random.default_rng(3)
     X, y = rng.normal(size=(24, 3)), rng.normal(size=24)
     languages = [(f"s{i % 2}", f"t{i // 2 % 3}") for i in range(24)]
-    schema = FeatureSchema(("a", "b", "c"), ("proxy",) * 3)
+    schema = FeatureSchema(("a", "b", "c"))
     matrix = DesignMatrix(schema, X, y, [str(i) for i in range(24)], languages)
     docs = {
         kind: ("model.json", load_model, model_to_dict(fit_model(params, matrix)))

@@ -90,8 +90,7 @@ class TestLoad:
 class TestFeatures:
     def test_self_pair_all_zero(self):
         table = make_language_table(["aaa", "bbb"], seed=1)
-        block = language_features(table, "aaa", "aaa")
-        assert block.as_row() == [0.0] * 6
+        assert language_features(table, "aaa", "aaa") == [0.0] * 6
 
     def test_symmetry(self):
         table = make_language_table(["aaa", "bbb", "ccc"], seed=2)
@@ -100,8 +99,7 @@ class TestFeatures:
     def test_fixture_values_in_kind_order(self, tmp_path):
         rows = [f"aaa,bbb,{kind},{round(0.1 * (i + 1), 2)}" for i, kind in enumerate(DISTANCE_KINDS)]
         table = load_distance_table(write_table(tmp_path, rows))
-        block = language_features(table, "aaa", "bbb")
-        assert block.as_row() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        assert language_features(table, "aaa", "bbb") == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
 
     def test_missing_pair_lists_kinds(self, tmp_path):
         table = load_distance_table(write_table(tmp_path, ["aaa,bbb,genetic,0.2", "aaa,bbb,featural,0.4"]))

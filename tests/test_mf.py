@@ -35,7 +35,7 @@ def context_matrix(y, sources, targets, n_context=1):
 
 def one_row(columns, source, target, context):
     """A one-row design matrix of the given columns: the language pair and the context cells, as given."""
-    schema = FeatureSchema(columns=tuple(columns), groups=("proxy",) * len(columns))
+    schema = FeatureSchema(columns=tuple(columns))
     return DesignMatrix(schema, np.asarray(context, dtype=np.float64).reshape(1, -1), np.zeros(1), ["r0"],
                         [(source, target)])
 
@@ -165,7 +165,7 @@ def mf_problems(draw):
     c_dim = int(rng.choice([0, 1, 3]))
     rows = rng.normal(size=(n, c_dim)) * rng.uniform(0.1, 10.0, size=c_dim)
     rows[rng.uniform(size=rows.shape) < rng.choice([0.0, 0.3])] = np.nan
-    schema = FeatureSchema(columns=tuple(f"c{j}" for j in range(c_dim)), groups=("proxy",) * c_dim)
+    schema = FeatureSchema(columns=tuple(f"c{j}" for j in range(c_dim)))
     y = rng.normal(20.0, 5.0, size=n)
     matrix = DesignMatrix(schema, rows, y, [f"r{i}" for i in range(n)], list(zip(*sides)))
     betas = rng.choice([0.0, 0.01, 0.1], 5) * (rng.random() < 0.75)

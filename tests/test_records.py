@@ -282,11 +282,8 @@ class TestSchema:
     def test_full_order(self):
         schema = build_schema(("language", "dataset", "proxy"), ["b", "a"])
         assert schema.columns[:6] == DISTANCE_KINDS
-        assert schema.columns[6:16][0] == "train_size"
+        assert schema.columns[6:16] == DATASET_FEATURE_COLUMNS
         assert schema.columns[16:] == ("proxy:b", "proxy:a")
-        assert schema.groups.count("language") == 6
-        assert schema.groups.count("dataset") == 10
-        assert schema.groups.count("proxy") == 2
 
     def test_group_removal_is_exact(self):
         full = build_schema(("language", "dataset", "proxy"), ["p0"])
@@ -334,8 +331,7 @@ class TestDesignMatrix:
         schema = build_schema(("language", "dataset", "proxy"), ["p0"])
         m = build_design_matrix(records, schema, blocks, table)
         for i, r in enumerate(records):
-            lang_block = language_features(table, r.src_lang, r.tgt_lang)
-            np.testing.assert_array_equal(m.rows[i, :6], lang_block.as_row())
+            np.testing.assert_array_equal(m.rows[i, :6], language_features(table, r.src_lang, r.tgt_lang))
             feature_block = blocks[(r.train_dataset, r.test_dataset)]
             np.testing.assert_array_equal(m.rows[i, 6:15], np.asarray(feature_block.as_row()[:9], dtype=float))
             assert np.isnan(m.rows[i, 15])  # embedding_cosine absent in fixtures

@@ -14,11 +14,9 @@ from perfcast.errors import TooFewPoints, ZeroVariance
 from perfcast.experiments import ExperimentResult
 from perfcast.report import (
     ScatterPoint,
-    ScatterSeries,
     emit_report,
     lowess,
     r_squared,
-    scatter_from_predictions,
 )
 
 from oracles import oracle_lowess, oracle_lowess_exact, oracle_lowess_per_point
@@ -199,7 +197,7 @@ class TestEmitReport:
                 joshi_class=(1, 3, 5)[i % 3],
                 language_family=("indo-european", "koreanic")[i % 2],
             ))
-        return ScatterSeries(points=tuple(pts))
+        return pts
 
     def test_summary_row_per_result(self, tmp_path):
         out = str(tmp_path / "out")
@@ -246,9 +244,8 @@ class TestEmitReport:
 
     def test_csv_only_format(self, tmp_path):
         out = str(tmp_path / "out")
-        emit_report([("cfg", result())], out, fmt="csv")
-        assert (tmp_path / "out" / "summary.csv").exists()
-        assert not (tmp_path / "out" / "summary.md").exists()
+        emit_report([("cfg", result())], out, scatter=[], fmt="csv")
+        assert os.listdir(out) == ["summary.csv"]  # no scatter files for no points
 
     def test_cells_with_commas_and_quotes_read_back(self, tmp_path):
         pts = tuple(
@@ -261,7 +258,7 @@ class TestEmitReport:
         )
         out = tmp_path / "out"
         emit_report([("gbt, lolo", result(importance={"a,b": 0.75, "c": 0.25}))], str(out),
-                    scatter=ScatterSeries(pts), lowess_frac=1.0)
+                    scatter=pts, lowess_frac=1.0)
 
         def table(name, skip=0):
             with open(out / name, encoding="utf-8", newline="") as fh:
@@ -320,20 +317,7 @@ class TestGoldenReport:
             ScatterPoint("r3", 30.0, 30.5, "deu", 5, "indo-european"),
         )
         out = tmp_path / "out"
-        emit_report([("demo", res)], str(out), scatter=ScatterSeries(pts), lowess_frac=1.0)
+        emit_report([("demo", res)], str(out), scatter=pts, lowess_frac=1.0)
         for name, expected in self.GOLDEN.items():
             assert (out / name).read_text() == expected, name
 
-
-class TestScatterFromPredictions:
-    def test_labels_joined(self):
-        series = scatter_from_predictions(
-            [("r1", 1.0, 1.5)], {"r1": ("deu", 5, "indo-european")}
-        )
-        pt = series.points[0]
-        assert (pt.language, pt.joshi_class, pt.language_family) == ("deu", 5, "indo-european")
-
-    def test_missing_info_defaults(self):
-        series = scatter_from_predictions([("r9", 1.0, 2.0)])
-        pt = series.points[0]
-        assert pt.language == "" and pt.joshi_class is None
