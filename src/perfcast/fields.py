@@ -45,26 +45,32 @@ def _is_object(value) -> bool:
     return isinstance(value, dict)
 
 
+def _same(value):
+    return value
+
+
 @dataclass(frozen=True)
 class FieldType:
     check: Callable[[Any], bool]
-    convert: Callable[[Any], Any] = lambda value: value
+    convert: Callable[[Any], Any] = _same
     items: str | None = None  # annotation of a JSON list's items or a JSON object's values
     keys: dict[str, str] | None = None  # a JSON object's exact keys, each with its value's annotation
+    passes: frozenset = frozenset()  # types whose every value passes check, so a container's item types suffice
 
 
 def _or_none(ftype: FieldType) -> FieldType:
     """The entry of `annotation | None`, from the entry of annotation."""
     return FieldType(lambda value: value is None or ftype.check(value),
-                     lambda value: None if value is None else ftype.convert(value), ftype.items)
+                     lambda value: None if value is None else ftype.convert(value), ftype.items,
+                     passes=ftype.passes | {type(None)})
 
 
 # numpy integer and float scalars register as Integral and Real, so params built in code may hold them.
 FIELD_TYPES: dict[str, FieldType] = {
-    "bool": FieldType(lambda value: isinstance(value, bool)),
-    "int": FieldType(_is_int),
-    "float": FieldType(_is_real, float),
-    "str": FieldType(lambda value: isinstance(value, str)),
+    "bool": FieldType(lambda value: isinstance(value, bool), passes=frozenset({bool})),
+    "int": FieldType(_is_int, passes=frozenset({int})),
+    "float": FieldType(_is_real, float, passes=frozenset({float, int})),
+    "str": FieldType(lambda value: isinstance(value, str), passes=frozenset({str})),
     "dict": FieldType(_is_object),
     "list[int]": FieldType(_is_list, list, "int"),
     "list[float]": FieldType(_is_list, list, "float"),
@@ -110,13 +116,34 @@ def read(annotation: str, value, where: str):
             raise ValueError(f"{where}: keys {sorted(value)} are not {sorted(ftype.keys)}")
         value = {key: read(item, value[key], f"{where}[{key!r}]") for key, item in ftype.keys.items()}
     elif ftype.items is not None and isinstance(value, (dict, list)):
-        pairs = value.items() if isinstance(value, dict) else enumerate(value)
-        items = {key: read(ftype.items, item, f"{where}[{key!r}]") for key, item in pairs}
-        value = items if isinstance(value, dict) else list(items.values())
+        value = _read_items(ftype.items, value, where)
     try:
         return ftype.convert(value)
     except (OverflowError, TypeError, ValueError) as exc:  # an int too large for a float, bad params
         raise ValueError(f"{where}: {exc}") from exc
+
+
+def _read_items(annotation: str, value: list | dict, where: str) -> list | dict:
+    """A new list or dict of the items of value, each read through annotation's entry.
+
+    Items without items or keys of their own are checked, then converted,
+    in one pass each; the check is of the set of their types where every
+    value of those types passes. Only if an item fails its check or its
+    convert raises are they read again one at a time, so the error names
+    the first bad item as the per-item path always did.
+    """
+    item = FIELD_TYPES[annotation]
+    items = value.values() if isinstance(value, dict) else value
+    if item.items is None and item.keys is None and (
+            set(map(type, items)) <= item.passes or all(map(item.check, items))):
+        try:
+            converted = items if item.convert is _same else map(item.convert, items)
+            return dict(zip(value, converted)) if isinstance(value, dict) else list(converted)
+        except (OverflowError, TypeError, ValueError):
+            pass  # the per-item path below names the item whose convert raised
+    pairs = value.items() if isinstance(value, dict) else enumerate(value)
+    read_items = {key: read(annotation, item, f"{where}[{key!r}]") for key, item in pairs}
+    return read_items if isinstance(value, dict) else list(read_items.values())
 
 
 def check_keys(cls, obj: dict) -> None:

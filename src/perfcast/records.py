@@ -421,12 +421,15 @@ def build_design_matrix(
 
     Missing proxy scores and missing embedding cosines are left NaN; any other
     unresolvable feature raises MissingFeature naming the first record, in
-    order, that needs it. The language block is resolved once per distinct
-    (src_lang, tgt_lang) and the dataset block once per distinct
-    (train_dataset, test_dataset); each record's row then copies them from a
-    table with one row per pair. The matrix's languages hold one tuple per
-    distinct pair, which every row with that pair refers to.
+    order, that needs it. A schema column that names no feature, or a
+    language or dataset block that the schema holds only in part, is a
+    SchemaMismatch naming the column. The language block is resolved once
+    per distinct (src_lang, tgt_lang) and the dataset block once per
+    distinct (train_dataset, test_dataset); each record's row then copies
+    them from a table with one row per pair. The matrix's languages hold one
+    tuple per distinct pair, which every row with that pair refers to.
     """
+    _check_feature_columns(schema)
     n = len(records)
     rows = np.full((n, len(schema.columns)), np.nan, dtype=np.float64)
     col_index = {c: j for j, c in enumerate(schema.columns)}
@@ -476,6 +479,21 @@ def build_design_matrix(
         row_ids=[rec.record_id for rec in records],
         languages=[pairs[i] for i in lang_of],
     )
+
+
+def _check_feature_columns(schema: FeatureSchema) -> None:
+    """Raise SchemaMismatch for a column that names no feature, or for a block the schema holds only in part."""
+    blocks = {"language": DISTANCE_KINDS, "dataset": DATASET_FEATURE_COLUMNS}
+    for column in schema.columns:
+        if not column.startswith(PROXY_PREFIX) and not any(column in names for names in blocks.values()):
+            raise SchemaMismatch(f"schema column {column!r} names no feature: not a language distance,"
+                                 f" a dataset feature or {PROXY_PREFIX}<id>")
+    for group, names in blocks.items():
+        held = [name for name in names if name in schema.columns]
+        if held and len(held) < len(names):
+            lacking = next(name for name in names if name not in held)
+            raise SchemaMismatch(f"schema column {held[0]!r} is in the {group} block,"
+                                 f" whose column {lacking!r} the schema lacks")
 
 
 def _language_row(rec: PerformanceRecord, table: LanguageDistanceTable | None) -> list[float]:

@@ -1,13 +1,13 @@
 """Self-describing JSON serialization for fitted models.
 
 A model file holds `format_version`, `kind` and every field of the model's
-dataclass but `objective_history`. Each fact is stored once, and nothing
-that predict or a report can derive is stored: a model's columns are its
-`feature_names`, which predict compares with the design matrix's, and
-their groups follow from the names (build_schema); a GBT model's eta is
-its params' eta and its gain totals are sums of the node gains
-(gbt_gain_totals); a poly model's terms follow from its column count and
-degree (PolyModel.terms). A GBT forest is its node table, stored as one
+dataclass but `objective`, a poly fit's final objective. Each fact is
+stored once, and nothing that predict or a report can derive is stored: a
+model's columns are its `feature_names`, which predict compares with the
+design matrix's, and their groups follow from the names (build_schema); a
+GBT model's eta is its params' eta and its gain totals are sums of the node
+gains (gbt_gain_totals); a poly model's terms follow from its column count
+and degree (PolyModel.terms). A GBT forest is its node table, stored as one
 object of seven equal-length lists, one per NODE_DTYPE field, with the
 child ids local to each tree, and `tree_sizes`, the node count of each
 tree. It is read back through the field table of `perfcast.fields`, so
@@ -60,8 +60,8 @@ KINDS: dict[str, tuple[type, type]] = {
 # params class or model class -> kind name
 KIND_OF = {cls: kind for kind, classes in KINDS.items() for cls in classes}
 
-# The poly objective trajectory is not part of the file format.
-_UNSAVED = ("objective_history",)
+# A poly fit's final objective is not part of the file format.
+_UNSAVED = ("objective",)
 
 
 def _to_json(value):

@@ -30,6 +30,7 @@ from perfcast.errors import (
     TooFewPoints,
     TooFewRecords,
 )
+from perfcast.fields import FIELD_TYPES
 from perfcast.experiments import (
     CvResult,
     ExperimentConfig,
@@ -531,6 +532,25 @@ def oracle_forest_predict(model, rows: np.ndarray, missing: np.ndarray) -> np.nd
     for tree in model.trees:
         expected += model.params.eta * np.array([walk(tree, rows[i], missing[i]) for i in range(len(rows))])
     return expected
+
+
+def oracle_read(annotation: str, value, where: str):
+    """fields.read with every item of a container read on its own, by a recursive call."""
+    ftype = FIELD_TYPES[annotation]
+    if not ftype.check(value):
+        raise ValueError(f"{where} must be of type {annotation}, not {value!r}")
+    if ftype.keys is not None:
+        if value.keys() != ftype.keys.keys():
+            raise ValueError(f"{where}: keys {sorted(value)} are not {sorted(ftype.keys)}")
+        value = {key: oracle_read(item, value[key], f"{where}[{key!r}]") for key, item in ftype.keys.items()}
+    elif ftype.items is not None and isinstance(value, (dict, list)):
+        pairs = value.items() if isinstance(value, dict) else enumerate(value)
+        items = {key: oracle_read(ftype.items, item, f"{where}[{key!r}]") for key, item in pairs}
+        value = items if isinstance(value, dict) else list(items.values())
+    try:
+        return ftype.convert(value)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def oracle_ols(X: np.ndarray, y: np.ndarray):

@@ -195,13 +195,15 @@ def test_criterion_05_elastic_net_correctness():
         d = int(rng.integers(2, 6))
         X = rng.normal(size=(n, d))
         y = X @ rng.normal(size=d) + rng.normal() + 0.05 * rng.normal(size=n)
-        model = poly_fit(matrix_from(X, y),
-                         PolyParams(degree=1, alpha=0.0, max_iterations=50000, tolerance=1e-13))
+        matrix, params = matrix_from(X, y), PolyParams(degree=1, alpha=0.0, max_iterations=50000, tolerance=1e-13)
+        model = poly_fit(matrix, params)
         Z = (X - model.mean) / model.std
         oracle_b, oracle_w = oracle_ols(Z, y)
         assert np.max(np.abs(model.coef - oracle_w)) <= 1e-6
         assert abs(model.intercept - oracle_b) <= 1e-6
-        hist = model.objective_history
+        # the objective after 1, 2, 4, ... passes, up to the converged count
+        caps = [*(1 << k for k in range(model.n_sweeps.bit_length()) if 1 << k < model.n_sweeps), model.n_sweeps]
+        hist = [poly_fit(matrix, replace(params, max_iterations=cap)).objective for cap in caps]
         for prev, cur in zip(hist, hist[1:]):
             assert cur <= prev + 1e-12 * max(1.0, hist[0])
     passed(5, "elastic net vs normal equations x50, monotone objective")

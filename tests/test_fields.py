@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from perfcast.cli import Config, CorpusEntry, PairEntry, main
 from perfcast.corpus import EmbeddingSet, load_embeddings, load_feature_csv, read_corpus
 from perfcast.errors import ParseError
-from perfcast.fields import FIELD_TYPES
+from perfcast.fields import FIELD_TYPES, read
 from perfcast.langdist import load_distance_table
 from perfcast.records import DesignMatrix, FeatureSchema, PerformanceRecord, load_records
 from perfcast.regressors import (
@@ -34,6 +34,7 @@ from perfcast.regressors import (
     model_to_dict,
 )
 
+from oracles import oracle_read
 from test_cli import dir_bytes, write_experiment_fixture
 
 TABLE_READ = (PerformanceRecord, EmbeddingSet, GbtParams, PolyParams, MfParams, GbtModel, PolyModel, MfModel,
@@ -46,6 +47,43 @@ def test_every_field_has_a_table_entry(cls):
     assert [f"{f.name}: {f.type}" for f in fields(cls) if f.type not in FIELD_TYPES] == []
     assert [name for name, ftype in FIELD_TYPES.items() if ftype.items not in (None, *FIELD_TYPES)] == []
     assert [name for name, ftype in FIELD_TYPES.items() if set((ftype.keys or {}).values()) - set(FIELD_TYPES)] == []
+
+
+# JSON values that pass or fail the item check of each container entry; 10 ** 400 passes a float's check and
+# fails its convert
+JSON_ITEMS = [0, -2, 0.5, 1e300, 10 ** 400, True, None, "a", [], [1.5, 2], ["a"], {}, {"k": 1.0}]
+
+
+@st.composite
+def container_values(draw):
+    """(a container entry's annotation, a JSON list or object whose items mostly pass the items' check)."""
+    annotation = draw(st.sampled_from(sorted(name for name, ftype in FIELD_TYPES.items() if ftype.items)))
+    check = FIELD_TYPES[FIELD_TYPES[annotation].items].check
+    items = st.sampled_from([item for item in JSON_ITEMS if check(item)] or JSON_ITEMS)
+    if draw(st.booleans()):
+        items = items | st.sampled_from(JSON_ITEMS)
+    container = st.lists(items, max_size=5) if FIELD_TYPES[annotation].check([]) else st.dictionaries(
+        st.sampled_from("abc"), items, max_size=3)
+    return annotation, draw(container)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(container_values())
+@example(("list[float]", [1.0, 2, 10 ** 400]))
+@example(("dict[str, float]", {"a": 0.5, "b": 10 ** 400}))
+@example(("list[int]", [1, 2, True]))
+def test_read_of_a_container_matches_reading_each_item_on_its_own(case):
+    annotation, value = case
+    try:
+        expected = oracle_read(annotation, value, "x")
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            read(annotation, value, "x")
+        assert str(got.value) == str(exc)
+        return
+    got = read(annotation, value, "x")
+    assert (type(got), repr(got)) == (type(expected), repr(expected))
+    assert got is not value
 
 
 @functools.cache

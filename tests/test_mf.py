@@ -180,6 +180,20 @@ def mf_problems(draw):
     return matrix, sides[0], sides[1], params
 
 
+class TestConstantColumn:
+    def test_a_value_unseen_in_a_constant_column_moves_no_prediction(self):
+        # 0.1 repeated standardizes to 0 in training, so its theta stays 0
+        sources, targets, y = rank1_grid(np.linspace(1.0, 2.0, 15), np.linspace(1.0, 2.0, 20))
+        matrix = context_matrix(y, sources, targets)
+        matrix.rows[:] = 0.1
+        model = mf_fit(matrix, no_reg_params(iterations=20))
+        assert model.theta[0] == 0.0
+        seen = one_row(matrix.schema.columns, "s0", "t0", [0.1])
+        unseen = one_row(matrix.schema.columns, "s0", "t0", [0.2])
+        assert mf_predict(model, unseen).tobytes() == mf_predict(model, seen).tobytes()
+        assert mf_predict(model, seen)[0] == pytest.approx(y[0], abs=0.5)
+
+
 class TestSgdOracle:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(mf_problems())

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,9 +82,11 @@ class TestFit:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 4))
         y = X[:, 0] - 2 * X[:, 2] + rng.normal(size=40)
-        model = poly_fit(matrix_from(X, y), PolyParams(degree=2, alpha=0.05, l1_ratio=0.5))
-        hist = model.objective_history
-        assert len(hist) >= 2
+        matrix, params = matrix_from(X, y), PolyParams(degree=2, alpha=0.05, l1_ratio=0.5)
+        model = poly_fit(matrix, params)
+        # a fit capped at k passes is the first k passes of a longer fit
+        hist = [poly_fit(matrix, replace(params, max_iterations=k)).objective for k in range(1, model.n_sweeps + 1)]
+        assert len(hist) >= 2 and hist[-1] == model.objective
         for prev, cur in zip(hist, hist[1:]):
             assert cur <= prev + 1e-12 * max(1.0, hist[0])
 
@@ -105,6 +108,23 @@ class TestFit:
         m = matrix_from(X, [1.0, 2.0, 3.0], mask)
         model = poly_fit(m, PolyParams(degree=1, alpha=0.0))
         assert model.impute[1] == pytest.approx(6.0)  # mean of the observed 5 and 7
+
+    @pytest.mark.parametrize("n", [3, 7, 300])
+    def test_a_column_of_one_value_is_constant(self, n):
+        # 0.1 repeated has a mean and a std that miss 0.1 and 0 by rounding
+        X = np.column_stack([np.arange(n, dtype=np.float64), np.full(n, 0.1)])
+        X[0, 1] = np.nan  # imputed to the observed mean, 0.1
+        Xs, impute, mean, std = impute_and_standardize(X)
+        assert (mean[1], std[1]) == (0.1, 1.0)
+        assert np.all((Xs[:, 1] - mean[1]) / std[1] == 0.0)
+
+    def test_a_value_unseen_in_a_constant_column_moves_no_prediction(self):
+        rng = np.random.default_rng(7)
+        X = np.column_stack([rng.normal(size=300), np.full(300, 0.1)])
+        model = poly_fit(matrix_from(X, X[:, 0] + 1.0), PolyParams(degree=2))
+        seen, unseen = matrix_from([[0.5, 0.1]], [0.0]), matrix_from([[0.5, 0.2]], [0.0])
+        assert poly_predict(model, unseen).tobytes() == poly_predict(model, seen).tobytes()
+        assert poly_predict(model, seen)[0] == pytest.approx(1.5, abs=0.2)
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):
@@ -147,7 +167,7 @@ class TestCoordinateDescentOracle:
         np.testing.assert_allclose(model.coef, coef, rtol=1e-9, atol=1e-9 * scale)
         assert model.intercept == pytest.approx(intercept, rel=1e-9)
         # an objective at the rounding floor is compared against the first sweep's
-        np.testing.assert_allclose(model.objective_history, history, rtol=1e-9, atol=1e-12 * history[0])
+        np.testing.assert_allclose(model.objective, history[-1], rtol=1e-9, atol=1e-12 * history[0])
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(elastic_net_problems())

@@ -23,6 +23,7 @@ from perfcast.records import (
     CORPUS_GROUPS,
     FEATURE_GROUPS,
     PROXY_PREFIX,
+    FeatureSchema,
     TASKS,
     PerformanceRecord,
     build_design_matrix,
@@ -360,6 +361,21 @@ class TestDesignMatrix:
         schema = build_schema(("language",), [])
         with pytest.raises(MissingFeature):
             build_design_matrix(records, schema, None, table)
+
+    def test_a_column_that_names_no_feature_is_refused(self):
+        records, blocks, table = synthetic_setup(2, seed=3)
+        with pytest.raises(SchemaMismatch, match="^schema column 'foo' names no feature"):
+            build_design_matrix(records, FeatureSchema(("foo", "proxy:p0")), blocks, table)
+
+    @pytest.mark.parametrize("columns, message", [
+        (("genetic",), "^schema column 'genetic' is in the language block, whose column 'geographic' the schema lacks$"),
+        ((*DISTANCE_KINDS, "ttr_train", "proxy:p0"),
+         "^schema column 'ttr_train' is in the dataset block, whose column 'train_size' the schema lacks$"),
+    ], ids=["language", "dataset"])
+    def test_a_block_held_in_part_is_refused(self, columns, message):
+        records, blocks, table = synthetic_setup(2, seed=3)
+        with pytest.raises(SchemaMismatch, match=message):
+            build_design_matrix(records, FeatureSchema(columns), blocks, table)
 
     def test_deterministic(self):
         records, blocks, table = synthetic_setup(6, seed=5)
